@@ -98,7 +98,10 @@ class RegionMessageCounters:
             self.topology.region_of(message.dst),
         )
         self.by_pair[pair] += 1
-        self.bytes_by_pair[pair] += estimate_message_size(message.payload)
+        size = message.wire_size
+        if size is None:
+            size = message.wire_size = estimate_message_size(message.payload)
+        self.bytes_by_pair[pair] += size
         if pair[0] == pair[1]:
             self.intra_region += 1
         else:

@@ -37,7 +37,16 @@ class Message:
     (and the dataclass ``__init__`` indirection) is a measurable win.
     """
 
-    __slots__ = ("msg_id", "src", "dst", "kind", "payload", "category", "reply_to")
+    __slots__ = (
+        "msg_id",
+        "src",
+        "dst",
+        "kind",
+        "payload",
+        "category",
+        "reply_to",
+        "wire_size",
+    )
 
     def __init__(
         self,
@@ -56,6 +65,10 @@ class Message:
         self.payload = payload
         self.category = category
         self.reply_to = reply_to
+        #: Estimated bytes on the wire (:func:`repro.sim.topology.
+        #: estimate_message_size`), stored by the first party that sizes
+        #: the message so the next one does not walk the payload again.
+        self.wire_size: Optional[int] = None
 
     def get(self, key: str, default: Any = None) -> Any:
         """Convenience accessor into the payload."""
@@ -79,14 +92,20 @@ class LatencyModel(abc.ABC):
         """Draw a delay for a message from ``src`` to ``dst``."""
 
     def sample_message(
-        self, rng: random.Random, src: str, dst: str, payload: Mapping[str, Any]
+        self,
+        rng: random.Random,
+        src: str,
+        dst: str,
+        payload: Mapping[str, Any],
+        size_bytes: Optional[int] = None,
     ) -> float:
         """Delay for a concrete message.
 
         The default ignores the payload and delegates to :meth:`sample`;
         size-aware models (:class:`repro.sim.topology.RegionalLatency`)
         override this to add a message-size / bandwidth transfer term.
-        The network calls this entry point for every delivery.
+        The network calls this entry point for every delivery, passing the
+        message's wire size as ``size_bytes`` when it is already known.
         """
         return self.sample(rng, src, dst)
 
@@ -103,7 +122,12 @@ class FixedLatency(LatencyModel):
         return self.delay
 
     def sample_message(
-        self, rng: random.Random, src: str, dst: str, payload: Mapping[str, Any]
+        self,
+        rng: random.Random,
+        src: str,
+        dst: str,
+        payload: Mapping[str, Any],
+        size_bytes: Optional[int] = None,
     ) -> float:
         # Skips two call frames on the per-message hot path.
         return self.delay
@@ -122,7 +146,12 @@ class UniformLatency(LatencyModel):
         return rng.uniform(self.low, self.high)
 
     def sample_message(
-        self, rng: random.Random, src: str, dst: str, payload: Mapping[str, Any]
+        self,
+        rng: random.Random,
+        src: str,
+        dst: str,
+        payload: Mapping[str, Any],
+        size_bytes: Optional[int] = None,
     ) -> float:
         # Skips a call frame on the per-message hot path.
         return rng.uniform(self.low, self.high)
@@ -412,7 +441,9 @@ class Network:
                     **_correlation(message.payload),
                 )
         else:
-            delay = self.latency.sample_message(self.rng, src, dst, message.payload)
+            delay = self.latency.sample_message(
+                self.rng, src, dst, message.payload, message.wire_size
+            )
             delay += extra_delay
             env = self.env
             when = env._now + delay

@@ -206,31 +206,38 @@ def estimate_wire_size(value: Any, _depth: int = 0) -> int:
     The estimate never inspects object internals, so it is cheap on the
     send hot path and stable across runs.
     """
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
+    # Exact builtin types first: payloads are made of them, and the general
+    # chain below pays an ABC instance check before it knows a plain dict.
+    kind = type(value)
+    if kind is str:
+        return len(value)
+    if kind is int or kind is float:
         return 8
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    wire_size = getattr(value, "__wire_size__", None)
-    if wire_size is not None:
-        return int(wire_size())
-    if _depth >= 4:
+    if value is None or kind is bool:
+        return 1
+    is_mapping = kind is dict
+    is_sequence = kind is list or kind is tuple
+    if not (is_mapping or is_sequence):
+        if isinstance(value, (int, float)):
+            return 8
+        if isinstance(value, (str, bytes, bytearray)):
+            return len(value)
+        wire_size = getattr(value, "__wire_size__", None)
+        if wire_size is not None:
+            return int(wire_size())
+        is_mapping = isinstance(value, Mapping)
+        is_sequence = isinstance(value, (tuple, list))
+    if _depth >= 4 or not (is_mapping or is_sequence):
         return DEFAULT_OBJECT_BYTES
-    if isinstance(value, Mapping):
-        total = 8
+    total = 8
+    if is_mapping:
         for key, item in value.items():
             total += estimate_wire_size(key, _depth + 1)
             total += estimate_wire_size(item, _depth + 1)
-        return total
-    if isinstance(value, (tuple, list)):
-        total = 8
+    else:
         for item in value:
             total += estimate_wire_size(item, _depth + 1)
-        return total
-    return DEFAULT_OBJECT_BYTES
+    return total
 
 
 def estimate_message_size(payload: Mapping[str, Any]) -> int:
@@ -244,9 +251,9 @@ class RegionalLatency(LatencyModel):
     Delay = link propagation (base + jitter) plus, when
     ``model_transfer_time`` is on, the message-size / bandwidth transfer
     term for the link.  The network delivers every message through
-    :meth:`sample_message`, which estimates the payload's wire size;
-    plain :meth:`sample` calls — e.g. from code unaware of sizes — charge
-    propagation only.
+    :meth:`sample_message`, which estimates the payload's wire size unless
+    the message was already sized; plain :meth:`sample` calls — e.g. from
+    code unaware of sizes — charge propagation only.
     """
 
     def __init__(self, topology: RegionTopology, model_transfer_time: bool = True) -> None:
@@ -264,8 +271,15 @@ class RegionalLatency(LatencyModel):
         return delay
 
     def sample_message(
-        self, rng: random.Random, src: str, dst: str, payload: Mapping[str, Any]
+        self,
+        rng: random.Random,
+        src: str,
+        dst: str,
+        payload: Mapping[str, Any],
+        size_bytes: Optional[int] = None,
     ) -> float:
         if not self.model_transfer_time:
             return self.sample(rng, src, dst)
-        return self.sample_sized(rng, src, dst, estimate_message_size(payload))
+        if size_bytes is None:
+            size_bytes = estimate_message_size(payload)
+        return self.sample_sized(rng, src, dst, size_bytes)

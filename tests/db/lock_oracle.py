@@ -1,65 +1,33 @@
-"""Strict two-phase locking with wait-for-graph deadlock detection.
+"""The lock manager's reference implementation (the oracle, not a path).
 
-Each cloud server runs one :class:`LockManager`.  Queries acquire shared
-(read) or exclusive (write) locks before touching items; all locks are held
-until the transaction's global commit/abort decision arrives (strict 2PL),
-which is what makes 2PC/2PVC recoverable.
+This is :class:`repro.db.locks.LockManager` as it stood before the wait
+index: every queued request rebuilds the wait-for graph of the whole table
+(:meth:`ReferenceLockManager._wait_for_edges`, quadratic in each queue) and
+searches it with a recursive DFS, and every ``release_all`` scans every
+queue of every key.  It is kept verbatim because it states the semantics
+plainly — who blocks whom, which cycle the search reports, in which order
+cancelled waits fail — and ``test_locks_oracle.py`` requires the indexed
+manager to reproduce all of it on random schedules.
 
-Lock waits are simulation events: :meth:`LockManager.acquire` returns an
-event that a server process ``yield``\\ s.  When a wait would close a cycle
-in the wait-for graph, the *requesting* transaction is chosen as the victim
-and its event fails with :class:`~repro.errors.DeadlockError`.
-
-Queues are strictly FIFO: a waiter is blocked by the key's holders and by
-*every* live request queued ahead of it, compatible or not.  The wait-for
-graph is never materialised; live waits are indexed per transaction and a
-transaction's out-edges are derived from that index when the deadlock
-search asks for them, so a lock wait costs what the requester can reach,
-not what the table holds (``tests/db/lock_oracle.py`` keeps the full-table
-construction as the reference the property tests compare against).
+Do not optimize this module.  Its value is being boring.
 """
 
 from __future__ import annotations
 
-import enum
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import DeadlockError, SimulationError
-from repro.obs.spans import (
-    KIND_LOCK,
-    NULL_RECORDER,
-    ParentRef,
-    Span,
-    SpanRecorder,
-)
+from repro.db.locks import LOCK_GRANT, LOCK_RELEASE, LockMode, compatible
+from repro.errors import DeadlockError
+from repro.obs.spans import KIND_LOCK, NULL_RECORDER, ParentRef, Span, SpanRecorder
 from repro.sim.events import Event
 from repro.sim.kernel import Environment
 from repro.sim.tracing import Tracer
 
-#: Trace categories emitted by the lock manager (consumed by
-#: :mod:`repro.verify.conformance` to check strict-2PL discipline).
-LOCK_GRANT = "lock.grant"
-LOCK_RELEASE = "lock.release"
 
-
-class LockMode(enum.Enum):
-    """Shared (read) or exclusive (write)."""
-
-    SHARED = "S"
-    EXCLUSIVE = "X"
-
-
-def compatible(held: LockMode, requested: LockMode) -> bool:
-    """Standard S/X compatibility matrix."""
-    return held is LockMode.SHARED and requested is LockMode.SHARED
-
-
-@dataclass(eq=False)
+@dataclass
 class _WaitEntry:
     txn_id: str
-    key: str
     mode: LockMode
     event: Event
     #: Open ``lock.wait`` span, finished when the wait resolves (grant,
@@ -71,17 +39,13 @@ class _WaitEntry:
 
 @dataclass
 class _LockState:
-    #: Position of the key in the lock table (creation order).
-    order: int
     mode: Optional[LockMode] = None
     holders: Set[str] = field(default_factory=set)
-    #: Pending requests, FIFO.  Every entry is live: a grant, a deadlock
-    #: victim and a cancellation each leave the queue as their event fires.
-    queue: Deque[_WaitEntry] = field(default_factory=deque)
+    queue: List[_WaitEntry] = field(default_factory=list)
 
 
-class LockManager:
-    """Per-server lock table."""
+class ReferenceLockManager:
+    """The lock table with a full-table wait-for graph and release scan."""
 
     def __init__(
         self,
@@ -102,10 +66,6 @@ class LockManager:
         self._locks: Dict[str, _LockState] = {}
         #: Keys held per transaction, for O(1) release.
         self._held_by_txn: Dict[str, Set[str]] = {}
-        #: Queued requests per transaction, in the order they queued.  The
-        #: wait-for graph is read off this index (:meth:`_blockers`) and
-        #: ``release_all`` cancels from it, so neither walks the table.
-        self._waits_by_txn: Dict[str, List[_WaitEntry]] = {}
 
     def _trace(self, category: str, txn_id: str, key: str, mode: Optional[LockMode]) -> None:
         # The enabled check lives here, not in record(): grants/releases
@@ -152,9 +112,7 @@ class LockManager:
         recorded when (and only when) the request actually queues.
         """
         event = self.env.event()
-        state = self._locks.get(key)
-        if state is None:
-            state = self._locks[key] = _LockState(order=len(self._locks))
+        state = self._locks.setdefault(key, _LockState())
 
         if txn_id in state.holders:
             if state.mode is LockMode.EXCLUSIVE or mode is LockMode.SHARED:
@@ -200,20 +158,13 @@ class LockManager:
         event: Event,
         parent: ParentRef = None,
     ) -> None:
-        entry = _WaitEntry(txn_id, key, mode, event, queued_at=self.env.now)
+        entry = _WaitEntry(txn_id, mode, event, queued_at=self.env.now)
         state.queue.append(entry)
-        waits = self._waits_by_txn.setdefault(txn_id, [])
-        waits.append(entry)
-        # A cycle through the requester needs somebody waiting on it, and
-        # the new entry is the tail of its queue: a transaction that holds
-        # nothing here and is queued nowhere else cannot be waited on.
-        if len(waits) > 1 or txn_id in self._held_by_txn:
-            cycle = self._find_cycle(txn_id)
-            if cycle is not None:
-                state.queue.pop()
-                self._unindex(entry)
-                event.fail(DeadlockError(victim=txn_id, cycle=tuple(cycle)))
-                return
+        cycle = self._find_cycle(txn_id)
+        if cycle is not None:
+            state.queue.remove(entry)
+            event.fail(DeadlockError(victim=txn_id, cycle=tuple(cycle)))
+            return
         entry.span = self.obs.start(
             txn_id,
             "lock.wait",
@@ -236,15 +187,18 @@ class LockManager:
         coordinator-initiated abort (e.g. after a request timeout resolving
         a cross-server deadlock) reclaims a participant's queued requests.
         """
-        # Cancelled in lock-table order, then queue order: the failed events
-        # take kernel sequence numbers, so the order reaches the trace.  The
-        # index is in queueing order and the sort is stable, which leaves
-        # two waits on one key in queue order.
-        cancelled = self._waits_by_txn.pop(txn_id, ())
-        for entry in sorted(cancelled, key=lambda entry: self._locks[entry.key].order):
-            self._locks[entry.key].queue.remove(entry)
-            entry.event.fail(DeadlockError(victim=txn_id, cycle=("cancelled", entry.key)))
-            self.obs.finish(entry.span, self.env.now, status="cancelled")
+        for key, state in self._locks.items():
+            for entry in state.queue:
+                if entry.txn_id == txn_id and not entry.event.triggered:
+                    entry.event.fail(
+                        DeadlockError(victim=txn_id, cycle=("cancelled", key))
+                    )
+                    self.obs.finish(entry.span, self.env.now, status="cancelled")
+            state.queue[:] = [
+                entry
+                for entry in state.queue
+                if entry.txn_id != txn_id or entry.event.processed
+            ]
         # Sorted: the pop order of a set of keys is hash-randomized across
         # interpreter runs, and it decides which queued waiter is promoted
         # first — which would leak nondeterminism into the trace.
@@ -273,77 +227,87 @@ class LockManager:
         for key in sorted(self._locks):
             state = self._locks[key]
             for entry in state.queue:
-                entry.event.fail(DeadlockError(victim=entry.txn_id, cycle=("crashed", key)))
-                self.obs.finish(entry.span, self.env.now, status="crashed")
-                waits_cancelled += 1
+                if not entry.event.triggered:
+                    entry.event.fail(
+                        DeadlockError(victim=entry.txn_id, cycle=("crashed", key))
+                    )
+                    self.obs.finish(entry.span, self.env.now, status="crashed")
+                    waits_cancelled += 1
         locks_dropped = sum(len(keys) for keys in self._held_by_txn.values())
         self._locks.clear()
         self._held_by_txn.clear()
-        self._waits_by_txn.clear()
         return waits_cancelled, locks_dropped
 
     def _promote(self, key: str, state: _LockState) -> None:
         """Grant queued requests FIFO as compatibility allows."""
         while state.queue:
             entry = state.queue[0]
-            if entry.txn_id in state.holders:  # upgrade: waits for sole hold
-                if len(state.holders) > 1:
-                    break
-                state.mode = LockMode.EXCLUSIVE
-                self._trace(LOCK_GRANT, entry.txn_id, key, LockMode.EXCLUSIVE)
-            elif not state.holders or compatible(state.mode, entry.mode):  # type: ignore[arg-type]
-                self._grant(state, entry.txn_id, key, entry.mode)
-            else:
+            if entry.event.triggered:  # cancelled (e.g. deadlock victim)
+                state.queue.pop(0)
+                continue
+            upgrade = entry.txn_id in state.holders
+            if upgrade:
+                if len(state.holders) == 1:
+                    state.mode = LockMode.EXCLUSIVE
+                    state.queue.pop(0)
+                    self._trace(LOCK_GRANT, entry.txn_id, key, LockMode.EXCLUSIVE)
+                    self.obs.finish(entry.span, self.env.now, status="granted")
+                    if self.on_wait is not None:
+                        self.on_wait(self.env.now - entry.queued_at, self.env.now)
+                    entry.event.succeed((key, entry.mode))
+                    continue
                 break
-            state.queue.popleft()
-            self._unindex(entry)
-            self.obs.finish(entry.span, self.env.now, status="granted")
-            if self.on_wait is not None:
-                self.on_wait(self.env.now - entry.queued_at, self.env.now)
-            entry.event.succeed((key, entry.mode))
-
-    def _unindex(self, entry: _WaitEntry) -> None:
-        waits = self._waits_by_txn[entry.txn_id]
-        waits.remove(entry)
-        if not waits:
-            del self._waits_by_txn[entry.txn_id]
+            if not state.holders or compatible(state.mode, entry.mode):  # type: ignore[arg-type]
+                self._grant(state, entry.txn_id, key, entry.mode)
+                state.queue.pop(0)
+                self.obs.finish(entry.span, self.env.now, status="granted")
+                if self.on_wait is not None:
+                    self.on_wait(self.env.now - entry.queued_at, self.env.now)
+                entry.event.succeed((key, entry.mode))
+                continue
+            break
 
     # -- deadlock detection ------------------------------------------------------
 
-    def _blockers(self, txn_id: str) -> Set[str]:
-        """Out-edges of ``txn_id`` in the wait-for graph.
+    def _wait_for_edges(self) -> Dict[str, Set[str]]:
+        """Edges waiter → holder and waiter → every live request ahead of it.
 
-        Each of its queued requests waits for the key's holders and — the
-        queue being strictly FIFO — for every request queued ahead of it.
+        ``acquire`` and ``_promote`` are strictly FIFO, so an earlier waiter
+        blocks a later one whether or not their modes are compatible.
         """
-        blockers: Set[str] = set()
-        for entry in self._waits_by_txn.get(txn_id, ()):
-            state = self._locks[entry.key]
-            blockers.update(state.holders)
-            for earlier in state.queue:
-                if earlier is entry:
-                    break
-                blockers.add(earlier.txn_id)
-        blockers.discard(txn_id)
-        return blockers
+        edges: Dict[str, Set[str]] = {}
+        for state in self._locks.values():
+            for position, entry in enumerate(state.queue):
+                if entry.event.triggered:
+                    continue
+                blockers = {holder for holder in state.holders if holder != entry.txn_id}
+                for earlier in state.queue[:position]:
+                    if not earlier.event.triggered and earlier.txn_id != entry.txn_id:
+                        blockers.add(earlier.txn_id)
+                if blockers:
+                    edges.setdefault(entry.txn_id, set()).update(blockers)
+        return edges
 
     def _find_cycle(self, start: str) -> Optional[List[str]]:
         """DFS from ``start`` through the wait-for graph looking for a cycle."""
-        path = [start]
-        visited = {start}
-        # Sorted: neighbour order decides which cycle the DFS reports, and
-        # the cycle tuple reaches abort reasons (and thus traces).
-        pending = [iter(sorted(self._blockers(start)))]
-        while pending:
-            for neighbour in pending[-1]:
-                if neighbour == start:
-                    return path
-                if neighbour not in visited:
-                    visited.add(neighbour)
-                    path.append(neighbour)
-                    pending.append(iter(sorted(self._blockers(neighbour))))
-                    break
-            else:
-                pending.pop()
-                path.pop()
-        return None
+        edges = self._wait_for_edges()
+        path: List[str] = []
+        visited: Set[str] = set()
+
+        def dfs(node: str) -> Optional[List[str]]:
+            if node == start and path:
+                return list(path)
+            if node in visited:
+                return None
+            visited.add(node)
+            path.append(node)
+            # Sorted: neighbour order decides which cycle the DFS reports,
+            # and the cycle tuple reaches abort reasons (and thus traces).
+            for neighbour in sorted(edges.get(node, ())):
+                found = dfs(neighbour)
+                if found is not None:
+                    return found
+            path.pop()
+            return None
+
+        return dfs(start)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.db import locks as lock_module
 from repro.db.locks import LockManager, LockMode, compatible
 from repro.errors import DeadlockError
 
@@ -152,3 +153,38 @@ class TestDeadlock:
         locks.acquire("t2", "b", LockMode.EXCLUSIVE)
         assert not locks.acquire("t2", "c", LockMode.EXCLUSIVE).triggered
         assert not locks.acquire("t1", "b", LockMode.EXCLUSIVE).triggered
+
+
+class TestHostCost:
+    def test_hot_key_queue_costs_linear_wait_entry_visits(self, env, monkeypatch):
+        """Queueing n lock-free transactions on one key, then draining it,
+        reads wait entries O(n) times — not once per entry per request.
+
+        Counted, not timed: every attribute read of a wait entry is a
+        visit.  The full-table wait-for graph paid ~q²/2 visits for the
+        q-th request (and a release scanned every queue), so it runs into
+        the budget a few hundred requests in.
+        """
+        n = 2000
+        budget = 20 * n
+        visits = 0
+
+        class CountedEntry(lock_module._WaitEntry):
+            def __getattribute__(self, name):
+                nonlocal visits
+                visits += 1
+                if visits > budget:
+                    raise AssertionError(f"more than {budget} wait-entry visits for n={n}")
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(lock_module, "_WaitEntry", CountedEntry)
+        locks = LockManager(env, "s1")
+        locks.acquire("holder", "hot", LockMode.EXCLUSIVE)
+        waits = [locks.acquire(f"t{i}", "hot", LockMode.EXCLUSIVE) for i in range(n)]
+        locks.release_all("holder")
+        for i in range(n):  # each waiter is granted in turn, then releases
+            locks.release_all(f"t{i}")
+        env.run()
+        assert all(granted(wait) for wait in waits)
+        assert locks.holders("hot") == () and locks.waiting("hot") == ()
+        assert 0 < visits <= budget

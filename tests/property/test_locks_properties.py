@@ -78,6 +78,16 @@ class TestInvariants:
 
     @given(operations())
     @settings(max_examples=200)
+    def test_wait_index_matches_the_queues(self, ops):
+        """The per-transaction wait index holds exactly the queued entries."""
+        locks = apply_ops(ops)
+        queued = [id(entry) for state in locks._locks.values() for entry in state.queue]
+        indexed = [id(entry) for waits in locks._waits_by_txn.values() for entry in waits]
+        assert sorted(queued) == sorted(indexed)
+        assert all(waits for waits in locks._waits_by_txn.values())
+
+    @given(operations())
+    @settings(max_examples=200)
     def test_release_everything_leaves_clean_table(self, ops):
         locks = apply_ops(ops)
         for txn in TXNS:
