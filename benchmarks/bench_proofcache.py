@@ -132,18 +132,17 @@ def measure_hit_rate(quick: bool) -> Dict[str, object]:
 
 
 def measure_policy_storm(quick: bool) -> Dict[str, object]:
-    """Precise vs. coarse invalidation under a benign policy storm.
+    """Cache retention under a benign policy storm.
 
     A marker-only policy version lands after every transaction — the
-    policy-storm regime of the scale workloads.  Coarse invalidation
-    drops the whole domain on each install; predicate-precise
-    invalidation (:mod:`repro.policy.analyze` impact analysis) re-keys
-    untouched entries to the new version instead, so its hit rate should
-    stay materially higher while outcomes remain bit-identical.
+    policy-storm regime of the scale workloads.  Each install re-keys the
+    entries its rule diff cannot affect (:mod:`repro.policy.analyze`
+    impact analysis) instead of dropping them, so the hit rate should stay
+    high while outcomes remain bit-identical to an uncached run.
     """
 
-    def run(invalidation: str):
-        config = CloudConfig(proof_cache_invalidation=invalidation)
+    def run(enable_cache: bool):
+        config = CloudConfig(enable_proof_cache=enable_cache)
         cluster = build_cluster(
             n_servers=4, items_per_server=6, seed=61, config=config
         )
@@ -162,24 +161,19 @@ def measure_policy_storm(quick: bool) -> Dict[str, object]:
         for txn in transactions:
             outcomes.append(cluster.run_transaction(txn, "continuous"))
             cluster.publish("app", benign_successor(admin.current))
-        stats = cluster.metrics.proof_cache
-        return outcomes, {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "hit_rate": round(stats.hit_rate, 4),
-            "invalidations": stats.invalidations,
-            "retentions": stats.retentions,
-        }
+        return outcomes, cluster.metrics.proof_cache
 
-    precise_outcomes, precise = run("precise")
-    coarse_outcomes, coarse = run("coarse")
+    cached_outcomes, stats = run(True)
+    uncached_outcomes, _ = run(False)
     return {
         "storm": "benign successor published after every transaction",
         "approach": "continuous",
-        "precise": precise,
-        "coarse": coarse,
-        "hit_rate_gain": round(precise["hit_rate"] - coarse["hit_rate"], 4),
-        "outcomes_identical": precise_outcomes == coarse_outcomes,
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "hit_rate": round(stats.hit_rate, 4),
+        "invalidations": stats.invalidations,
+        "retentions": stats.retentions,
+        "outcomes_identical": cached_outcomes == uncached_outcomes,
     }
 
 

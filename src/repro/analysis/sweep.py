@@ -17,7 +17,7 @@ run_sweep` fan grids out over processes without changing any result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cloud.config import CloudConfig
@@ -96,11 +96,10 @@ def run_point(point: SweepPoint) -> SweepResult:
     point is read.  Safe to call from worker processes (the function and
     its argument/result types are picklable).  Proof caching follows
     ``point.config_overrides["enable_proof_cache"]`` (default on); it
-    affects host CPU only, never the returned outcomes.
+    affects host CPU only, never the returned outcomes.  An override key
+    that is not a :class:`CloudConfig` field raises ``TypeError``.
     """
-    config = CloudConfig()
-    for key, value in point.config_overrides.items():
-        setattr(config, key, value)
+    config = replace(CloudConfig(), **point.config_overrides)
     cluster = build_cluster(
         n_servers=point.n_servers,
         items_per_server=max(2, point.txn_length),

@@ -10,7 +10,7 @@ one unit as ~1 ms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.sim.network import LatencyModel, UniformLatency
@@ -18,13 +18,6 @@ from repro.transactions.presumed import CommitVariant, PRESUMED_NOTHING
 
 if TYPE_CHECKING:
     from repro.sim.topology import RegionTopology
-
-
-#: Proof-cache LRU bound applied when ``streaming_metrics`` is on and
-#: ``proof_cache_capacity`` is left at ``None``.  Sized so the working set
-#: of a contended scale run (in-flight users x governing policies) fits
-#: while distinct-user churn cannot grow the cache with the population.
-STREAMING_PROOF_CACHE_CAPACITY = 4096
 
 
 class MasterFetchMode(enum.Enum):
@@ -53,9 +46,6 @@ class CloudConfig:
     #: regions, the pairwise latency/jitter/bandwidth matrix, and node
     #: placement.  ``None`` keeps the single-datacenter behaviour.
     topology: Optional["RegionTopology"] = None
-    #: When a topology is set, also charge message-size / bandwidth
-    #: transfer time on every link that declares finite bandwidth.
-    model_transfer_time: bool = True
     #: Region the master version service (and the policy administrators'
     #: replicator) is pinned to when a topology is set; ``None`` uses the
     #: topology's default region.  Coordinators in other regions pay WAN
@@ -94,21 +84,11 @@ class CloudConfig:
     #: DECISION messages so a retry never re-applies effects or re-forces
     #: log records.  See docs/robustness.md.
     rpc_max_retries: int = 0
-    #: Backoff before retry ``k`` (1-based): ``base * factor**(k-1)``
-    #: simulation units.  Also paces in-doubt resolution retries.
-    rpc_backoff_base: float = 5.0
-    rpc_backoff_factor: float = 2.0
-    #: DECISION_REQUEST retries a recovering participant sends before
-    #: giving up on resolving an in-doubt transaction (it stays in doubt;
-    #: a later recovery run retries from scratch).
-    recovery_max_retries: int = 3
     #: Concurrent compute slots per server (None = unbounded).  Bounding
     #: this makes server saturation visible in load experiments: query
     #: execution, proof evaluation, and constraint checking each hold one
     #: slot while they run.
     server_concurrency: Optional[int] = None
-    #: Safety valve on validation rounds (None = unbounded, as in the paper).
-    max_validation_rounds: Optional[int] = 50
     #: Memoize proof evaluations per server (version-aware, invalidated on
     #: policy installs and credential revocations).  Transparent to
     #: simulated time and Table I counters — a hit still spends
@@ -116,28 +96,6 @@ class CloudConfig:
     #: are bit-identical with the cache on or off; it only saves host CPU.
     #: See docs/performance.md.
     enable_proof_cache: bool = True
-    #: Max cached proof entries per server (None = unbounded, LRU otherwise).
-    #: With ``streaming_metrics`` on, ``None`` means the streaming default
-    #: (:data:`STREAMING_PROOF_CACHE_CAPACITY`) instead of unbounded — a
-    #: per-user-credential cache would otherwise grow linearly with the
-    #: user population, and cache hits never change outcomes.
-    proof_cache_capacity: Optional[int] = None
-    #: How the proof cache reacts to a policy version install:
-    #: ``"precise"`` (default) keeps — re-keyed to the new version — every
-    #: entry whose dependency closure the install's rule diff provably
-    #: cannot affect (:mod:`repro.policy.analyze` impact analysis);
-    #: ``"coarse"`` drops the whole administrative domain, the historical
-    #: behavior.  Verdict-identical either way (asserted by the
-    #: equivalence harness); precise mode only saves host-side
-    #: re-derivations under policy churn.  See docs/policy-analysis.md.
-    proof_cache_invalidation: str = "precise"
-    #: Which SLD resolver backs proof evaluation: ``"indexed"`` (the
-    #: default first-argument-indexed, tabled engine in
-    #: ``repro.policy.rules``) or ``"naive"`` (the reference resolver in
-    #: ``repro.policy.rules_reference``).  Verdicts and witnesses are
-    #: identical either way — asserted by the equivalence harness — so this
-    #: knob only trades host CPU, never simulation behaviour.
-    inference_engine: str = "indexed"
     #: Run the trace sanitizer (:mod:`repro.verify.conformance`) over the
     #: recorded trace at the end of every workload run.  Requires the
     #: cluster to be built with tracing enabled; violations raise
@@ -154,20 +112,6 @@ class CloudConfig:
     #: deterministic per transaction id (crc32 hash), so the same
     #: transactions are sampled on every run; 1.0 records everything.
     obs_sample_rate: float = 1.0
-    #: Kernel event-queue implementation: ``"calendar"`` (hybrid heap →
-    #: bucketed calendar queue, the fast default) or ``"heap"`` (the plain
-    #: heapq reference).  Both realize the same (time, priority, sequence)
-    #: total order, so outcomes are bit-identical — property-tested in
-    #: tests/property/test_calendar_queue.py.  See docs/performance.md.
-    kernel_queue: str = "calendar"
-    #: Recycle processed Timeout objects through a kernel free list.
-    #: Safe for the in-tree protocol stack (nothing retains a timeout past
-    #: its firing); disable when embedding code that does.
-    kernel_pooling: bool = True
-    #: Queue size at which the hybrid queue promotes from heap to calendar
-    #: (``None`` = the kernel default).  Equivalence tests set this to a
-    #: tiny value to force the calendar to engage on small workloads.
-    kernel_promote_at: Optional[int] = None
     #: Streaming (constant-memory) metrics: aggregate transaction outcomes
     #: online instead of retaining per-transaction records.  Report and
     #: export columns are unchanged; only memory behaviour differs.  Large
@@ -191,14 +135,13 @@ class CloudConfig:
     #: recent events, dumped as a self-contained incident bundle when the
     #: conformance checker finds violations (or on explicit trigger).
     flight_recorder: bool = False
-    #: Events retained per node ring in the flight recorder.
-    flight_capacity: int = 256
 
     def scaled(self, factor: float) -> "CloudConfig":
         """A copy with every local service time scaled by ``factor``."""
-        clone = CloudConfig(**self.__dict__)
-        clone.query_execution_time *= factor
-        clone.proof_evaluation_time *= factor
-        clone.constraint_check_time *= factor
-        clone.log_force_time *= factor
-        return clone
+        return replace(
+            self,
+            query_execution_time=self.query_execution_time * factor,
+            proof_evaluation_time=self.proof_evaluation_time * factor,
+            constraint_check_time=self.constraint_check_time * factor,
+            log_force_time=self.log_force_time * factor,
+        )

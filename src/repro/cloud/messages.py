@@ -43,6 +43,18 @@ CAT_RECOVERY = "recovery"
 #: Categories included in the paper's Table I message counts.
 PROTOCOL_CATEGORIES: Tuple[str, ...] = (CAT_VOTE, CAT_UPDATE, CAT_DECISION, CAT_MASTER)
 
+# -- retry pacing -------------------------------------------------------------
+
+#: Exponential backoff shared by coordinator RPC retries and a recovering
+#: participant's DECISION_REQUEST retries (simulation units).
+RPC_BACKOFF_BASE = 5.0
+RPC_BACKOFF_FACTOR = 2.0
+
+
+def rpc_backoff(attempt: int) -> float:
+    """Wait before retry ``attempt`` (1-based): ``base * factor**(attempt-1)``."""
+    return RPC_BACKOFF_BASE * RPC_BACKOFF_FACTOR ** (attempt - 1)
+
 # -- query execution -----------------------------------------------------------
 
 EXECUTE_QUERY = "query.execute"

@@ -13,11 +13,11 @@ time, OCSP round trips, and forced log writes all consume simulated time.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.cloud import messages as msg
-from repro.cloud.config import STREAMING_PROOF_CACHE_CAPACITY, CloudConfig
+from repro.cloud.config import CloudConfig
 from repro.db.constraints import ConstraintSet
 from repro.db.locks import LockManager, LockMode
 from repro.db.recovery import analyze
@@ -39,7 +39,7 @@ from repro.obs.spans import (
 from repro.policy.credentials import CARegistry, CertificateAuthority, Credential
 from repro.policy.ocsp import fetch_statuses
 from repro.policy.policy import Operation, Policy, PolicyId
-from repro.policy.proofcache import ProofCache
+from repro.policy.proofcache import STREAMING_PROOF_CACHE_CAPACITY, ProofCache
 from repro.policy.proofs import (
     LocalRevocationChecker,
     PrefetchedStatuses,
@@ -47,7 +47,6 @@ from repro.policy.proofs import (
     evaluate_proof,
 )
 from repro.policy.rules import Atom
-from repro.policy.rules_reference import naive_view
 from repro.policy.store import PolicyStore
 from repro.sim.events import Event
 from repro.sim.network import Message, Node
@@ -61,6 +60,11 @@ from repro.transactions.transaction import Query
 _CAPABILITY_PREDICATES = {
     operation: sys.intern(f"{operation.value}_capability") for operation in Operation
 }
+
+#: DECISION_REQUEST retries a recovering participant sends before giving up
+#: on resolving an in-doubt transaction (it stays in doubt; a later recovery
+#: run retries from scratch).
+RECOVERY_MAX_RETRIES = 3
 
 
 @dataclass
@@ -132,27 +136,18 @@ class CloudServer(Node):
         #: domain's entries, revocations drop entries using the credential.
         self.proof_cache: Optional[ProofCache] = None
         if config.enable_proof_cache:
-            capacity = config.proof_cache_capacity
-            if capacity is None and config.streaming_metrics:
-                # Hits are outcome-neutral (see config), so bounding the
-                # memo cannot change results — only keep memory O(1) in
-                # the user population.
-                capacity = STREAMING_PROOF_CACHE_CAPACITY
             self.proof_cache = ProofCache(
                 stats=metrics.proof_cache,
                 server=name,
-                capacity=capacity,
-                invalidation=config.proof_cache_invalidation,
+                # Hits are outcome-neutral (see config), so bounding the
+                # memo cannot change results — it only keeps memory O(1)
+                # in the user population of a streaming run.
+                capacity=STREAMING_PROOF_CACHE_CAPACITY if config.streaming_metrics else None,
             )
             self.policies.subscribe(self.proof_cache.invalidate_policy)
             registry.subscribe_revocations(
                 lambda record: self.proof_cache.invalidate_credential(record.cred_id)
             )
-        #: Memo of naive-resolver views per policy version, used when
-        #: ``config.inference_engine == "naive"`` so the reference rule set
-        #: (and its construction cost) is built once per version, not per
-        #: proof.
-        self._naive_policies: Dict[Tuple[PolicyId, int], Policy] = {}
 
     # Nodes get their env at registration time; the lock manager needs it.
     def _lock_manager(self) -> LockManager:
@@ -496,8 +491,6 @@ class CloudServer(Node):
         yield from self._consume_cpu(self.config.proof_evaluation_time)
         if policy is None:
             policy = self.policies.current(executed.admin)
-        if self.config.inference_engine == "naive":
-            policy = self._naive_policy(policy)
         evaluator = (
             self.proof_cache.evaluate if self.proof_cache is not None else evaluate_proof
         )
@@ -552,20 +545,6 @@ class CloudServer(Node):
             )
         self.obs.finish(span, self.env.now, granted=proof.granted, version=proof.policy_version)
         return proof
-
-    def _naive_policy(self, policy: Policy) -> Policy:
-        """``policy`` with its rules proved by the naive reference resolver.
-
-        Same rules, same verdicts, same witnesses — only the search
-        strategy differs (see ``repro.policy.rules_reference``).  Memoized
-        per (domain, version) so sweeps pay the view construction once.
-        """
-        key = (policy.policy_id, policy.version)
-        view = self._naive_policies.get(key)
-        if view is None:
-            view = replace(policy, rules=naive_view(policy.rules))
-            self._naive_policies[key] = view
-        return view
 
     def _validation_report(
         self, txn_id: str, parent: ParentRef = None
@@ -846,7 +825,7 @@ class CloudServer(Node):
         """Termination protocol: ask the coordinator how the txn ended.
 
         The DECISION_REQUEST is retried with exponential backoff up to
-        ``config.recovery_max_retries`` times — under a lossy network a
+        :data:`RECOVERY_MAX_RETRIES` times — under a lossy network a
         single unanswered probe used to kill this process (and leave the
         participant in doubt, its locks and workspace pinned) forever.
         """
@@ -863,14 +842,11 @@ class CloudServer(Node):
                 break
             except (RequestTimeout, NetworkError):
                 attempts += 1
-                if attempts > self.config.recovery_max_retries:
+                if attempts > RECOVERY_MAX_RETRIES:
                     self.metrics.faults.in_doubt_unresolved += 1
                     return
                 self.metrics.faults.on_retry()
-                yield self.env.timeout(
-                    self.config.rpc_backoff_base
-                    * self.config.rpc_backoff_factor ** (attempts - 1)
-                )
+                yield self.env.timeout(msg.rpc_backoff(attempts))
         if self.is_down:
             return  # crashed again while waiting; the next recovery retries
         decision: Decision = reply["decision"]

@@ -35,6 +35,12 @@ from repro.policy.policy import Policy, PolicyId
 from repro.sim.events import Event
 
 
+#: Safety valve on validation rounds (the paper leaves them unbounded): a
+#: transaction still chasing fresh policy versions after this many rounds
+#: aborts with ``POLICY_INCONSISTENCY``.
+MAX_VALIDATION_ROUNDS = 50
+
+
 def coordinator_recorder(tm: Any) -> SpanRecorder:
     """The coordinator's span recorder, tolerating bare stubs in tests."""
     obs = getattr(tm, "obs", None)
@@ -189,8 +195,7 @@ def run_2pv(
                     "abort", rounds, AbortReason.PROOF_FAILED, truth_by_server
                 )
 
-            cap = tm.config.max_validation_rounds
-            if cap is not None and rounds >= cap:
+            if rounds >= MAX_VALIDATION_ROUNDS:
                 return ValidationResult(
                     "abort",
                     rounds,

@@ -25,6 +25,7 @@ from repro.cloud.config import MasterFetchMode
 from repro.core.consistency import ConsistencyLevel
 from repro.core.context import TxnContext
 from repro.core.twopv import (
+    MAX_VALIDATION_ROUNDS,
     compute_targets,
     coordinator_recorder,
     find_outdated,
@@ -239,8 +240,7 @@ def run_2pvc(
                     abort_reason = AbortReason.PROOF_FAILED
                 break
 
-            cap = tm.config.max_validation_rounds
-            if cap is not None and rounds >= cap:
+            if rounds >= MAX_VALIDATION_ROUNDS:
                 decision = Decision.ABORT
                 abort_reason = AbortReason.POLICY_INCONSISTENCY
                 break

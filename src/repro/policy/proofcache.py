@@ -27,11 +27,11 @@ mutations that *can* change verdicts without any key changing:
 * **policy installs** — :meth:`repro.policy.store.PolicyStore.subscribe`
   calls :meth:`ProofCache.invalidate_policy` whenever a newer version is
   installed.  Old-version entries could no longer hit — their key pins the
-  version — so coarse mode simply drops the domain.  Precise mode (the
-  default) instead diffs the outgoing and incoming rule sets
+  version — so the hook diffs the outgoing and incoming rule sets
   (:func:`repro.policy.analyze.changed_predicates`) and *re-keys* to the
   new version every entry whose recorded dependency closure the diff
-  provably cannot affect, dropping only the rest;
+  provably cannot affect, dropping only the rest (the whole domain, when
+  the install's provenance is unknown);
 * **credential revocations** — :meth:`repro.policy.credentials.CARegistry.
   subscribe_revocations` calls :meth:`ProofCache.invalidate_credential`,
   dropping every entry whose credential set contains the revoked id.
@@ -68,6 +68,12 @@ CacheKey = Tuple[
     PolicyId, int, str, Operation, Tuple[str, ...], FrozenSet[str], object
 ]
 
+#: LRU bound a server applies under ``CloudConfig.streaming_metrics``
+#: (unbounded otherwise).  Sized so the working set of a contended scale
+#: run (in-flight users x governing policies) fits while distinct-user
+#: churn cannot grow the cache with the population.
+STREAMING_PROOF_CACHE_CAPACITY = 4096
+
 
 @dataclass
 class _Entry:
@@ -91,19 +97,11 @@ class ProofCache:
 
     ``stats`` is duck-typed (``on_hit``/``on_miss``/``on_bypass``/
     ``on_invalidation``, each taking the server name, plus an optional
-    ``on_retention`` for entries a precise install *kept*); pass
+    ``on_retention`` for entries an install *kept*); pass
     :class:`repro.metrics.counters.ProofCacheCounters` to export hit/miss/
     invalidation counts, or ``None`` to run unmetered.  ``capacity`` bounds
     the entry count with LRU eviction (``None`` = unbounded; simulations
     are finite, but long-running sweeps may want a ceiling).
-
-    ``invalidation`` selects how :meth:`invalidate_policy` reacts to a
-    version install: ``"coarse"`` (drop the whole administrative domain,
-    the historical behavior) or ``"precise"`` (keep — and re-key to the
-    new version — every entry whose dependency closure is disjoint from
-    the install's changed predicates; see ``docs/policy-analysis.md`` for
-    the soundness argument).  Both modes are verdict-identical; precise
-    mode only saves host-side re-derivations.
     """
 
     def __init__(
@@ -111,16 +109,10 @@ class ProofCache:
         stats: Optional[object] = None,
         server: str = "",
         capacity: Optional[int] = None,
-        invalidation: str = "precise",
     ) -> None:
-        if invalidation not in ("precise", "coarse"):
-            raise ValueError(
-                f"invalidation must be 'precise' or 'coarse', got {invalidation!r}"
-            )
         self.stats = stats
         self.server = server
         self.capacity = capacity
-        self.invalidation = invalidation
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         self._keys_by_policy: Dict[PolicyId, Set[CacheKey]] = {}
         self._keys_by_credential: Dict[str, Set[CacheKey]] = {}
@@ -208,10 +200,10 @@ class ProofCache:
 
         Wired to :meth:`PolicyStore.subscribe`, which passes the version
         ``previous``\\ ly held by the same store (``None`` on first
-        install).  Coarse mode — and any install whose provenance we can't
-        establish — drops the whole administrative domain.  Precise mode
-        diffs the two versions (:func:`~repro.policy.analyze.
-        changed_predicates`) and *keeps* every entry of the outgoing
+        install).  An install whose provenance we can't establish drops
+        the whole administrative domain.  Otherwise the two versions are
+        diffed (:func:`~repro.policy.analyze.changed_predicates`) and the
+        hook *keeps* every entry of the outgoing
         version whose captured dependency closure is disjoint from the
         changed predicates, re-keying it to the new version number: such
         an entry's reachable rule fragment is rule-for-rule identical
@@ -222,8 +214,7 @@ class ProofCache:
         never diffed against.
         """
         if (
-            self.invalidation != "precise"
-            or previous is None
+            previous is None
             or previous.policy_id != policy.policy_id
             or previous.version >= policy.version
         ):

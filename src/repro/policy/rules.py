@@ -32,10 +32,10 @@ ways, none of which changes any derivability verdict:
 * **Set-based cycle guard.**  The proof stack is a persistent frozenset
   with O(1) membership instead of the previous O(depth) tuple scan.
 
-The original naive resolver is preserved verbatim as
-:class:`repro.policy.rules_reference.NaiveRuleSet`; the equivalence harness
-(property tests + ``benchmarks/bench_engine.py``) asserts both engines agree
-on derivability and produce well-formed witnesses on every query.
+The original naive resolver is preserved verbatim as the test oracle
+``tests/policy/rules_oracle.py``; the equivalence harness (unit, property
+and end-to-end tests) asserts both agree on derivability and produce
+well-formed witnesses on every query.
 
 Example
 -------

@@ -11,31 +11,30 @@ silent protocol bugs into loud test failures.
 
 Performance notes
 -----------------
-The event loop is the innermost loop of every simulated run, so the ``run``
-variants inline the pop → advance-clock → dispatch sequence instead of
-calling :meth:`step` per event: at hundreds of thousands of events per
-second the per-event function call is a measurable fraction of total cost
-(see ``benchmarks/bench_engine.py``, kernel section).  :meth:`step` remains
-the canonical single-event reference — the inlined bodies must stay
-behaviourally identical to it.  Queue entries stay plain tuples on purpose:
-tuple comparison happens in C, which beats any ``__slots__`` class with a
+The event loop is the innermost loop of every simulated run, so
+:meth:`Environment.run` inlines the pop → advance-clock → dispatch sequence
+instead of calling :meth:`step` per event: at hundreds of thousands of
+events per second the per-event function call is a measurable fraction of
+total cost.  All three ``run`` forms share one heap loop and one calendar
+loop (``_dispatch``); :meth:`step` remains the canonical single-event
+reference — the two inlined bodies must stay behaviourally identical to it
+(``tests/property/test_calendar_queue.py`` compares every run form against
+a ``step()`` loop).  Queue entries stay plain tuples on purpose: tuple
+comparison happens in C, which beats any ``__slots__`` class with a
 Python-level ``__lt__``.
 
-Two queue structures back the loop (``queue=`` constructor argument):
-
-* ``"heap"`` — the plain ``heapq`` list, kept as the always-available
-  reference implementation;
-* ``"calendar"`` (default) — a *hybrid*: the heap serves while the queue
-  is small (it has the better constant there), and the first push that
-  grows it past :data:`~repro.sim.queues.PROMOTE_THRESHOLD` migrates all
-  entries into a :class:`~repro.sim.queues.CalendarQueue`, whose bucketed
-  layout keeps per-event cost flat at the 10⁴–10⁶ pending events large
-  multi-region runs hold.  Both structures realize the same
-  ``(time, priority, sequence)`` total order, so the migration — and the
-  choice of structure — is invisible to simulation outcomes (property-
-  tested in ``tests/property/test_calendar_queue.py``).  A promotion is
-  one-way; once the queue is a calendar the run loops enter dedicated
-  inner loops that skip the per-event structure check.
+The queue is a size-triggered *hybrid*: a plain ``heapq`` list serves while
+the queue is small (it has the better constant there), and the first push
+that grows it past ``promote_at`` (default
+:data:`~repro.sim.queues.PROMOTE_THRESHOLD`) migrates all entries into a
+:class:`~repro.sim.queues.CalendarQueue`, whose bucketed layout keeps
+per-event cost flat at the 10⁴–10⁶ pending events large multi-region runs
+hold.  Both structures realize the same ``(time, priority, sequence)``
+total order, so the migration is invisible to simulation outcomes.  A
+promotion is one-way; once the queue is a calendar the run loop stays in a
+dedicated inner loop that skips the per-event structure check.
+``promote_at`` is a test seam, not a tuning knob: ``inf`` pins the heap,
+``0`` puts the calendar under the first event.
 
 Timeout pooling (``pooling=True``) recycles processed :class:`Timeout`
 objects through a free list: :meth:`timeout` / :meth:`defer` re-arm the
@@ -48,19 +47,13 @@ so the testbed enables it for every cluster run.
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout
 from repro.sim.process import Process
-from repro.sim.queues import (
-    CalendarQueue,
-    DEFAULT_BUCKET_WIDTH,
-    PROMOTE_THRESHOLD,
-    _SPLIT_LIMIT,
-)
+from repro.sim.queues import CalendarQueue, DEFAULT_BUCKET_WIDTH, PROMOTE_THRESHOLD
 
 _QueueEntry = Tuple[float, int, int, Event]
 
@@ -82,20 +75,18 @@ class Environment:
     def __init__(
         self,
         initial_time: float = 0.0,
-        queue: str = "calendar",
         pooling: bool = False,
         bucket_width: float = DEFAULT_BUCKET_WIDTH,
-        promote_at: int = PROMOTE_THRESHOLD,
+        promote_at: float = PROMOTE_THRESHOLD,
     ) -> None:
-        if queue not in ("calendar", "heap"):
-            raise SimulationError(f"unknown queue implementation {queue!r}")
         self._now = float(initial_time)
         #: list while in heap mode; CalendarQueue after promotion.
         self._queue: Union[List[_QueueEntry], CalendarQueue] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        #: heap size that triggers migration; inf pins the heap reference.
-        self._promote_at: float = float(promote_at) if queue == "calendar" else float("inf")
+        #: heap size that triggers migration (tests pass ``inf`` to pin the
+        #: heap, ``0`` to run on the calendar from the first event).
+        self._promote_at = promote_at
         self._bucket_width = bucket_width
         self._pooling = pooling
         self._pool: List[Timeout] = []
@@ -136,30 +127,14 @@ class Environment:
             timeout.delay = delay
             seq = self._seq
             self._seq = seq + 1
-            when = self._now + delay
-            entry = (when, NORMAL, seq, timeout)
+            entry = (self._now + delay, NORMAL, seq, timeout)
             q = self._queue
             if q.__class__ is list:
                 heappush(q, entry)
                 if len(q) > self._promote_at:
                     self._promote()
             else:
-                # Inlined CalendarQueue.push — keep in sync.
-                key = int(when * q._inv)
-                if key <= q._akey:
-                    insort(q._active, entry, q._ai)
-                    q._len += 1
-                else:
-                    bucket = q._buckets.get(key)
-                    if bucket is None:
-                        q._buckets[key] = [entry]
-                        heappush(q._keys, key)
-                        q._len += 1
-                    else:
-                        bucket.append(entry)
-                        q._len += 1
-                        if len(bucket) > _SPLIT_LIMIT:
-                            q._push_rebuild()
+                q.push(entry)
             return timeout
         timeout = Timeout(self, delay, value)
         if self._pooling:
@@ -187,30 +162,14 @@ class Environment:
             timeout.callbacks.append(fn)  # type: ignore[union-attr]
             seq = self._seq
             self._seq = seq + 1
-            when = self._now + delay
-            entry = (when, NORMAL, seq, timeout)
+            entry = (self._now + delay, NORMAL, seq, timeout)
             q = self._queue
             if q.__class__ is list:
                 heappush(q, entry)
                 if len(q) > self._promote_at:
                     self._promote()
             else:
-                # Inlined CalendarQueue.push — keep in sync.
-                key = int(when * q._inv)
-                if key <= q._akey:
-                    insort(q._active, entry, q._ai)
-                    q._len += 1
-                else:
-                    bucket = q._buckets.get(key)
-                    if bucket is None:
-                        q._buckets[key] = [entry]
-                        heappush(q._keys, key)
-                        q._len += 1
-                    else:
-                        bucket.append(entry)
-                        q._len += 1
-                        if len(bucket) > _SPLIT_LIMIT:
-                            q._push_rebuild()
+                q.push(entry)
             return timeout
         timeout = Timeout(self, delay, value)
         if self._pooling:
@@ -261,8 +220,8 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event (advancing the clock to its timestamp).
 
-        This is the canonical dispatch sequence; the ``run`` loops inline
-        the same body for speed and must stay equivalent to it.
+        This is the canonical dispatch sequence; ``_dispatch`` inlines the
+        same body for speed and must stay equivalent to it.
         """
         q = self._queue
         if q.__class__ is list:
@@ -308,81 +267,48 @@ class Environment:
         """
         if isinstance(until, Event):
             return self._run_until_event(until)
-        pool = self._pool
-        if until is not None:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
-            while True:
-                q = self._queue
-                if q.__class__ is not list:
-                    break  # promoted: drop into the calendar loop below
-                if not q or q[0][0] > deadline:
-                    self._now = deadline
-                    return None
-                when, _priority, _seq, event = heappop(q)
-                # Inlined step() body — keep in sync.
-                self._now = when
-                if event._pooled:
-                    callbacks = event.callbacks
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    callbacks.clear()
-                    pool.append(event)
-                else:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-            # Calendar steady state: the structure never reverts, so the
-            # dedicated loop drops the per-event class check.
-            while True:
-                # Inlined CalendarQueue pop fast path — keep in sync.
-                active = q._active
-                ai = q._ai
-                if ai < len(active):
-                    entry = active[ai]
-                    when = entry[0]
-                    if when > deadline:
-                        break
-                    q._ai = ai + 1
-                    q._len -= 1
-                    event = entry[3]
-                else:
-                    if not q._len or q.peek_time() > deadline:
-                        break
-                    when, _priority, _seq, event = q.pop()
-                # Inlined step() body — keep in sync.
-                self._now = when
-                if event._pooled:
-                    callbacks = event.callbacks
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    callbacks.clear()
-                    pool.append(event)
-                else:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-            self._now = deadline
+        if until is None:
+            self._dispatch(float("inf"))
             return None
+        deadline = float(until)
+        if deadline < self._now:
+            raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
+        self._dispatch(deadline)
+        self._now = deadline
+        return None
+
+    def _run_until_event(self, target: Event) -> Any:
+        if target.processed:
+            return target.value
+
+        def _finish(event: Event) -> None:
+            event.defused = True
+            raise StopSimulation(event)
+
+        # Pin the target: the caller reads its value after the run, so it
+        # must never be recycled out from under them.
+        target._pooled = False
+        target.add_callback(_finish)
+        try:
+            self._dispatch(float("inf"))
+        except StopSimulation:
+            return target.value  # raises the exception if target failed
+        raise SimulationError("run(until=event): queue drained before event triggered")
+
+    def _dispatch(self, deadline: float) -> None:
+        """Process every queued event with timestamp ``<= deadline``.
+
+        The one dispatch loop behind all three :meth:`run` forms: ``inf``
+        drains the queue, and ``run(until=event)`` leaves through the
+        :class:`StopSimulation` its target's callback raises.
+        """
+        pool = self._pool
         while True:
             q = self._queue
             if q.__class__ is not list:
                 break  # promoted: drop into the calendar loop below
-            if not q:
-                return None
+            if not q or q[0][0] > deadline:
+                return
             when, _priority, _seq, event = heappop(q)
             # Inlined step() body — keep in sync.
             self._now = when
@@ -402,6 +328,8 @@ class Environment:
                         callback(event)
                 if event._exception is not None and not event.defused:
                     raise event._exception
+        # Calendar steady state: the structure never reverts, so this loop
+        # drops the per-event class check.
         while True:
             # Inlined CalendarQueue pop fast path — keep in sync.
             active = q._active
@@ -409,12 +337,14 @@ class Environment:
             if ai < len(active):
                 entry = active[ai]
                 when = entry[0]
+                if when > deadline:
+                    return
                 q._ai = ai + 1
                 q._len -= 1
                 event = entry[3]
             else:
-                if not q._len:
-                    return None
+                if not q._len or q.peek_time() > deadline:
+                    return
                 when, _priority, _seq, event = q.pop()
             # Inlined step() body — keep in sync.
             self._now = when
@@ -434,81 +364,3 @@ class Environment:
                         callback(event)
                 if event._exception is not None and not event.defused:
                     raise event._exception
-
-    def _run_until_event(self, target: Event) -> Any:
-        if target.processed:
-            return target.value
-
-        def _finish(event: Event) -> None:
-            event.defused = True
-            raise StopSimulation(event)
-
-        # Pin the target: the caller reads its value after the run, so it
-        # must never be recycled out from under them.
-        target._pooled = False
-        target.add_callback(_finish)
-        pool = self._pool
-        try:
-            while True:
-                q = self._queue
-                if q.__class__ is not list:
-                    break  # promoted: drop into the calendar loop below
-                if not q:
-                    raise SimulationError(
-                        "run(until=event): queue drained before event triggered"
-                    )
-                when, _priority, _seq, event = heappop(q)
-                # Inlined step() body — keep in sync.
-                self._now = when
-                if event._pooled:
-                    callbacks = event.callbacks
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    callbacks.clear()
-                    pool.append(event)
-                else:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-            while True:
-                # Inlined CalendarQueue pop fast path — keep in sync.
-                active = q._active
-                ai = q._ai
-                if ai < len(active):
-                    entry = active[ai]
-                    when = entry[0]
-                    q._ai = ai + 1
-                    q._len -= 1
-                    event = entry[3]
-                else:
-                    if not q._len:
-                        raise SimulationError(
-                            "run(until=event): queue drained before event triggered"
-                        )
-                    when, _priority, _seq, event = q.pop()
-                # Inlined step() body — keep in sync.
-                self._now = when
-                if event._pooled:
-                    callbacks = event.callbacks
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    callbacks.clear()
-                    pool.append(event)
-                else:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-        except StopSimulation:
-            return target.value  # raises the exception if target failed

@@ -4,11 +4,11 @@ The kernel orders queue entries by the tuple ``(time, priority, sequence)``
 — a *total* order, since sequence numbers are unique.  Two structures
 implement it:
 
-* the **heap reference** — the plain ``heapq`` list the kernel has always
-  used.  O(log n) per operation with an excellent constant for small
-  queues, but at 10⁴–10⁵ pending events every sift walks a
-  pointer-chasing path through a cache-hostile array and the constant
-  degrades badly (measured ~4µs per push+pop pair at 10⁵ pending).
+* the **heap** — a plain ``heapq`` list.  O(log n) per operation with an
+  excellent constant for small queues, but at 10⁴–10⁵ pending events
+  every sift walks a pointer-chasing path through a cache-hostile array
+  and the constant degrades badly (measured ~4µs per push+pop pair at 10⁵
+  pending).
 
 * :class:`CalendarQueue` — a bucketed (calendar) queue: entries hash into
   fixed-width time buckets; only the *active* bucket (the one the cursor
@@ -24,7 +24,8 @@ through both and asserts entry-for-entry identity.  The kernel runs the
 heap below :data:`PROMOTE_THRESHOLD` pending entries (micro-benchmarks
 and unit tests never leave it) and migrates to a :class:`CalendarQueue`
 when the queue grows past it; migration is order-transparent because both
-structures realize the same total order.
+structures realize the same total order.  Which one a run is on is the
+kernel's choice, made from the queue size it observes; there is no option.
 """
 
 from __future__ import annotations

@@ -248,27 +248,23 @@ def estimate_message_size(payload: Mapping[str, Any]) -> int:
 class RegionalLatency(LatencyModel):
     """Latency model backed by a :class:`RegionTopology`.
 
-    Delay = link propagation (base + jitter) plus, when
-    ``model_transfer_time`` is on, the message-size / bandwidth transfer
-    term for the link.  The network delivers every message through
+    Delay = link propagation (base + jitter) plus the message-size /
+    bandwidth transfer term of the link (zero on a link that declares no
+    bandwidth).  The network delivers every message through
     :meth:`sample_message`, which estimates the payload's wire size unless
     the message was already sized; plain :meth:`sample` calls — e.g. from
     code unaware of sizes — charge propagation only.
     """
 
-    def __init__(self, topology: RegionTopology, model_transfer_time: bool = True) -> None:
+    def __init__(self, topology: RegionTopology) -> None:
         self.topology = topology
-        self.model_transfer_time = model_transfer_time
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
         return self.topology.profile(src, dst).sample_delay(rng)
 
     def sample_sized(self, rng: random.Random, src: str, dst: str, size_bytes: int) -> float:
         profile = self.topology.profile(src, dst)
-        delay = profile.sample_delay(rng)
-        if self.model_transfer_time:
-            delay += profile.transfer_time(size_bytes)
-        return delay
+        return profile.sample_delay(rng) + profile.transfer_time(size_bytes)
 
     def sample_message(
         self,
@@ -278,8 +274,6 @@ class RegionalLatency(LatencyModel):
         payload: Mapping[str, Any],
         size_bytes: Optional[int] = None,
     ) -> float:
-        if not self.model_transfer_time:
-            return self.sample(rng, src, dst)
         if size_bytes is None:
             size_bytes = estimate_message_size(payload)
         return self.sample_sized(rng, src, dst, size_bytes)

@@ -134,7 +134,7 @@ class TransactionManager(Node):
         With ``config.rpc_max_retries == 0`` (the default) this *is*
         ``self.request`` — the raw waiter event, no wrapper process — so
         baseline traces stay bit-identical.  With retries enabled, a
-        timeout is retried after ``rpc_backoff_base * factor**k`` and the
+        timeout is retried after :func:`repro.cloud.messages.rpc_backoff` and the
         returned process event fails with the final :class:`RequestTimeout`
         only once the budget is exhausted.  Safe because participants
         deduplicate re-sent EXECUTE / PREPARE / DECISION messages.
@@ -167,10 +167,7 @@ class TransactionManager(Node):
                 if attempts > self.config.rpc_max_retries:
                     raise
                 self.metrics.faults.on_retry()
-                yield self.env.timeout(
-                    self.config.rpc_backoff_base
-                    * self.config.rpc_backoff_factor ** (attempts - 1)
-                )
+                yield self.env.timeout(msg.rpc_backoff(attempts))
 
     def fetch_master_versions(
         self, ctx: TxnContext, admins: Optional[Tuple[PolicyId, ...]] = None

@@ -13,7 +13,7 @@ credentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cloud.config import CloudConfig
@@ -266,12 +266,11 @@ def assemble_cluster(
     topology = config.topology
     latency: Any = config.latency
     if topology is not None:
-        latency = RegionalLatency(topology, model_transfer_time=config.model_transfer_time)
+        latency = RegionalLatency(topology)
     rng = RandomStreams(seed)
-    env_kwargs: Dict[str, Any] = {}
-    if config.kernel_promote_at is not None:
-        env_kwargs["promote_at"] = config.kernel_promote_at
-    env = Environment(queue=config.kernel_queue, pooling=config.kernel_pooling, **env_kwargs)
+    # Pooling is safe for the in-tree protocol stack: nothing retains a
+    # timeout past its firing (see the pooling notes in repro.sim.kernel).
+    env = Environment(pooling=True)
     metrics = Metrics(streaming=config.streaming_metrics)
     if topology is not None:
         metrics.regions.configure(topology)
@@ -294,7 +293,7 @@ def assemble_cluster(
     if config.flight_recorder:
         from repro.obs.flight import FlightRecorder
 
-        flight = FlightRecorder(capacity=config.flight_capacity)
+        flight = FlightRecorder()
         flight.clock = lambda: env.now
         metrics.flight = flight
     network = Network(
@@ -463,7 +462,7 @@ def build_multiregion_cluster(
     topology = base.topology or default_wan_topology(regions)
     pinned = master_region or base.master_region or topology.default_region
     # Copy rather than mutate: the caller's config object stays untouched.
-    config = CloudConfig(**{**base.__dict__, "topology": topology, "master_region": pinned})
+    config = replace(base, topology=topology, master_region=pinned)
 
     shard_specs = plan_shards(
         regions, shards_per_region, items_per_shard, replication_factor=replication_factor

@@ -6,17 +6,19 @@ layout; the integration tests run a real span-recorded cluster, seed a
 strict-2PL violation against a *finished* transaction, and check
 :func:`repro.verify.verify_cluster` dumps a complete, strictly valid
 bundle — including the waterfall of the implicated transaction.  The
-pooling test asserts the recorded window is bit-identical with
-``CloudConfig.kernel_pooling`` on and off (rings copy plain tuples, never
-pooled kernel objects).
+pooling test asserts the recorded window is bit-identical with the kernel's
+timeout pooling on and off (rings copy plain tuples, never pooled kernel
+objects).
 """
 
 import json
+from functools import partial
 
 import pytest
 
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
+from repro.obs import flight
 from repro.obs.flight import (
     DEFAULT_CAPACITY,
     MAX_BUNDLES,
@@ -30,6 +32,8 @@ from repro.workloads.generator import (
     poisson_arrivals,
     uniform_transactions,
 )
+from repro.sim.kernel import Environment
+from repro.workloads import testbed
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.testbed import build_cluster
 
@@ -136,9 +140,9 @@ class TestDump:
         assert IncidentBundle("r", 0.0, events=[]).events_jsonl() == ""
 
 
-def run_cluster(**config_kwargs):
+def run_cluster():
     """A small finished workload with the flight recorder on."""
-    config = CloudConfig(flight_recorder=True, **config_kwargs)
+    config = CloudConfig(flight_recorder=True)
     cluster = build_cluster(n_servers=3, items_per_server=4, seed=SEED, config=config)
     credential = cluster.issue_role_credential("alice")
     spec = WorkloadSpec(txn_length=3, read_fraction=0.7, count=8, user="alice")
@@ -200,12 +204,13 @@ class TestVerifyHook:
 
 
 class TestPoolingDeterminism:
-    def test_ring_window_identical_with_and_without_pooling(self):
+    def test_ring_window_identical_with_and_without_pooling(self, monkeypatch):
         """Eviction order and content must not see the kernel's free lists."""
-        windows = []
-        for pooling in (True, False):
-            cluster = run_cluster(kernel_pooling=pooling, flight_capacity=32)
-            windows.append(cluster.metrics.flight.events())
+        # Small rings, so the short workload makes them evict.
+        monkeypatch.setattr(flight, "FlightRecorder", partial(FlightRecorder, capacity=32))
+        windows = [run_cluster().metrics.flight.events()]  # testbed default: pooled
+        monkeypatch.setattr(testbed, "Environment", lambda pooling: Environment(pooling=False))
+        windows.append(run_cluster().metrics.flight.events())
         assert windows[0] == windows[1]
         assert windows[0], "expected a non-empty recorded window"
         # Capacity actually bit: some ring must have evicted.

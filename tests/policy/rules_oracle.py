@@ -1,4 +1,4 @@
-"""The naive SLD resolver, kept as the engine's correctness reference.
+"""The naive SLD resolver, kept as the engine's correctness oracle.
 
 This is the original backward-chaining prover of :mod:`repro.policy.rules`,
 preserved verbatim (linear fact scans, eager renaming, tuple-scan cycle
@@ -6,10 +6,10 @@ guard, no tabling).  It exists for one reason: to back the equivalence
 harness.  The indexed, tabled engine must agree with this reference on the
 **derivability verdict** of every query and must produce a well-formed
 witness whenever the reference does — asserted by
-``tests/property/test_engine_equivalence.py`` on randomized rule sets,
+``tests/policy/test_rules_engine.py`` on hand-built cases,
+``tests/property/test_engine_equivalence.py`` on randomized rule sets, and
 ``tests/integration/test_engine_equivalence.py`` end-to-end across all four
-enforcement approaches and both consistency levels, and re-checked by
-``benchmarks/bench_engine.py`` on every run.
+enforcement approaches and both consistency levels.
 
 Do not optimize this module.  Its value is being boring.
 """

@@ -180,8 +180,8 @@ class TestInvalidation:
         cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
         cached_eval(cache, store.current(PolicyId("app")), registry, [cred])
         assert len(cache) == 1
-        # v2's rules are identical, so precise invalidation (the default)
-        # keeps the entry re-keyed to v2 — the next v2 evaluation hits.
+        # v2's rules are identical, so the install keeps the entry re-keyed
+        # to v2 — the next v2 evaluation hits.
         assert store.apply(member_policy(2))
         assert len(cache) == 1
         assert stats.invalidations == 0 and stats.retentions == 1
@@ -193,14 +193,11 @@ class TestInvalidation:
         assert len(cache) == 0
         assert stats.invalidations == 1
 
-    def test_coarse_mode_drops_domain_on_any_install(self, ca, registry):
-        stats = ProofCacheCounters()
-        cache = ProofCache(stats=stats, server="s1", invalidation="coarse")
-        store = PolicyStore([member_policy(1)])
-        store.subscribe(cache.invalidate_policy)
+    def test_install_of_unknown_provenance_drops_domain(self, ca, registry, cache, stats):
         cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
-        cached_eval(cache, store.current(PolicyId("app")), registry, [cred])
-        assert store.apply(member_policy(2))  # identical rules, still drops
+        cached_eval(cache, member_policy(1), registry, [cred])
+        # No previous version to diff against: identical rules, still drops.
+        assert cache.invalidate_policy(member_policy(2)) == 1
         assert len(cache) == 0
         assert stats.invalidations == 1 and stats.retentions == 0
 

@@ -19,7 +19,7 @@ from repro.policy.rules import (
     RuleSet,
     Variable,
 )
-from repro.policy.rules_reference import NaiveRuleSet, naive_view
+from tests.policy.rules_oracle import NaiveRuleSet, naive_view
 
 X, Y = Variable("X"), Variable("Y")
 

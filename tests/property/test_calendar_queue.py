@@ -26,8 +26,10 @@ where a bucketed structure would betray instability first.
 import heapq
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from repro.errors import SimulationError
 from repro.sim.kernel import Environment
 from repro.sim.queues import CalendarQueue
 
@@ -140,32 +142,111 @@ class TestInterleavedSchedules:
             assert len(calendar) == remaining
 
 
+INF = float("inf")
+#: p0 ticks (and the defer chain fires) at exactly this instant: events *at*
+#: the deadline belong to the run.
+DEADLINE = 12.0
+RUN_FORMS = ("drain", "deadline", "event")
+#: inf pins the heap, 0 runs on the calendar from the first event, 5
+#: crosses the heap -> calendar migration a handful of events in.
+PROMOTE_AT = (INF, 0, 5)
+FLAVOURS = ("plain", "bystander_fails", "target_fails")
+
+
 class TestKernelEquivalence:
-    """The same simulation on both queue backends is bit-identical."""
+    """Every ``run`` form, on either queue structure, pooled or not, is
+    bit-identical to dispatching the same simulation through ``step()``."""
 
     @staticmethod
-    def _run(queue, promote_at=0):
-        env = Environment(queue=queue, promote_at=promote_at)
-        log = []
+    def _scenario(env, log, flavour):
+        """Processes, a self-re-arming ``defer`` chain, optionally a failure;
+        returns the process ``run(until=event)`` waits for."""
 
-        def ping(env, name, period, jitter):
+        def ping(name, period, jitter, fail_at=None):
             for tick in range(12):
                 yield env.timeout(period + (tick % 3) * jitter)
                 log.append((env.now, name, tick))
+                if tick == fail_at:
+                    raise ValueError(f"{name} failed")
+            return name
 
-        from repro.sim.process import Process
+        def chain(event):
+            log.append((env.now, "defer", event.value))
+            if event.value < 30:
+                env.defer(0.75, chain, event.value + 1)
 
-        for index in range(7):
-            Process(env, ping(env, f"p{index}", 1.0 + index * 0.5, 0.125 * index))
-        env.run(until=40.0)
-        return log
+        env.defer(0.75, chain, 0)
+        procs = [
+            env.process(
+                ping(
+                    f"p{index}",
+                    1.0 + index * 0.5,
+                    0.125 * index,
+                    fail_at=2 if (flavour == "target_fails" and index == 3) else None,
+                )
+            )
+            for index in range(7)
+        ]
+        if flavour == "bystander_fails":
+            env.process(ping("bomb", 2.25, 0.0, fail_at=3))
+        return procs[3]
+
+    @staticmethod
+    def _drive(env, form, target, stepwise):
+        if not stepwise:
+            return env.run(until={"drain": None, "deadline": DEADLINE, "event": target}[form])
+        if form == "event":
+            while not target.processed:
+                env.step()
+            return target.value
+        limit = DEADLINE if form == "deadline" else INF
+        while (when := env.peek()) != INF and when <= limit:
+            env.step()
+        return None
+
+    @classmethod
+    def _run(cls, form="deadline", promote_at=0, pooling=False, flavour="plain", stepwise=False):
+        env = Environment(promote_at=promote_at, pooling=pooling)
+        log = []
+        target = cls._scenario(env, log, flavour)
+        try:
+            outcome = ("returned", cls._drive(env, form, target, stepwise))
+        except ValueError as exc:
+            outcome = ("raised", str(exc))
+        return log, outcome, env.now
 
     def test_heap_and_calendar_runs_identical(self):
-        # promote_at=0 forces the calendar from the first event, so the
-        # whole run exercises the bucketed structure, not the heap prefix.
-        assert self._run("heap") == self._run("calendar", promote_at=0)
+        assert self._run(promote_at=INF) == self._run(promote_at=0)
 
     def test_promotion_mid_run_is_transparent(self):
-        # Promote after a handful of events: the run crosses the heap ->
-        # calendar migration and must not notice.
-        assert self._run("heap") == self._run("calendar", promote_at=5)
+        assert self._run(promote_at=INF) == self._run(promote_at=5)
+
+    @pytest.mark.parametrize("flavour", FLAVOURS)
+    @pytest.mark.parametrize("pooling", (False, True), ids=("unpooled", "pooled"))
+    @pytest.mark.parametrize("promote_at", PROMOTE_AT, ids=("heap", "calendar", "promoted"))
+    @pytest.mark.parametrize("form", RUN_FORMS)
+    def test_run_matches_step_loop(self, form, promote_at, pooling, flavour):
+        ref_log, ref_outcome, ref_now = self._run(
+            form, promote_at=INF, flavour=flavour, stepwise=True
+        )
+        log, outcome, now = self._run(form, promote_at, pooling, flavour)
+        assert log == ref_log
+        assert outcome == ref_outcome
+        if form == "deadline" and outcome[0] == "returned":
+            # step() leaves the clock on the last event; run(until=t) on t.
+            assert ref_now <= now == DEADLINE
+        else:
+            assert now == ref_now
+        if flavour != "plain":
+            assert outcome[0] == "raised"  # the failure must still propagate
+
+    @pytest.mark.parametrize("pooling", (False, True), ids=("unpooled", "pooled"))
+    def test_until_event_reports_drained_queue_after_promotion(self, pooling):
+        ref_log, _, ref_now = self._run("drain", promote_at=INF, stepwise=True)
+        env = Environment(promote_at=5, pooling=pooling)
+        log = []
+        self._scenario(env, log, "plain")
+        with pytest.raises(SimulationError, match="queue drained"):
+            env.run(until=env.event())  # never triggered
+        assert not isinstance(env._queue, list)  # the run did promote
+        assert log == ref_log and env.now == ref_now

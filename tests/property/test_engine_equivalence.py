@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.policy.rules import Atom, FactBase, Rule, RuleSet, Variable, unify
-from repro.policy.rules_reference import naive_view
+from tests.policy.rules_oracle import naive_view
 
 PREDICATES = ("p", "q", "r", "b")
 CONSTANTS = ("a", "b", "c")

@@ -134,7 +134,7 @@ class TestWireSizeEstimation:
 
 
 class TestRegionalLatency:
-    def make(self, model_transfer_time=True):
+    def make(self):
         topo = RegionTopology(
             ["a", "b"],
             intra_profile=LinkProfile(1.0),
@@ -142,7 +142,7 @@ class TestRegionalLatency:
         )
         topo.place("n1", "a")
         topo.place("n2", "b")
-        return topo, RegionalLatency(topo, model_transfer_time=model_transfer_time)
+        return topo, RegionalLatency(topo)
 
     def test_sample_uses_link_base(self):
         _, model = self.make()
@@ -163,8 +163,3 @@ class TestRegionalLatency:
         payload = {"x": "y"}
         expected_bytes = estimate_message_size(payload)
         assert model.sample_message(rng, "n1", "n2", payload) == 10.0 + expected_bytes / 100.0
-
-    def test_transfer_modeling_can_be_disabled(self):
-        _, model = self.make(model_transfer_time=False)
-        rng = random.Random(0)
-        assert model.sample_message(rng, "n1", "n2", {"x": "y" * 1000}) == 10.0

@@ -33,6 +33,12 @@ class TestSweep:
         assert result.summary.count == 4
         assert result.summary.commit_rate == 1.0
 
+    def test_unknown_override_key_raises(self):
+        # A misspelt or retired key must not be silently ignored.
+        point = SweepPoint(approach="punctual", config_overrides={"kernel_queue": "heap"})
+        with pytest.raises(TypeError, match="kernel_queue"):
+            run_point(point)
+
     def test_update_mode_validation(self):
         from repro.workloads.updates import PolicyUpdateProcess
 

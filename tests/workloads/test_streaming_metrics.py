@@ -20,6 +20,7 @@ finish".  Two things must hold:
 import gc
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -27,13 +28,14 @@ from repro.analysis.scale import StaleCommitTracker
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.stats import StreamingOutcomeAggregator, aggregate
+from repro.policy.proofcache import STREAMING_PROOF_CACHE_CAPACITY
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.scale import (
     ScaleWorkloadSpec,
     iter_scale_workload,
     mint_user_credentials,
 )
-from repro.workloads.testbed import build_multiregion_cluster
+from repro.workloads.testbed import build_cluster, build_multiregion_cluster
 
 SEED = 59
 
@@ -144,6 +146,13 @@ class TestAggregatorUnit:
 
 
 class TestConstantMemory:
+    @pytest.mark.parametrize(
+        "streaming, capacity", [(True, STREAMING_PROOF_CACHE_CAPACITY), (False, None)]
+    )
+    def test_proof_cache_is_bounded_only_when_streaming(self, streaming, capacity):
+        cluster = build_cluster(n_servers=2, config=CloudConfig(streaming_metrics=streaming))
+        assert {server.proof_cache.capacity for server in cluster.servers.values()} == {capacity}
+
     def test_peak_memory_is_sublinear_in_run_length(self, monkeypatch):
         """10x the transactions must cost < 2x the traced peak.
 
@@ -155,15 +164,21 @@ class TestConstantMemory:
         trace is linear by design.
 
         Streaming mode's bounded stores (the WAL up to its compaction
-        threshold, the LRU proof cache up to its capacity) plateau rather
-        than stay flat; the thresholds are shrunk below the *small* run's
-        volume so both runs measure the plateau, not the fill.
+        threshold, the LRU proof cache and the flight rings up to their
+        capacities) plateau rather than stay flat; the constants are shrunk
+        below the *small* run's volume so both runs measure the plateau,
+        not the fill.
         """
         import repro.cloud.server as server_mod
+        import repro.obs.flight as flight_mod
         import repro.transactions.manager as manager_mod
 
         monkeypatch.setattr(manager_mod, "STREAMING_COMPACT_AT", 256)
         monkeypatch.setattr(server_mod, "STREAMING_COMPACT_AT", 256)
+        monkeypatch.setattr(server_mod, "STREAMING_PROOF_CACHE_CAPACITY", 128)
+        monkeypatch.setattr(
+            flight_mod, "FlightRecorder", partial(flight_mod.FlightRecorder, capacity=64)
+        )
 
         def peak_for(n_users):
             # Live telemetry + flight rings ride along: sketches are
@@ -173,12 +188,10 @@ class TestConstantMemory:
                 request_timeout=500.0,
                 obs_spans=False,
                 streaming_metrics=True,
-                proof_cache_capacity=128,
                 live_telemetry=True,
                 telemetry_window=100.0,
                 telemetry_windows=32,
                 flight_recorder=True,
-                flight_capacity=64,
             )
             cluster = build_multiregion_cluster(
                 shards_per_region=1,
@@ -210,7 +223,12 @@ class TestConstantMemory:
             # Streaming mode drops outcome lists, but every outcome must
             # still have reached the latency sketch.
             assert cluster.metrics.live.latency.merged().count == n_users
-            assert cluster.metrics.flight.recorded > 0
+            flight = cluster.metrics.flight
+            assert flight.recorded > 0
+            # The bounded stores really are bounded by their constants.
+            for server in cluster.servers.values():
+                assert len(server.proof_cache) <= server_mod.STREAMING_PROOF_CACHE_CAPACITY
+            assert all(len(flight.events(node)) <= flight.capacity for node in flight.nodes())
             return peak
 
         small = peak_for(150)
