@@ -135,10 +135,13 @@ def measure_policy_storm(quick: bool) -> Dict[str, object]:
     """Cache retention under a benign policy storm.
 
     A marker-only policy version lands after every transaction — the
-    policy-storm regime of the scale workloads.  Each install re-keys the
-    entries its rule diff cannot affect (:mod:`repro.policy.analyze`
-    impact analysis) instead of dropping them, so the hit rate should stay
-    high while outcomes remain bit-identical to an uncached run.
+    policy-storm regime of the scale workloads.  Each install re-points
+    the lineages its rule diff cannot affect (:mod:`repro.policy.analyze`
+    impact analysis) to the new version instead of dropping their entries,
+    so the hit rate should stay high while outcomes remain bit-identical
+    to an uncached run.  The four counters are seed-deterministic: a
+    regenerated ``BENCH_proofcache.json`` that shows other values is a
+    semantic change, not noise.
     """
 
     def run(enable_cache: bool):

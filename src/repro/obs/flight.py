@@ -152,7 +152,8 @@ class FlightRecorder:
         #: Simulation-time source for hooks that receive no timestamp (the
         #: network message hook); the testbed binds ``env.now`` here.
         self.clock: Optional[Any] = None
-        self._rings: Dict[str, Deque[FlightEvent]] = {}
+        #: node -> ring of ``FlightEvent`` field tuples (built on inspection).
+        self._rings: Dict[str, Deque[Tuple[Any, ...]]] = {}
         self._seq = 0
         self.recorded = 0
         self.dumps = 0
@@ -176,7 +177,7 @@ class FlightRecorder:
         if ring is None:
             ring = deque(maxlen=self.capacity)
             self._rings[node] = ring
-        ring.append(FlightEvent(self._seq, time, node, category, txn_id, detail))
+        ring.append((self._seq, time, node, category, txn_id, detail))
         self._seq += 1
         self.recorded += 1
 
@@ -203,13 +204,9 @@ class FlightRecorder:
         ``node`` restricts to one ring; the merged view interleaves every
         ring exactly as the events were recorded.
         """
-        if node is not None:
-            return list(self._rings.get(node, ()))
-        merged: List[FlightEvent] = []
-        for name in sorted(self._rings):
-            merged.extend(self._rings[name])
-        merged.sort(key=lambda event: event.seq)
-        return merged
+        rings = [self._rings.get(node, ())] if node is not None else self._rings.values()
+        rows = sorted((row for ring in rings for row in ring), key=lambda row: row[0])
+        return [FlightEvent(*row) for row in rows]
 
     def clear(self) -> None:
         self._rings.clear()

@@ -7,7 +7,7 @@ operation, Deferred and Punctual re-prove everything at commit, and extra
 of those evaluations is a pure function of
 
 * the policy (id **and version** — versions are the paper's consistency
-  currency, so they are first-class in the key),
+  currency, so a lookup resolves them first),
 * the query content (user, operation, touched items),
 * the set of presented credentials, and
 * the revocation checker's knowledge
@@ -21,17 +21,25 @@ memoizes on exactly that key and window, which is why caching can never
 change a 2PV/2PVC vote — see ``docs/performance.md`` for the full safety
 argument.
 
+The version is not a component of the entry key.  Entries belong to a
+*lineage* — one per ``(policy id, goal predicate)`` and version — which
+owns the version its entries are valid for and the dependency closure they
+share.  A lookup resolves ``(policy id, version, goal)`` to a lineage before
+it looks for an entry; no lineage at that version is a miss, exactly where
+a version-pinned key would have missed.
+
 Explicit invalidation hooks keep the cache honest against the two external
 mutations that *can* change verdicts without any key changing:
 
 * **policy installs** — :meth:`repro.policy.store.PolicyStore.subscribe`
   calls :meth:`ProofCache.invalidate_policy` whenever a newer version is
-  installed.  Old-version entries could no longer hit — their key pins the
-  version — so the hook diffs the outgoing and incoming rule sets
-  (:func:`repro.policy.analyze.changed_predicates`) and *re-keys* to the
-  new version every entry whose recorded dependency closure the diff
-  provably cannot affect, dropping only the rest (the whole domain, when
-  the install's provenance is unknown);
+  installed.  The hook diffs the outgoing and incoming rule sets once
+  (:func:`repro.policy.analyze.changed_predicates`), *re-points* to the new
+  version every lineage of the outgoing version whose closure the diff
+  provably cannot affect — one assignment, however many entries it holds —
+  and drops the rest entry by entry (the whole domain, when the install's
+  provenance is unknown).  An install costs the diff plus the entries it
+  invalidates, never the size of the cache;
 * **credential revocations** — :meth:`repro.policy.credentials.CARegistry.
   subscribe_revocations` calls :meth:`ProofCache.invalidate_credential`,
   dropping every entry whose credential set contains the revoked id.
@@ -48,7 +56,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.spans import Span, annotate
 from repro.policy.analyze import changed_predicates, dependency_closure
@@ -61,12 +69,42 @@ from repro.policy.proofs import (
     evaluate_proof,
 )
 
-#: (policy id, policy version, user, operation, items, credential ids,
-#:  revocation-checker identity) — everything a verdict depends on besides
-#: the position of ``now`` relative to credential validity boundaries.
-CacheKey = Tuple[
-    PolicyId, int, str, Operation, Tuple[str, ...], FrozenSet[str], object
-]
+
+class _Lineage:
+    """The entries of one ``(policy id, goal predicate)`` under one version.
+
+    The version lives here and not in the entry keys, so an install that
+    provably cannot affect these entries carries all of them over by
+    assigning :attr:`version`.  Lineages hash by identity.
+    """
+
+    __slots__ = ("policy_id", "goal", "version", "closure", "keys")
+
+    def __init__(
+        self, policy_id: PolicyId, goal: str, version: int, closure: FrozenSet[str]
+    ) -> None:
+        self.policy_id = policy_id
+        self.goal = goal
+        #: The one policy version the entries are currently valid for.
+        self.version = version
+        #: Every predicate a proof of ``goal`` may consult: the downward
+        #: closure of the goal predicate over the rules of the version the
+        #: lineage was born under (see
+        #: :func:`repro.policy.analyze.dependency_closure`).  An install
+        #: re-points a lineage only when its diff leaves the closure alone,
+        #: and then the closure is the same under the new version.
+        self.closure = closure
+        #: Keys of the live entries, in insertion order.
+        self.keys: Dict[CacheKey, None] = {}
+
+
+#: (user, operation, items, credential ids, revocation-checker identity).
+_QueryKey = Tuple[str, Operation, Tuple[str, ...], FrozenSet[str], object]
+
+#: (lineage,) + the query key — with the policy id and version the lineage
+#: stands for, everything a verdict depends on besides the position of
+#: ``now`` relative to credential validity boundaries.
+CacheKey = Tuple[_Lineage, str, Operation, Tuple[str, ...], FrozenSet[str], object]
 
 #: LRU bound a server applies under ``CloudConfig.streaming_metrics``
 #: (unbounded otherwise).  Sized so the working set of a contended scale
@@ -79,17 +117,12 @@ STREAMING_PROOF_CACHE_CAPACITY = 4096
 class _Entry:
     """One memoized evaluation with its temporal validity window."""
 
+    #: As evaluated: ``policy_version`` is the lineage's version back then,
+    #: and a hit replays the proof under the version it stands for now.
     proof: ProofOfAuthorization
     #: Verdicts are constant for ``window_start <= now < window_end``.
     window_start: float
     window_end: float
-    #: Every predicate this proof's derivation may have consulted: the
-    #: downward closure of the goal predicate over the policy version the
-    #: proof was evaluated under (see
-    #: :func:`repro.policy.analyze.dependency_closure`).  Captured at store
-    #: time so a later policy install can decide whether this entry could
-    #: possibly be affected by the diff.
-    deps: FrozenSet[str] = frozenset()
 
 
 class ProofCache:
@@ -101,7 +134,9 @@ class ProofCache:
     :class:`repro.metrics.counters.ProofCacheCounters` to export hit/miss/
     invalidation counts, or ``None`` to run unmetered.  ``capacity`` bounds
     the entry count with LRU eviction (``None`` = unbounded; simulations
-    are finite, but long-running sweeps may want a ceiling).
+    are finite, but long-running sweeps may want a ceiling).  Only a store
+    or a hit makes an entry recent: an install does not touch the entries
+    it retains, so it does not refresh them either.
     """
 
     def __init__(
@@ -114,13 +149,11 @@ class ProofCache:
         self.server = server
         self.capacity = capacity
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
-        self._keys_by_policy: Dict[PolicyId, Set[CacheKey]] = {}
+        #: policy id -> (version, goal predicate) -> lineage.  Only lineages
+        #: with live entries are listed, so everything the cache knows per
+        #: policy version is bounded by, and dies with, its entries.
+        self._lineages: Dict[PolicyId, Dict[Tuple[int, str], _Lineage]] = {}
         self._keys_by_credential: Dict[str, Set[CacheKey]] = {}
-        #: (policy id, version, goal predicate) -> dependency closure; the
-        #: closure is a pure function of the version's rules, so memoizing
-        #: it makes per-entry dependency capture O(1) after the first
-        #: evaluation under a version.
-        self._deps_memo: Dict[Tuple[PolicyId, int, str], FrozenSet[str]] = {}
 
     # -- the memoized entry point -------------------------------------------------
 
@@ -143,17 +176,18 @@ class ProofCache:
 
         On a hit, the cached record is replayed with the caller's fresh
         ``query_id``, ``server``, and ``evaluated_at`` (those fields don't
-        influence the verdict).  Anything that can't be keyed safely — an
-        uncacheable checker, a malformed credential object — bypasses the
-        cache and evaluates directly.  ``counters`` (an
-        :class:`~repro.policy.rules.EngineCounters`) is forwarded to the
-        inference engine on misses and bypasses; hits do no inference, so
-        they add nothing to it.  ``obs_span`` gets a ``cache`` attribute
+        influence the verdict) and with the version of ``policy``, which is
+        the version the entry's lineage stands for.  Anything that can't be
+        keyed safely — an uncacheable checker, a malformed credential
+        object — bypasses the cache and evaluates directly.  ``counters``
+        (an :class:`~repro.policy.rules.EngineCounters`) is forwarded to
+        the inference engine on misses and bypasses; hits do no inference,
+        so they add nothing to it.  ``obs_span`` gets a ``cache`` attribute
         (``hit``/``miss``/``bypass``) plus the verdict.
         """
         revocation = revocation or LocalRevocationChecker(registry)
-        key = self._key(policy, user, operation, items, credentials, revocation)
-        if key is None:
+        query = self._query_key(user, operation, items, credentials, revocation)
+        if query is None:
             if self.stats is not None:
                 self.stats.on_bypass(self.server)
             annotate(obs_span, cache="bypass")
@@ -162,31 +196,47 @@ class ProofCache:
                 server, now, registry, revocation, counters, obs_span,
             )
 
-        entry = self._entries.get(key)
-        if entry is not None and entry.window_start <= now < entry.window_end:
-            self._entries.move_to_end(key)
-            if self.stats is not None:
-                self.stats.on_hit(self.server)
-            proof = replace(
-                entry.proof, query_id=query_id, server=server, evaluated_at=now
-            )
-            annotate(
-                obs_span,
-                cache="hit",
-                granted=proof.granted,
-                reason=proof.reason,
-                version=proof.policy_version,
-            )
-            return proof
+        goal = GUARD_PREDICATES[operation]
+        domain = self._lineages.get(policy.policy_id)
+        lineage = domain.get((policy.version, goal)) if domain is not None else None
+        if lineage is not None:
+            key: CacheKey = (lineage,) + query
+            entry = self._entries.get(key)
+            if entry is not None and entry.window_start <= now < entry.window_end:
+                self._entries.move_to_end(key)
+                if self.stats is not None:
+                    self.stats.on_hit(self.server)
+                proof = replace(
+                    entry.proof,
+                    query_id=query_id,
+                    server=server,
+                    evaluated_at=now,
+                    policy_version=policy.version,
+                )
+                annotate(
+                    obs_span,
+                    cache="hit",
+                    granted=proof.granted,
+                    reason=proof.reason,
+                    version=proof.policy_version,
+                )
+                return proof
 
         annotate(obs_span, cache="miss")
         proof = evaluate_proof(
             policy, query_id, user, operation, items, credentials,
             server, now, registry, revocation, counters, obs_span,
         )
+        if lineage is None:
+            lineage = _Lineage(
+                policy.policy_id,
+                goal,
+                policy.version,
+                dependency_closure(policy.rules, (goal,)),
+            )
+            self._lineages.setdefault(policy.policy_id, {})[policy.version, goal] = lineage
         window_start, window_end = self._validity_window(credentials, now, revocation)
-        deps = self._deps_for(policy, operation)
-        self._store(key, _Entry(proof, window_start, window_end, deps))
+        self._store((lineage,) + query, _Entry(proof, window_start, window_end))
         if self.stats is not None:
             self.stats.on_miss(self.server)
         return proof
@@ -203,46 +253,58 @@ class ProofCache:
         install).  An install whose provenance we can't establish drops
         the whole administrative domain.  Otherwise the two versions are
         diffed (:func:`~repro.policy.analyze.changed_predicates`) and the
-        hook *keeps* every entry of the outgoing
-        version whose captured dependency closure is disjoint from the
-        changed predicates, re-keying it to the new version number: such
-        an entry's reachable rule fragment is rule-for-rule identical
-        under both versions, so a fresh evaluation under ``policy`` would
-        reproduce the cached verdict, derivations, and reason exactly
-        (``docs/policy-analysis.md`` § soundness).  Entries pinned to any
+        hook *keeps* every lineage of the outgoing version whose
+        dependency closure is disjoint from the changed predicates,
+        re-pointing it to the new version number: the rule fragment its
+        proofs can reach is rule-for-rule identical under both versions,
+        so a fresh evaluation under ``policy`` would reproduce each cached
+        verdict, derivations, and reason exactly
+        (``docs/policy-analysis.md`` § soundness).  Lineages pinned to any
         *other* version are always dropped — they are stale deliveries we
-        never diffed against.
+        never diffed against, or were pre-created at the incoming version.
+        The work is the diff, one step per goal predicate, and one per
+        entry dropped; the entries kept are counted, not visited.
         """
+        domain = self._lineages.get(policy.policy_id)
+        if domain is None:
+            return 0
+        outgoing: Optional[int] = None  # the version the diff vouches for
+        changed: FrozenSet[str] = frozenset()
         if (
-            previous is None
-            or previous.policy_id != policy.policy_id
-            or previous.version >= policy.version
+            previous is not None
+            and previous.policy_id == policy.policy_id
+            and previous.version < policy.version
         ):
-            keys = self._keys_by_policy.pop(policy.policy_id, set())
-            return self._drop(keys)
-
-        changed = changed_predicates(previous.rules, policy.rules)
-        domain_keys = self._keys_by_policy.get(policy.policy_id, set())
-        # Iterate in entry insertion order (never raw set order) so the
-        # LRU sequence after an install is hash-seed independent.
-        ordered = [key for key in self._entries if key in domain_keys]
-        to_drop: Set[CacheKey] = set()
-        retained = 0
-        for key in ordered:
-            if key[1] != previous.version:
-                to_drop.add(key)
-                continue
-            entry = self._entries[key]
-            if entry.deps & changed:
-                to_drop.add(key)
-                continue
-            self._rekey(key, entry, policy.version)
-            retained += 1
+            outgoing = previous.version
+            changed = changed_predicates(previous.rules, policy.rules)
+        kept: List[_Lineage] = []
+        doomed: List[CacheKey] = []
+        for lineage in domain.values():
+            if lineage.version == outgoing and lineage.closure.isdisjoint(changed):
+                kept.append(lineage)
+            else:
+                doomed.extend(lineage.keys)
+        retained = sum(len(lineage.keys) for lineage in kept)
         if retained:
             on_retention = getattr(self.stats, "on_retention", None)
             if on_retention is not None:
                 on_retention(self.server, retained)
-        return self._drop(to_drop)
+        for lineage in kept:
+            # An entry pre-created at the incoming version takes its kept
+            # twin (same query, outgoing version) with it, uncounted: under
+            # version-pinned keys the two collided and both went.  Dropping
+            # is always safe, and every counter stays where it was.
+            incoming = domain.get((policy.version, lineage.goal))
+            if incoming is not None:
+                for key in incoming.keys:
+                    self._discard((lineage,) + key[1:])
+        dropped = self._drop(doomed)
+        for lineage in kept:
+            if lineage.keys:
+                del domain[lineage.version, lineage.goal]
+                lineage.version = policy.version
+                domain[lineage.version, lineage.goal] = lineage
+        return dropped
 
     def invalidate_credential(self, cred_id: str) -> int:
         """Drop every entry whose credential set contains ``cred_id``.
@@ -251,14 +313,13 @@ class ProofCache:
         the one mutation that changes a verdict while every key component
         stays equal, so this hook is load-bearing for correctness.
         """
-        keys = self._keys_by_credential.pop(cred_id, set())
-        return self._drop(keys)
+        return self._drop(tuple(self._keys_by_credential.get(cred_id, ())))
 
     def clear(self) -> int:
         """Drop everything (counted as invalidations)."""
         count = len(self._entries)
         self._entries.clear()
-        self._keys_by_policy.clear()
+        self._lineages.clear()
         self._keys_by_credential.clear()
         if count and self.stats is not None:
             self.stats.on_invalidation(self.server, count)
@@ -269,15 +330,15 @@ class ProofCache:
 
     # -- internals ------------------------------------------------------------------
 
-    def _key(
-        self,
-        policy: Policy,
+    @staticmethod
+    def _query_key(
         user: str,
         operation: Operation,
         items: Sequence[str],
         credentials: Sequence[Credential],
         revocation: RevocationChecker,
-    ) -> Optional[CacheKey]:
+    ) -> Optional[_QueryKey]:
+        """The entry key minus its lineage, or ``None`` if uncacheable."""
         token = revocation.cache_token()
         if token is None:
             return None
@@ -286,15 +347,7 @@ class ProofCache:
             if not isinstance(credential, Credential):
                 return None  # malformed objects: fail open to direct evaluation
             cred_ids.append(credential.cred_id)
-        return (
-            policy.policy_id,
-            policy.version,
-            user,
-            operation,
-            tuple(items),
-            frozenset(cred_ids),
-            token,
-        )
+        return (user, operation, tuple(items), frozenset(cred_ids), token)
 
     @staticmethod
     def _boundaries(
@@ -330,72 +383,43 @@ class ProofCache:
                     end = min(end, boundary)
         return start, end
 
-    def _deps_for(self, policy: Policy, operation: Operation) -> FrozenSet[str]:
-        """Dependency closure of ``operation``'s goal predicate, memoized.
-
-        Every goal :meth:`~repro.policy.policy.Policy.goal` builds for one
-        evaluation shares the same guard predicate, so one closure covers
-        the whole entry regardless of how many items it touched.
-        """
-        goal = GUARD_PREDICATES[operation]
-        memo_key = (policy.policy_id, policy.version, goal)
-        deps = self._deps_memo.get(memo_key)
-        if deps is None:
-            deps = dependency_closure(policy.rules, (goal,))
-            self._deps_memo[memo_key] = deps
-        return deps
-
-    def _rekey(self, key: CacheKey, entry: _Entry, new_version: int) -> None:
-        """Carry ``entry`` over to ``new_version`` of the same policy.
-
-        Only called when the entry's dependency closure is untouched by
-        the diff, which also means the closure itself is identical under
-        the new version — so ``deps`` carries over unchanged.  The entry
-        moves to the most-recent end of the LRU order (deterministically:
-        callers iterate in insertion order).
-        """
-        self._entries.pop(key)
-        self._unindex(key)
-        new_key: CacheKey = (
-            key[0], new_version, key[2], key[3], key[4], key[5], key[6]
-        )
-        entry.proof = replace(entry.proof, policy_version=new_version)
-        self._entries[new_key] = entry
-        self._keys_by_policy.setdefault(new_key[0], set()).add(new_key)
-        for cred_id in new_key[5]:
-            self._keys_by_credential.setdefault(cred_id, set()).add(new_key)
-
     def _store(self, key: CacheKey, entry: _Entry) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = entry
-        self._keys_by_policy.setdefault(key[0], set()).add(key)
-        for cred_id in key[5]:
+        key[0].keys[key] = None
+        for cred_id in key[4]:
             self._keys_by_credential.setdefault(cred_id, set()).add(key)
         if self.capacity is not None:
             while len(self._entries) > self.capacity:
                 evicted, _ = self._entries.popitem(last=False)
                 self._unindex(evicted)
 
-    def _drop(self, keys: Set[CacheKey]) -> int:
-        dropped = 0
-        for key in keys:
-            if self._entries.pop(key, None) is not None:
-                dropped += 1
-            self._unindex(key)
+    def _drop(self, keys: Iterable[CacheKey]) -> int:
+        """Discard ``keys`` (a snapshot: the indexes change underneath)."""
+        dropped = sum(self._discard(key) for key in keys)
         if dropped and self.stats is not None:
             self.stats.on_invalidation(self.server, dropped)
         return dropped
 
+    def _discard(self, key: CacheKey) -> bool:
+        if self._entries.pop(key, None) is None:
+            return False
+        self._unindex(key)
+        return True
+
     def _unindex(self, key: CacheKey) -> None:
-        policy_keys = self._keys_by_policy.get(key[0])
-        if policy_keys is not None:
-            policy_keys.discard(key)
-            if not policy_keys:
-                self._keys_by_policy.pop(key[0], None)
-        for cred_id in key[5]:
-            cred_keys = self._keys_by_credential.get(cred_id)
-            if cred_keys is not None:
-                cred_keys.discard(key)
-                if not cred_keys:
-                    self._keys_by_credential.pop(cred_id, None)
+        """Forget a key just removed from ``_entries``; a lineage that
+        loses its last entry is unlisted."""
+        lineage = key[0]
+        del lineage.keys[key]
+        if not lineage.keys:
+            domain = self._lineages[lineage.policy_id]
+            del domain[lineage.version, lineage.goal]
+            if not domain:
+                del self._lineages[lineage.policy_id]
+        for cred_id in key[4]:
+            cred_keys = self._keys_by_credential[cred_id]
+            cred_keys.discard(key)
+            if not cred_keys:
+                del self._keys_by_credential[cred_id]

@@ -26,8 +26,9 @@ See docs/scale.md for the full semantics and the default WAN matrix.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping  # the runtime check; typing's alias checks in Python
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.network import LatencyModel

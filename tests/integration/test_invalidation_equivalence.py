@@ -97,8 +97,14 @@ def test_precise_retains_under_benign_storm():
         current = server.policies.current(pid)
         server.policies.apply(current.successor(benign_successor(current)))
     stats = cluster.metrics.proof_cache
-    assert stats.retentions > 0
-    assert stats.invalidations == 0
+
+    def counts():
+        return (stats.hits, stats.misses, stats.invalidations, stats.retentions)
+
+    # Exact, not just positive: the run is seed-deterministic and which
+    # entries an install keeps is semantics, so a different count is a
+    # different cache.  tests/policy/proofcache_oracle.py gives these too.
+    assert counts() == (13, 7, 0, 7)
     for txn in transactions[2:]:
         cluster.run_transaction(txn, "continuous")
-    assert stats.hits > 0
+    assert counts() == (32, 8, 0, 7)

@@ -90,6 +90,19 @@ class TestRing:
         recorder.clear()
         assert recorder.events() == []
 
+    def test_recording_builds_no_event_objects(self, monkeypatch):
+        """Every send records; only an incident inspects.  The send path
+        appends one plain tuple and leaves the objects to ``events()``."""
+        built = []
+        monkeypatch.setattr(
+            flight, "FlightEvent", lambda *row: built.append(row) or FlightEvent(*row)
+        )
+        recorder = FlightRecorder()
+        recorder.record("s1", 0.0, "tick", txn_id="t1")
+        assert built == []
+        assert recorder.events() == [FlightEvent(0, 0.0, "s1", "tick", "t1")]
+        assert built == [(0, 0.0, "s1", "tick", "t1", ())]
+
 
 class TestDump:
     class Violation:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.metrics.counters import ProofCacheCounters
 from repro.policy.credentials import CARegistry, CertificateAuthority
-from repro.policy.policy import Operation, Policy, PolicyId
+from repro.policy.policy import GUARD_PREDICATES, Operation, Policy, PolicyId
 from repro.policy.proofcache import ProofCache
 from repro.policy.proofs import (
     LocalRevocationChecker,
@@ -13,6 +13,7 @@ from repro.policy.proofs import (
 )
 from repro.policy.rules import Atom, Rule, RuleSet, Variable
 from repro.policy.store import PolicyStore
+from repro.workloads.updates import benign_successor
 
 U, I = Variable("U"), Variable("I")
 
@@ -180,8 +181,8 @@ class TestInvalidation:
         cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
         cached_eval(cache, store.current(PolicyId("app")), registry, [cred])
         assert len(cache) == 1
-        # v2's rules are identical, so the install keeps the entry re-keyed
-        # to v2 — the next v2 evaluation hits.
+        # v2's rules are identical, so the install keeps the entry, now
+        # standing for v2 — the next v2 evaluation hits.
         assert store.apply(member_policy(2))
         assert len(cache) == 1
         assert stats.invalidations == 0 and stats.retentions == 1
@@ -225,8 +226,8 @@ class TestInvalidation:
         assert not cached_eval(cache, policy, registry, [cred], now=7.0).granted
 
     def test_revocation_racing_policy_install(self, ca, registry, cache, stats):
-        """A rekeyed (retained) entry must still fall to a later revocation:
-        the credential index has to follow the entry to its new key."""
+        """A retained entry must still fall to a later revocation: the
+        credential index has to hold across the install."""
         store = PolicyStore([member_policy(1)])
         store.subscribe(cache.invalidate_policy)
         registry.subscribe_revocations(
@@ -271,7 +272,7 @@ class TestInvalidation:
         store = PolicyStore([member_policy(2)])
         store.subscribe(cache.invalidate_policy)
         assert store.apply(member_policy(3))  # identical rules vs v2
-        # v2 entry retained (rekeyed to v3); v1 entry dropped.
+        # v2 entry retained (re-pointed to v3); v1 entry dropped.
         assert len(cache) == 1
         assert stats.retentions == 1 and stats.invalidations == 1
         cached_eval(cache, store.current(PolicyId("app")), registry, [cred])
@@ -306,7 +307,7 @@ class TestLRUInteraction:
         assert len(cache) == 2
         assert store.apply(member_policy(2))  # identical rules: both retained
         assert len(cache) == 2 and stats.retentions == 2
-        # Both re-keyed entries hit under the new version.
+        # Both retained entries hit under the new version.
         cached_eval(cache, store.current(PolicyId("app")), registry, [cred])
         cached_eval(
             cache, store.current(PolicyId("app")), registry, [cred], item="ledger"
@@ -329,7 +330,7 @@ class TestLRUInteraction:
         cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
         cached_eval(cache, store.current(PolicyId("app")), registry, [cred])
         assert store.apply(member_policy(2))
-        # The rekeyed entry is evicted by a new store; invalidating the
+        # The retained entry is evicted by a new store; invalidating the
         # credential afterwards must be a no-op, not a KeyError.
         cached_eval(
             cache, store.current(PolicyId("app")), registry, [cred], item="ledger"
@@ -338,6 +339,24 @@ class TestLRUInteraction:
         ca.revoke(cred.cred_id, at_time=6.0)
         cache.invalidate_credential(cred.cred_id)
         assert len(cache) == 0
+
+    def test_install_does_not_refresh_what_it_retains(self, ca, registry):
+        """Only a store or a hit makes an entry recent.  In a bounded cache
+        that holds two domains, an install in one of them leaves its
+        retained entry where it was, so it stays the next victim."""
+        stats = ProofCacheCounters()
+        cache = ProofCache(stats=stats, server="s1", capacity=2)
+        cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
+        app, hr = member_policy(1), Policy(PolicyId("hr"), 1, member_policy().rules)
+        cached_eval(cache, app, registry, [cred])  # oldest
+        cached_eval(cache, hr, registry, [cred])
+        assert cache.invalidate_policy(member_policy(2), app) == 0
+        assert stats.retentions == 1
+        cached_eval(cache, hr, registry, [cred], item="ledger")  # evicts app's
+        cached_eval(cache, hr, registry, [cred])
+        assert stats.hits == 1
+        cached_eval(cache, member_policy(2), registry, [cred])
+        assert stats.misses == 4
 
     def test_clear_counts_invalidations(self, ca, registry, cache, stats):
         cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
@@ -383,3 +402,46 @@ class TestCapacity:
         assert len(cache) == 2
         cached_eval(cache, policy, registry, [cred], item="inventory")
         assert stats.misses == 4  # the evicted entry had to be recomputed
+
+
+class TestConstantMemoryUnderPolicyChurn:
+    """``streaming_metrics`` promises memory independent of run length; a
+    long policy storm must leave nothing behind per version it went through."""
+
+    @staticmethod
+    def held(cache):
+        """Items in every container the cache owns."""
+        return sum(
+            len(value) for value in vars(cache).values() if isinstance(value, (dict, set, list))
+        )
+
+    def test_no_state_per_version_survives_its_entries(self, ca, registry, stats):
+        cache = ProofCache(stats=stats, server="s1", capacity=8)
+        store = PolicyStore([member_policy(1)])
+        store.subscribe(cache.invalidate_policy)
+        pid = PolicyId("app")
+        cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
+        for round_ in range(500):
+            outgoing = store.current(pid)
+            assert store.apply(outgoing.successor(benign_successor(outgoing)))
+            for operation in Operation:
+                cached_eval(
+                    cache, store.current(pid), registry, [cred],
+                    item=f"item{round_ % 3}", operation=operation,
+                )
+            # A transaction still pinned to the version just replaced.
+            cached_eval(cache, outgoing, registry, [cred])
+        assert stats.retentions > 500 and stats.hits > 500
+        assert store.apply(store.current(pid).successor(benign_successor(store.current(pid))))
+        # entries + one domain + one credential: nothing that grew with 500
+        assert self.held(cache) <= len(cache) + 2
+        lineages = [lineage for domain in cache._lineages.values() for lineage in domain.values()]
+        assert 0 < len(lineages) <= len(GUARD_PREDICATES)
+        assert {lineage.version for lineage in lineages} == {store.version_of(pid)}
+
+    def test_clear_leaves_nothing_behind(self, ca, registry, cache):
+        cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
+        for version in (1, 2, 3):
+            cached_eval(cache, member_policy(version), registry, [cred])
+        assert cache.clear() == 3
+        assert self.held(cache) == 0

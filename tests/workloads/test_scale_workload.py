@@ -11,6 +11,9 @@ from repro.cloud.config import CloudConfig
 from repro.cloud.sharding import ShardMap, plan_shards, standby_region
 from repro.core.consistency import ConsistencyLevel
 from repro.errors import SimulationError
+from repro.metrics import counters
+from repro.sim import topology
+from repro.sim.topology import DEFAULT_OBJECT_BYTES, estimate_message_size, estimate_wire_size
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.scale import (
     PolicyStormProcess,
@@ -21,6 +24,43 @@ from repro.workloads.scale import (
     storm_schedule,
 )
 from repro.workloads.testbed import build_multiregion_cluster
+
+
+def previous_estimate_wire_size(value, _depth=0):
+    """``estimate_wire_size`` as it stood before its runtime checks moved
+    from ``typing.Mapping`` to ``collections.abc.Mapping`` (the reference)."""
+    from typing import Mapping
+
+    kind = type(value)
+    if kind is str:
+        return len(value)
+    if kind is int or kind is float:
+        return 8
+    if value is None or kind is bool:
+        return 1
+    is_mapping = kind is dict
+    is_sequence = kind is list or kind is tuple
+    if not (is_mapping or is_sequence):
+        if isinstance(value, (int, float)):
+            return 8
+        if isinstance(value, (str, bytes, bytearray)):
+            return len(value)
+        wire_size = getattr(value, "__wire_size__", None)
+        if wire_size is not None:
+            return int(wire_size())
+        is_mapping = isinstance(value, Mapping)
+        is_sequence = isinstance(value, (tuple, list))
+    if _depth >= 4 or not (is_mapping or is_sequence):
+        return DEFAULT_OBJECT_BYTES
+    total = 8
+    if is_mapping:
+        for key, item in value.items():
+            total += previous_estimate_wire_size(key, _depth + 1)
+            total += previous_estimate_wire_size(item, _depth + 1)
+    else:
+        for item in value:
+            total += previous_estimate_wire_size(item, _depth + 1)
+    return total
 
 
 def small_shards() -> ShardMap:
@@ -249,3 +289,37 @@ class TestShardedRunEndToEnd:
         )
         # Policy replication reached the standby replicas in other regions.
         assert cluster.metrics.regions.cross_region > 0
+
+    def test_wire_sizes_equal_the_previous_estimator(self, monkeypatch):
+        """Sizes feed simulated WAN transfer time and the cross-region byte
+        counters, so a cheaper estimator must size every payload of a real
+        run — opaque protocol values included — exactly as before."""
+        payloads = []
+
+        def recording(payload):
+            payloads.append(payload)
+            return estimate_message_size(payload)
+
+        monkeypatch.setattr(counters, "estimate_message_size", recording)
+        monkeypatch.setattr(topology, "estimate_message_size", recording)
+        cluster, _, _, _ = self.make_run()
+        assert len(payloads) == cluster.metrics.regions.intra_region + (
+            cluster.metrics.regions.cross_region
+        )
+
+        def leaves(value):
+            if isinstance(value, dict):
+                value = [*value, *value.values()]
+            if isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield type(value).__name__
+
+        seen = {name for payload in payloads for name in leaves(payload)}
+        assert seen >= {
+            "Policy", "PolicyId", "Query", "Credential", "ProofOfAuthorization", "Vote", "Decision",
+        }
+        assert [estimate_wire_size(payload) for payload in payloads] == [
+            previous_estimate_wire_size(payload) for payload in payloads
+        ]
