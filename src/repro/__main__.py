@@ -47,6 +47,7 @@ def _demo(seed: int) -> int:
                 credentials=(credential,),
             )
             outcome = cluster.run_transaction(txn, approach, level)
+            cluster.close()  # only the outcome is used
             rows.append(
                 [
                     approach,
@@ -80,6 +81,7 @@ def _table1(seed: int) -> int:
                 cluster.catalog, "alice", [credential], txn_id=f"t1-{approach}-{level.value}"
             )
             outcome = cluster.run_transaction(txn, approach, level)
+            cluster.close()  # only the outcome is used
             r = max(1, outcome.commit_rounds)
             entry = TABLE1[(approach, level)]
             rows.append(

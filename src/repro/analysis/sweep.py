@@ -173,6 +173,9 @@ def run_point(point: SweepPoint) -> SweepResult:
     done = cluster.env.process(driver(), name="sweep-driver")
     cluster.env.run(until=done)
     outcomes = list(cluster.tm.outcomes)
+    # Only the outcomes leave: let the world die by reference count (the
+    # update process and its timers are still queued at this point).
+    cluster.close()
     return SweepResult(point, outcomes, aggregate(outcomes))
 
 

@@ -136,7 +136,7 @@ class CloudServer(Node):
         #: domain's entries, revocations drop entries using the credential.
         self.proof_cache: Optional[ProofCache] = None
         if config.enable_proof_cache:
-            self.proof_cache = ProofCache(
+            cache = self.proof_cache = ProofCache(
                 stats=metrics.proof_cache,
                 server=name,
                 # Hits are outcome-neutral (see config), so bounding the
@@ -144,9 +144,12 @@ class CloudServer(Node):
                 # in the user population of a streaming run.
                 capacity=STREAMING_PROOF_CACHE_CAPACITY if config.streaming_metrics else None,
             )
-            self.policies.subscribe(self.proof_cache.invalidate_policy)
+            self.policies.subscribe(cache.invalidate_policy)
+            # The registry is shared and holds this server (its authority is
+            # registered there): the listener captures the cache alone, or
+            # registry -> listener -> server -> registry is a cycle.
             registry.subscribe_revocations(
-                lambda record: self.proof_cache.invalidate_credential(record.cred_id)
+                lambda record: cache.invalidate_credential(record.cred_id)
             )
 
     # Nodes get their env at registration time; the lock manager needs it.
@@ -167,7 +170,8 @@ class CloudServer(Node):
         live = self.metrics.live
         if live is None:
             return None
-        return lambda waited, now: live.record_lock_wait(self.name, waited, now)
+        name = self.name  # not self: the lock manager this goes to is ours
+        return lambda waited, now: live.record_lock_wait(name, waited, now)
 
     def _cpu_resource(self) -> Optional[Resource]:
         """Lazily created compute-slot pool (None = unbounded)."""

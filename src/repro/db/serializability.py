@@ -16,7 +16,7 @@ workload, the committed schedule must be equivalent to some serial order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.db.storage import AccessKind, StorageEngine
 
@@ -104,28 +104,30 @@ def find_cycle(edges: Sequence[ConflictEdge]) -> Optional[List[str]]:
 
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {node: WHITE for node in adjacency}
+    # Depth-first search on an explicit stack (one neighbour iterator per
+    # node of ``path``): precedence chains are as long as the trace, far
+    # past the interpreter's recursion limit.
     path: List[str] = []
-
-    def dfs(node: str) -> Optional[List[str]]:
-        colour[node] = GREY
-        path.append(node)
+    stack: List[Iterator[str]] = []
+    for root in adjacency:
+        if colour[root] is not WHITE:
+            continue
+        colour[root] = GREY
+        path.append(root)
         # Sorted: which cycle gets reported must not depend on set order.
-        for neighbour in sorted(adjacency[node]):
-            if colour[neighbour] is GREY:
-                return path[path.index(neighbour) :] + [neighbour]
-            if colour[neighbour] is WHITE:
-                found = dfs(neighbour)
-                if found is not None:
-                    return found
-        path.pop()
-        colour[node] = BLACK
-        return None
-
-    for node in adjacency:
-        if colour[node] is WHITE:
-            found = dfs(node)
-            if found is not None:
-                return found
+        stack.append(iter(sorted(adjacency[root])))
+        while stack:
+            for neighbour in stack[-1]:
+                if colour[neighbour] is GREY:
+                    return path[path.index(neighbour) :] + [neighbour]
+                if colour[neighbour] is WHITE:
+                    colour[neighbour] = GREY
+                    path.append(neighbour)
+                    stack.append(iter(sorted(adjacency[neighbour])))
+                    break
+            else:
+                stack.pop()
+                colour[path.pop()] = BLACK
     return None
 
 

@@ -37,7 +37,10 @@ class MessageCounters:
         self.by_category[message.category] += 1
         txn_id = message.payload.get("txn_id")
         if txn_id is not None:
-            self.by_txn.setdefault(txn_id, Counter())[message.category] += 1
+            counter = self.by_txn.get(txn_id)
+            if counter is None:  # construct on miss only: this runs per message
+                counter = self.by_txn[txn_id] = Counter()
+            counter[message.category] += 1
 
     # queries ------------------------------------------------------------------
 

@@ -181,6 +181,39 @@ class WindowRing:
         return rows
 
 
+class _CounterDeltas:
+    """Window-close hook: what the cumulative counters gained since the last close.
+
+    Holds the two counter objects it reads and nothing else.  The metrics
+    bundle holds the telemetry, which holds the ring, which holds this hook:
+    a hook that held the bundle (or the telemetry) back would make every
+    world a reference cycle (see "The world lifecycle" in docs/architecture.md).
+    """
+
+    def __init__(self, cache: Any, regions: Any) -> None:
+        self.cache = cache
+        self.regions = regions
+        #: Cumulative counters at the last window close (delta baselines).
+        self.cache_baseline = (0, 0)
+        self.wan_baseline: Dict[str, int] = {}
+
+    def __call__(self, window: WindowStats) -> None:
+        cache = self.cache
+        hits, misses = self.cache_baseline
+        window.cache_hits = cache.hits - hits
+        window.cache_misses = cache.misses - misses
+        self.cache_baseline = (cache.hits, cache.misses)
+        totals: Dict[str, int] = {}
+        for (src, dst), count in self.regions.bytes_by_pair.items():
+            if src != dst:
+                totals[src] = totals.get(src, 0) + count
+        for src in sorted(totals):
+            delta = totals[src] - self.wan_baseline.get(src, 0)
+            if delta:
+                window.cross_wan_bytes[src] = delta
+        self.wan_baseline = totals
+
+
 class LiveTelemetry:
     """Streaming sketches + windowed time-series for one simulation.
 
@@ -214,13 +247,17 @@ class LiveTelemetry:
         self.proof_eval = SketchFamily(
             "proof_eval", ("region", "server", "phase"), relative_accuracy
         )
-        self.windows = WindowRing(window, capacity, on_close=self._close_window)
-        self._metrics = metrics
+        self.windows = WindowRing(
+            window,
+            capacity,
+            on_close=(
+                _CounterDeltas(metrics.proof_cache, metrics.regions)
+                if metrics is not None
+                else None
+            ),
+        )
         self._region_of: Callable[[str], Optional[str]] = lambda node: None
         self._regions: Dict[str, str] = {}
-        #: Cumulative counters at the last window close (delta baselines).
-        self._cache_baseline = (0, 0)
-        self._wan_baseline: Dict[str, int] = {}
 
     # -- wiring ----------------------------------------------------------------
 
@@ -266,28 +303,6 @@ class LiveTelemetry:
 
     def record_policy_publication(self, region: str, now: float) -> None:
         self.windows.current(now).policy_publications += 1
-
-    # -- window close: cumulative-counter deltas -------------------------------
-
-    def _close_window(self, window: WindowStats) -> None:
-        metrics = self._metrics
-        if metrics is None:
-            return
-        cache = metrics.proof_cache
-        hits, misses = self._cache_baseline
-        window.cache_hits = cache.hits - hits
-        window.cache_misses = cache.misses - misses
-        self._cache_baseline = (cache.hits, cache.misses)
-        by_pair = metrics.regions.bytes_by_pair
-        totals: Dict[str, int] = {}
-        for (src, dst), count in by_pair.items():
-            if src != dst:
-                totals[src] = totals.get(src, 0) + count
-        for src in sorted(totals):
-            delta = totals[src] - self._wan_baseline.get(src, 0)
-            if delta:
-                window.cross_wan_bytes[src] = delta
-        self._wan_baseline = totals
 
     # -- roll-ups and reporting ------------------------------------------------
 

@@ -43,10 +43,16 @@ event.  It is opt-in because code that holds a timeout reference *past* its
 firing would observe the recycled object; the in-tree protocol stack never
 does (conditions pin their children, ``run(until=event)`` pins its target),
 so the testbed enables it for every cluster run.
+
+The dispatch loop runs with CPython's cyclic collector suspended — the
+one place in ``src/`` that touches :mod:`gc`; ``_dispatch`` says why it is
+free of charge — and :meth:`Environment.close` is the other half: it lets a
+finished world die by reference count as well.
 """
 
 from __future__ import annotations
 
+import gc
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
@@ -56,6 +62,15 @@ from repro.sim.process import Process
 from repro.sim.queues import CalendarQueue, DEFAULT_BUCKET_WIDTH, PROMOTE_THRESHOLD
 
 _QueueEntry = Tuple[float, int, int, Event]
+
+
+class _ClosedQueue:
+    """What a closed environment has for a queue: empty, and nothing gets in."""
+
+    _len = 0
+
+    def push(self, entry: Tuple[float, int, int, Event]) -> None:
+        raise SimulationError("cannot schedule an event on a closed environment")
 
 
 class Environment:
@@ -210,6 +225,40 @@ class Environment:
         """Migrate the heap into a calendar queue (order-transparent)."""
         self._queue = CalendarQueue.from_heap(self._queue, self._bucket_width)
 
+    def close(self) -> None:
+        """Forget every pending event, whatever waits on one, and the pool.
+
+        Each of them holds this environment, so a world dropped with events
+        still queued (``run(until=...)``) or with a warm pool is cyclic
+        garbage.  So is every wait: a waiter holds its target and the
+        target's callback list holds the waiter.  Nothing will fire these
+        events any more, so their waiters are unhooked too, transitively (a
+        process waiting on a process waiting on a timer); a process nobody
+        else holds ends there, its generator closed.  After ``close()`` the
+        world dies by reference count, and scheduling an event or calling
+        :meth:`run` raises :class:`SimulationError`.  Waits on events only a
+        node can trigger (a queued lock request, an RPC with no timer) are
+        not reachable from here: a world closed mid-flight leaves those
+        pairs, not itself, to the collector.  See
+        :meth:`repro.workloads.testbed.Cluster.close`.
+        """
+        q = self._queue
+        if q.__class__ is _ClosedQueue:
+            return
+        stranded = [entry[3] for entry in (q if q.__class__ is list else q.heap_entries())]
+        self._queue = _ClosedQueue()
+        self._pool = []
+        while stranded:
+            event = stranded.pop()
+            callbacks = event.callbacks
+            if not callbacks:
+                continue  # nobody waits on it (or it was processed long ago)
+            event.callbacks = []
+            for callback in callbacks:
+                waiter = getattr(callback, "__self__", None)
+                if isinstance(waiter, Event):
+                    stranded.append(waiter)
+
     def peek(self) -> float:
         """Timestamp of the next queued event, or ``inf`` if the queue is empty."""
         q = self._queue
@@ -265,6 +314,8 @@ class Environment:
         * an :class:`Event` — run until that event is processed; returns the
           event's value (or raises its exception).
         """
+        if self._queue.__class__ is _ClosedQueue:
+            raise SimulationError("run() on a closed environment")
         if isinstance(until, Event):
             return self._run_until_event(until)
         if until is None:
@@ -301,66 +352,82 @@ class Environment:
         The one dispatch loop behind all three :meth:`run` forms: ``inf``
         drains the queue, and ``run(until=event)`` leaves through the
         :class:`StopSimulation` its target's callback raises.
+
+        The cyclic collector is suspended for the duration and left exactly
+        as found, whichever way the loop is left (deadline, drained queue,
+        :class:`StopSimulation`, a failed event).  A run creates no cyclic
+        garbage (``tests/sim/test_gc_discipline.py`` holds it to that), so a
+        pass inside the loop frees nothing and costs (retained state) x
+        (passes): about a fifth of host time before this was here (see "The
+        collector" in docs/performance.md).  A nested ``run()`` from a
+        callback finds the collector off and leaves it off; a caller that
+        keeps it off gets it back off.  :meth:`step` does not touch it.
         """
-        pool = self._pool
-        while True:
-            q = self._queue
-            if q.__class__ is not list:
-                break  # promoted: drop into the calendar loop below
-            if not q or q[0][0] > deadline:
-                return
-            when, _priority, _seq, event = heappop(q)
-            # Inlined step() body — keep in sync.
-            self._now = when
-            if event._pooled:
-                callbacks = event.callbacks
-                event._processed = True
-                for callback in callbacks:
-                    callback(event)
-                callbacks.clear()
-                pool.append(event)
-            else:
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            pool = self._pool
+            while True:
+                q = self._queue
+                if q.__class__ is not list:
+                    break  # promoted: drop into the calendar loop below
+                if not q or q[0][0] > deadline:
+                    return
+                when, _priority, _seq, event = heappop(q)
+                # Inlined step() body — keep in sync.
+                self._now = when
+                if event._pooled:
+                    callbacks = event.callbacks
+                    event._processed = True
                     for callback in callbacks:
                         callback(event)
-                if event._exception is not None and not event.defused:
-                    raise event._exception
-        # Calendar steady state: the structure never reverts, so this loop
-        # drops the per-event class check.
-        while True:
-            # Inlined CalendarQueue pop fast path — keep in sync.
-            active = q._active
-            ai = q._ai
-            if ai < len(active):
-                entry = active[ai]
-                when = entry[0]
-                if when > deadline:
-                    return
-                q._ai = ai + 1
-                q._len -= 1
-                event = entry[3]
-            else:
-                if not q._len or q.peek_time() > deadline:
-                    return
-                when, _priority, _seq, event = q.pop()
-            # Inlined step() body — keep in sync.
-            self._now = when
-            if event._pooled:
-                callbacks = event.callbacks
-                event._processed = True
-                for callback in callbacks:
-                    callback(event)
-                callbacks.clear()
-                pool.append(event)
-            else:
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks:
+                    callbacks.clear()
+                    pool.append(event)
+                else:
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    event._processed = True
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(event)
+                    if event._exception is not None and not event.defused:
+                        raise event._exception
+            # Calendar steady state: the structure never reverts, so this loop
+            # drops the per-event class check.
+            while True:
+                # Inlined CalendarQueue pop fast path — keep in sync.
+                active = q._active
+                ai = q._ai
+                if ai < len(active):
+                    entry = active[ai]
+                    when = entry[0]
+                    if when > deadline:
+                        return
+                    q._ai = ai + 1
+                    q._len -= 1
+                    event = entry[3]
+                else:
+                    if not q._len or q.peek_time() > deadline:
+                        return
+                    when, _priority, _seq, event = q.pop()
+                # Inlined step() body — keep in sync.
+                self._now = when
+                if event._pooled:
+                    callbacks = event.callbacks
+                    event._processed = True
                     for callback in callbacks:
                         callback(event)
-                if event._exception is not None and not event.defused:
-                    raise event._exception
+                    callbacks.clear()
+                    pool.append(event)
+                else:
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    event._processed = True
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(event)
+                    if event._exception is not None and not event.defused:
+                        raise event._exception
+        finally:
+            if collecting:
+                gc.enable()

@@ -542,17 +542,21 @@ class Network:
         if rpc is not None:
             self._pending_rpc[message.msg_id] = rpc
         if timeout is not None:
-
-            def _expire(_event: Event) -> None:
-                if waiter.triggered:
-                    return
-                self._pending.pop(message.msg_id, None)
-                rpc_span = self._pending_rpc.pop(message.msg_id, None)
-                if rpc_span is not None and self.spans is not None:
-                    self.spans.finish(rpc_span, self.env.now, status="timeout")
-                if self.faults is not None:
-                    self.faults.on_timeout()
-                waiter.fail(RequestTimeout(f"{kind} {src}->{dst} timed out after {timeout}"))
-
-            self.env.defer(timeout, _expire)
+            # A plain tuple through the timer's value, not a closure: the
+            # timer outlives an answered RPC by up to ``timeout`` units and
+            # must not pin the request message, its payload or the waiter.
+            self.env.defer(timeout, self._expire_rpc, (message.msg_id, kind, src, dst, timeout))
         return waiter
+
+    def _expire_rpc(self, timer: Event) -> None:
+        """RPC timer: fail the waiter unless the reply got there first."""
+        msg_id, kind, src, dst, timeout = timer.value
+        waiter = self._pending.pop(msg_id, None)
+        if waiter is None:  # answered: reply delivery popped it
+            return
+        rpc_span = self._pending_rpc.pop(msg_id, None)
+        if rpc_span is not None and self.spans is not None:
+            self.spans.finish(rpc_span, self.env.now, status="timeout")
+        if self.faults is not None:
+            self.faults.on_timeout()
+        waiter.fail(RequestTimeout(f"{kind} {src}->{dst} timed out after {timeout}"))

@@ -66,6 +66,17 @@ class Process(Event):
         """The event this process is currently waiting on (or ``None``)."""
         return self._target
 
+    def _note_crossing(self, exc: BaseException, waiting_at: Any) -> None:
+        """Record on ``exc`` that it passed through this process uncaught."""
+        where = ""
+        if waiting_at is not None:
+            code = waiting_at.tb_frame.f_code
+            where = f" at {code.co_filename}:{waiting_at.tb_lineno} in {code.co_name}"
+        notes = getattr(exc, "__notes__", None)
+        if notes is None:
+            exc.__notes__ = notes = []  # type: ignore[attr-defined]
+        notes.append(f"passed through process {self.name!r}{where}")
+
     # -- interrupt ---------------------------------------------------------
 
     def interrupt(self, cause: Any = None) -> None:
@@ -86,6 +97,30 @@ class Process(Event):
         event.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
+        """Step the generator until it waits on an unprocessed event.
+
+        Exceptions are stored so that a failed event is never part of a
+        reference cycle and dies by reference count like everything else a
+        run drops:
+
+        * a crashed generator's exception becomes this process's failure
+          with the kernel's own frame stripped from its traceback (that
+          frame holds ``self``: process -> exception -> traceback -> frame
+          -> process); the generator's frames stay, for debugging (from
+          Python 3.12 on they hold the stack below them too, see next
+          point: there a crashed process that something keeps is still
+          the collector's);
+        * an exception thrown into the generator picks up the waiter's
+          frames, and a waiter's locals usually hold the very event that
+          stores the exception; from Python 3.12 on a finished generator
+          frame also keeps its ``f_back``, i.e. this frame and through it
+          the whole stack down to whoever owns the world.  So the
+          exception leaves with the traceback it arrived with, whether the
+          waiter handled it or let it through.  A failure that crosses
+          processes still says which ones: each adds a note
+          (``__notes__``, printed with the traceback from 3.11 on) naming
+          itself and the line it was waiting at.
+        """
         if event is not self._wake or self._triggered:
             return  # stale wake-up from an abandoned wait target
         self._wake = None
@@ -93,17 +128,28 @@ class Process(Event):
         self.env._active_process = self
         try:
             while True:
+                thrown = event._exception
                 try:
-                    if event.exception is None:
+                    if thrown is None:
                         target = self._generator.send(event.value if event.triggered else None)
                     else:
                         event.defused = True
-                        target = self._generator.throw(event.exception)
+                        arrived_with = thrown.__traceback__
+                        target = self._generator.throw(thrown)
+                        thrown.__traceback__ = arrived_with
                 except StopIteration as stop:
+                    if thrown is not None:
+                        thrown.__traceback__ = arrived_with
                     self.succeed(stop.value)
                     return
                 except BaseException as exc:  # generator crashed
-                    self.fail(exc)
+                    crash_site = exc.__traceback__.tb_next
+                    if exc is thrown:  # let through: nothing of ours stays on it
+                        self._note_crossing(exc, None if crash_site is arrived_with else crash_site)
+                        crash_site = arrived_with
+                    elif thrown is not None:
+                        thrown.__traceback__ = arrived_with
+                    self.fail(exc.with_traceback(crash_site))
                     return
                 if not isinstance(target, Event):
                     error = SimulationError(f"process yielded a non-event: {target!r}")

@@ -64,6 +64,7 @@ def run_one(
     run = collect_run(cluster)
     report = check_run(run)
     cluster.metrics.verification.on_report(report)
+    cluster.close()  # only the row leaves
     committed = sum(1 for meta in run.transactions.values() if meta.committed)
     return {
         "approach": approach,

@@ -93,6 +93,8 @@ class Cluster:
     topology: Optional[RegionTopology] = None
     #: Keyspace shard map (multi-region clusters only).
     shards: Optional[ShardMap] = None
+    #: Set by :meth:`close`; a closed cluster is read-only.
+    closed: bool = False
 
     # -- lookups ---------------------------------------------------------------
 
@@ -172,6 +174,7 @@ class Cluster:
         tm_index: int = 0,
     ) -> Process:
         """Submit a transaction to a TM; returns the driving process."""
+        self._require_open()
         if isinstance(approach, str):
             approach = get_approach(approach)
         return self.tms[tm_index].submit(txn, approach, consistency)
@@ -189,7 +192,42 @@ class Cluster:
 
     def run(self, until: Optional[float] = None) -> None:
         """Advance the whole simulation."""
+        self._require_open()
         self.env.run(until=until)
+
+    # -- end of life ------------------------------------------------------------
+
+    def close(self) -> None:
+        """End the simulated world's life; what it recorded stays readable.
+
+        A wired world is cyclic by construction — ``network.nodes`` holds
+        the nodes and every node holds the network; the kernel queue holds
+        events and every event holds the kernel; an installed nemesis holds
+        the cluster and hangs off ``network.chaos`` — so dropping the last
+        reference to a cluster frees nothing until the cyclic collector
+        happens to walk it.  ``close()`` cuts exactly those links: it
+        empties ``network.nodes`` and ``network.chaos`` and drops the
+        kernel's pending events and timeout pool, after which everything
+        dies by reference count the moment the cluster is let go.
+
+        Results are untouched: ``metrics``, ``servers``, ``tms``, WALs,
+        storage and access logs, ``tracer``, ``obs`` and
+        ``master.version_log`` read exactly as before, so :meth:`verify`
+        and ``repro.verify.collect_run`` work on a closed cluster.  Only
+        simulating is over: :meth:`run`, :meth:`submit` and
+        :meth:`run_transaction` raise :class:`SimulationError`.
+        Idempotent.  Helpers that build a cluster and return only results
+        (``run_case``, ``run_point``) call it; a caller that keeps the
+        cluster decides for itself.
+        """
+        self.closed = True
+        self.network.nodes.clear()
+        self.network.chaos = None
+        self.env.close()
+
+    def _require_open(self) -> None:
+        if self.closed:
+            raise SimulationError("cluster is closed: its results are readable, its world is gone")
 
     # -- verification ------------------------------------------------------------
 

@@ -57,6 +57,88 @@ class TestConflictGraph:
         assert build_conflict_graph([engine], {"t1"}) == []
 
 
+def recursive_find_cycle(edges):
+    """``find_cycle`` as it was before it became iterative (the oracle)."""
+    adjacency = {}
+    for edge in edges:
+        adjacency.setdefault(edge.earlier, set()).add(edge.later)
+        adjacency.setdefault(edge.later, set())
+
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = {node: WHITE for node in adjacency}
+    path = []
+
+    def dfs(node):
+        colour[node] = GREY
+        path.append(node)
+        for neighbour in sorted(adjacency[node]):
+            if colour[neighbour] is GREY:
+                return path[path.index(neighbour) :] + [neighbour]
+            if colour[neighbour] is WHITE:
+                found = dfs(neighbour)
+                if found is not None:
+                    return found
+        path.pop()
+        colour[node] = BLACK
+        return None
+
+    for node in adjacency:
+        if colour[node] is WHITE:
+            found = dfs(node)
+            if found is not None:
+                return found
+    return None
+
+
+def chain(length, close=False):
+    names = [f"t{index:05d}" for index in range(length)]
+    edges = [ConflictEdge(a, b, "x", "ww") for a, b in zip(names, names[1:])]
+    if close:
+        edges.append(ConflictEdge(names[-1], names[0], "x", "rw"))
+    return names, edges
+
+
+class TestCycleDetectionAtTraceScale:
+    """A precedence chain is as long as the trace; the search must not be
+    bounded by the interpreter's recursion limit."""
+
+    def test_long_chain_is_a_dag(self):
+        _, edges = chain(5000)
+        assert find_cycle(edges) is None
+        assert find_cycle(list(reversed(edges))) is None  # deepest node first
+
+    def test_long_ring_reports_the_whole_ring(self):
+        names, edges = chain(5000, close=True)
+        assert find_cycle(edges) == names + [names[0]]
+
+    def test_ring_matches_the_recursive_search(self):
+        _, edges = chain(500, close=True)
+        assert find_cycle(edges) == recursive_find_cycle(edges)
+        rotated = edges[137:] + edges[:137]  # start the search mid-ring
+        assert find_cycle(rotated) == recursive_find_cycle(rotated)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs_match_the_recursive_search(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        nodes = [f"t{index}" for index in range(rng.randint(2, 30))]
+        edges = []
+        for _ in range(rng.randint(1, 3 * len(nodes))):
+            a, b = rng.sample(nodes, 2)
+            if rng.random() < 0.6:
+                a, b = sorted((a, b))  # mostly forward edges: some graphs stay acyclic
+            edges.append(ConflictEdge(a, b, "x", "ww"))
+        assert find_cycle(edges) == recursive_find_cycle(edges)
+
+    def test_no_nested_function(self):
+        import types
+
+        nested = [c for c in find_cycle.__code__.co_consts if isinstance(c, types.CodeType)]
+        # Comprehensions are code objects before 3.12; a ``def`` or ``lambda`` is the point.
+        assert [c.co_name for c in nested if not c.co_name.endswith(("comp>", "<genexpr>"))] == []
+
+
 class TestCycleDetection:
     def test_dag_has_no_cycle(self):
         edges = [ConflictEdge("a", "b", "x", "ww"), ConflictEdge("b", "c", "x", "ww")]

@@ -161,6 +161,72 @@ class TestFailures:
         assert env.run(until=env.process(body())) == "survived"
 
 
+class TestAnsweredRpcIsNotPinned:
+    """The RPC timer outlives an answered request by up to ``timeout``
+    units; it must not keep the request message, its payload or the waiter
+    alive for that long (it used to be a closure over all three)."""
+
+    @staticmethod
+    def reachable_from(root):
+        import gc
+        import types
+
+        def referents(obj):
+            if isinstance(obj, types.FunctionType):  # what it captured, not its module
+                return list(obj.__closure__ or ())
+            return gc.get_referents(obj)
+
+        seen = {id(root): root}
+        frontier = [root]
+        while frontier:
+            for referent in referents(frontier.pop()):
+                if id(referent) not in seen and not isinstance(referent, (type, types.ModuleType)):
+                    seen[id(referent)] = referent
+                    frontier.append(referent)
+        return list(seen.values())
+
+    def test_kernel_queue_forgets_the_request_once_replied(self, env, network):
+        network.register(Echo())
+        client = network.register(Client())
+        sent = []
+        network.message_hook = type("Hook", (), {"on_message": staticmethod(sent.append)})
+
+        def body():
+            reply = yield client.request("echo", "ping", "test", timeout=500, n=1)
+            return reply["n"]
+
+        assert env.run(until=env.process(body())) == 2
+        request, reply = sent
+        assert (request.kind, reply.reply_to) == ("ping", request.msg_id)
+        assert env.peek() == 500  # the timer is still queued
+        pinned = self.reachable_from(env._queue)
+        assert not any(obj is request or obj is request.payload for obj in pinned)
+        assert not any(isinstance(obj, Message) for obj in pinned)
+        env.run()  # the timer fires into nothing
+        assert env.now == 500 and network._pending == {}
+
+    def test_timed_out_rpc_fails_with_the_same_text(self, env, network):
+        network.register(Echo())
+        client = network.register(Client())
+        network.fail_link("client", "echo")
+        waiter = client.request("echo", "ping", "test", timeout=7.5, n=1)
+        waiter.defused = True
+        env.run()
+        assert isinstance(waiter.exception, RequestTimeout)
+        assert str(waiter.exception) == "ping client->echo timed out after 7.5"
+        assert network._pending == {} and network._pending_rpc == {}
+
+    def test_request_has_no_nested_function(self):
+        import inspect
+        import types
+
+        for function in (Network.request, Network._expire_rpc):
+            nested = [c for c in function.__code__.co_consts if isinstance(c, types.CodeType)]
+            # Comprehensions are code objects before 3.12; a ``def`` or ``lambda`` is the point.
+            nested = [c.co_name for c in nested if not c.co_name.endswith(("comp>", "<genexpr>"))]
+            assert nested == [], inspect.getsource(function)
+
+
 class TestAccounting:
     def test_message_hook_sees_every_send(self, env):
         class Hook:

@@ -117,6 +117,157 @@ class TestFailures:
             env.run(until=process)
 
 
+def traceback_functions(exc):
+    names, tb = [], exc.__traceback__
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    return names
+
+
+class TestStoredExceptionsFormNoCycle:
+    """A failed event is never part of a reference cycle: its exception is
+    stored without the kernel frame (which holds the process) and without
+    the frames of any waiter it was thrown into (a waiter's locals hold the
+    failed event)."""
+
+    def test_crash_site_stays_and_the_kernel_frame_goes(self, env):
+        def helper():
+            raise ValueError("boom")
+
+        def body():
+            yield env.timeout(1)
+            helper()
+
+        process = env.process(body())
+        process.defused = True
+        env.run()
+        assert traceback_functions(process.exception) == ["body", "helper"]
+
+    def test_a_catching_waiter_leaves_no_frame_behind(self, env):
+        def crasher():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        def waiter(target):
+            try:
+                yield target
+            except ValueError as caught:
+                seen.append(traceback_functions(caught))
+            yield env.timeout(1)
+
+        seen = []
+        target = env.process(crasher())
+        env.process(waiter(target))
+        env.run()
+        assert seen == [["waiter", "crasher"]]  # the handler sees where it is
+        assert traceback_functions(target.exception) == ["crasher"]
+
+    def test_a_waiter_that_catches_and_returns_leaves_no_frame_behind(self, env):
+        def crasher():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        def waiter(target):
+            try:
+                yield target
+            except ValueError:
+                return "handled"
+
+        target = env.process(crasher())
+        waiting = env.process(waiter(target))
+        env.run()
+        assert waiting.value == "handled"
+        assert traceback_functions(target.exception) == ["crasher"]
+
+    def test_a_failure_crossing_processes_names_every_process_it_crossed(self, env):
+        """No waiter's frame stays on the traceback (its locals hold the
+        failed event, and from Python 3.12 on its ``f_back`` holds the
+        kernel's frame and the whole stack below it); a note per crossing
+        says who let it through, and where they were waiting."""
+
+        def crasher():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        def middle(target):
+            events = [target]  # what a waiter's locals usually hold
+            yield env.all_of(events)
+
+        def outer(target):
+            try:
+                yield target
+            except ValueError:
+                raise  # re-raised, not replaced
+
+        first = env.process(crasher())
+        second = env.process(middle(first), name="relay")
+        third = env.process(outer(second))
+        third.defused = True
+        env.run()
+        assert first.exception is second.exception is third.exception
+        assert traceback_functions(third.exception) == ["crasher"]
+        notes = third.exception.__notes__
+        assert [note.split(" at ")[0] for note in notes] == [
+            "passed through process 'relay'",
+            "passed through process 'outer'",
+        ]
+        assert all(__file__ in note for note in notes)
+        assert notes[0].endswith("in middle") and notes[1].endswith("in outer")
+        assert str(third.exception) == "boom"  # the message itself is untouched
+
+    def test_a_crossing_failure_dies_by_reference_count(self):
+        """The failure is a timer's, as a timed-out RPC's is: no frame of
+        its own, so all it could pick up is the waiters' (a crash site's
+        frames keep the stack below them alive from Python 3.12 on)."""
+        import gc
+        import weakref
+
+        class Boom(Exception):
+            pass
+
+        def waiter(env, target):
+            events = [target]
+            yield env.all_of(events)
+
+        def world():
+            env = Environment()
+            failing = env.event()
+            env.defer(1.0, lambda _event: failing.fail(Boom()))
+            second = env.process(waiter(env, env.process(waiter(env, failing))))
+            second.defused = True
+            env.run()
+            assert len(second.exception.__notes__) == 2
+            return weakref.ref(second.exception)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert world()() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_an_exception_raised_while_handling_keeps_its_context(self, env):
+        def crasher():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        def translator(target):
+            try:
+                yield target
+            except ValueError as caught:
+                raise KeyError("translated") from caught
+
+        first = env.process(crasher())
+        second = env.process(translator(first))
+        second.defused = True
+        env.run()
+        assert traceback_functions(second.exception) == ["translator"]
+        assert second.exception.__cause__ is first.exception
+        assert traceback_functions(first.exception) == ["crasher"]
+
+
 class TestInterrupts:
     def test_interrupt_is_catchable(self, env):
         def body():

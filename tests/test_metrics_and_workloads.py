@@ -53,6 +53,40 @@ class TestMessageCounters:
         assert counters.protocol_for_txn("t1") == 1
         assert counters.breakdown_for_txn("t1") == {CAT_VOTE: 1}
 
+    def test_one_counter_per_transaction_not_per_message(self, monkeypatch):
+        """``on_message`` runs per send: it must construct a per-transaction
+        counter on a miss only (it used to build and drop one per message)."""
+        import repro.metrics.counters as counters_module
+
+        constructed = []
+
+        class CountingCounter(counters_module.Counter):
+            def __init__(self, *args, **kwargs):
+                constructed.append(1)
+                super().__init__(*args, **kwargs)
+
+        counters = MessageCounters()
+        monkeypatch.setattr(counters_module, "Counter", CountingCounter)
+        for index in range(1000):
+            category = CAT_VOTE if index % 2 else CAT_DECISION
+            counters.on_message(message(category, f"t{index % 10}", msg_id=index))
+        assert len(constructed) == 10
+        assert counters.total() == counters.protocol_total() == 1000
+        assert counters.for_txn("t3") == 100
+        assert counters.breakdown_for_txn("t3") == {CAT_VOTE: 100}
+        assert counters.breakdown_for_txn("t4") == {CAT_DECISION: 100}
+        assert len(counters.by_txn) == 10
+
+    def test_release_txn_forgets_the_breakdown_and_keeps_the_totals(self):
+        metrics = Metrics(streaming=True)
+        for _ in range(3):
+            metrics.on_message(message(CAT_VOTE, "t1"))
+        metrics.release_txn("t1")
+        assert metrics.messages.for_txn("t1") == 0
+        assert metrics.messages.total() == 3
+        metrics.on_message(message(CAT_VOTE, "t1"))  # a straggler starts afresh
+        assert metrics.messages.breakdown_for_txn("t1") == {CAT_VOTE: 1}
+
     def test_metrics_bundle_routes_hook(self):
         metrics = Metrics()
         metrics.on_message(message(CAT_VOTE, "t1"))
