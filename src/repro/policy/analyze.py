@@ -856,9 +856,11 @@ def changed_predicates(old: RuleSet, new: RuleSet) -> FrozenSet[str]:
     a predicate none of whose defining rules changed derives exactly the
     same atoms from any fixed fact base.
     """
-    old_rules, new_rules = set(old.rules), set(new.rules)
+    if old is new:
+        return frozenset()
     return frozenset(
-        rule.head.predicate for rule in old_rules.symmetric_difference(new_rules)
+        rule.head.predicate
+        for rule in old.distinct_rules.symmetric_difference(new.distinct_rules)
     )
 
 

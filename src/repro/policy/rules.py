@@ -402,6 +402,14 @@ class _IndexedRule:
         )
 
 
+#: (predicate, arity) → rules whose head's first argument is a variable (or
+#: the head is nullary): candidates for *every* goal of that functor.
+_HeadOpen = Dict[Tuple[str, int], List[_IndexedRule]]
+#: (predicate, arity, ground first arg) → rules discriminated by their
+#: head's first argument.
+_HeadFirst = Dict[Tuple[str, int, Term], List[_IndexedRule]]
+
+
 class _ProveState:
     """Per-``prove()`` scratch state: table, counters, truncation tracking."""
 
@@ -437,35 +445,33 @@ class _ProveState:
 
 
 class RuleSet:
-    """An immutable collection of rules with an indexed, tabled prover."""
+    """A logically immutable collection of rules with an indexed, tabled prover.
+
+    The tuple of rules is all a rule set *is*: equality, hashing and every
+    verdict depend on nothing else.  The head indexes, the merged candidate
+    lists and the set of distinct rules are caches filled on first use, so
+    a policy version that is published but never proved against (most of
+    them, under policy churn) costs its tuple and nothing more.
+    """
 
     def __init__(self, rules: Iterable[Rule]) -> None:
         self._rules: Tuple[Rule, ...] = tuple(rules)
-        self._by_head: Dict[str, List[Rule]] = {}
-        #: (predicate, arity) → rules whose head's first argument is a
-        #: variable (or the head is nullary): candidates for *every* goal
-        #: of that functor.
-        self._head_open: Dict[Tuple[str, int], List[_IndexedRule]] = {}
-        #: (predicate, arity, ground first arg) → rules discriminated by
-        #: their head's first argument.
-        self._head_first: Dict[Tuple[str, int, Term], List[_IndexedRule]] = {}
+        self._distinct: Optional[FrozenSet[Rule]] = None
+        self._heads: Optional[Tuple[_HeadOpen, _HeadFirst]] = None
         #: Memoized merged candidate lists (the rule set is immutable, so
         #: a (predicate, arity, first-arg) key always yields the same list).
         self._candidate_cache: Dict[Tuple[str, int, object], Sequence[_IndexedRule]] = {}
-        for position, rule in enumerate(self._rules):
-            self._by_head.setdefault(rule.head.predicate, []).append(rule)
-            indexed = _IndexedRule(position, rule)
-            key = (rule.head.predicate, len(rule.head.args))
-            if rule.head.args and not isinstance(rule.head.args[0], Variable):
-                self._head_first.setdefault(
-                    (key[0], key[1], rule.head.args[0]), []
-                ).append(indexed)
-            else:
-                self._head_open.setdefault(key, []).append(indexed)
 
     @property
     def rules(self) -> Tuple[Rule, ...]:
         return self._rules
+
+    @property
+    def distinct_rules(self) -> FrozenSet[Rule]:
+        """The rules as a set, built (and every rule hashed) at most once."""
+        if self._distinct is None:
+            self._distinct = frozenset(self._rules)
+        return self._distinct
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -475,6 +481,22 @@ class RuleSet:
 
     def __hash__(self) -> int:
         return hash(self._rules)
+
+    def _head_indexes(self) -> Tuple[_HeadOpen, _HeadFirst]:
+        """Both head indexes, built in rule-set order on the first call."""
+        if self._heads is not None:
+            return self._heads
+        head_open: _HeadOpen = {}
+        head_first: _HeadFirst = {}
+        for position, rule in enumerate(self._rules):
+            indexed = _IndexedRule(position, rule)
+            key = (rule.head.predicate, len(rule.head.args))
+            if rule.head.args and not isinstance(rule.head.args[0], Variable):
+                head_first.setdefault((key[0], key[1], rule.head.args[0]), []).append(indexed)
+            else:
+                head_open.setdefault(key, []).append(indexed)
+        self._heads = (head_open, head_first)
+        return self._heads
 
     # -- candidate selection --------------------------------------------------
 
@@ -492,10 +514,11 @@ class RuleSet:
         cached = self._candidate_cache.get(cache_key)
         if cached is not None:
             return cached
+        head_open, head_first = self._head_indexes()
         key = (concrete.predicate, len(concrete.args))
-        open_rules = self._head_open.get(key, ())
+        open_rules = head_open.get(key, ())
         if cache_key[2] is not None:
-            first: Sequence[_IndexedRule] = self._head_first.get(
+            first: Sequence[_IndexedRule] = head_first.get(
                 (key[0], key[1], concrete.args[0]), ()
             )
         else:
@@ -504,7 +527,7 @@ class RuleSet:
             # ground); correctness over speed here.
             first = [
                 indexed
-                for (pred, arity, _arg0), bucket in self._head_first.items()
+                for (pred, arity, _arg0), bucket in head_first.items()
                 if pred == key[0] and arity == key[1]
                 for indexed in bucket
             ]

@@ -17,7 +17,7 @@ Do not optimize this module.  Its value is being boring.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.policy.rules import (
     MAX_DEPTH,
@@ -25,6 +25,7 @@ from repro.policy.rules import (
     EngineCounters,
     FactBase,
     ProofNode,
+    Rule,
     RuleSet,
     Substitution,
     node_substitute,
@@ -35,10 +36,16 @@ from repro.policy.rules import (
 class NaiveRuleSet(RuleSet):
     """A :class:`RuleSet` that proves with the original naive resolver.
 
-    Construction cost and the public API are identical to
-    :class:`RuleSet`; only the search strategy differs.  Use
-    :func:`naive_view` to borrow an existing rule set's rules.
+    The public API is identical to :class:`RuleSet`; only the search
+    strategy differs, and the by-predicate rule map it scans is its own.
+    Use :func:`naive_view` to borrow an existing rule set's rules.
     """
+
+    def __init__(self, rules: Iterable[Rule]) -> None:
+        super().__init__(rules)
+        self._by_head: Dict[str, List[Rule]] = {}
+        for rule in self.rules:
+            self._by_head.setdefault(rule.head.predicate, []).append(rule)
 
     def prove(
         self,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -28,6 +29,10 @@ from repro.policy.analyze import (
     parse_clauses,
 )
 from repro.policy.parser import parse_rules
+from repro.policy.policy import Policy, PolicyId
+from repro.policy.rules import Atom, Rule, RuleSet, Variable
+from repro.workloads.testbed import MEMBER_ROLE, member_policy_rules
+from repro.workloads.updates import benign_successor, restricting_successor
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -261,6 +266,189 @@ def test_diff_impact_flags_roots_only_when_reachable():
     assert diff_impact(old, root_hit).roots_affected
     assert not diff_impact(old, side_only).roots_affected
     assert diff_impact(old, side_only).changed == frozenset({"audit"})
+
+
+# -- the diff against its oracle ----------------------------------------------------
+#
+# ``changed_predicates`` is one ``symmetric_difference`` of two sets that each
+# ``RuleSet`` builds at most once (``RuleSet.distinct_rules``).  The oracle is
+# the function it replaced, which rebuilt both sets on every call; the harness
+# below holds the two equal on every kind of pair, asks every pair four times
+# (twice, in both argument orders) and re-uses rule sets across pairs, so a
+# cached set that goes stale or ends up on the wrong side shows.
+
+
+def _oracle_changed_predicates(old: RuleSet, new: RuleSet):
+    """The parent's ``changed_predicates``, verbatim."""
+    old_rules, new_rules = set(old.rules), set(new.rules)
+    return frozenset(
+        rule.head.predicate for rule in old_rules.symmetric_difference(new_rules)
+    )
+
+
+def _rule_pool():
+    """40 distinct rules over 10 head predicates: ground facts and Horn rules."""
+    x, y = Variable("X"), Variable("Y")
+    pool = []
+    for index in range(40):
+        head = f"p{index % 10}"
+        if index % 4 == 0:
+            pool.append(Rule(Atom(head, (f"c{index}",))))
+        elif index % 4 == 1:
+            pool.append(Rule(Atom(head, (x,)), (Atom(f"q{index}", (x,)),)))
+        else:
+            pool.append(
+                Rule(Atom(head, (x, y)), (Atom(f"q{index}", (x,)), Atom(f"r{index % 3}", (y,))))
+            )
+    assert len(set(pool)) == 40
+    return pool
+
+
+def _rebuilt(rule: Rule) -> Rule:
+    """An equal rule made of fresh ``Rule`` and ``Atom`` objects."""
+    return Rule(
+        Atom(rule.head.predicate, rule.head.args),
+        tuple(Atom(atom.predicate, atom.args) for atom in rule.body),
+    )
+
+
+def _diff_pairs(seed: int):
+    """Fresh ``(kind, old, new)`` pairs; rule sets recur across pairs on purpose."""
+    rng = random.Random(seed)
+    pool = _rule_pool()
+    pairs = []
+    for _ in range(12):
+        base = rng.sample(pool, rng.randint(3, 25))
+        spare = [rule for rule in pool if rule not in base]
+        old = RuleSet(base)
+        victim = rng.randrange(len(base))
+        rewritten = list(base)
+        rewritten[victim] = Rule(
+            base[victim].head, base[victim].body + (Atom("extra", (base[victim].head.args[0],)),)
+        )
+        shuffled = list(base)
+        rng.shuffle(shuffled)
+        pairs += [
+            ("added", old, RuleSet(base + [rng.choice(spare)])),
+            ("removed", old, RuleSet(base[:victim] + base[victim + 1:])),
+            ("rewritten", old, RuleSet(rewritten)),
+            ("reordered", old, RuleSet(shuffled)),
+            ("duplicated", old, RuleSet(base + [base[victim]])),
+            ("duplicated+removed", RuleSet(base + [base[0]]), RuleSet(base[1:] + [base[-1]])),
+            ("disjoint", old, RuleSet(rng.sample(spare, min(len(spare), len(base))))),
+            ("equal, distinct objects", old, RuleSet([_rebuilt(rule) for rule in base])),
+            ("same object", old, old),
+            ("empty", old, RuleSet([])),
+        ]
+
+    def chain(first: Policy, successor, length: int):
+        versions = [first]
+        for step in range(length):
+            versions.append(versions[-1].successor(successor(versions[-1], step)))
+        return [policy.rules for policy in versions]
+
+    first = Policy(PolicyId("app"), 1, member_policy_rules([f"s1/x{j}" for j in range(8)]))
+    benign = chain(first, lambda policy, _step: benign_successor(policy), 50)
+    alternate = chain(
+        first,
+        lambda policy, step: restricting_successor(
+            policy, "auditor" if step % 2 == 0 else MEMBER_ROLE
+        ),
+        20,
+    )
+    for name, versions in (("benign", benign), ("alternate", alternate)):
+        for skip in (1, 2, 7, len(versions) - 1):
+            pairs += [
+                (f"{name} chain", versions[i], versions[i + skip])
+                for i in range(len(versions) - skip)
+            ]
+    return pairs
+
+
+def _mismatches(diff, seeds=(0, 1, 2)):
+    """The kinds of pair on which ``diff`` ever disagrees with the oracle."""
+    wrong = set()
+    for seed in seeds:
+        for kind, old, new in _diff_pairs(seed):
+            expected = _oracle_changed_predicates(old, new)
+            asked = ((old, new), (new, old), (old, new), (new, old))
+            if any(diff(a, b) != expected for a, b in asked):
+                wrong.add(kind)
+    return wrong
+
+
+def test_changed_predicates_agrees_with_the_parents_on_every_kind_of_pair():
+    assert {kind for kind, _, _ in _diff_pairs(0)} == {
+        "added", "removed", "rewritten", "reordered", "duplicated", "duplicated+removed",
+        "disjoint", "equal, distinct objects", "same object", "empty",
+        "benign chain", "alternate chain",
+    }
+    assert _mismatches(changed_predicates) == set()
+
+
+def _mutant_one_sided(old: RuleSet, new: RuleSet):
+    if old is new:
+        return frozenset()
+    return frozenset(
+        rule.head.predicate for rule in old.distinct_rules.difference(new.distinct_rules)
+    )
+
+
+def _mutant_wide_shortcut(old: RuleSet, new: RuleSet):
+    if old is new or len(old) == len(new):
+        return frozenset()
+    return frozenset(
+        rule.head.predicate
+        for rule in old.distinct_rules.symmetric_difference(new.distinct_rules)
+    )
+
+
+def _mutant_cache_on_the_other_side():
+    """A per-rule-set cache that files the set it built under the other argument.
+
+    Right the first time a pair is asked; the second ask reads the leak.
+    """
+    cached = {}  # id(rule set) -> (the rule set, pinning its id; "its" rules)
+
+    def distinct(rule_set: RuleSet):
+        entry = cached.get(id(rule_set))
+        return entry[1] if entry else frozenset(rule_set.rules)
+
+    def diff(old: RuleSet, new: RuleSet):
+        if old is new:
+            return frozenset()
+        old_set, new_set = distinct(old), distinct(new)
+        cached[id(new)] = (new, old_set)
+        return frozenset(
+            rule.head.predicate for rule in old_set.symmetric_difference(new_set)
+        )
+
+    return diff
+
+
+def test_the_diff_harness_catches_three_seeded_mutants():
+    assert {"added", "removed", "benign chain"} <= _mismatches(_mutant_one_sided)
+    assert {"rewritten", "disjoint", "alternate chain"} <= _mismatches(_mutant_wide_shortcut)
+    assert {"added", "rewritten", "benign chain"} <= _mismatches(_mutant_cache_on_the_other_side())
+    # The leak is why every pair is asked more than once: the first answer is right.
+    leaky = _mutant_cache_on_the_other_side()
+    a, b = RuleSet(_rule_pool()[:5]), RuleSet(_rule_pool()[3:9])
+    assert leaky(a, b) == _oracle_changed_predicates(a, b) != leaky(b, a)
+
+
+def test_diffing_a_rule_set_with_itself_hashes_nothing(monkeypatch):
+    rules, other = RuleSet(_rule_pool()), RuleSet(_rule_pool()[:-1])
+    hashed = []
+    original = Rule.__hash__
+    monkeypatch.setattr(
+        Rule, "__hash__", lambda self: hashed.append(1) or original(self)
+    )
+    assert changed_predicates(rules, rules) == frozenset()
+    assert hashed == []
+    for _ in range(3):
+        assert changed_predicates(rules, other) == frozenset({"p9"})
+        assert changed_predicates(other, rules) == frozenset({"p9"})
+    assert len(hashed) == len(rules) + len(other)  # once per rule set, ever
 
 
 # -- lenient grammar -------------------------------------------------------------

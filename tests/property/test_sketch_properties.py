@@ -15,6 +15,10 @@ so wide dynamic range plus ties is where an off-by-one in the key or rank
 arithmetic would surface first.
 """
 
+import functools
+import math
+import operator
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -63,7 +67,10 @@ class TestSingleSketchBound:
     def test_count_sum_min_max_exact(self, values):
         sketch = build(values, 0.01)
         assert sketch.count == len(values)
-        assert sketch.sum == sum(values)
+        # ``add`` accumulates left to right with ``+=``; builtin ``sum()`` of
+        # floats is compensated from Python 3.12 on, so it is not that sum.
+        assert sketch.sum == functools.reduce(operator.add, values, 0.0)
+        assert math.isclose(sketch.sum, math.fsum(values), rel_tol=1e-9)
         assert sketch.min == min(values)
         assert sketch.max == max(values)
 
