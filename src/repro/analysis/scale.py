@@ -86,9 +86,7 @@ class StaleCommitTracker:
                 self.stale_by_domain[domain] = self.stale_by_domain.get(domain, 0) + 1
             if len(self.stale_domains) < self.max_examples:
                 self.stale_domains[outcome.txn_id] = behind
-            live = self.cluster.metrics.live
-            if live is not None:
-                live.record_stale(outcome.finished_at)  # type: ignore[attr-defined]
+            self.cluster.metrics.stale_commit(outcome.finished_at)
 
     def _pop_context(self, txn_id: str):
         for tm in self.cluster.tms:

@@ -30,7 +30,7 @@ from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.sim.network import FixedLatency
 from repro.transactions.states import TxnStatus
-from repro.verify import check_run, collect_run
+from repro.verify import check_run, collect_run, dump_incident
 from repro.verify import report as rep
 from repro.workloads.generator import WorkloadSpec, uniform_transactions
 from repro.workloads.testbed import build_cluster
@@ -213,16 +213,7 @@ def run_case(case: FuzzCase, flight: bool = False) -> CaseResult:
 
     run = collect_run(cluster)
     report = check_run(run)
-    flight_recorder = getattr(cluster.metrics, "flight", None)
-    if report.violations and flight_recorder is not None and flight_recorder.enabled:
-        flight_recorder.dump(
-            reason=f"chaos: {', '.join(report.codes())}",
-            now=cluster.env.now,
-            violations=report,
-            metrics=cluster.metrics,
-            recorder=cluster.obs,
-            live=cluster.metrics.live,
-        )
+    dump_incident(cluster, report, f"chaos: {', '.join(report.codes())}")
 
     committed = aborted = 0
     for tm in cluster.tms:
@@ -251,7 +242,7 @@ def run_case(case: FuzzCase, flight: bool = False) -> CaseResult:
         aborted=aborted,
         unsafe_commits=unsafe,
         recovered_nodes=tuple(recovered),
-        bundles=list(flight_recorder.bundles) if flight_recorder is not None else [],
+        bundles=list(cluster.metrics.flight.bundles) if flight else [],
     )
 
 

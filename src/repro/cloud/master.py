@@ -17,11 +17,11 @@ under ``CAT_MASTER`` while the reply travels in a non-protocol category.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cloud import messages as msg
 from repro.errors import PolicyError
-from repro.obs.spans import KIND_SERVER, NULL_RECORDER, SpanRecorder
+from repro.obs.spans import KIND_SERVER
 from repro.policy.admin import PolicyAdministrator
 from repro.policy.policy import Policy, PolicyId
 from repro.sim.network import Message, Node
@@ -34,9 +34,8 @@ MASTER_REPLY_CATEGORY = "master.reply"
 class MasterVersionService(Node):
     """Knows the latest policy version (and body) per administrative domain."""
 
-    def __init__(self, name: str = "master", obs: Optional[SpanRecorder] = None) -> None:
+    def __init__(self, name: str = "master") -> None:
         super().__init__(name)
-        self.obs = obs if obs is not None else NULL_RECORDER
         self._latest: Dict[PolicyId, Policy] = {}
         #: Publication timeline per admin domain: ``(sim time, version)`` in
         #: publication order.  The authoritative ``ver(P)`` history — the
@@ -92,7 +91,8 @@ class MasterVersionService(Node):
         # span still marks *when* the master answered on the waterfall.
         parent = message.get("span_ctx")
         if parent is not None:
-            span = self.obs.start(
+            spans = self.metrics.spans
+            span = spans.start(
                 message.get("txn_id"),
                 "master.version",
                 KIND_SERVER,
@@ -101,7 +101,7 @@ class MasterVersionService(Node):
                 parent=parent,
                 domains=len(selected),
             )
-            self.obs.finish(span, self.env.now)
+            spans.finish(span, self.env.now)
         self.reply(
             message,
             msg.MASTER_VERSION_REPLY,

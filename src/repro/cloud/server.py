@@ -25,17 +25,7 @@ from repro.db.storage import StorageEngine
 from repro.db.wal import STREAMING_COMPACT_AT, LogRecordType, WriteAheadLog
 from repro.errors import DeadlockError, NetworkError, PolicyError, RequestTimeout
 from repro.metrics.counters import Metrics
-from repro.metrics.timeline import PROOF_EVAL
-from repro.obs.spans import (
-    KIND_CPU,
-    KIND_LOG,
-    KIND_PROOF,
-    KIND_SERVER,
-    NULL_RECORDER,
-    ParentRef,
-    Span,
-    SpanRecorder,
-)
+from repro.obs.spans import KIND_CPU, KIND_PROOF, KIND_SERVER, ParentRef, Span
 from repro.policy.credentials import CARegistry, CertificateAuthority, Credential
 from repro.policy.ocsp import fetch_statuses
 from repro.policy.policy import Operation, Policy, PolicyId
@@ -51,7 +41,7 @@ from repro.policy.store import PolicyStore
 from repro.sim.events import Event
 from repro.sim.network import Message, Node
 from repro.sim.resources import Resource
-from repro.sim.tracing import Tracer
+from repro.transactions.effects import force_log, request_with_retry
 from repro.transactions.states import Decision, Vote
 from repro.transactions.transaction import Query
 
@@ -101,8 +91,6 @@ class CloudServer(Node):
         config: CloudConfig,
         registry: CARegistry,
         metrics: Metrics,
-        tracer: Optional[Tracer] = None,
-        obs: Optional[SpanRecorder] = None,
         default_admin: str = "app",
         domain_of: Optional[Dict[str, str]] = None,
     ) -> None:
@@ -110,12 +98,10 @@ class CloudServer(Node):
         self.config = config
         self.registry = registry
         self.metrics = metrics
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.obs = obs if obs is not None else NULL_RECORDER
         # The access log exists for post-run isolation checks, which need a
         # retained trace anyway; untraced runs (streaming at scale) skip it
         # so storage memory stays bounded by live workspaces.
-        self.storage = StorageEngine(name, record_accesses=self.tracer.enabled)
+        self.storage = StorageEngine(name, record_accesses=metrics.tracer.enabled)
         self.constraints = ConstraintSet()
         self.policies = PolicyStore()
         self.wal = WriteAheadLog(
@@ -156,22 +142,8 @@ class CloudServer(Node):
     def _lock_manager(self) -> LockManager:
         if self.locks is None:
             assert self.env is not None, "server must be registered with a network"
-            self.locks = LockManager(
-                self.env,
-                self.name,
-                tracer=self.tracer,
-                obs=self.obs,
-                on_wait=self._on_lock_wait(),
-            )
+            self.locks = LockManager(self.env, self.name, self.metrics)
         return self.locks
-
-    def _on_lock_wait(self) -> Optional[Any]:
-        """Live-telemetry feed for resolved queued lock waits (or None)."""
-        live = self.metrics.live
-        if live is None:
-            return None
-        name = self.name  # not self: the lock manager this goes to is ours
-        return lambda waited, now: live.record_lock_wait(name, waited, now)
 
     def _cpu_resource(self) -> Optional[Resource]:
         """Lazily created compute-slot pool (None = unbounded)."""
@@ -198,22 +170,23 @@ class CloudServer(Node):
         With a ``trace_id``/``parent`` the stretch — including any wait for
         a compute slot — is recorded as a ``cpu`` span.
         """
+        spans = self.metrics.spans
         span = (
-            self.obs.start(trace_id, name, KIND_CPU, self.name, self.env.now, parent=parent)
-            if parent is not None and self.obs.enabled
+            spans.start(trace_id, name, KIND_CPU, self.name, self.env.now, parent=parent)
+            if parent is not None and spans.enabled
             else None
         )
         cpu = self._cpu_resource()
         if cpu is None:
             yield self.env.timeout(duration)
-            self.obs.finish(span, self.env.now)
+            spans.finish(span, self.env.now)
             return
         yield cpu.acquire()
         try:
             yield self.env.timeout(duration)
         finally:
             cpu.release()
-            self.obs.finish(span, self.env.now)
+            spans.finish(span, self.env.now)
 
     # -- setup helpers -----------------------------------------------------------
 
@@ -257,9 +230,9 @@ class CloudServer(Node):
         embedded span context; ``None`` when the message carries none (the
         trace is unsampled, or the sender was not instrumented)."""
         parent = message.get("span_ctx")
-        if parent is None or not self.obs.enabled:
+        if parent is None or not self.metrics.spans.enabled:
             return None
-        return self.obs.start(
+        return self.metrics.spans.start(
             message.get("txn_id"),
             name,
             KIND_SERVER,
@@ -313,22 +286,7 @@ class CloudServer(Node):
             )
             if duplicate is not None:
                 values = {item: self.storage.read(txn_id, item) for item in query.items}
-                policy = self.policies.current(duplicate.admin)
-                proof = duplicate.latest_proof
-                self.reply(
-                    message,
-                    msg.QUERY_RESULT,
-                    msg.CAT_QUERY,
-                    txn_id=txn_id,
-                    query_id=query.query_id,
-                    values=values,
-                    proof=proof,
-                    granted=(proof.granted if proof is not None else None),
-                    admin=duplicate.admin,
-                    version=policy.version,
-                    policy=policy,
-                    capabilities=[],
-                )
+                self._reply_result(message, duplicate, values, [])
                 return
             # Coordinator's view of what this server already executed for
             # the transaction.  Anything missing means a crash wiped the
@@ -341,15 +299,8 @@ class CloudServer(Node):
                 if query_id not in known
             ]
             if missing:
-                self._rollback_local(txn_id)
-                self.reply(
-                    message,
-                    msg.QUERY_DENIED,
-                    msg.CAT_QUERY,
-                    txn_id=txn_id,
-                    query_id=query.query_id,
-                    reason="state-lost",
-                    detail=f"prior queries lost in a crash: {', '.join(missing)}",
+                self._deny(
+                    message, "state-lost", f"prior queries lost in a crash: {', '.join(missing)}"
                 )
                 return
             locks = self._lock_manager()
@@ -364,16 +315,7 @@ class CloudServer(Node):
                         # Crash teardown failed the wait; a dead server
                         # neither rolls back (already done) nor replies.
                         return
-                    self._rollback_local(txn_id)
-                    self.reply(
-                        message,
-                        msg.QUERY_DENIED,
-                        msg.CAT_QUERY,
-                        txn_id=txn_id,
-                        query_id=query.query_id,
-                        reason="deadlock",
-                        detail=str(error),
-                    )
+                    self._deny(message, "deadlock", str(error))
                     return
 
             yield from self._consume_cpu(
@@ -391,16 +333,7 @@ class CloudServer(Node):
             # locks or executing; in that case the transaction's state is gone
             # and we must not recreate workspaces or locks for it.
             if self._txns.get(txn_id) is not state:
-                self._rollback_local(txn_id)
-                self.reply(
-                    message,
-                    msg.QUERY_DENIED,
-                    msg.CAT_QUERY,
-                    txn_id=txn_id,
-                    query_id=query.query_id,
-                    reason="aborted",
-                    detail="transaction aborted during execution",
-                )
+                self._deny(message, "aborted", "transaction aborted during execution")
                 return
 
             values: Dict[str, Any] = {}
@@ -433,23 +366,48 @@ class CloudServer(Node):
                         self.issue_capability(user, item, query.operation, self.env.now)
                     )
 
-            policy = self.policies.current(admin)
-            self.reply(
-                message,
-                msg.QUERY_RESULT,
-                msg.CAT_QUERY,
-                txn_id=txn_id,
-                query_id=query.query_id,
-                values=values,
-                proof=proof,
-                granted=(proof.granted if proof is not None else None),
-                admin=admin,
-                version=policy.version,
-                policy=policy,
-                capabilities=capabilities,
-            )
+            self._reply_result(message, executed, values, capabilities)
         finally:
-            self.obs.finish(span, self.env.now)
+            self.metrics.spans.finish(span, self.env.now)
+
+    def _reply_result(
+        self,
+        message: Message,
+        executed: _ExecutedQuery,
+        values: Dict[str, Any],
+        capabilities: List[Credential],
+    ) -> None:
+        """Answer an EXECUTE_QUERY: values, the latest proof, the policy in force."""
+        proof = executed.latest_proof
+        policy = self.policies.current(executed.admin)
+        self.reply(
+            message,
+            msg.QUERY_RESULT,
+            msg.CAT_QUERY,
+            txn_id=message["txn_id"],
+            query_id=executed.query.query_id,
+            values=values,
+            proof=proof,
+            granted=(proof.granted if proof is not None else None),
+            admin=executed.admin,
+            version=policy.version,
+            policy=policy,
+            capabilities=capabilities,
+        )
+
+    def _deny(self, message: Message, reason: str, detail: str) -> None:
+        """Refuse an EXECUTE_QUERY: roll the transaction back here, say why."""
+        txn_id = message["txn_id"]
+        self._rollback_local(txn_id)
+        self.reply(
+            message,
+            msg.QUERY_DENIED,
+            msg.CAT_QUERY,
+            txn_id=txn_id,
+            query_id=message["query"].query_id,
+            reason=reason,
+            detail=detail,
+        )
 
     def _evaluate(
         self,
@@ -471,8 +429,9 @@ class CloudServer(Node):
         critical path.
         """
         eval_started = self.env.now
+        spans = self.metrics.spans
         span = (
-            self.obs.start(
+            spans.start(
                 txn_id,
                 "proof.eval",
                 KIND_PROOF,
@@ -513,41 +472,8 @@ class CloudServer(Node):
             obs_span=span,
         )
         executed.latest_proof = proof
-        self.metrics.proofs.on_proof(self.name, txn_id)
-        if self.metrics.live is not None:
-            # Simulated span of the whole evaluation (OCSP round trip +
-            # CPU queueing + evaluation time), not just the fixed cost.
-            self.metrics.live.record_proof_eval(  # type: ignore[attr-defined]
-                self.name, phase, self.env.now - eval_started, self.env.now
-            )
-        if self.metrics.flight is not None:
-            self.metrics.flight.record(  # type: ignore[attr-defined]
-                self.name,
-                self.env.now,
-                "proof.eval",
-                txn_id=txn_id,
-                detail=(
-                    ("phase", phase),
-                    ("granted", proof.granted),
-                    ("version", proof.policy_version),
-                ),
-            )
-        # Guarded at the call site: with tracing off, building the
-        # eight-keyword details dict alone costs more than the whole proof
-        # bookkeeping above (micro-bench in docs/performance.md).
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.env.now,
-                PROOF_EVAL,
-                txn_id=txn_id,
-                server=self.name,
-                phase=phase,
-                query_id=executed.query.query_id,
-                granted=proof.granted,
-                version=proof.policy_version,
-                admin=proof.policy_id.admin,
-            )
-        self.obs.finish(span, self.env.now, granted=proof.granted, version=proof.policy_version)
+        self.metrics.proof_evaluated(txn_id, phase, proof, self.env.now - eval_started)
+        spans.finish(span, self.env.now, granted=proof.granted, version=proof.policy_version)
         return proof
 
     def _validation_report(
@@ -570,19 +496,14 @@ class CloudServer(Node):
             return {"truth": False, "versions": {}, "policies": {}, "proofs": []}
         proofs: List[ProofOfAuthorization] = []
         snapshot: Dict[PolicyId, Policy] = {}
-        if state is not None:
-            for executed in state.queries:
-                if executed.admin not in snapshot:
-                    snapshot[executed.admin] = self.policies.current(executed.admin)
-            for executed in state.queries:
-                proof = yield from self._evaluate(
-                    txn_id,
-                    executed,
-                    phase="commit",
-                    policy=snapshot[executed.admin],
-                    parent=parent,
-                )
-                proofs.append(proof)
+        for executed in state.queries:
+            if executed.admin not in snapshot:
+                snapshot[executed.admin] = self.policies.current(executed.admin)
+        for executed in state.queries:
+            proof = yield from self._evaluate(
+                txn_id, executed, phase="commit", policy=snapshot[executed.admin], parent=parent
+            )
+            proofs.append(proof)
         truth = all(proof.granted for proof in proofs)
         versions: Dict[PolicyId, int] = {
             admin: policy.version for admin, policy in snapshot.items()
@@ -606,7 +527,7 @@ class CloudServer(Node):
                 return
             self.reply(message, msg.VALIDATE_REPLY, msg.CAT_VOTE, txn_id=txn_id, **report)
         finally:
-            self.obs.finish(
+            self.metrics.spans.finish(
                 span, self.env.now, truth=report["truth"] if report is not None else None
             )
 
@@ -622,7 +543,7 @@ class CloudServer(Node):
                 return
             self.reply(message, msg.POLICY_UPDATED, msg.CAT_UPDATE, txn_id=txn_id, **report)
         finally:
-            self.obs.finish(span, self.env.now)
+            self.metrics.spans.finish(span, self.env.now)
 
     # -- 2PVC voting ---------------------------------------------------------------------
 
@@ -677,29 +598,23 @@ class CloudServer(Node):
 
             # "a participant must forcibly log the set of (vi, pi) tuples along
             # with its vote and truth value" (Section V-C).
-            log_span = (
-                self.obs.start(
-                    txn_id, "log.force", KIND_LOG, self.name, self.env.now, parent=span
-                )
-                if span is not None
-                else None
+            durable = yield from force_log(
+                self,
+                LogRecordType.PREPARED,
+                txn_id,
+                span,
+                lambda: dict(
+                    vote=vote.value,
+                    truth=report["truth"],
+                    versions={pid.admin: ver for pid, ver in report["versions"].items()},
+                    writes=dict(self.storage.workspace(txn_id).writes) if state is not None else {},
+                    coordinator=message.src,
+                ),
             )
-            yield self.env.timeout(self.config.log_force_time)
-            if self.is_down:
+            if not durable:
                 # Crashed before the force hit disk: no PREPARED record, no
                 # vote — presumed abort resolves the transaction.
                 return
-            self.wal.force(
-                LogRecordType.PREPARED,
-                txn_id,
-                self.env.now,
-                vote=vote.value,
-                truth=report["truth"],
-                versions={pid.admin: ver for pid, ver in report["versions"].items()},
-                writes=dict(self.storage.workspace(txn_id).writes) if state is not None else {},
-                coordinator=message.src,
-            )
-            self.obs.finish(log_span, self.env.now, record="prepared")
             reply_payload = {
                 "txn_id": txn_id,
                 "vote": vote,
@@ -712,7 +627,7 @@ class CloudServer(Node):
 
             self.reply(message, msg.VOTE_REPLY, msg.CAT_VOTE, **reply_payload)
         finally:
-            self.obs.finish(span, self.env.now)
+            self.metrics.spans.finish(span, self.env.now)
 
     # -- decision phase ------------------------------------------------------------------
 
@@ -739,22 +654,10 @@ class CloudServer(Node):
                 if ack:
                     self.reply(message, msg.DECISION_ACK, msg.CAT_DECISION, txn_id=txn_id)
                 return
-            record_type = (
-                LogRecordType.COMMIT if decision is Decision.COMMIT else LogRecordType.ABORT
-            )
+            record_type = LogRecordType.for_decision(decision)
             if force:
-                log_span = (
-                    self.obs.start(
-                        txn_id, "log.force", KIND_LOG, self.name, self.env.now, parent=span
-                    )
-                    if span is not None
-                    else None
-                )
-                yield self.env.timeout(self.config.log_force_time)
-                if self.is_down:
+                if not (yield from force_log(self, record_type, txn_id, span)):
                     return  # crashed before the force: decision not durable here
-                self.wal.force(record_type, txn_id, self.env.now)
-                self.obs.finish(log_span, self.env.now, record=record_type.value)
             else:
                 self.wal.append(record_type, txn_id, self.env.now)
 
@@ -768,7 +671,7 @@ class CloudServer(Node):
             if ack:
                 self.reply(message, msg.DECISION_ACK, msg.CAT_DECISION, txn_id=txn_id)
         finally:
-            self.obs.finish(span, self.env.now)
+            self.metrics.spans.finish(span, self.env.now)
 
     def _rollback_local(self, txn_id: str) -> None:
         """Unilateral local rollback (deadlock victim before voting)."""
@@ -833,34 +736,26 @@ class CloudServer(Node):
         single unanswered probe used to kill this process (and leave the
         participant in doubt, its locks and workspace pinned) forever.
         """
-        attempts = 0
-        while True:
-            try:
-                reply = yield self.request(
-                    coordinator,
-                    msg.DECISION_REQUEST,
-                    msg.CAT_RECOVERY,
-                    timeout=self.config.request_timeout,
-                    txn_id=txn_id,
-                )
-                break
-            except (RequestTimeout, NetworkError):
-                attempts += 1
-                if attempts > RECOVERY_MAX_RETRIES:
-                    self.metrics.faults.in_doubt_unresolved += 1
-                    return
-                self.metrics.faults.on_retry()
-                yield self.env.timeout(msg.rpc_backoff(attempts))
+        unreachable = (RequestTimeout, NetworkError)
+        try:
+            reply = yield from request_with_retry(
+                self,
+                RECOVERY_MAX_RETRIES,
+                unreachable,
+                coordinator,
+                msg.DECISION_REQUEST,
+                msg.CAT_RECOVERY,
+                timeout=self.config.request_timeout,
+                txn_id=txn_id,
+            )
+        except unreachable:
+            self.metrics.faults.in_doubt_unresolved += 1
+            return
         if self.is_down:
             return  # crashed again while waiting; the next recovery retries
         decision: Decision = reply["decision"]
-        yield self.env.timeout(self.config.log_force_time)
-        if self.is_down:
+        if not (yield from force_log(self, LogRecordType.for_decision(decision), txn_id)):
             return
-        record_type = (
-            LogRecordType.COMMIT if decision is Decision.COMMIT else LogRecordType.ABORT
-        )
-        self.wal.force(record_type, txn_id, self.env.now)
         if decision is Decision.COMMIT:
             self._redo_from_log(txn_id)
         self.wal.append(LogRecordType.END, txn_id, self.env.now)

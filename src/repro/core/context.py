@@ -86,6 +86,10 @@ class TxnContext:
             self.participants.append(server)
         self.queries_by_server.setdefault(server, []).append(query)
 
+    def active_participants(self) -> List[str]:
+        """Participants that executed at least one query, in first-contact order."""
+        return [server for server in self.participants if self.queries_by_server.get(server)]
+
     def record_proof(self, proof: ProofOfAuthorization) -> None:
         """Append to the view and update the per-query latest proof."""
         self.view.append(proof)

@@ -15,25 +15,27 @@ across all participants:
    collection phase repeats until versions agree, then any FALSE ⇒ ABORT,
    all TRUE ⇒ CONTINUE.
 
-The generator is driven by the transaction manager's process; ``tm`` is any
-object providing the coordinator surface (``env``, ``config``, ``request``,
-``fetch_master_versions`` — see :class:`repro.transactions.manager.TransactionManager`).
+The generator is driven by the transaction manager's process; ``tm`` is the
+coordinator surface of :class:`repro.transactions.manager.TransactionManager`
+(``env``, ``config``, ``metrics``, ``rpc_event``, ``fetch_master_versions``).
+The validation phase — fetch the master's word, compute targets, push
+``Update`` to whoever is behind, collect again — is :func:`repair_versions`,
+the one loop 2PV and 2PVC (:mod:`repro.core.twopvc`) both drive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Mapping, Optional
 
 from repro.cloud import messages as msg
 from repro.cloud.config import MasterFetchMode
 from repro.core.consistency import ConsistencyLevel
 from repro.core.context import TxnContext
 from repro.errors import AbortReason
-from repro.obs.spans import KIND_PHASE, NULL_RECORDER, PHASE_VALIDATE, SpanRecorder
+from repro.obs.spans import KIND_PHASE, PHASE_VALIDATE
 from repro.policy.policy import Policy, PolicyId
 from repro.sim.events import Event
-
 
 #: Safety valve on validation rounds (the paper leaves them unbounded): a
 #: transaction still chasing fresh policy versions after this many rounds
@@ -41,10 +43,40 @@ from repro.sim.events import Event
 MAX_VALIDATION_ROUNDS = 50
 
 
-def coordinator_recorder(tm: Any) -> SpanRecorder:
-    """The coordinator's span recorder, tolerating bare stubs in tests."""
-    obs = getattr(tm, "obs", None)
-    return obs if obs is not None else NULL_RECORDER
+class CoordinatorPhase:
+    """``with`` block for one coordinator phase (validate / commit).
+
+    Opens the phase span under the previous phase (Continuous runs 2PV
+    *during* execution, so the parent may be the execute phase) or the root,
+    makes it ``ctx.phase_span``, and on every exit path — request timeouts
+    included — closes it with the ``rounds`` reached and restores the
+    previous phase span, so a timeout cannot leak a stale parent.
+    """
+
+    def __init__(self, tm: Any, ctx: TxnContext, name: str, **attrs: Any) -> None:
+        self.tm = tm
+        self.ctx = ctx
+        #: Collection rounds completed so far (the span's ``rounds`` attribute).
+        self.rounds = 0
+        self.previous = ctx.phase_span
+        self.span = tm.metrics.spans.start(
+            ctx.txn_id,
+            name,
+            KIND_PHASE,
+            tm.name,
+            tm.env.now,
+            parent=self.previous if self.previous is not None else ctx.root_span,
+            **attrs,
+        )
+        if self.span is not None:
+            ctx.phase_span = self.span
+
+    def __enter__(self) -> "CoordinatorPhase":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.tm.metrics.spans.finish(self.span, self.tm.env.now, rounds=self.rounds)
+        self.ctx.phase_span = self.previous
 
 
 @dataclass
@@ -118,6 +150,85 @@ def find_outdated(
     return outdated
 
 
+def collect(
+    tm: Any,
+    ctx: TxnContext,
+    reports: Dict[str, Dict[str, Any]],
+    kind: str,
+    category: str,
+    payloads: Mapping[str, Mapping[str, Any]],
+) -> Generator[Event, Any, Dict[str, Any]]:
+    """One collection round: ``kind`` to every server of ``payloads`` at once.
+
+    Folds each reply into the coordinator state and ``reports``, in the order
+    of ``payloads``, and returns server → reply; fails with the first
+    :class:`~repro.errors.RequestTimeout` once the TM's retry budget is spent.
+    """
+    replies = yield tm.env.all_of(
+        [
+            tm.rpc_event(
+                server,
+                kind,
+                category,
+                timeout=tm.config.request_timeout,
+                span=ctx.phase_span or ctx.root_span,
+                txn_id=ctx.txn_id,
+                **payload,
+            )
+            for server, payload in payloads.items()
+        ]
+    )
+    for server, reply in zip(payloads, replies):
+        reports[server] = ingest_report(ctx, server, reply)
+    return dict(zip(payloads, replies))
+
+
+def repair_versions(
+    tm: Any,
+    ctx: TxnContext,
+    phase: CoordinatorPhase,
+    reports: Dict[str, Dict[str, Any]],
+    mode: MasterFetchMode,
+) -> Generator[Event, Any, Optional[AbortReason]]:
+    """The validation phase: Algorithm 1 steps 3–11, Algorithm 2 steps 5–14.
+
+    Until every participant's reported versions meet the targets: fetch the
+    master's versions (global consistency; once, or per round, by ``mode``),
+    push ``Update`` to the participants behind and fold their re-evaluated
+    reports into ``reports``, counting each round on ``phase``.  Returns
+    ``None`` when the versions agree and every proof is TRUE, otherwise why
+    the transaction must abort (``PROOF_FAILED``; ``POLICY_INCONSISTENCY``
+    after :data:`MAX_VALIDATION_ROUNDS`).
+    """
+    master_fetched = False
+    while True:
+        if ctx.consistency is ConsistencyLevel.GLOBAL and (
+            mode is MasterFetchMode.PER_ROUND or not master_fetched
+        ):
+            yield from tm.fetch_master_versions(ctx)
+            master_fetched = True
+
+        outdated = find_outdated(ctx, reports, compute_targets(ctx, reports))
+        if not outdated:
+            if all(report["truth"] for report in reports.values()):
+                return None
+            return AbortReason.PROOF_FAILED
+        if phase.rounds >= MAX_VALIDATION_ROUNDS:
+            return AbortReason.POLICY_INCONSISTENCY
+
+        # Push updates to the stale participants and re-run the collection
+        # phase for them (Algorithm 1 steps 10-11).
+        yield from collect(
+            tm,
+            ctx,
+            reports,
+            msg.POLICY_UPDATE,
+            msg.CAT_UPDATE,
+            {server: {"policies": needed} for server, needed in outdated.items()},
+        )
+        phase.rounds += 1
+
+
 def run_2pv(
     tm: Any,
     ctx: TxnContext,
@@ -125,103 +236,34 @@ def run_2pv(
 ) -> Generator[Event, Any, ValidationResult]:
     """Algorithm 1, coordinator side.  Returns a :class:`ValidationResult`.
 
-    ``master_mode`` controls how often the master version is retrieved
-    under global consistency (Section V-A allows once or per round);
-    defaults to the cloud config's setting.
+    Collection phase (``Prepare-to-Validate`` to every participant), then the
+    validation phase of :func:`repair_versions`; CONTINUE iff it finds
+    consistent versions and all-TRUE proofs.  ``master_mode`` controls how
+    often the master version is retrieved under global consistency
+    (Section V-A allows once or per round); defaults to the cloud config's
+    setting.
     """
-    participants = [
-        server for server in ctx.participants if ctx.queries_by_server.get(server)
-    ]
+    participants = ctx.active_participants()
     if not participants:
         return ValidationResult("continue", rounds=0)
 
-    mode = master_mode or tm.config.master_fetch_mode
-    timeout = tm.config.request_timeout
     reports: Dict[str, Dict[str, Any]] = {}
-
-    # The validation phase gets its own span.  Continuous runs 2PV *during*
-    # execution, so the parent may be the execute phase; the previous phase
-    # span is restored on every exit path (including request timeouts).
-    obs = coordinator_recorder(tm)
-    prev_phase = ctx.phase_span
-    phase = obs.start(
-        ctx.txn_id,
-        PHASE_VALIDATE,
-        KIND_PHASE,
-        tm.name,
-        tm.env.now,
-        parent=prev_phase if prev_phase is not None else ctx.root_span,
-    )
-    if phase is not None:
-        ctx.phase_span = phase
-    rounds = 0
-    try:
-        # Collection phase, round 1: Prepare-to-Validate to every participant.
-        # Retry-capable RPC when the TM provides one (bare protocol stubs in
-        # unit tests don't); identical to tm.request with retries disabled.
-        rpc = getattr(tm, "rpc_event", tm.request)
-        events = [
-            rpc(
-                server,
-                msg.PREPARE_TO_VALIDATE,
-                msg.CAT_VOTE,
-                timeout=timeout,
-                span=ctx.phase_span or ctx.root_span,
-                txn_id=ctx.txn_id,
-            )
-            for server in participants
-        ]
-        replies = yield tm.env.all_of(events)
-        for server, reply in zip(participants, replies):
-            reports[server] = ingest_report(ctx, server, reply)
-        rounds = 1
-        master_fetched = False
-
-        while True:
-            if ctx.consistency is ConsistencyLevel.GLOBAL and (
-                mode is MasterFetchMode.PER_ROUND or not master_fetched
-            ):
-                yield from tm.fetch_master_versions(ctx)
-                master_fetched = True
-
-            targets = compute_targets(ctx, reports)
-            outdated = find_outdated(ctx, reports, targets)
-
-            if not outdated:
-                truth_by_server = {server: report["truth"] for server, report in reports.items()}
-                if all(truth_by_server.values()):
-                    return ValidationResult("continue", rounds, None, truth_by_server)
-                return ValidationResult(
-                    "abort", rounds, AbortReason.PROOF_FAILED, truth_by_server
-                )
-
-            if rounds >= MAX_VALIDATION_ROUNDS:
-                return ValidationResult(
-                    "abort",
-                    rounds,
-                    AbortReason.POLICY_INCONSISTENCY,
-                    {server: report["truth"] for server, report in reports.items()},
-                )
-
-            # Validation phase: push updates to the stale participants and
-            # re-run the collection phase for them (Algorithm 1 steps 10-11).
-            stale_servers = list(outdated)
-            events = [
-                rpc(
-                    server,
-                    msg.POLICY_UPDATE,
-                    msg.CAT_UPDATE,
-                    timeout=timeout,
-                    span=ctx.phase_span or ctx.root_span,
-                    txn_id=ctx.txn_id,
-                    policies=outdated[server],
-                )
-                for server in stale_servers
-            ]
-            replies = yield tm.env.all_of(events)
-            for server, reply in zip(stale_servers, replies):
-                reports[server] = ingest_report(ctx, server, reply)
-            rounds += 1
-    finally:
-        obs.finish(phase, tm.env.now, rounds=rounds)
-        ctx.phase_span = prev_phase
+    with CoordinatorPhase(tm, ctx, PHASE_VALIDATE) as phase:
+        yield from collect(
+            tm,
+            ctx,
+            reports,
+            msg.PREPARE_TO_VALIDATE,
+            msg.CAT_VOTE,
+            {server: {} for server in participants},
+        )
+        phase.rounds = 1
+        abort_reason = yield from repair_versions(
+            tm, ctx, phase, reports, master_mode or tm.config.master_fetch_mode
+        )
+        return ValidationResult(
+            "continue" if abort_reason is None else "abort",
+            phase.rounds,
+            abort_reason,
+            {server: report["truth"] for server, report in reports.items()},
+        )

@@ -22,19 +22,13 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.cloud import messages as msg
 from repro.cloud.config import MasterFetchMode
-from repro.core.consistency import ConsistencyLevel
 from repro.core.context import TxnContext
-from repro.core.twopv import (
-    MAX_VALIDATION_ROUNDS,
-    compute_targets,
-    coordinator_recorder,
-    find_outdated,
-    ingest_report,
-)
+from repro.core.twopv import CoordinatorPhase, collect, repair_versions
 from repro.db.wal import LogRecordType
-from repro.errors import AbortReason
-from repro.obs.spans import KIND_LOG, KIND_PHASE, PHASE_COMMIT
+from repro.errors import AbortReason, RequestTimeout
+from repro.obs.spans import PHASE_COMMIT
 from repro.sim.events import Event
+from repro.transactions.effects import force_log
 from repro.transactions.states import Decision, Vote
 
 
@@ -64,32 +58,26 @@ def broadcast_decision(
     Follows Fig. 7 with the configured variant's force/ack rules: the
     coordinator logs the decision (forced or not), notifies every
     participant, collects acknowledgements where the variant requires them,
-    then appends a non-forced end record.
+    then appends a non-forced end record.  A coordinator that went down
+    while forcing the decision announces nothing: the decision is not
+    durable, and participants resolve by presumption.
     """
     variant = tm.config.commit_variant
-    obs = coordinator_recorder(tm)
     parent = ctx.phase_span or ctx.root_span
-    record_type = LogRecordType.COMMIT if decision is Decision.COMMIT else LogRecordType.ABORT
+    record_type = LogRecordType.for_decision(decision)
     if variant.coordinator_forces(decision):
-        log_span = obs.start(
-            ctx.txn_id, "log.force", KIND_LOG, tm.name, tm.env.now, parent=parent
-        )
-        yield tm.env.timeout(tm.config.log_force_time)
-        tm.wal.force(record_type, ctx.txn_id, tm.env.now)
-        obs.finish(log_span, tm.env.now, record=record_type.value)
+        if not (yield from force_log(tm, record_type, ctx.txn_id, parent)):
+            return
     else:
         tm.wal.append(record_type, ctx.txn_id, tm.env.now)
 
     expects_ack = variant.acknowledges(decision)
     participant_forces = variant.participant_forces(decision)
-    # Retry-capable RPC when the TM provides one (bare protocol stubs in
-    # unit tests don't); identical to tm.request with retries disabled.
-    rpc = getattr(tm, "rpc_event", tm.request)
     ack_events = []
     for server in participants:
         if expects_ack:
             ack_events.append(
-                rpc(
+                tm.rpc_event(
                     server,
                     msg.DECISION,
                     msg.CAT_DECISION,
@@ -117,8 +105,6 @@ def broadcast_decision(
     # the in-doubt participant learn the outcome through the termination
     # protocol (Section V-C).  Acks are awaited individually (they are all
     # in flight concurrently; waiting is sequential but overlapping).
-    from repro.errors import RequestTimeout
-
     for ack_event in ack_events:
         try:
             yield ack_event
@@ -135,143 +121,52 @@ def run_2pvc(
 ) -> Generator[Event, Any, CommitResult]:
     """Algorithm 2, coordinator side.
 
-    With ``validate=True`` this is full 2PVC (integrity votes + proof truth
-    + policy-version repair).  With ``validate=False`` it is plain 2PC.
+    Voting phase (``Prepare-to-Commit``; any NO aborts at once), then — with
+    ``validate=True`` — the validation phase of
+    :func:`repro.core.twopv.repair_versions`, the very loop 2PV runs (Section V
+    builds 2PVC by integrating 2PV into 2PC's voting phase; version repair is
+    not re-specified), then the decision phase.  With ``validate=False`` it is
+    plain 2PC.  The commit phase span covers all three.
     """
-    participants = [
-        server for server in ctx.participants if ctx.queries_by_server.get(server)
-    ]
+    participants = ctx.active_participants()
     if not participants:
         return CommitResult(Decision.COMMIT, rounds=0)
 
-    mode = master_mode or tm.config.master_fetch_mode
-    timeout = tm.config.request_timeout
-    variant = tm.config.commit_variant
-
-    # The commit phase span covers voting, validation repair, and the
-    # decision broadcast.  As in 2PV, the previous phase span is restored
-    # on every exit path so timeouts do not leak a stale parent.
-    obs = coordinator_recorder(tm)
-    prev_phase = ctx.phase_span
-    phase = obs.start(
-        ctx.txn_id,
-        PHASE_COMMIT,
-        KIND_PHASE,
-        tm.name,
-        tm.env.now,
-        parent=prev_phase if prev_phase is not None else ctx.root_span,
-        validate=validate,
-    )
-    if phase is not None:
-        ctx.phase_span = phase
-    rounds = 0
-    try:
-        if variant.coordinator_initial_force:  # PrC's collecting record
-            log_span = obs.start(
-                ctx.txn_id,
-                "log.force",
-                KIND_LOG,
-                tm.name,
-                tm.env.now,
-                parent=ctx.phase_span or ctx.root_span,
+    reports: Dict[str, Dict[str, Any]] = {}
+    with CoordinatorPhase(tm, ctx, PHASE_COMMIT, validate=validate) as phase:
+        if tm.config.commit_variant.coordinator_initial_force:  # PrC's collecting record
+            durable = yield from force_log(
+                tm, LogRecordType.BEGIN, ctx.txn_id, phase.span, lambda: {"collecting": True}
             )
-            yield tm.env.timeout(tm.config.log_force_time)
-            tm.wal.force(LogRecordType.BEGIN, ctx.txn_id, tm.env.now, collecting=True)
-            obs.finish(log_span, tm.env.now, record="begin")
+            if not durable:  # crashed first: no vote may be solicited
+                return CommitResult(Decision.ABORT, rounds=0)
 
-        # -- voting phase (round 1): Prepare-to-Commit -----------------------------
-        rpc = getattr(tm, "rpc_event", tm.request)
-        events = [
-            rpc(
-                server,
-                msg.PREPARE_TO_COMMIT,
-                msg.CAT_VOTE,
-                timeout=timeout,
-                span=ctx.phase_span or ctx.root_span,
-                txn_id=ctx.txn_id,
-                validate=validate,
-            )
-            for server in participants
-        ]
-        replies = yield tm.env.all_of(events)
-        votes: Dict[str, Vote] = {}
-        reports: Dict[str, Dict[str, Any]] = {}
-        for server, reply in zip(participants, replies):
-            votes[server] = reply["vote"]
-            reports[server] = ingest_report(ctx, server, reply)
-        rounds = 1
+        replies = yield from collect(
+            tm,
+            ctx,
+            reports,
+            msg.PREPARE_TO_COMMIT,
+            msg.CAT_VOTE,
+            {server: {"validate": validate} for server in participants},
+        )
+        votes = {server: reply["vote"] for server, reply in replies.items()}
+        phase.rounds = 1
 
         # Algorithm 2 step 3: any NO on integrity aborts immediately.
         if any(vote is Vote.NO for vote in votes.values()):
-            result = CommitResult(
-                Decision.ABORT,
-                rounds,
-                AbortReason.INTEGRITY_VIOLATION,
-                votes,
-                {server: report["truth"] for server, report in reports.items()},
+            abort_reason: Optional[AbortReason] = AbortReason.INTEGRITY_VIOLATION
+        elif validate:
+            abort_reason = yield from repair_versions(
+                tm, ctx, phase, reports, master_mode or tm.config.master_fetch_mode
             )
-            yield from broadcast_decision(tm, ctx, Decision.ABORT, participants)
-            return result
-
-        if not validate:
-            result = CommitResult(Decision.COMMIT, rounds, None, votes)
-            yield from broadcast_decision(tm, ctx, Decision.COMMIT, participants)
-            return result
-
-        # -- validation loop (Algorithm 2 steps 5-14) --------------------------------
-        master_fetched = False
-        decision: Decision
-        abort_reason: Optional[AbortReason] = None
-        while True:
-            if ctx.consistency is ConsistencyLevel.GLOBAL and (
-                mode is MasterFetchMode.PER_ROUND or not master_fetched
-            ):
-                yield from tm.fetch_master_versions(ctx)
-                master_fetched = True
-
-            targets = compute_targets(ctx, reports)
-            outdated = find_outdated(ctx, reports, targets)
-
-            if not outdated:
-                if all(report["truth"] for report in reports.values()):
-                    decision = Decision.COMMIT
-                else:
-                    decision = Decision.ABORT
-                    abort_reason = AbortReason.PROOF_FAILED
-                break
-
-            if rounds >= MAX_VALIDATION_ROUNDS:
-                decision = Decision.ABORT
-                abort_reason = AbortReason.POLICY_INCONSISTENCY
-                break
-
-            stale_servers = list(outdated)
-            events = [
-                rpc(
-                    server,
-                    msg.POLICY_UPDATE,
-                    msg.CAT_UPDATE,
-                    timeout=timeout,
-                    span=ctx.phase_span or ctx.root_span,
-                    txn_id=ctx.txn_id,
-                    policies=outdated[server],
-                )
-                for server in stale_servers
-            ]
-            replies = yield tm.env.all_of(events)
-            for server, reply in zip(stale_servers, replies):
-                reports[server] = ingest_report(ctx, server, reply)
-            rounds += 1
-
+        else:
+            abort_reason = None
         result = CommitResult(
-            decision,
-            rounds,
+            Decision.COMMIT if abort_reason is None else Decision.ABORT,
+            phase.rounds,
             abort_reason,
             votes,
             {server: report["truth"] for server, report in reports.items()},
         )
-        yield from broadcast_decision(tm, ctx, decision, participants)
+        yield from broadcast_decision(tm, ctx, result.decision, participants)
         return result
-    finally:
-        obs.finish(phase, tm.env.now, rounds=rounds)
-        ctx.phase_span = prev_phase

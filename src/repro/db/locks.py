@@ -24,21 +24,17 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.obs.spans import (
-    KIND_LOCK,
-    NULL_RECORDER,
-    ParentRef,
-    Span,
-    SpanRecorder,
-)
+from repro.obs.spans import KIND_LOCK, ParentRef, Span
 from repro.sim.events import Event
 from repro.sim.kernel import Environment
-from repro.sim.tracing import Tracer
 
-#: Trace categories emitted by the lock manager (consumed by
+if TYPE_CHECKING:  # repro.metrics imports this module
+    from repro.metrics.counters import Metrics
+
+#: Trace categories of lock grants and releases (consumed by
 #: :mod:`repro.verify.conformance` to check strict-2PL discipline).
 LOCK_GRANT = "lock.grant"
 LOCK_RELEASE = "lock.release"
@@ -83,22 +79,12 @@ class _LockState:
 class LockManager:
     """Per-server lock table."""
 
-    def __init__(
-        self,
-        env: Environment,
-        server: str = "?",
-        tracer: Optional[Tracer] = None,
-        obs: Optional[SpanRecorder] = None,
-        on_wait: Optional[Callable[[float, float], None]] = None,
-    ) -> None:
+    def __init__(self, env: Environment, server: str, metrics: "Metrics") -> None:
         self.env = env
         self.server = server
-        self.tracer = tracer
-        self.obs = obs if obs is not None else NULL_RECORDER
-        #: ``on_wait(waited, now)`` fires when a *queued* request is
-        #: granted (immediate grants never call it) — the live-telemetry
-        #: lock-wait feed.  Host-side only; never consumes simulated time.
-        self.on_wait = on_wait
+        #: The world's observation handle: grants, releases and resolved
+        #: queued waits are reported to it, ``lock.wait`` spans opened on it.
+        self.metrics = metrics
         self._locks: Dict[str, _LockState] = {}
         #: Keys held per transaction, for O(1) release.
         self._held_by_txn: Dict[str, Set[str]] = {}
@@ -106,20 +92,6 @@ class LockManager:
         #: wait-for graph is read off this index (:meth:`_blockers`) and
         #: ``release_all`` cancels from it, so neither walks the table.
         self._waits_by_txn: Dict[str, List[_WaitEntry]] = {}
-
-    def _trace(self, category: str, txn_id: str, key: str, mode: Optional[LockMode]) -> None:
-        # The enabled check lives here, not in record(): grants/releases
-        # fire per lock per transaction, and an untraced run should not pay
-        # for the details dict either.
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.record(
-                self.env.now,
-                category,
-                server=self.server,
-                txn_id=txn_id,
-                key=key,
-                mode=mode.value if mode is not None else None,
-            )
 
     # -- inspection -------------------------------------------------------------
 
@@ -162,7 +134,9 @@ class LockManager:
                 return event
             if len(state.holders) == 1:  # sole-holder upgrade
                 state.mode = LockMode.EXCLUSIVE
-                self._trace(LOCK_GRANT, txn_id, key, LockMode.EXCLUSIVE)
+                self.metrics.lock_granted(
+                    self.server, txn_id, key, LockMode.EXCLUSIVE, self.env.now
+                )
                 event.succeed((key, mode))
                 return event
             # Upgrade must wait for the other sharers to drain.
@@ -189,7 +163,7 @@ class LockManager:
         state.mode = mode if not state.holders else state.mode
         state.holders.add(txn_id)
         self._held_by_txn.setdefault(txn_id, set()).add(key)
-        self._trace(LOCK_GRANT, txn_id, key, mode)
+        self.metrics.lock_granted(self.server, txn_id, key, mode, self.env.now)
 
     def _enqueue(
         self,
@@ -214,7 +188,7 @@ class LockManager:
                 self._unindex(entry)
                 event.fail(DeadlockError(victim=txn_id, cycle=tuple(cycle)))
                 return
-        entry.span = self.obs.start(
+        entry.span = self.metrics.spans.start(
             txn_id,
             "lock.wait",
             KIND_LOCK,
@@ -244,7 +218,7 @@ class LockManager:
         for entry in sorted(cancelled, key=lambda entry: self._locks[entry.key].order):
             self._locks[entry.key].queue.remove(entry)
             entry.event.fail(DeadlockError(victim=txn_id, cycle=("cancelled", entry.key)))
-            self.obs.finish(entry.span, self.env.now, status="cancelled")
+            self.metrics.spans.finish(entry.span, self.env.now, status="cancelled")
         # Sorted: the pop order of a set of keys is hash-randomized across
         # interpreter runs, and it decides which queued waiter is promoted
         # first — which would leak nondeterminism into the trace.
@@ -253,7 +227,7 @@ class LockManager:
             state.holders.discard(txn_id)
             if not state.holders:
                 state.mode = None
-            self._trace(LOCK_RELEASE, txn_id, key, None)
+            self.metrics.lock_released(self.server, txn_id, key, self.env.now)
             self._promote(key, state)
 
     def on_crash(self) -> Tuple[int, int]:
@@ -274,7 +248,7 @@ class LockManager:
             state = self._locks[key]
             for entry in state.queue:
                 entry.event.fail(DeadlockError(victim=entry.txn_id, cycle=("crashed", key)))
-                self.obs.finish(entry.span, self.env.now, status="crashed")
+                self.metrics.spans.finish(entry.span, self.env.now, status="crashed")
                 waits_cancelled += 1
         locks_dropped = sum(len(keys) for keys in self._held_by_txn.values())
         self._locks.clear()
@@ -290,16 +264,18 @@ class LockManager:
                 if len(state.holders) > 1:
                     break
                 state.mode = LockMode.EXCLUSIVE
-                self._trace(LOCK_GRANT, entry.txn_id, key, LockMode.EXCLUSIVE)
+                self.metrics.lock_granted(
+                    self.server, entry.txn_id, key, LockMode.EXCLUSIVE, self.env.now
+                )
             elif not state.holders or compatible(state.mode, entry.mode):  # type: ignore[arg-type]
                 self._grant(state, entry.txn_id, key, entry.mode)
             else:
                 break
             state.queue.popleft()
             self._unindex(entry)
-            self.obs.finish(entry.span, self.env.now, status="granted")
-            if self.on_wait is not None:
-                self.on_wait(self.env.now - entry.queued_at, self.env.now)
+            now = self.env.now
+            self.metrics.spans.finish(entry.span, now, status="granted")
+            self.metrics.lock_wait_resolved(self.server, now - entry.queued_at, now)
             entry.event.succeed((key, entry.mode))
 
     def _unindex(self, entry: _WaitEntry) -> None:

@@ -18,6 +18,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.transactions.states import Decision
+
 
 class LogRecordType(enum.Enum):
     """Record kinds used by 2PC / 2PVC logging."""
@@ -27,6 +29,11 @@ class LogRecordType(enum.Enum):
     COMMIT = "commit"
     ABORT = "abort"
     END = "end"
+
+    @classmethod
+    def for_decision(cls, decision: Decision) -> "LogRecordType":
+        """The record type a global decision is logged as."""
+        return cls.COMMIT if decision is Decision.COMMIT else cls.ABORT
 
 
 #: Decision record types.

@@ -1,26 +1,38 @@
-"""Message and proof-evaluation counters.
+"""Counters and the observation handle of one simulated world.
 
 The paper evaluates its protocols on three axes (Section VI-A): message
-complexity, proof-evaluation complexity, and log complexity.
-:class:`MessageCounters` plugs into the network as its ``message_hook``;
-proof evaluations are counted by the servers through :class:`Metrics`;
-forced log writes are read off each node's WAL.
+complexity, proof-evaluation complexity, and log complexity.  Messages and
+proof evaluations are counted here; forced log writes are read off each
+node's WAL.  Counters are kept both globally (by category) and per
+transaction (messages whose payload carries a ``txn_id``), so benches can
+report exact per-transaction protocol costs against the Table I formulas.
 
-Counters are kept both globally (by category) and per transaction (messages
-whose payload carries a ``txn_id``), so benches can report exact per-
-transaction protocol costs against the Table I formulas.
+:class:`Metrics` is also the one handle through which every component
+*records*: one method per recorded fact, each deciding once which recorders
+hear it and with which fields (the table in docs/architecture.md, "Effects
+and the observation handle").
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cloud.messages import PROTOCOL_CATEGORIES
+from repro.db.locks import LOCK_GRANT, LOCK_RELEASE, LockMode
+from repro.metrics.timeline import PROOF_EVAL, TXN_DONE, TXN_READY, TXN_START
+from repro.obs.spans import SpanRecorder
 from repro.policy.rules import EngineCounters
 from repro.sim.network import Message
 from repro.sim.topology import RegionTopology, estimate_message_size
+from repro.sim.tracing import Tracer
+
+if TYPE_CHECKING:  # repro.obs.live / .flight sit above the metrics layer
+    from repro.metrics.stats import TransactionOutcome
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.live import LiveTelemetry
+    from repro.policy.proofs import ProofOfAuthorization
 
 
 class MessageCounters:
@@ -30,10 +42,8 @@ class MessageCounters:
         self.by_category: Counter = Counter()
         self.by_txn: Dict[str, Counter] = {}
 
-    # network hook ------------------------------------------------------------
-
     def on_message(self, message: Message) -> None:
-        """Called by the network for every message sent."""
+        """Count one message sent."""
         self.by_category[message.category] += 1
         txn_id = message.payload.get("txn_id")
         if txn_id is not None:
@@ -286,7 +296,22 @@ class VerificationCounters:
 
 
 class Metrics:
-    """Bundle of all counters for one simulation.
+    """Everything one simulated world counts and records, behind one handle.
+
+    Seven counter groups (``messages``, ``proofs``, ``proof_cache``,
+    ``regions``, ``verification``, ``faults``, ``engine``) plus the world's
+    recorders: the retained :attr:`tracer`, the causal :attr:`spans`, and —
+    attached by the testbed when their ``CloudConfig`` knobs are on —
+    :attr:`live` telemetry and the :attr:`flight` recorder.  The handle holds
+    the recorders; no recorder holds the handle (a world stays acyclic).
+
+    Components record *facts* through the typed methods below, one call per
+    fact.  Each method holds, once, the ``enabled`` / ``is None`` checks and
+    the projection of its fact onto the recorders that hear it; a disabled
+    recorder costs one attribute test, before any detail is built.  A fact
+    only a counter hears is a direct call on its group
+    (``metrics.faults.on_retry()``).  Spans follow control flow, so opening
+    and closing them stays an explicit call on ``metrics.spans``.
 
     ``streaming`` enables constant-memory accounting for unbounded runs:
     the per-transaction attribution maps (``messages.by_txn``,
@@ -298,7 +323,13 @@ class Metrics:
     before eviction — report and export columns are identical in both modes.
     """
 
-    def __init__(self, streaming: bool = False) -> None:
+    def __init__(
+        self,
+        streaming: bool = False,
+        trace: bool = False,
+        spans: bool = False,
+        sample_rate: float = 1.0,
+    ) -> None:
         self.streaming = streaming
         self.messages = MessageCounters()
         self.proofs = ProofCounters()
@@ -314,20 +345,153 @@ class Metrics:
         #: evaluation the servers run.  Host-side accounting only — never
         #: part of the Table I complexity numbers.
         self.engine = EngineCounters()
-        #: Live telemetry (:class:`repro.obs.live.LiveTelemetry`) when
-        #: ``CloudConfig.live_telemetry`` is on; the testbed attaches it.
-        #: Typed ``Any``: repro.obs sits above the metrics layer.
-        self.live: Optional[Any] = None
-        #: Flight recorder (:class:`repro.obs.flight.FlightRecorder`) when
-        #: ``CloudConfig.flight_recorder`` is on; the testbed attaches it.
-        self.flight: Optional[Any] = None
+        #: Retained trace (``Cluster.tracer``); the conformance evidence.
+        self.tracer = Tracer(enabled=trace)
+        #: Causal span recorder (``Cluster.obs``).
+        self.spans = SpanRecorder(enabled=spans, sample_rate=sample_rate)
+        self.live: Optional["LiveTelemetry"] = None
+        self.flight: Optional["FlightRecorder"] = None
 
-    # convenience used as the network hook directly
-    def on_message(self, message: Message) -> None:
+    # -- facts: the network ----------------------------------------------------
+
+    def on_message(self, message: Message, now: float) -> None:
+        """A message was sent (counted at send time, delivered or not)."""
         self.messages.on_message(message)
         self.regions.on_message(message)
         if self.flight is not None:
-            self.flight.on_message(message)
+            self.flight.on_message(message, now)
+        if self.tracer.enabled:
+            self._trace_message(now, "net.send", message, msg_category=message.category)
+
+    def message_dropped(self, message: Message, reason: str, now: float) -> None:
+        """The network dropped a message at send time (link / rate / chaos)."""
+        self.faults.on_drop(reason)
+        if self.tracer.enabled:
+            self._trace_message(now, "net.drop", message, reason=reason)
+
+    def message_delivered(self, message: Message, now: float) -> None:
+        """A message reached a live node."""
+        if self.tracer.enabled:
+            self._trace_message(now, "net.recv", message, msg_category=message.category)
+
+    def _trace_message(self, now: float, category: str, message: Message, **details: Any) -> None:
+        # txn_id/query_id (when the payload carries them) let offline
+        # checkers correlate wire traffic per transaction.
+        for key in ("txn_id", "query_id"):
+            value = message.payload.get(key)
+            if value is not None:
+                details[key] = value
+        self.tracer.record(
+            now, category, src=message.src, dst=message.dst, kind=message.kind, **details
+        )
+
+    def node_crashed(self, node: str, now: float) -> None:
+        """A node crashed.  The trace record lets the conformance checker
+        excuse locks a crashed participant never released."""
+        self.faults.on_crash()
+        if self.tracer.enabled:
+            self.tracer.record(now, "fault.crash", node=node)
+        if self.flight is not None:
+            self.flight.record(node, now, "fault.crash")
+
+    def node_recovered(self, node: str, now: float) -> None:
+        """A crashed node restarted."""
+        self.faults.on_recovery()
+        if self.tracer.enabled:
+            self.tracer.record(now, "fault.recover", node=node)
+        if self.flight is not None:
+            self.flight.record(node, now, "fault.recover")
+
+    # -- facts: the transaction lifecycle --------------------------------------
+
+    def txn_started(
+        self, coordinator: str, txn_id: str, approach: str, consistency: str, now: float
+    ) -> None:
+        """α(T): a coordinator took a transaction on."""
+        if self.tracer.enabled:
+            self.tracer.record(now, TXN_START, txn_id=txn_id)
+        if self.flight is not None:
+            detail = (("approach", approach), ("consistency", consistency))
+            self.flight.record(coordinator, now, "txn.start", txn_id, detail)
+
+    def txn_ready(self, txn_id: str, now: float) -> None:
+        """ω(T): every query executed, the commit-time protocol starts."""
+        if self.tracer.enabled:
+            self.tracer.record(now, TXN_READY, txn_id=txn_id)
+
+    def txn_finished(self, coordinator: str, outcome: "TransactionOutcome") -> None:
+        """A transaction reached its global decision."""
+        now = outcome.finished_at
+        if self.tracer.enabled:
+            self.tracer.record(now, TXN_DONE, txn_id=outcome.txn_id, committed=outcome.committed)
+        if self.live is not None:
+            self.live.observe_outcome(outcome, coordinator=coordinator)
+        if self.flight is not None:
+            reason = outcome.abort_reason.value if outcome.abort_reason else None
+            detail = (("committed", outcome.committed), ("abort_reason", reason))
+            self.flight.record(coordinator, now, "txn.done", outcome.txn_id, detail)
+
+    def proof_evaluated(
+        self, txn_id: str, phase: str, proof: "ProofOfAuthorization", cost: float
+    ) -> None:
+        """One ``eval(f, t)`` — cached or not, it counts toward Table I.
+
+        ``cost`` is the simulated span of the whole evaluation (OCSP round
+        trip + CPU queueing + evaluation time), not just the fixed cost.
+        """
+        server, now = proof.server, proof.evaluated_at
+        granted, version = proof.granted, proof.policy_version
+        self.proofs.on_proof(server, txn_id)
+        if self.live is not None:
+            self.live.record_proof_eval(server, phase, cost, now)
+        if self.flight is not None:
+            detail = (("phase", phase), ("granted", granted), ("version", version))
+            self.flight.record(server, now, "proof.eval", txn_id, detail)
+        if self.tracer.enabled:
+            self.tracer.record(
+                now,
+                PROOF_EVAL,
+                admin=proof.policy_id.admin,
+                granted=granted,
+                phase=phase,
+                query_id=proof.query_id,
+                server=server,
+                txn_id=txn_id,
+                version=version,
+            )
+
+    # -- facts: locks -----------------------------------------------------------
+
+    def lock_granted(self, server: str, txn_id: str, key: str, mode: LockMode, now: float) -> None:
+        """A lock (or a shared→exclusive upgrade) was granted."""
+        if self.tracer.enabled:
+            self.tracer.record(
+                now, LOCK_GRANT, key=key, mode=mode.value, server=server, txn_id=txn_id
+            )
+
+    def lock_released(self, server: str, txn_id: str, key: str, now: float) -> None:
+        """An orderly strict-2PL release (a crash teardown records none)."""
+        if self.tracer.enabled:
+            self.tracer.record(now, LOCK_RELEASE, key=key, mode=None, server=server, txn_id=txn_id)
+
+    def lock_wait_resolved(self, server: str, waited: float, now: float) -> None:
+        """A *queued* request was granted after ``waited`` (immediate grants never fire)."""
+        if self.live is not None:
+            self.live.record_lock_wait(server, waited, now)
+
+    # -- facts: policy churn ----------------------------------------------------
+
+    def policy_published(self, region: str, now: float) -> None:
+        """A policy storm published one version in ``region``."""
+        if self.live is not None:
+            self.live.record_policy_publication(region, now)
+
+    def stale_commit(self, now: float) -> None:
+        """A transaction committed behind the master's version (see StaleCommitTracker)."""
+        if self.live is not None:
+            self.live.record_stale(now)
+
+    # -- streaming ---------------------------------------------------------------
 
     def release_txn(self, txn_id: str) -> None:
         """Drop per-transaction attribution for one finished transaction.

@@ -17,9 +17,9 @@ pooled kernel/event objects themselves — so eviction order and content are
 bit-identical whether or not the kernel pools its timeouts (tested in
 ``tests/obs/test_flight.py``).
 
-Enable with ``CloudConfig.flight_recorder``; the conformance entry point
-:func:`repro.verify.verify_cluster` triggers a dump automatically whenever
-a checked run has violations.  Library code never writes to disk —
+Enable with ``CloudConfig.flight_recorder``; the conformance entry points
+(:func:`repro.verify.verify_cluster`, the chaos fuzzer) trigger a dump through
+:func:`repro.verify.dump_incident` whenever a checked run has violations.  Library code never writes to disk —
 :meth:`IncidentBundle.write` is for callers (CLIs, benches, tests).
 """
 
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.render import render_waterfall
-from repro.obs.spans import SpanRecorder
 
 __all__ = ["FlightEvent", "FlightRecorder", "IncidentBundle"]
 
@@ -137,11 +136,12 @@ class IncidentBundle:
 class FlightRecorder:
     """Per-node bounded rings of recent events, dumped on demand.
 
-    Wire as ``Metrics.flight`` (the testbed does this when
-    ``CloudConfig.flight_recorder`` is on): the network's message hook and
-    the server/TM instrumentation call :meth:`record`/:meth:`on_message`,
-    each appending one plain tuple to the source node's ring.  Memory is
-    ``capacity × nodes`` events, independent of run length.
+    Lives at ``Metrics.flight`` (the testbed attaches it when
+    ``CloudConfig.flight_recorder`` is on) and hears facts only through the
+    handle's fact methods, which call :meth:`record` / :meth:`on_message`
+    with the simulation time of the fact — the recorder has no clock of its
+    own.  Each call appends one plain tuple to the source node's ring.
+    Memory is ``capacity × nodes`` events, independent of run length.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, enabled: bool = True) -> None:
@@ -149,9 +149,6 @@ class FlightRecorder:
             raise ValueError("flight-recorder capacity must be positive")
         self.capacity = capacity
         self.enabled = enabled
-        #: Simulation-time source for hooks that receive no timestamp (the
-        #: network message hook); the testbed binds ``env.now`` here.
-        self.clock: Optional[Any] = None
         #: node -> ring of ``FlightEvent`` field tuples (built on inspection).
         self._rings: Dict[str, Deque[Tuple[Any, ...]]] = {}
         self._seq = 0
@@ -181,13 +178,13 @@ class FlightRecorder:
         self._seq += 1
         self.recorded += 1
 
-    def on_message(self, message: Any) -> None:
-        """Network hook: record the send on the source node's ring."""
+    def on_message(self, message: Any, now: float) -> None:
+        """A message sent at ``now``: recorded on the source node's ring."""
         if not self.enabled:
             return
         self.record(
             message.src,
-            self.clock() if self.clock is not None else 0.0,
+            now,
             "net.send",
             txn_id=message.payload.get("txn_id"),
             detail=(("kind", message.kind), ("dst", message.dst)),
@@ -223,15 +220,14 @@ class FlightRecorder:
         now: float,
         violations: Any = None,
         metrics: Any = None,
-        recorder: Optional[SpanRecorder] = None,
-        live: Any = None,
     ) -> IncidentBundle:
         """Build (and retain) an incident bundle from the current rings.
 
         ``violations`` is a :class:`repro.verify.report.VerificationReport`
-        (or any object with a ``violations`` list); ``metrics``/``live``
-        feed the OpenMetrics snapshot; ``recorder`` supplies span trees for
-        waterfalls of the implicated transactions.
+        (or any object with a ``violations`` list); ``metrics`` is the
+        world's :class:`~repro.metrics.counters.Metrics` handle: its counters
+        and live sketches feed the OpenMetrics snapshot, its span recorder
+        the waterfalls of the implicated transactions.
         """
         events = [event.to_dict() for event in self.events()]
         formatted: Tuple[str, ...] = ()
@@ -249,18 +245,19 @@ class FlightRecorder:
                     seen.add(txn_id)
                     implicated.append(txn_id)
         snapshot: Optional[str] = None
+        waterfalls: Dict[str, str] = {}
         if metrics is not None:
             # Local import: repro.obs.openmetrics sits above repro.metrics;
             # importing it eagerly would cycle through this package init.
             from repro.obs.openmetrics import render_openmetrics
 
-            snapshot = render_openmetrics(metrics, recorder=recorder, live=live)
-        waterfalls: Dict[str, str] = {}
-        if recorder is not None and recorder.enabled:
-            available = set(recorder.traces())
-            for txn_id in implicated:
-                if txn_id in available:
-                    waterfalls[txn_id] = render_waterfall(recorder.tree(txn_id))
+            recorder = metrics.spans
+            snapshot = render_openmetrics(metrics, recorder=recorder)
+            if recorder.enabled:
+                available = set(recorder.traces())
+                for txn_id in implicated:
+                    if txn_id in available:
+                        waterfalls[txn_id] = render_waterfall(recorder.tree(txn_id))
         bundle = IncidentBundle(
             reason=reason,
             created_at=now,

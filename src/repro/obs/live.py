@@ -217,14 +217,14 @@ class _CounterDeltas:
 class LiveTelemetry:
     """Streaming sketches + windowed time-series for one simulation.
 
-    Attach as ``Metrics.live`` (``CloudConfig.live_telemetry``); the
-    instrumented layers feed it:
+    Lives at ``Metrics.live`` (``CloudConfig.live_telemetry``) and is fed by
+    the handle's fact methods only:
 
-    * :meth:`observe_outcome` — TM, per finished transaction;
-    * :meth:`record_lock_wait` — lock manager, per resolved queued wait;
-    * :meth:`record_proof_eval` — server, per proof evaluation;
-    * :meth:`record_stale` — the stale-commit tracker;
-    * :meth:`record_policy_publication` — policy storm processes.
+    * :meth:`observe_outcome` — ``txn_finished``, per finished transaction;
+    * :meth:`record_lock_wait` — ``lock_wait_resolved``, per queued wait;
+    * :meth:`record_proof_eval` — ``proof_evaluated``;
+    * :meth:`record_stale` — ``stale_commit`` (the stale-commit tracker);
+    * :meth:`record_policy_publication` — ``policy_published`` (storms).
 
     Memory is O(label cardinality + window capacity), never O(run length).
     """

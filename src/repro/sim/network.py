@@ -11,19 +11,25 @@ accounting for the paper's Table I: protocol messages (voting, decision,
 update, master-version fetches) are counted separately from infrastructure
 traffic (OCSP checks, policy replication), exactly as the paper's analysis
 does.
+
+The network records through one collaborator, the world's
+:class:`repro.metrics.counters.Metrics` handle, and every registered node
+learns the same handle from it.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Any, Dict, Generator, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import NetworkError, RequestTimeout, SimulationError
-from repro.obs.spans import KIND_RPC, Span, SpanRecorder, context_of
+from repro.obs.spans import KIND_RPC, Span, context_of
 from repro.sim.events import Event
 from repro.sim.kernel import Environment
-from repro.sim.tracing import Tracer
+
+if TYPE_CHECKING:  # repro.metrics imports this module
+    from repro.metrics.counters import Metrics
 
 
 class Message:
@@ -178,6 +184,8 @@ class Node:
         self.name = name
         self.env: Optional[Environment] = None
         self.network: Optional["Network"] = None
+        #: The world's observation handle, learned at ``Network.register``.
+        self.metrics: Optional["Metrics"] = None
         self._down = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -191,14 +199,14 @@ class Node:
         """Crash the node: incoming messages are dropped until recovery."""
         self._down = True
         if self.network is not None:
-            self.network.note_crash(self.name)
+            self.metrics.node_crashed(self.name, self.env.now)
         self.on_crash()
 
     def recover(self) -> None:
         """Bring the node back up and run its recovery hook."""
         self._down = False
         if self.network is not None:
-            self.network.note_recovery(self.name)
+            self.metrics.node_recovered(self.name, self.env.now)
         self.on_recover()
 
     def on_crash(self) -> None:
@@ -256,41 +264,27 @@ class Node:
         return self.network
 
 
-def _correlation(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Transaction/query correlation keys a payload carries, if any."""
-    extra: Dict[str, Any] = {}
-    for key in ("txn_id", "query_id"):
-        value = payload.get(key)
-        if value is not None:
-            extra[key] = value
-    return extra
-
-
 class Network:
-    """Delivers messages between registered nodes."""
+    """Delivers messages between registered nodes.
+
+    ``metrics`` is the network's one observation collaborator: every send,
+    drop, delivery, crash, recovery and RPC timeout is reported to it as one
+    fact, and it alone decides which recorders hear which (counters, trace,
+    flight ring); RPC spans are opened and closed on ``metrics.spans``.
+    """
 
     def __init__(
         self,
         env: Environment,
+        metrics: "Metrics",
         rng: Optional[random.Random] = None,
         latency: Optional[LatencyModel] = None,
-        tracer: Optional[Tracer] = None,
-        message_hook: Optional[Any] = None,
         drop_rate: float = 0.0,
-        spans: Optional[SpanRecorder] = None,
     ) -> None:
         self.env = env
+        self.metrics = metrics
         self.rng = rng or random.Random(0)  # verify: ignore[DET005] -- seeded default keeps un-wired networks deterministic
         self.latency = latency or FixedLatency(1.0)
-        self.tracer = tracer
-        #: Causal span recorder (``repro.obs``); None disables propagation.
-        self.spans = spans
-        #: Optional object with an ``on_message(message)`` method (metrics).
-        self.message_hook = message_hook
-        #: Fault accounting (:class:`repro.metrics.counters.FaultCounters`)
-        #: when the hook is a full :class:`~repro.metrics.counters.Metrics`
-        #: bundle; drops/crashes/timeouts are silent otherwise.
-        self.faults: Optional[Any] = getattr(message_hook, "faults", None)
         #: Optional chaos hook (:class:`repro.chaos.nemesis.ChaosHook`):
         #: consulted per send *after* link/rate checks, drawing from its own
         #: seeded RNG stream so enabling it never perturbs the base trace.
@@ -318,6 +312,7 @@ class Network:
             raise SimulationError(f"duplicate node name {node.name!r}")
         node.env = self.env
         node.network = self
+        node.metrics = self.metrics
         self.nodes[node.name] = node
         return node
 
@@ -340,33 +335,6 @@ class Network:
         if bidirectional:
             self.failed_links.discard((dst, src))
 
-    # -- fault observation ---------------------------------------------------
-
-    def note_crash(self, name: str) -> None:
-        """Record a node crash (called by :meth:`Node.crash`).
-
-        Crash events reach the trace (``fault.crash``) so the conformance
-        checker can excuse locks a crashed participant never released, the
-        fault counters, and the flight recorder's evidence ring.
-        """
-        if self.faults is not None:
-            self.faults.on_crash()
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "fault.crash", node=name)
-        flight = getattr(self.message_hook, "flight", None)
-        if flight is not None:
-            flight.record(name, self.env.now, "fault.crash")
-
-    def note_recovery(self, name: str) -> None:
-        """Record a node restart (called by :meth:`Node.recover`)."""
-        if self.faults is not None:
-            self.faults.on_recovery()
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "fault.recover", node=name)
-        flight = getattr(self.message_hook, "flight", None)
-        if flight is not None:
-            flight.record(name, self.env.now, "fault.recover")
-
     # -- sending -----------------------------------------------------------
 
     def send(
@@ -381,16 +349,16 @@ class Network:
     ) -> Message:
         """Send a message; delivery is scheduled after a sampled latency.
 
-        The message is *counted* (hook + trace) at send time, matching the
-        paper's convention of counting messages sent, whether or not they
-        arrive.  ``span`` (a :class:`repro.obs.spans.Span` or context
-        tuple) is embedded as the ``span_ctx`` payload key so the
+        The message is *counted* (``Metrics.on_message``) at send time,
+        matching the paper's convention of counting messages sent, whether
+        or not they arrive.  ``span`` (a :class:`repro.obs.spans.Span` or
+        context tuple) is embedded as the ``span_ctx`` payload key so the
         receiver's handler can parent its work under the sender's span.
         """
         if dst not in self.nodes:
             raise NetworkError(f"unknown destination {dst!r}")
         body = payload  # immutable by convention; copied only if annotated
-        if self.spans is not None and span is not None:
+        if span is not None:
             ctx = context_of(span)
             if ctx is not None:
                 body = dict(payload)
@@ -398,20 +366,7 @@ class Network:
         msg_id = self._next_msg_id
         self._next_msg_id = msg_id + 1
         message = Message(msg_id, src, dst, kind, body, category, reply_to)
-        if self.message_hook is not None:
-            self.message_hook.on_message(message)
-        if self.tracer is not None:
-            # txn_id/query_id (when the payload carries them) let offline
-            # checkers correlate wire traffic per transaction.
-            self.tracer.record(
-                self.env.now,
-                "net.send",
-                src=src,
-                dst=dst,
-                kind=kind,
-                msg_category=category,
-                **_correlation(message.payload),
-            )
+        self.metrics.on_message(message, self.env.now)
         # Drop-reason resolution preserves the historical RNG consumption
         # order exactly (link check short-circuits before the rate draw);
         # the chaos hook runs last and draws only from its *own* seeded
@@ -428,18 +383,7 @@ class Network:
                 drop_reason = "chaos"
                 extra_delay = 0.0
         if drop_reason is not None:
-            if self.faults is not None:
-                self.faults.on_drop(drop_reason)
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.env.now,
-                    "net.drop",
-                    src=src,
-                    dst=dst,
-                    kind=kind,
-                    reason=drop_reason,
-                    **_correlation(message.payload),
-                )
+            self.metrics.message_dropped(message, drop_reason, self.env.now)
         else:
             delay = self.latency.sample_message(
                 self.rng, src, dst, message.payload, message.wire_size
@@ -473,35 +417,21 @@ class Network:
         for message in batch:
             deliver(message)
 
-    def _deliver(self, arrival_event: Event) -> None:
-        """Single-message delivery callback (kept for direct-scheduling tests)."""
-        self._deliver_message(arrival_event.value)
-
     def _deliver_message(self, message: Message) -> None:
         node = self.nodes.get(message.dst)
         if node is None or node.is_down:
             # Dropped on the floor; requesters rely on timeouts.  Counted
             # so fault runs can audit where their messages went.
-            if self.faults is not None:
-                self.faults.on_drop("down")
+            self.metrics.faults.on_drop("down")
             return
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now,
-                "net.recv",
-                src=message.src,
-                dst=message.dst,
-                kind=message.kind,
-                msg_category=message.category,
-                **_correlation(message.payload),
-            )
+        self.metrics.message_delivered(message, self.env.now)
         if message.reply_to is not None:
             # A reply resolves its pending request; replies to fire-and-forget
             # sends and stragglers arriving after a timeout are dropped.
             waiter = self._pending.pop(message.reply_to, None)
             rpc_span = self._pending_rpc.pop(message.reply_to, None)
-            if rpc_span is not None and self.spans is not None:
-                self.spans.finish(rpc_span, self.env.now)
+            if rpc_span is not None:
+                self.metrics.spans.finish(rpc_span, self.env.now)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(message)
             return
@@ -530,10 +460,10 @@ class Network:
         timed-out RPC is the one sanctioned parent-window escape).
         """
         rpc: Optional[Span] = None
-        if self.spans is not None and span is not None:
+        if span is not None:
             ctx = context_of(span)
             if ctx is not None:
-                rpc = self.spans.start(
+                rpc = self.metrics.spans.start(
                     ctx[0], f"rpc.{kind}", KIND_RPC, src, self.env.now, parent=ctx, dst=dst
                 )
         message = self.send(src, dst, kind, payload, category, span=rpc if rpc is not None else span)
@@ -555,8 +485,7 @@ class Network:
         if waiter is None:  # answered: reply delivery popped it
             return
         rpc_span = self._pending_rpc.pop(msg_id, None)
-        if rpc_span is not None and self.spans is not None:
-            self.spans.finish(rpc_span, self.env.now, status="timeout")
-        if self.faults is not None:
-            self.faults.on_timeout()
+        if rpc_span is not None:
+            self.metrics.spans.finish(rpc_span, self.env.now, status="timeout")
+        self.metrics.faults.on_timeout()
         waiter.fail(RequestTimeout(f"{kind} {src}->{dst} timed out after {timeout}"))

@@ -39,19 +39,12 @@ from repro.errors import (
 )
 from repro.metrics.counters import Metrics
 from repro.metrics.stats import TransactionOutcome
-from repro.metrics.timeline import TXN_DONE, TXN_READY, TXN_START
-from repro.obs.spans import (
-    KIND_PHASE,
-    KIND_TXN,
-    NULL_RECORDER,
-    PHASE_EXECUTE,
-    SpanRecorder,
-)
+from repro.obs.spans import KIND_PHASE, KIND_TXN, PHASE_EXECUTE
 from repro.policy.policy import PolicyId
 from repro.sim.events import Event
 from repro.sim.network import Message, Node
 from repro.sim.process import Process
-from repro.sim.tracing import Tracer
+from repro.transactions.effects import request_with_retry
 from repro.transactions.states import Decision, TxnStatus
 from repro.transactions.transaction import Query, Transaction
 
@@ -65,15 +58,11 @@ class TransactionManager(Node):
         config: CloudConfig,
         catalog: ItemCatalog,
         metrics: Metrics,
-        tracer: Optional[Tracer] = None,
-        obs: Optional[SpanRecorder] = None,
     ) -> None:
         super().__init__(name)
         self.config = config
         self.catalog = catalog
         self.metrics = metrics
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.obs = obs if obs is not None else NULL_RECORDER
         self.wal = WriteAheadLog(
             name,
             compact_at=STREAMING_COMPACT_AT if metrics.streaming else None,
@@ -133,41 +122,19 @@ class TransactionManager(Node):
 
         With ``config.rpc_max_retries == 0`` (the default) this *is*
         ``self.request`` — the raw waiter event, no wrapper process — so
-        baseline traces stay bit-identical.  With retries enabled, a
-        timeout is retried after :func:`repro.cloud.messages.rpc_backoff` and the
-        returned process event fails with the final :class:`RequestTimeout`
-        only once the budget is exhausted.  Safe because participants
-        deduplicate re-sent EXECUTE / PREPARE / DECISION messages.
+        baseline traces stay bit-identical.  With retries enabled, a process
+        runs :func:`~repro.transactions.effects.request_with_retry` and fails
+        with the final :class:`RequestTimeout` only once the budget is spent.
         """
-        if self.config.rpc_max_retries <= 0:
+        retries = self.config.rpc_max_retries
+        if retries <= 0:
             return self.request(dst, kind, category, timeout=timeout, span=span, **payload)
         return self.env.process(
-            self._request_with_retry(dst, kind, category, timeout, span, payload),
+            request_with_retry(
+                self, retries, RequestTimeout, dst, kind, category, timeout, span, **payload
+            ),
             name=f"{self.name}.rpc[{kind}->{dst}]",
         )
-
-    def _request_with_retry(
-        self,
-        dst: str,
-        kind: str,
-        category: str,
-        timeout: Optional[float],
-        span: Any,
-        payload: Dict[str, Any],
-    ) -> Generator[Event, Any, Message]:
-        attempts = 0
-        while True:
-            try:
-                reply = yield self.request(
-                    dst, kind, category, timeout=timeout, span=span, **payload
-                )
-                return reply
-            except RequestTimeout:
-                attempts += 1
-                if attempts > self.config.rpc_max_retries:
-                    raise
-                self.metrics.faults.on_retry()
-                yield self.env.timeout(msg.rpc_backoff(attempts))
 
     def fetch_master_versions(
         self, ctx: TxnContext, admins: Optional[Tuple[PolicyId, ...]] = None
@@ -201,18 +168,12 @@ class TransactionManager(Node):
             started_at=self.env.now,
         )
         self.active[txn.txn_id] = ctx
-        if self.tracer.enabled:
-            self.tracer.record(self.env.now, TXN_START, txn_id=txn.txn_id)
-        if self.metrics.flight is not None:
-            self.metrics.flight.record(  # type: ignore[attr-defined]
-                self.name,
-                self.env.now,
-                "txn.start",
-                txn_id=txn.txn_id,
-                detail=(("approach", approach.name), ("consistency", consistency.value)),
-            )
-        if self.obs.enabled:
-            ctx.root_span = self.obs.start(
+        spans = self.metrics.spans
+        self.metrics.txn_started(
+            self.name, txn.txn_id, approach.name, consistency.value, self.env.now
+        )
+        if spans.enabled:
+            ctx.root_span = spans.start(
                 txn.txn_id,
                 "txn",
                 KIND_TXN,
@@ -221,7 +182,7 @@ class TransactionManager(Node):
                 approach=approach.name,
                 consistency=consistency.value,
             )
-            ctx.phase_span = self.obs.start(
+            ctx.phase_span = spans.start(
                 txn.txn_id,
                 PHASE_EXECUTE,
                 KIND_PHASE,
@@ -240,9 +201,8 @@ class TransactionManager(Node):
                 )
                 yield from approach.on_query_result(self, ctx, query, server, reply)
             ctx.ready_at = self.env.now  # ω(T): ready to commit
-            if self.tracer.enabled:
-                self.tracer.record(self.env.now, TXN_READY, txn_id=txn.txn_id)
-            self.obs.finish(ctx.phase_span, self.env.now)
+            self.metrics.txn_ready(txn.txn_id, self.env.now)
+            spans.finish(ctx.phase_span, self.env.now)
             ctx.phase_span = None
             ctx.status = TxnStatus.VALIDATING
             result = yield from approach.at_commit(self, ctx)
@@ -267,41 +227,17 @@ class TransactionManager(Node):
             TxnStatus.COMMITTED if decision is Decision.COMMIT else TxnStatus.ABORTED
         )
         ctx.finished_at = self.env.now
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.env.now,
-                TXN_DONE,
-                txn_id=txn.txn_id,
-                committed=(decision is Decision.COMMIT),
-            )
         # Abort paths can leave the execute phase open; close it before the root.
-        self.obs.finish(ctx.phase_span, self.env.now)
+        spans.finish(ctx.phase_span, self.env.now)
         ctx.phase_span = None
-        self.obs.finish(
+        spans.finish(
             ctx.root_span,
             self.env.now,
             committed=(decision is Decision.COMMIT),
             abort_reason=ctx.abort_reason.value if ctx.abort_reason else None,
         )
         outcome = self._build_outcome(ctx)
-        if self.metrics.live is not None:
-            self.metrics.live.observe_outcome(  # type: ignore[attr-defined]
-                outcome, coordinator=self.name
-            )
-        if self.metrics.flight is not None:
-            self.metrics.flight.record(  # type: ignore[attr-defined]
-                self.name,
-                self.env.now,
-                "txn.done",
-                txn_id=txn.txn_id,
-                detail=(
-                    ("committed", decision is Decision.COMMIT),
-                    (
-                        "abort_reason",
-                        ctx.abort_reason.value if ctx.abort_reason else None,
-                    ),
-                ),
-            )
+        self.metrics.txn_finished(self.name, outcome)
         if not self.metrics.streaming:
             self.outcomes.append(outcome)
         self.finished[txn.txn_id] = ctx
@@ -370,9 +306,7 @@ class TransactionManager(Node):
 
     def _abort_everywhere(self, ctx: TxnContext) -> Generator[Event, Any, None]:
         """Roll back at every participant contacted so far."""
-        participants = [
-            server for server in ctx.participants if ctx.queries_by_server.get(server)
-        ]
+        participants = ctx.active_participants()
         if not participants:
             self.wal.append(LogRecordType.ABORT, ctx.txn_id, self.env.now)
             return
@@ -393,9 +327,7 @@ class TransactionManager(Node):
             finished_at=ctx.finished_at if ctx.finished_at is not None else self.env.now,
             queries_total=ctx.txn.size,
             queries_executed=ctx.executed_queries,
-            participants=len(
-                [server for server in ctx.participants if ctx.queries_by_server.get(server)]
-            ),
+            participants=len(ctx.active_participants()),
             voting_rounds=ctx.voting_rounds,
             protocol_messages=self.metrics.messages.protocol_for_txn(ctx.txn_id),
             proof_evaluations=self.metrics.proofs.for_txn(ctx.txn_id),

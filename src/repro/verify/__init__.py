@@ -33,8 +33,21 @@ __all__ = [
     "Violation",
     "check_run",
     "collect_run",
+    "dump_incident",
     "verify_cluster",
 ]
+
+
+def dump_incident(cluster: Any, report: VerificationReport, reason: str) -> None:
+    """Violations ⇒ incident bundle, when the world carries a flight recorder.
+
+    The bundle (recent event window, metrics snapshot, waterfalls of the
+    implicated transactions — see :mod:`repro.obs.flight`) is retained on
+    ``cluster.metrics.flight.bundles``.
+    """
+    flight = cluster.metrics.flight
+    if report.violations and flight is not None and flight.enabled:
+        flight.dump(reason, cluster.env.now, violations=report, metrics=cluster.metrics)
 
 
 def verify_cluster(
@@ -44,22 +57,9 @@ def verify_cluster(
 ) -> VerificationReport:
     """Collect a finished cluster's evidence and run the conformance checks.
 
-    When the cluster carries a flight recorder (``Metrics.flight``,
-    enabled via ``CloudConfig.flight_recorder``) and the checks find
-    violations, an incident bundle is dumped automatically — the recent
-    event window, a metrics snapshot, and waterfalls of the implicated
-    transactions (see :mod:`repro.obs.flight`).
+    Violations dump an incident bundle (:func:`dump_incident`).
     """
     run = collect_run(cluster, outcomes=outcomes)
     report = check_run(run, checks=checks)
-    flight = getattr(getattr(cluster, "metrics", None), "flight", None)
-    if report.violations and flight is not None and flight.enabled:
-        flight.dump(
-            reason=f"conformance: {', '.join(sorted(report.codes()))}",
-            now=cluster.env.now,
-            violations=report,
-            metrics=cluster.metrics,
-            recorder=getattr(cluster, "obs", None),
-            live=cluster.metrics.live,
-        )
+    dump_incident(cluster, report, f"conformance: {', '.join(sorted(report.codes()))}")
     return report

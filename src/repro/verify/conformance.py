@@ -17,8 +17,8 @@ event list (as the mutation tests do) and re-running it is the intended
 testing strategy.
 
 Scope: fault-free *and* crash-faulted runs.  Node crashes are recorded in
-the trace (``fault.crash``, emitted by :meth:`repro.sim.network.Network.
-note_crash`), and the checks that would otherwise misfire on legitimate
+the trace (``fault.crash``, :meth:`repro.metrics.counters.Metrics.
+node_crashed`), and the checks that would otherwise misfire on legitimate
 crash behaviour consult them: a lock granted on a server that crashed
 afterwards is excused from the strict-2PL release obligation (the volatile
 lock table died with the server — there is nothing left to release).

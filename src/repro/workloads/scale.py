@@ -356,10 +356,6 @@ class PolicyStormProcess:
                     admin_name, rules, description=f"storm@{storm.at:.1f}#{step + 1}"
                 )
                 self.published += 1
-                live = self.cluster.metrics.live
-                if live is not None:
-                    live.record_policy_publication(  # type: ignore[attr-defined]
-                        storm.region, self.cluster.env.now
-                    )
+                self.cluster.metrics.policy_published(storm.region, self.cluster.env.now)
                 if step < storm.updates - 1 and storm.spacing > 0:
                     yield self.cluster.env.timeout(storm.spacing)

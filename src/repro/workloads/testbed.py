@@ -74,9 +74,10 @@ class Cluster:
     env: Environment
     network: Network
     rng: RandomStreams
+    #: The world's one observation handle: counters plus every recorder.
     metrics: Metrics
+    #: ``metrics.tracer`` and ``metrics.spans``, under their historical names.
     tracer: Tracer
-    #: Causal span recorder shared by every node (see :mod:`repro.obs`).
     obs: SpanRecorder
     config: CloudConfig
     registry: CARegistry
@@ -309,11 +310,14 @@ def assemble_cluster(
     # Pooling is safe for the in-tree protocol stack: nothing retains a
     # timeout past its firing (see the pooling notes in repro.sim.kernel).
     env = Environment(pooling=True)
-    metrics = Metrics(streaming=config.streaming_metrics)
+    metrics = Metrics(
+        streaming=config.streaming_metrics,
+        trace=trace,
+        spans=config.obs_spans,
+        sample_rate=config.obs_sample_rate,
+    )
     if topology is not None:
         metrics.regions.configure(topology)
-    tracer = Tracer(enabled=trace)
-    obs = SpanRecorder(enabled=config.obs_spans, sample_rate=config.obs_sample_rate)
     if config.live_telemetry:
         # Local import: repro.obs.live sits above repro.metrics and is only
         # needed when the knob is on.
@@ -331,32 +335,15 @@ def assemble_cluster(
     if config.flight_recorder:
         from repro.obs.flight import FlightRecorder
 
-        flight = FlightRecorder()
-        flight.clock = lambda: env.now
-        metrics.flight = flight
-    network = Network(
-        env,
-        rng=rng.stream("network"),
-        latency=latency,
-        tracer=tracer,
-        message_hook=metrics,
-        spans=obs,
-    )
+        metrics.flight = FlightRecorder()
+    network = Network(env, metrics, rng=rng.stream("network"), latency=latency)
     registry = CARegistry()
     users_ca = registry.add(CertificateAuthority("users-ca"))
     catalog = ItemCatalog()
 
     servers: Dict[str, CloudServer] = {}
     for spec in server_specs:
-        server = CloudServer(
-            spec.name,
-            config,
-            registry,
-            metrics,
-            tracer,
-            obs=obs,
-            default_admin=spec.admin,
-        )
+        server = CloudServer(spec.name, config, registry, metrics, default_admin=spec.admin)
         server.host_items(dict(spec.items), admin=spec.admin)
         catalog.assign_all(spec.items, spec.name)
         network.register(server)
@@ -364,7 +351,7 @@ def assemble_cluster(
         if topology is not None and spec.region is not None:
             topology.place(spec.name, spec.region)
 
-    master = MasterVersionService(config.master_name, obs=obs)
+    master = MasterVersionService(config.master_name)
     network.register(master)
     replicator = PolicyReplicator(
         "replicator", rng.stream("replication"), config.replication_delay
@@ -394,7 +381,7 @@ def assemble_cluster(
         names = [f"tm{index}" for index in range(1, n_tms + 1)]
     tms = []
     for position, name in enumerate(names):
-        tm = TransactionManager(name, config, catalog, metrics, tracer, obs=obs)
+        tm = TransactionManager(name, config, catalog, metrics)
         network.register(tm)
         tms.append(tm)
         if (
@@ -410,8 +397,8 @@ def assemble_cluster(
         network=network,
         rng=rng,
         metrics=metrics,
-        tracer=tracer,
-        obs=obs,
+        tracer=metrics.tracer,
+        obs=metrics.spans,
         config=config,
         registry=registry,
         catalog=catalog,

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
+from repro.metrics.counters import Metrics
 from repro.sim.kernel import Environment
 from repro.sim.network import FixedLatency, Network
 from repro.transactions.transaction import Query, Transaction
@@ -21,7 +22,7 @@ def env():
 @pytest.fixture
 def network(env):
     """A network with deterministic unit latency."""
-    return Network(env, latency=FixedLatency(1.0))
+    return Network(env, Metrics(), latency=FixedLatency(1.0))
 
 
 @pytest.fixture

@@ -5,11 +5,12 @@ import pytest
 from repro.db import locks as lock_module
 from repro.db.locks import LockManager, LockMode, compatible
 from repro.errors import DeadlockError
+from repro.metrics.counters import Metrics
 
 
 @pytest.fixture
 def locks(env):
-    return LockManager(env, "s1")
+    return LockManager(env, "s1", Metrics())
 
 
 def granted(event):
@@ -178,7 +179,7 @@ class TestHostCost:
                 return super().__getattribute__(name)
 
         monkeypatch.setattr(lock_module, "_WaitEntry", CountedEntry)
-        locks = LockManager(env, "s1")
+        locks = LockManager(env, "s1", Metrics())
         locks.acquire("holder", "hot", LockMode.EXCLUSIVE)
         waits = [locks.acquire(f"t{i}", "hot", LockMode.EXCLUSIVE) for i in range(n)]
         locks.release_all("holder")

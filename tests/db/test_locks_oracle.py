@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.db.locks import LockManager, LockMode
+from repro.metrics.counters import Metrics
 from repro.sim.kernel import Environment
 from repro.sim.tracing import Tracer
 from tests.db.lock_oracle import ReferenceLockManager
@@ -50,8 +51,12 @@ def schedule(seed, n_txns, n_keys, length):
 def replay(manager_class, ops):
     """Everything observable about one schedule, in kernel order."""
     env = Environment()
-    tracer = Tracer()
-    locks = manager_class(env, "s", tracer=tracer)
+    if manager_class is LockManager:
+        metrics = Metrics(trace=True)
+        tracer, locks = metrics.tracer, LockManager(env, "s", metrics)
+    else:  # the reference keeps the constructor it was frozen with
+        tracer = Tracer()
+        locks = manager_class(env, "s", tracer=tracer)
     log = []
 
     def resolved(request):

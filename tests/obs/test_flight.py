@@ -66,18 +66,18 @@ class TestRing:
     def test_disabled_recorder_records_nothing(self):
         recorder = FlightRecorder(enabled=False)
         recorder.record("s1", 0.0, "tick")
-        recorder.on_message(object())  # must not even touch the message
+        recorder.on_message(object(), 0.0)  # must not even touch the message
         assert recorder.events() == [] and recorder.recorded == 0
 
     def test_on_message_uses_bound_clock(self):
+        """The clock is the caller's: the send site passes its own ``now``."""
         recorder = FlightRecorder()
-        recorder.clock = lambda: 42.0
 
         class Message:
             src, dst, kind = "tm0", "s1", "prepare"
             payload = {"txn_id": "t9"}
 
-        recorder.on_message(Message())
+        recorder.on_message(Message(), 42.0)
         (event,) = recorder.events()
         assert event == FlightEvent(
             0, 42.0, "tm0", "net.send", "t9", (("kind", "prepare"), ("dst", "s1"))

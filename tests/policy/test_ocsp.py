@@ -69,11 +69,7 @@ def test_traffic_uses_ocsp_category(env, network, world):
     ca, _registry, _responder, client = world
     seen = []
 
-    class Hook:
-        def on_message(self, message):
-            seen.append(message.category)
-
-    network.message_hook = Hook()
+    network.metrics.on_message = lambda message, now: seen.append(message.category)
     credential = ca.issue("bob", Atom("p", ("bob",)), 0.0)
     check(env, client, [credential])
     assert set(seen) == {CATEGORY}

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.db.locks import LockManager, LockMode
+from repro.metrics.counters import Metrics
 from repro.sim.kernel import Environment
 
 KEYS = ("a", "b", "c")
@@ -32,7 +33,7 @@ def operations(draw):
 
 def apply_ops(ops):
     env = Environment()
-    locks = LockManager(env, "s")
+    locks = LockManager(env, "s", Metrics())
     for op, txn, key, mode in ops:
         if op == "acquire":
             event = locks.acquire(txn, key, mode)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError, RequestTimeout, SimulationError
+from repro.metrics.counters import Metrics
 from repro.sim.kernel import Environment
 from repro.sim.network import (
     FixedLatency,
@@ -12,7 +13,6 @@ from repro.sim.network import (
     Node,
     UniformLatency,
 )
-from repro.sim.tracing import Tracer
 
 
 class Echo(Node):
@@ -142,11 +142,11 @@ class TestFailures:
 
     def test_drop_rate_validation(self, env):
         with pytest.raises(SimulationError):
-            Network(env, drop_rate=1.5)
+            Network(env, Metrics(), drop_rate=1.5)
 
     def test_reply_after_timeout_is_ignored(self, env):
         """A straggler reply arriving after the timeout must not blow up."""
-        network = Network(env, latency=FixedLatency(10.0))
+        network = Network(env, Metrics(), latency=FixedLatency(10.0))
         network.register(Echo())
         client = network.register(Client())
 
@@ -186,10 +186,14 @@ class TestAnsweredRpcIsNotPinned:
         return list(seen.values())
 
     def test_kernel_queue_forgets_the_request_once_replied(self, env, network):
+        sent = []
+
+        class Hook(Metrics):  # class-level: the reachability walk stops at types
+            on_message = staticmethod(lambda message, now: sent.append(message))
+
+        network.metrics = Hook()
         network.register(Echo())
         client = network.register(Client())
-        sent = []
-        network.message_hook = type("Hook", (), {"on_message": staticmethod(sent.append)})
 
         def body():
             reply = yield client.request("echo", "ping", "test", timeout=500, n=1)
@@ -229,15 +233,16 @@ class TestAnsweredRpcIsNotPinned:
 
 class TestAccounting:
     def test_message_hook_sees_every_send(self, env):
-        class Hook:
+        class Hook(Metrics):
             def __init__(self):
+                super().__init__()
                 self.categories = []
 
-            def on_message(self, message):
+            def on_message(self, message, now):
                 self.categories.append(message.category)
 
         hook = Hook()
-        network = Network(env, message_hook=hook)
+        network = Network(env, hook)
         network.register(Echo())
         client = network.register(Client())
 
@@ -248,15 +253,16 @@ class TestAccounting:
         assert hook.categories == ["cat-a", "test"]
 
     def test_dropped_messages_still_counted(self, env):
-        class Hook:
+        class Hook(Metrics):
             def __init__(self):
+                super().__init__()
                 self.count = 0
 
-            def on_message(self, message):
+            def on_message(self, message, now):
                 self.count += 1
 
         hook = Hook()
-        network = Network(env, message_hook=hook)
+        network = Network(env, hook)
         echo = network.register(Echo())
         client = network.register(Client())
         network.fail_link("client", "echo")
@@ -266,8 +272,8 @@ class TestAccounting:
         assert echo.seen == []
 
     def test_tracer_records_send_and_receive(self, env):
-        tracer = Tracer()
-        network = Network(env, tracer=tracer)
+        network = Network(env, Metrics(trace=True))
+        tracer = network.metrics.tracer
         network.register(Echo())
         client = network.register(Client())
         client.send("echo", "note", "test", n=1)

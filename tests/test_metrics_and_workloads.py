@@ -80,16 +80,16 @@ class TestMessageCounters:
     def test_release_txn_forgets_the_breakdown_and_keeps_the_totals(self):
         metrics = Metrics(streaming=True)
         for _ in range(3):
-            metrics.on_message(message(CAT_VOTE, "t1"))
+            metrics.on_message(message(CAT_VOTE, "t1"), 0.0)
         metrics.release_txn("t1")
         assert metrics.messages.for_txn("t1") == 0
         assert metrics.messages.total() == 3
-        metrics.on_message(message(CAT_VOTE, "t1"))  # a straggler starts afresh
+        metrics.on_message(message(CAT_VOTE, "t1"), 0.0)  # a straggler starts afresh
         assert metrics.messages.breakdown_for_txn("t1") == {CAT_VOTE: 1}
 
     def test_metrics_bundle_routes_hook(self):
         metrics = Metrics()
-        metrics.on_message(message(CAT_VOTE, "t1"))
+        metrics.on_message(message(CAT_VOTE, "t1"), 0.0)
         metrics.proofs.on_proof("s1", "t1")
         assert metrics.messages.protocol_for_txn("t1") == 1
         assert metrics.proofs.for_txn("t1") == 1
