@@ -8,9 +8,15 @@ Measures, on the host clock:
   every simulation pays; the CI gate holds it at ≤ 1.20x.
 * **sampling** — the same workload at a 0.2 sampling rate, to show the
   knob works (fewer spans, overhead between off and fully on).
+* **live overhead** — the same baseline against sketches + windows + flight
+  rings on; the CI gate holds it at ≤ 1.25x.
 * **analysis throughput** — spans/second of the pure post-run passes:
   well-formedness checking, critical-path attribution, and OpenMetrics
   rendering over the recorded run.
+
+An overhead is the *median ratio over interleaved pairs* (off then on, on
+then off, ...; :func:`n_pairs` of them), reported with its quartiles, on a
+workload sized so one baseline run takes ≥ 0.3 s even with ``--quick``.
 
 Every measured run must come back with zero span-tree problems — a
 malformed trace is a correctness failure, not a benchmark result, and
@@ -24,11 +30,13 @@ Writes ``BENCH_obs.json`` (repo root by default).  Run:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
+import statistics
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
@@ -47,6 +55,60 @@ from repro.workloads.testbed import build_cluster
 SEED = 61
 
 
+def n_transactions(quick: bool) -> int:
+    """Workload size: about 0.4 s / 0.8 s per spans-off run (quick / full)."""
+    return 300 if quick else 600
+
+
+def n_pairs(quick: bool) -> int:
+    """Interleaved off/on pairs behind each overhead ratio (quick / full)."""
+    return 7 if quick else 9
+
+
+def paired_seconds(
+    off: Callable[[], Any],
+    on: Callable[[], Any],
+    pairs: int,
+    after_on: Callable[[Any], None] = lambda cluster: None,
+) -> List[Tuple[float, float]]:
+    """``(off, on)`` wall seconds of ``pairs`` interleaved runs, the side
+    that goes first alternating, so drift of the host lands on both.  One
+    untimed run of each side comes first (imports, allocator warm-up);
+    ``after_on`` sees what each ``on`` run returned, outside its clock."""
+
+    def seconds(run: Callable[[], Any]) -> Tuple[float, Any]:
+        gc.collect()  # the previous world is cyclic garbage: not on this run's clock
+        start = time.perf_counter()
+        result = run()
+        return time.perf_counter() - start, result
+
+    off()
+    on()
+    out = []
+    for index in range(pairs):
+        if index % 2 == 0:
+            off_s, _ = seconds(off)
+            on_s, result = seconds(on)
+        else:
+            on_s, result = seconds(on)
+            off_s, _ = seconds(off)
+        after_on(result)
+        out.append((off_s, on_s))
+    return out
+
+
+def ratio_summary(timings: List[Tuple[float, float]], name: str) -> Dict[str, Any]:
+    """Median and quartiles of on/off over the pairs, plus the pair count."""
+    ratios = [on_s / off_s for off_s, on_s in timings]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {
+        "pairs": len(timings),
+        name: round(median, 4),
+        f"{name}_q1": round(q1, 4),
+        f"{name}_q3": round(q3, 4),
+    }
+
+
 def run_workload(
     quick: bool,
     obs_spans: bool,
@@ -58,7 +120,7 @@ def run_workload(
     """One seeded open-loop workload with benign churn; returns the cluster."""
     from repro.workloads.updates import PolicyUpdateProcess
 
-    n_txns = 10 if quick else 30
+    n_txns = n_transactions(quick)
     cluster = build_cluster(
         n_servers=3,
         items_per_server=4,
@@ -102,69 +164,68 @@ def _problem_count(cluster: Any) -> int:
     return len(problems)
 
 
-def measure_recording_overhead(quick: bool, repeats: int) -> Dict[str, Any]:
+def measure_recording_overhead(quick: bool) -> Dict[str, Any]:
     """Wall-clock of a Continuous workload with spans off vs on vs sampled."""
+    pairs = n_pairs(quick)
     result: Dict[str, Any] = {"approach": "continuous", "problems": 0}
 
-    def timed(obs_spans: bool, sample_rate: float, key: str) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            cluster = run_workload(quick, obs_spans, sample_rate)
-            best = min(best, time.perf_counter() - start)
-            if obs_spans:
-                result["problems"] += _problem_count(cluster)
-                result[f"{key}_spans"] = _span_count(cluster)
-        return best
+    def checked(key: str) -> Callable[[Any], None]:
+        def check(cluster: Any) -> None:
+            result["problems"] += _problem_count(cluster)
+            result[f"{key}_spans"] = _span_count(cluster)
 
-    baseline = timed(False, 1.0, "off")
-    traced = timed(True, 1.0, "on")
-    sampled = timed(True, 0.2, "sampled")
+        return check
+
+    def off() -> Any:
+        return run_workload(quick, False)
+
+    timings = paired_seconds(off, lambda: run_workload(quick, True), pairs, checked("on"))
+    sampled = paired_seconds(
+        off, lambda: run_workload(quick, True, 0.2), pairs, checked("sampled")
+    )
+    baseline = statistics.median(off_s for off_s, _ in timings)
+    traced_seconds = statistics.median(on_s for _, on_s in timings)
     result.update(
         {
             "baseline_seconds": round(baseline, 6),
-            "traced_seconds": round(traced, 6),
-            "sampled_seconds": round(sampled, 6),
-            "overhead_seconds": round(traced - baseline, 6),
-            "overhead_ratio": round(traced / baseline, 4),
-            "sampled_overhead_ratio": round(sampled / baseline, 4),
+            "traced_seconds": round(traced_seconds, 6),
+            "sampled_seconds": round(statistics.median(on_s for _, on_s in sampled), 6),
+            "overhead_seconds": round(traced_seconds - baseline, 6),
+            **ratio_summary(timings, "overhead_ratio"),
+            "sampled_overhead_ratio": round(
+                statistics.median(on_s / off_s for off_s, on_s in sampled), 4
+            ),
             "sample_rate": 0.2,
         }
     )
     return result
 
 
-def measure_live_overhead(quick: bool, repeats: int) -> Dict[str, Any]:
+def measure_live_overhead(quick: bool) -> Dict[str, Any]:
     """Wall-clock cost of the streaming telemetry layer (sketches +
     windows + flight rings), measured against the same spans-off baseline
     the recording gate uses.  The CI gate holds the ratio at ≤ 1.25x."""
     result: Dict[str, Any] = {"approach": "continuous"}
 
-    def timed(live: bool, flight: bool) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            cluster = run_workload(
-                quick, obs_spans=False, live_telemetry=live, flight_recorder=flight
-            )
-            best = min(best, time.perf_counter() - start)
-            if live:
-                telemetry = cluster.metrics.live
-                result["sketch_series"] = len(telemetry.latency) + len(
-                    telemetry.lock_wait
-                ) + len(telemetry.proof_eval)
-                result["windows"] = len(telemetry.windows.rows())
-            if flight:
-                result["flight_events"] = cluster.metrics.flight.recorded
-        return best
+    def counted(cluster: Any) -> None:
+        telemetry = cluster.metrics.live
+        result["sketch_series"] = len(telemetry.latency) + len(
+            telemetry.lock_wait
+        ) + len(telemetry.proof_eval)
+        result["windows"] = len(telemetry.windows.rows())
+        result["flight_events"] = cluster.metrics.flight.recorded
 
-    baseline = timed(False, False)
-    live_on = timed(True, True)
+    timings = paired_seconds(
+        lambda: run_workload(quick, obs_spans=False),
+        lambda: run_workload(quick, obs_spans=False, live_telemetry=True, flight_recorder=True),
+        n_pairs(quick),
+        counted,
+    )
     result.update(
         {
-            "baseline_seconds": round(baseline, 6),
-            "live_seconds": round(live_on, 6),
-            "live_overhead_ratio": round(live_on / baseline, 4),
+            "baseline_seconds": round(statistics.median(off_s for off_s, _ in timings), 6),
+            "live_seconds": round(statistics.median(on_s for _, on_s in timings), 6),
+            **ratio_summary(timings, "live_overhead_ratio"),
         }
     )
     return result
@@ -209,10 +270,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=str(pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs.json"),
         help="where to write the JSON report",
     )
-    parser.add_argument("--repeats", type=int, default=None, help="timing repeats (best-of)")
+    parser.add_argument(
+        "--repeats", type=int, default=None, help="best-of repeats of the analysis passes"
+    )
     parser.add_argument(
         "--max-overhead", type=float, default=None,
-        help="fail if overhead_ratio exceeds this (the CI gate passes 1.20)",
+        help="fail if overhead_ratio (the median over the pairs) exceeds this "
+        "(the CI gate passes 1.20)",
     )
     parser.add_argument(
         "--max-live-overhead", type=float, default=None,
@@ -228,12 +292,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workload": {
             "n_servers": 3,
             "txn_length": 3,
-            "n_transactions": 10 if args.quick else 30,
+            "n_transactions": n_transactions(args.quick),
             "update_interval": 40.0,
             "seed": SEED,
         },
-        "recording_overhead": measure_recording_overhead(args.quick, repeats),
-        "live_overhead": measure_live_overhead(args.quick, repeats),
+        "recording_overhead": measure_recording_overhead(args.quick),
+        "live_overhead": measure_live_overhead(args.quick),
         "analysis_throughput": measure_analysis_throughput(args.quick, repeats),
     }
     clean = report["recording_overhead"]["problems"] == 0

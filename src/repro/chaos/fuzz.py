@@ -132,12 +132,17 @@ class CaseResult:
 
 def _trace_digest(tracer: Any) -> str:
     """Stable digest over every trace record (time, category, details)."""
-    digest = hashlib.sha256()
-    for record in tracer:
-        digest.update(
-            f"{record.time!r}|{record.category}|{record.details!r}\n".encode()
-        )
-    return digest.hexdigest()
+    records = list(tracer)  # alive until the end: an ``id`` below names one tuple
+    # A message's net.send and net.recv records share one details tuple, and
+    # rendering details is most of the work: do it once per tuple.
+    rendered: Dict[int, str] = {}
+    lines = []
+    for time, category, details in records:
+        text = rendered.get(id(details))
+        if text is None:
+            text = rendered[id(details)] = repr(details)
+        lines.append(f"{time!r}|{category}|{text}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def _driver(cluster: Any, case: FuzzCase, approach: Any) -> Generator[Any, Any, None]:

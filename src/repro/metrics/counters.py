@@ -26,7 +26,7 @@ from repro.obs.spans import SpanRecorder
 from repro.policy.rules import EngineCounters
 from repro.sim.network import Message
 from repro.sim.topology import RegionTopology, estimate_message_size
-from repro.sim.tracing import Tracer
+from repro.sim.tracing import Pairs, Tracer
 
 if TYPE_CHECKING:  # repro.obs.live / .flight sit above the metrics layer
     from repro.metrics.stats import TransactionOutcome
@@ -295,6 +295,38 @@ class VerificationCounters:
             self.violations_by_code[violation.code] += 1
 
 
+def _message_items(message: Message, extra: Tuple[str, Any]) -> Pairs:
+    """The details of a ``net.*`` record, in key order: ``dst, kind,
+    [msg_category], [query_id], [reason], src, [txn_id]``; ``extra`` is the
+    ``msg_category`` or the ``reason`` pair.  ``txn_id`` / ``query_id`` (when
+    the payload carries them) let offline checkers correlate wire traffic per
+    transaction."""
+    payload = message.payload
+    query_id = payload.get("query_id")
+    txn_id = payload.get("txn_id")
+    dst, kind, src = ("dst", message.dst), ("kind", message.kind), ("src", message.src)
+    items: Pairs
+    if query_id is None:
+        items = (dst, kind, extra, src)
+    elif extra[0] < "query_id":
+        items = (dst, kind, extra, ("query_id", query_id), src)
+    else:
+        items = (dst, kind, ("query_id", query_id), extra, src)
+    if txn_id is not None:
+        items += (("txn_id", txn_id),)
+    return items
+
+
+def _wire_items(message: Message) -> Pairs:
+    """What ``net.send`` and ``net.recv`` say of a message: one tuple, built
+    by whichever is recorded first and kept on the message for the other."""
+    items = message.trace_items
+    if items is None:
+        extra = ("msg_category", message.category)
+        items = message.trace_items = _message_items(message, extra)
+    return items
+
+
 class Metrics:
     """Everything one simulated world counts and records, behind one handle.
 
@@ -361,36 +393,25 @@ class Metrics:
         if self.flight is not None:
             self.flight.on_message(message, now)
         if self.tracer.enabled:
-            self._trace_message(now, "net.send", message, msg_category=message.category)
+            self.tracer.record(now, "net.send", _wire_items(message))
 
     def message_dropped(self, message: Message, reason: str, now: float) -> None:
         """The network dropped a message at send time (link / rate / chaos)."""
         self.faults.on_drop(reason)
         if self.tracer.enabled:
-            self._trace_message(now, "net.drop", message, reason=reason)
+            self.tracer.record(now, "net.drop", _message_items(message, ("reason", reason)))
 
     def message_delivered(self, message: Message, now: float) -> None:
         """A message reached a live node."""
         if self.tracer.enabled:
-            self._trace_message(now, "net.recv", message, msg_category=message.category)
-
-    def _trace_message(self, now: float, category: str, message: Message, **details: Any) -> None:
-        # txn_id/query_id (when the payload carries them) let offline
-        # checkers correlate wire traffic per transaction.
-        for key in ("txn_id", "query_id"):
-            value = message.payload.get(key)
-            if value is not None:
-                details[key] = value
-        self.tracer.record(
-            now, category, src=message.src, dst=message.dst, kind=message.kind, **details
-        )
+            self.tracer.record(now, "net.recv", _wire_items(message))
 
     def node_crashed(self, node: str, now: float) -> None:
         """A node crashed.  The trace record lets the conformance checker
         excuse locks a crashed participant never released."""
         self.faults.on_crash()
         if self.tracer.enabled:
-            self.tracer.record(now, "fault.crash", node=node)
+            self.tracer.record(now, "fault.crash", (("node", node),))
         if self.flight is not None:
             self.flight.record(node, now, "fault.crash")
 
@@ -398,7 +419,7 @@ class Metrics:
         """A crashed node restarted."""
         self.faults.on_recovery()
         if self.tracer.enabled:
-            self.tracer.record(now, "fault.recover", node=node)
+            self.tracer.record(now, "fault.recover", (("node", node),))
         if self.flight is not None:
             self.flight.record(node, now, "fault.recover")
 
@@ -409,7 +430,7 @@ class Metrics:
     ) -> None:
         """α(T): a coordinator took a transaction on."""
         if self.tracer.enabled:
-            self.tracer.record(now, TXN_START, txn_id=txn_id)
+            self.tracer.record(now, TXN_START, (("txn_id", txn_id),))
         if self.flight is not None:
             detail = (("approach", approach), ("consistency", consistency))
             self.flight.record(coordinator, now, "txn.start", txn_id, detail)
@@ -417,13 +438,14 @@ class Metrics:
     def txn_ready(self, txn_id: str, now: float) -> None:
         """ω(T): every query executed, the commit-time protocol starts."""
         if self.tracer.enabled:
-            self.tracer.record(now, TXN_READY, txn_id=txn_id)
+            self.tracer.record(now, TXN_READY, (("txn_id", txn_id),))
 
     def txn_finished(self, coordinator: str, outcome: "TransactionOutcome") -> None:
         """A transaction reached its global decision."""
         now = outcome.finished_at
         if self.tracer.enabled:
-            self.tracer.record(now, TXN_DONE, txn_id=outcome.txn_id, committed=outcome.committed)
+            items = (("committed", outcome.committed), ("txn_id", outcome.txn_id))
+            self.tracer.record(now, TXN_DONE, items)
         if self.live is not None:
             self.live.observe_outcome(outcome, coordinator=coordinator)
         if self.flight is not None:
@@ -448,31 +470,30 @@ class Metrics:
             detail = (("phase", phase), ("granted", granted), ("version", version))
             self.flight.record(server, now, "proof.eval", txn_id, detail)
         if self.tracer.enabled:
-            self.tracer.record(
-                now,
-                PROOF_EVAL,
-                admin=proof.policy_id.admin,
-                granted=granted,
-                phase=phase,
-                query_id=proof.query_id,
-                server=server,
-                txn_id=txn_id,
-                version=version,
+            items = (
+                ("admin", proof.policy_id.admin),
+                ("granted", granted),
+                ("phase", phase),
+                ("query_id", proof.query_id),
+                ("server", server),
+                ("txn_id", txn_id),
+                ("version", version),
             )
+            self.tracer.record(now, PROOF_EVAL, items)
 
     # -- facts: locks -----------------------------------------------------------
 
     def lock_granted(self, server: str, txn_id: str, key: str, mode: LockMode, now: float) -> None:
         """A lock (or a shared→exclusive upgrade) was granted."""
         if self.tracer.enabled:
-            self.tracer.record(
-                now, LOCK_GRANT, key=key, mode=mode.value, server=server, txn_id=txn_id
-            )
+            items = (("key", key), ("mode", mode.value), ("server", server), ("txn_id", txn_id))
+            self.tracer.record(now, LOCK_GRANT, items)
 
     def lock_released(self, server: str, txn_id: str, key: str, now: float) -> None:
         """An orderly strict-2PL release (a crash teardown records none)."""
         if self.tracer.enabled:
-            self.tracer.record(now, LOCK_RELEASE, key=key, mode=None, server=server, txn_id=txn_id)
+            items = (("key", key), ("mode", None), ("server", server), ("txn_id", txn_id))
+            self.tracer.record(now, LOCK_RELEASE, items)
 
     def lock_wait_resolved(self, server: str, waited: float, now: float) -> None:
         """A *queued* request was granted after ``waited`` (immediate grants never fire)."""

@@ -123,7 +123,8 @@ ParentRef = Union[Span, SpanContext, None]
 
 
 def context_of(parent: ParentRef) -> Optional[SpanContext]:
-    """Normalize a parent reference (span, context tuple, or None)."""
+    """Normalize a parent reference (span, context tuple, or None);
+    :meth:`SpanRecorder.start` reads the same three shapes for the id alone."""
     if parent is None:
         return None
     if isinstance(parent, Span):
@@ -185,21 +186,19 @@ class SpanRecorder:
         parent: ParentRef = None,
         **attrs: Any,
     ) -> Optional[Span]:
-        """Open a span; returns ``None`` when disabled/unsampled/untraced."""
+        """Open a span; returns ``None`` when disabled/unsampled/untraced.
+
+        ``parent`` is only read for its span id, and the call's own keyword
+        dict (a fresh one per call) becomes the span's ``attrs``.
+        """
         if trace_id is None or not self.sampled(trace_id):
             return None
-        ctx = context_of(parent)
-        span = Span(
-            span_id=next(self._ids),
-            trace_id=trace_id,
-            parent_id=ctx[1] if ctx is not None else None,
-            name=name,
-            kind=kind,
-            node=node,
-            start=start,
-        )
-        if attrs:
-            span.attrs.update(attrs)
+        parent_id: Optional[int] = None  # context_of(parent)[1], no tuple built
+        if isinstance(parent, Span):
+            parent_id = parent.span_id
+        elif parent is not None:
+            parent_id = parent[1]
+        span = Span(next(self._ids), trace_id, parent_id, name, kind, node, start, None, attrs)
         self._spans.append(span)
         self._by_trace.setdefault(trace_id, []).append(span)
         return span

@@ -27,6 +27,7 @@ from repro.errors import NetworkError, RequestTimeout, SimulationError
 from repro.obs.spans import KIND_RPC, Span, context_of
 from repro.sim.events import Event
 from repro.sim.kernel import Environment
+from repro.sim.tracing import Pairs
 
 if TYPE_CHECKING:  # repro.metrics imports this module
     from repro.metrics.counters import Metrics
@@ -52,6 +53,7 @@ class Message:
         "category",
         "reply_to",
         "wire_size",
+        "trace_items",
     )
 
     def __init__(
@@ -75,6 +77,9 @@ class Message:
         #: estimate_message_size`), stored by the first party that sizes
         #: the message so the next one does not walk the payload again.
         self.wire_size: Optional[int] = None
+        #: The details of this message's ``net.send`` / ``net.recv`` trace
+        #: records (:class:`repro.metrics.counters.Metrics`), on traced runs.
+        self.trace_items: Optional[Pairs] = None
 
     def get(self, key: str, default: Any = None) -> Any:
         """Convenience accessor into the payload."""

@@ -8,24 +8,35 @@ message orderings (Fig. 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+#: ``(key, value)`` pairs in ascending key order, no key twice: the shape of
+#: :attr:`TraceRecord.details` and of ``repro.verify.events.VerifyEvent.data``.
+Pairs = Tuple[Tuple[str, Any], ...]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace entry: a category, a timestamp, and free-form details."""
+def pair_value(pairs: Pairs, key: str, default: Any = None) -> Any:
+    """The value paired with ``key``, or ``default``."""
+    for name, value in pairs:
+        if name == key:
+            return value
+    return default
+
+
+class TraceRecord(NamedTuple):
+    """One trace entry: a timestamp, a category, and free-form details.
+
+    A tuple, so a record is one allocation, immutable by construction, and
+    hashes and compares structurally.
+    """
 
     time: float
     category: str
-    details: Tuple[Tuple[str, Any], ...]
+    details: Pairs
 
     def get(self, key: str, default: Any = None) -> Any:
         """Look up a detail by key."""
-        for name, value in self.details:
-            if name == key:
-                return value
-        return default
+        return pair_value(self.details, key, default)
 
     def as_dict(self) -> Dict[str, Any]:
         """The details as a plain dict (plus ``time`` and ``category``)."""
@@ -41,28 +52,22 @@ class Tracer:
         self.enabled = enabled
         self._records: List[TraceRecord] = []
 
-    def record(self, time: float, category: str, **details: Any) -> None:
+    def record(self, time: float, category: str, items: Pairs = (), **details: Any) -> None:
         """Append a record (no-op when tracing is disabled).
 
-        Details are stored key-sorted (the invariant every consumer relies
-        on), but most call sites already pass 0–1 details or keyword
-        arguments in alphabetical order, so the common case is a plain
-        adjacent-keys scan instead of a sort — tracing is on the hot path
-        of every message, lock transition, and proof evaluation.  The scan
-        is an explicit loop, not a generator expression: per-record
-        generator setup costs more than the comparisons it saves (see the
-        micro-bench note in docs/performance.md).
+        Details are stored as :data:`Pairs`, key-sorted — the invariant every
+        consumer relies on.  ``items`` is stored *as passed*: it is for the
+        fact methods of :class:`repro.metrics.counters.Metrics`, which sit on
+        the hot path of every message, lock transition and proof evaluation
+        and write their pairs down already in key order (the fact table in
+        docs/architecture.md is the spec, ``tests/obs/test_record_shapes.py``
+        enforces it).  Everyone else passes keywords, which are merged with
+        ``items`` and sorted here.
         """
         if not self.enabled:
             return
-        items = tuple(details.items())
-        if len(items) > 1:
-            prev = ""
-            for key, _value in items:
-                if key < prev:
-                    items = tuple(sorted(items))
-                    break
-                prev = key
+        if details:
+            items = tuple(sorted((*items, *details.items())))
         self._records.append(TraceRecord(time, category, items))
 
     def __len__(self) -> int:

@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud import messages as msg
 from repro.db.serializability import conflict_edges_from_histories, find_cycle
+from repro.sim.tracing import pair_value
 from repro.verify import report as rep
 from repro.verify.events import CAT_STORAGE, CAT_WAL, RunRecord, TxnMeta, VerifyEvent
 from repro.verify.report import VerificationReport, Violation, make_violation
@@ -44,6 +45,7 @@ from repro.verify.report import VerificationReport, Violation, make_violation
 #: Trace categories (mirrors of the producing modules; string-typed here so
 #: the checker never imports simulator state).
 NET_SEND = "net.send"
+NET_RECV = "net.recv"
 PROOF_EVAL = "proof.eval"
 LOCK_GRANT = "lock.grant"
 LOCK_RELEASE = "lock.release"
@@ -124,12 +126,18 @@ def _build_views(run: RunRecord) -> Dict[str, _TxnView]:
     }
     coordinators = set(run.coordinators)
     for event in run.events:
-        txn_id = event.get("txn_id")
-        view = views.get(txn_id)
+        # Category first: no view keeps a receive (30 % of the events), so
+        # none of its fields is read.  This is the one pass over every event,
+        # so it reads the pairs without the ``get`` layer.
+        category = event.category
+        if category == NET_RECV:
+            continue
+        data = event.data
+        view = views.get(pair_value(data, "txn_id"))
         if view is None:
             continue
-        if event.category == NET_SEND:
-            kind = event.get("kind")
+        if category == NET_SEND:
+            kind = pair_value(data, "kind")
             if kind == msg.PREPARE_TO_COMMIT:
                 view.prepare_sends.append(event)
             elif kind == msg.VOTE_REPLY:
@@ -139,18 +147,18 @@ def _build_views(run: RunRecord) -> Dict[str, _TxnView]:
             elif kind == msg.POLICY_UPDATE:
                 view.update_sends.append(event)
             elif kind == msg.QUERY_RESULT:
-                view.query_results.setdefault(event.get("query_id"), []).append(event)
+                view.query_results.setdefault(pair_value(data, "query_id"), []).append(event)
             elif kind == msg.MASTER_VERSION_REPLY:
                 view.master_replies.append(event)
-        elif event.category == PROOF_EVAL:
+        elif category == PROOF_EVAL:
             view.proofs.append(event)
-        elif event.category == LOCK_GRANT:
-            view.grants.setdefault(event.get("server"), []).append(event)
-        elif event.category == LOCK_RELEASE:
-            view.releases.setdefault(event.get("server"), []).append(event)
-        elif event.category == CAT_WAL:
-            node = event.get("node")
-            record_type = event.get("record_type")
+        elif category == LOCK_GRANT:
+            view.grants.setdefault(pair_value(data, "server"), []).append(event)
+        elif category == LOCK_RELEASE:
+            view.releases.setdefault(pair_value(data, "server"), []).append(event)
+        elif category == CAT_WAL:
+            node = pair_value(data, "node")
+            record_type = pair_value(data, "record_type")
             if record_type == _PREPARED:
                 view.prepared.setdefault(node, event)
             elif record_type in (_COMMIT, _ABORT):
@@ -159,8 +167,8 @@ def _build_views(run: RunRecord) -> Dict[str, _TxnView]:
                     view.decision_record = event
             elif record_type == _END:
                 view.ends.setdefault(node, []).append(event)
-        elif event.category == CAT_STORAGE:
-            view.accesses.setdefault(event.get("server"), []).append(event)
+        elif category == CAT_STORAGE:
+            view.accesses.setdefault(pair_value(data, "server"), []).append(event)
     return views
 
 

@@ -15,9 +15,11 @@ backdate a proof, swap two lock events) without touching the simulator.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+from repro.sim.tracing import Pairs, pair_value
 
 #: ``VerifyEvent.source`` values.
 SOURCE_TRACE = "trace"
@@ -31,36 +33,30 @@ CAT_STORAGE = "storage"
 _UNSET = object()
 
 
-@dataclass(frozen=True)
-class VerifyEvent:
+class VerifyEvent(NamedTuple):
     """One piece of recorded evidence, normalized for checking.
 
-    ``data`` is a sorted tuple of ``(key, value)`` pairs — the same shape
-    :class:`repro.sim.tracing.TraceRecord` uses — so events hash and
-    compare structurally.
+    ``data`` is a key-sorted tuple of ``(key, value)`` pairs — the shape of
+    :attr:`repro.sim.tracing.TraceRecord.details`, and for trace evidence
+    the very same tuple — so events hash and compare structurally.
     """
 
     event_id: int
     time: Optional[float]
     source: str
     category: str
-    data: Tuple[Tuple[str, Any], ...]
+    data: Pairs
 
     def get(self, key: str, default: Any = None) -> Any:
         """Value of one data field, or ``default``."""
-        for name, value in self.data:
-            if name == key:
-                return value
-        return default
+        return pair_value(self.data, key, default)
 
     def with_changes(self, time: Any = _UNSET, **data_changes: Any) -> "VerifyEvent":
         """A copy with ``time`` and/or data fields replaced (for mutations)."""
         mapping: Dict[str, Any] = dict(self.data)
         mapping.update(data_changes)
         data = tuple(sorted(mapping.items()))
-        if time is _UNSET:
-            return replace(self, data=data)
-        return replace(self, time=time, data=data)
+        return self._replace(time=self.time if time is _UNSET else time, data=data)
 
     def describe(self) -> str:
         """One-line rendering used in violation slices."""
@@ -148,11 +144,6 @@ class RunRecord:  # verify: ignore[DET004] -- not a traced value: mutation tests
         self.rewrite(second, time=first_time)
 
 
-def _sort_key(entry: Tuple[Optional[float], int]) -> Tuple[float, int]:
-    time, tiebreak = entry
-    return (math.inf if time is None else time, tiebreak)
-
-
 def _normalize_versions(raw: Any) -> Dict[str, int]:
     """WAL ``versions`` payloads keyed by PolicyId or str → keyed by str."""
     versions: Dict[str, int] = {}
@@ -169,17 +160,21 @@ def collect_run(cluster: Any, outcomes: Optional[Sequence[Any]] = None) -> RunRe
     transaction managers.  Only *finished* transactions (those with an
     outcome) are checked — in-flight transactions have incomplete
     histories by construction.
+
+    Event order: the timed evidence — the trace in recording order, then
+    each node's WAL (servers, then coordinators) — sorted *stably* by time,
+    so evidence of one instant keeps that order; then the storage accesses,
+    which carry no timestamp, server by server.  ``event_id`` is the
+    position in that list (``tests/verify/collect_oracle.py`` is the
+    reference).
     """
     if outcomes is None:
         outcomes = [outcome for tm in cluster.tms for outcome in tm.outcomes]
 
-    raw: List[Tuple[Optional[float], str, str, Tuple[Tuple[str, Any], ...]]] = []
-
-    for record in cluster.tracer:
-        raw.append((record.time, SOURCE_TRACE, record.category, record.details))
-
-    wal_nodes = list(cluster.servers.values()) + list(cluster.tms)
-    for node in wal_nodes:
+    evidence: List[Tuple[Optional[float], str, str, Pairs]] = [
+        (time, SOURCE_TRACE, category, details) for time, category, details in cluster.tracer
+    ]
+    for node in list(cluster.servers.values()) + list(cluster.tms):
         for log_record in node.wal.records():
             data: Dict[str, Any] = {
                 "node": node.name,
@@ -192,26 +187,26 @@ def collect_run(cluster: Any, outcomes: Optional[Sequence[Any]] = None) -> RunRe
                 if key == "versions":
                     value = _normalize_versions(value)
                 data.setdefault(key, value)
-            raw.append(
+            evidence.append(
                 (log_record.written_at, SOURCE_WAL, CAT_WAL, tuple(sorted(data.items())))
             )
+    evidence.sort(key=itemgetter(0))
 
     for server in cluster.servers.values():
         for access in server.storage.access_log:
-            data = {
-                "server": server.name,
-                "txn_id": access.txn_id,
-                "key": access.key,
-                "kind": access.kind.value,
-                "sequence": access.sequence,
-            }
             # Storage accesses carry no timestamp — only per-engine order.
-            raw.append((None, SOURCE_STORAGE, CAT_STORAGE, tuple(sorted(data.items()))))
+            pairs = (
+                ("key", access.key),
+                ("kind", access.kind.value),
+                ("sequence", access.sequence),
+                ("server", server.name),
+                ("txn_id", access.txn_id),
+            )
+            evidence.append((None, SOURCE_STORAGE, CAT_STORAGE, pairs))
 
-    indexed = sorted(enumerate(raw), key=lambda pair: _sort_key((pair[1][0], pair[0])))
     events = [
         VerifyEvent(event_id, time, source, category, data)
-        for event_id, (_, (time, source, category, data)) in enumerate(indexed)
+        for event_id, (time, source, category, data) in enumerate(evidence)
     ]
 
     transactions = {

@@ -27,9 +27,9 @@ def run_twenty(trace: bool, monkeypatch):
     calls = []
     record = Tracer.record
 
-    def counting(self, time, category, **details):
+    def counting(self, time, category, items=(), **details):
         calls.append(category)
-        record(self, time, category, **details)
+        record(self, time, category, items, **details)
 
     monkeypatch.setattr(Tracer, "record", counting)
     cluster = build_cluster(
