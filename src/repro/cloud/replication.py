@@ -46,8 +46,6 @@ class PolicyReplicator(Node):
         self.rng = rng
         self.delay_bounds = delay_bounds
         self._targets: List[str] = list(targets or [])
-        #: (policy_id, version, server) deliveries performed, for inspection.
-        self.deliveries: List[Tuple[str, int, str, float]] = []
 
     def add_target(self, server_name: str) -> None:
         """Subscribe a server to future policy publications."""
@@ -78,7 +76,6 @@ class PolicyReplicator(Node):
     def deliver_now(self, policy: Policy, server_name: str) -> None:
         """Immediate delivery (bootstrap: install initial policies everywhere)."""
         self.send(server_name, msg.POLICY_INSTALL, msg.CAT_REPLICATION, policy=policy)
-        self.deliveries.append((policy.admin, policy.version, server_name, self.env.now))
 
     def _deliver_later(self, policy: Policy, server_name: str, delay: float):
         yield self.env.timeout(delay)

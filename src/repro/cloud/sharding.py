@@ -95,10 +95,6 @@ class ShardMap:
         """All shards homed in a region."""
         return tuple(self._by_region.get(region, ()))
 
-    def coordinator_for(self, item: str) -> str:
-        """The TM name coordinating an item's shard."""
-        return self.shard_of(item).coordinator
-
     def tm_index_for(self, item: str) -> int:
         """The TM index coordinating an item's shard."""
         return self.shard_of(item).tm_index
@@ -108,9 +104,6 @@ class ShardMap:
         return tuple(
             item for shard in self.shards for item in shard.items
         )
-
-    def primaries(self) -> Tuple[str, ...]:
-        return tuple(shard.primary for shard in self.shards)
 
     def standbys(self) -> Tuple[str, ...]:
         """Every standby replica across every group, in shard order."""

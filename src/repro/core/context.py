@@ -112,7 +112,3 @@ class TxnContext:
             if proof is not None:
                 ordered.append(proof)
         return ordered
-
-    def domains_touched(self) -> Tuple[PolicyId, ...]:
-        """Administrative domains that appeared in any server report."""
-        return tuple(self.versions_seen)

@@ -120,10 +120,6 @@ class RegionMessageCounters:
         else:
             self.cross_region += 1
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes_by_pair.values())
-
     def cross_region_bytes(self) -> int:
         """Estimated bytes that crossed a region boundary."""
         return sum(

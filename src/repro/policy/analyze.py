@@ -72,7 +72,7 @@ from typing import (
 from repro.errors import PolicyError
 from repro.policy.parser import Token, render_atom, tokenize
 from repro.policy.policy import GUARD_PREDICATES
-from repro.policy.rules import Atom, RuleSet, Term, Variable
+from repro.policy.rules import Atom, Rule, RuleSet, Term, Variable
 
 #: Default query roots: the goal predicates access decisions are phrased in.
 DEFAULT_ROOTS: Tuple[str, ...] = tuple(sorted(GUARD_PREDICATES.values()))
@@ -848,20 +848,52 @@ def analyze_rules(
 # -- policy-diff impact analysis ---------------------------------------------------
 
 
-def changed_predicates(old: RuleSet, new: RuleSet) -> FrozenSet[str]:
+class HeldRules:
+    """The rules of the version a policy holder holds, as one set it moves.
+
+    A holder that installs version after version keeps one of these and
+    hands it to :func:`changed_predicates`: an install that appends to the
+    held rules costs its tail, and no version owns a set of its own.
+    """
+
+    __slots__ = ("rules", "distinct")
+
+    def __init__(self) -> None:
+        self.rules: Tuple[Rule, ...] = ()
+        self.distinct: Set[Rule] = set()
+
+    def advance(self, old: RuleSet, new: RuleSet) -> FrozenSet[str]:
+        """Head predicates of the rules in one of ``old``/``new`` only; then hold ``new``."""
+        if self.rules is not old.rules:  # the holder moved without telling us
+            self.rules, self.distinct = old.rules, set(old.rules)
+        held, incoming = self.rules, new.rules
+        if incoming[: len(held)] == held:  # shared rules compare by identity
+            changed = set(incoming[len(held):]).difference(self.distinct)
+            self.distinct.update(changed)
+        else:
+            distinct = set(incoming)
+            changed = distinct.symmetric_difference(self.distinct)
+            self.distinct = distinct
+        self.rules = incoming
+        return frozenset(rule.head.predicate for rule in changed)
+
+
+def changed_predicates(old: RuleSet, new: RuleSet, held: Optional[HeldRules] = None) -> FrozenSet[str]:
     """Head predicates of every rule added, removed, or modified.
 
     The rule level is the right granularity: a rule that appears verbatim
     in both versions cannot change any derivation it participates in, and
     a predicate none of whose defining rules changed derives exactly the
     same atoms from any fixed fact base.
+
+    A pure function of the two rule sets.  A caller that diffs each version
+    it installs against the one it held passes its :class:`HeldRules`: same
+    answer, at the cost of what ``new`` appends to ``old`` (of both full
+    sets for any other change, or if ``held`` is not for ``old`` after all).
     """
     if old is new:
         return frozenset()
-    return frozenset(
-        rule.head.predicate
-        for rule in old.distinct_rules.symmetric_difference(new.distinct_rules)
-    )
+    return (HeldRules() if held is None else held).advance(old, new)
 
 
 def dependency_closure(rules: RuleSet, goals: Iterable[str]) -> FrozenSet[str]:

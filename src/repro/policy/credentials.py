@@ -161,10 +161,6 @@ class CertificateAuthority:
         record = self._revocations.get(cred_id)
         return record is None or record.revoked_at > end
 
-    def issued_credentials(self) -> List[Credential]:
-        """All credentials this CA has issued (for inspection/tests)."""
-        return list(self._issued.values())
-
     def get_credential(self, cred_id: str) -> Optional[Credential]:
         """Look up one issued credential by id (None if unknown)."""
         return self._issued.get(cred_id)

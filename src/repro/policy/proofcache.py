@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.spans import Span, annotate
-from repro.policy.analyze import changed_predicates, dependency_closure
+from repro.policy.analyze import HeldRules, changed_predicates, dependency_closure
 from repro.policy.credentials import CARegistry, Credential
 from repro.policy.policy import GUARD_PREDICATES, Operation, Policy, PolicyId
 from repro.policy.proofs import (
@@ -153,6 +153,9 @@ class ProofCache:
         #: with live entries are listed, so everything the cache knows per
         #: policy version is bounded by, and dies with, its entries.
         self._lineages: Dict[PolicyId, Dict[Tuple[int, str], _Lineage]] = {}
+        #: policy id -> the rules of the version last diffed, moved by each
+        #: diffed install; one set per domain, never one per version.
+        self._held: Dict[PolicyId, HeldRules] = {}
         self._keys_by_credential: Dict[str, Set[CacheKey]] = {}
 
     # -- the memoized entry point -------------------------------------------------
@@ -252,18 +255,19 @@ class ProofCache:
         ``previous``\\ ly held by the same store (``None`` on first
         install).  An install whose provenance we can't establish drops
         the whole administrative domain.  Otherwise the two versions are
-        diffed (:func:`~repro.policy.analyze.changed_predicates`) and the
-        hook *keeps* every lineage of the outgoing version whose
-        dependency closure is disjoint from the changed predicates,
-        re-pointing it to the new version number: the rule fragment its
-        proofs can reach is rule-for-rule identical under both versions,
-        so a fresh evaluation under ``policy`` would reproduce each cached
-        verdict, derivations, and reason exactly
-        (``docs/policy-analysis.md`` § soundness).  Lineages pinned to any
-        *other* version are always dropped — they are stale deliveries we
-        never diffed against, or were pre-created at the incoming version.
-        The work is the diff, one step per goal predicate, and one per
-        entry dropped; the entries kept are counted, not visited.
+        diffed (:func:`~repro.policy.analyze.changed_predicates`, moving
+        the rules this cache holds for the domain) and the hook *keeps*
+        every lineage of the outgoing version whose dependency closure is
+        disjoint from the changed predicates, re-pointing it to the new
+        version number: the rule fragment its proofs can reach is
+        rule-for-rule identical under both versions, so a fresh evaluation
+        under ``policy`` would reproduce each cached verdict, derivations,
+        and reason exactly (``docs/policy-analysis.md`` § soundness).
+        Lineages pinned to any *other* version are always dropped — they
+        are stale deliveries we never diffed against, or were pre-created
+        at the incoming version.  The work is the rules the install appends
+        (both rule sets for any other change), one step per goal predicate,
+        and one per entry dropped; the entries kept are counted, not visited.
         """
         domain = self._lineages.get(policy.policy_id)
         if domain is None:
@@ -276,7 +280,8 @@ class ProofCache:
             and previous.version < policy.version
         ):
             outgoing = previous.version
-            changed = changed_predicates(previous.rules, policy.rules)
+            held = self._held.setdefault(policy.policy_id, HeldRules())
+            changed = changed_predicates(previous.rules, policy.rules, held)
         kept: List[_Lineage] = []
         doomed: List[CacheKey] = []
         for lineage in domain.values():
@@ -320,6 +325,7 @@ class ProofCache:
         count = len(self._entries)
         self._entries.clear()
         self._lineages.clear()
+        self._held.clear()
         self._keys_by_credential.clear()
         if count and self.stats is not None:
             self.stats.on_invalidation(self.server, count)

@@ -448,15 +448,14 @@ class RuleSet:
     """A logically immutable collection of rules with an indexed, tabled prover.
 
     The tuple of rules is all a rule set *is*: equality, hashing and every
-    verdict depend on nothing else.  The head indexes, the merged candidate
-    lists and the set of distinct rules are caches filled on first use, so
-    a policy version that is published but never proved against (most of
-    them, under policy churn) costs its tuple and nothing more.
+    verdict depend on nothing else.  The head indexes and the merged
+    candidate lists are caches filled on first use, so a policy version
+    that is published but never proved against (most of them, under policy
+    churn) costs its tuple and nothing more.
     """
 
     def __init__(self, rules: Iterable[Rule]) -> None:
         self._rules: Tuple[Rule, ...] = tuple(rules)
-        self._distinct: Optional[FrozenSet[Rule]] = None
         self._heads: Optional[Tuple[_HeadOpen, _HeadFirst]] = None
         #: Memoized merged candidate lists (the rule set is immutable, so
         #: a (predicate, arity, first-arg) key always yields the same list).
@@ -465,13 +464,6 @@ class RuleSet:
     @property
     def rules(self) -> Tuple[Rule, ...]:
         return self._rules
-
-    @property
-    def distinct_rules(self) -> FrozenSet[Rule]:
-        """The rules as a set, built (and every rule hashed) at most once."""
-        if self._distinct is None:
-            self._distinct = frozenset(self._rules)
-        return self._distinct
 
     def __len__(self) -> int:
         return len(self._rules)

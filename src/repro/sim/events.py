@@ -152,12 +152,6 @@ class Event:
         else:
             self.callbacks.append(callback)
 
-    def _mark_processed(self) -> List[Callable[["Event"], None]]:
-        """Kernel hook: close the callback list and return it."""
-        callbacks, self.callbacks = self.callbacks or [], None
-        self._processed = True
-        return callbacks
-
     def __repr__(self) -> str:
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"

@@ -143,10 +143,6 @@ class RegionTopology:
             raise SimulationError(f"unknown region {region!r}")
         self._placement[node] = region
 
-    def place_all(self, nodes: Iterable[str], region: str) -> None:
-        for node in nodes:
-            self.place(node, region)
-
     def region_of(self, node: str) -> str:
         """The region a node lives in (``default_region`` if unplaced)."""
         return self._placement.get(node, self.default_region)

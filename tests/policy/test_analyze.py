@@ -18,6 +18,7 @@ import pytest
 from repro.policy.analyze import (
     DEFAULT_ROOTS,
     RULES,
+    HeldRules,
     analyze_rules,
     analyze_text,
     changed_predicates,
@@ -270,12 +271,15 @@ def test_diff_impact_flags_roots_only_when_reachable():
 
 # -- the diff against its oracle ----------------------------------------------------
 #
-# ``changed_predicates`` is one ``symmetric_difference`` of two sets that each
-# ``RuleSet`` builds at most once (``RuleSet.distinct_rules``).  The oracle is
-# the function it replaced, which rebuilt both sets on every call; the harness
-# below holds the two equal on every kind of pair, asks every pair four times
-# (twice, in both argument orders) and re-uses rule sets across pairs, so a
-# cached set that goes stale or ends up on the wrong side shows.
+# ``changed_predicates`` moves one set of rules per *holder* (``HeldRules``) by
+# what an install appends, and rebuilds both sets for any other change.  The
+# oracle rebuilds both sets on every call; the harness below holds the two equal
+# on every kind of pair, asks every pair four times (twice, in both argument
+# orders) and re-uses rule sets across pairs — once with a throw-away holder per
+# call and once through a single holder carried across every pair of every seed,
+# so state left by an unrelated pair, by the reverse ask or by a skipped version
+# has to be noticed, and a tail rule the held version already has (``duplicated``)
+# has to stay *no* change.
 
 
 def _oracle_changed_predicates(old: RuleSet, new: RuleSet):
@@ -377,6 +381,19 @@ def _mismatches(diff, seeds=(0, 1, 2)):
     return wrong
 
 
+def _through(holder):
+    """``changed_predicates`` asked through one long-lived ``holder``."""
+    return lambda old, new: changed_predicates(old, new, holder)
+
+
+def _benign_chain(length: int):
+    """The rule sets of ``length`` benign successors of the 40-rule pool, in order."""
+    versions = [Policy(PolicyId("app"), 1, RuleSet(_rule_pool()))]
+    for _ in range(length):
+        versions.append(versions[-1].successor(benign_successor(versions[-1])))
+    return [policy.rules for policy in versions]
+
+
 def test_changed_predicates_agrees_with_the_parents_on_every_kind_of_pair():
     assert {kind for kind, _, _ in _diff_pairs(0)} == {
         "added", "removed", "rewritten", "reordered", "duplicated", "duplicated+removed",
@@ -384,13 +401,14 @@ def test_changed_predicates_agrees_with_the_parents_on_every_kind_of_pair():
         "benign chain", "alternate chain",
     }
     assert _mismatches(changed_predicates) == set()
+    assert _mismatches(_through(HeldRules())) == set()
 
 
 def _mutant_one_sided(old: RuleSet, new: RuleSet):
     if old is new:
         return frozenset()
     return frozenset(
-        rule.head.predicate for rule in old.distinct_rules.difference(new.distinct_rules)
+        rule.head.predicate for rule in set(old.rules).difference(new.rules)
     )
 
 
@@ -399,7 +417,7 @@ def _mutant_wide_shortcut(old: RuleSet, new: RuleSet):
         return frozenset()
     return frozenset(
         rule.head.predicate
-        for rule in old.distinct_rules.symmetric_difference(new.distinct_rules)
+        for rule in set(old.rules).symmetric_difference(new.rules)
     )
 
 
@@ -436,19 +454,79 @@ def test_the_diff_harness_catches_three_seeded_mutants():
     assert leaky(a, b) == _oracle_changed_predicates(a, b) != leaky(b, a)
 
 
+class _MutantHolder(HeldRules):
+    """``HeldRules.advance`` line for line, with one seeded defect switched on."""
+
+    def __init__(self, defect: str) -> None:
+        super().__init__()
+        self.defect = defect
+
+    def advance(self, old: RuleSet, new: RuleSet):
+        stale = self.rules is not old.rules
+        if self.defect == "trusts its state":
+            stale = not self.distinct  # seeded once, never checked to be for ``old``
+        if stale:
+            self.rules, self.distinct = old.rules, set(old.rules)
+        held, incoming = self.rules, new.rules
+        if self.defect == "at least as long":
+            extends = len(incoming) >= len(held)
+        else:
+            extends = incoming[: len(held)] == held
+        if extends:
+            changed = set(incoming[len(held):])
+            if self.defect != "no membership test":
+                changed = changed.difference(self.distinct)
+            self.distinct.update(changed)
+        else:
+            distinct = set(incoming)
+            changed = distinct.symmetric_difference(self.distinct)
+            self.distinct = distinct
+        self.rules = incoming
+        return frozenset(rule.head.predicate for rule in changed)
+
+
+def test_the_holder_harness_catches_three_seeded_mutants():
+    assert _mismatches(_through(_MutantHolder("none"))) == set()  # the copy is faithful
+    # State that is for some other version: left by an unrelated pair, or by a
+    # chain asked with a skip (consecutive steps are the one order it gets right).
+    trusting = _mismatches(_through(_MutantHolder("trusts its state")))
+    assert {"added", "benign chain", "alternate chain"} <= trusting
+    for skip, wrong in ((1, False), (2, True), (7, True)):
+        holder, chain = _MutantHolder("trusts its state"), _benign_chain(2 + 2 * skip)
+        answers = [
+            changed_predicates(chain[i], chain[i + skip], holder) for i in (0, 1)
+        ]
+        expected = [_oracle_changed_predicates(chain[i], chain[i + skip]) for i in (0, 1)]
+        assert (answers != expected) is wrong, skip
+    # A tail rule the held version already has is not a change.
+    assert "duplicated" in _mismatches(_through(_MutantHolder("no membership test")))
+    # "Extends" is prefix equality, not length.
+    assert {"rewritten", "alternate chain"} <= _mismatches(
+        _through(_MutantHolder("at least as long"))
+    )
+
+
 def test_diffing_a_rule_set_with_itself_hashes_nothing(monkeypatch):
-    rules, other = RuleSet(_rule_pool()), RuleSet(_rule_pool()[:-1])
+    chain = _benign_chain(50)
+    rules = chain[0]
     hashed = []
     original = Rule.__hash__
     monkeypatch.setattr(
-        Rule, "__hash__", lambda self: hashed.append(1) or original(self)
+        Rule, "__hash__", lambda self: hashed.append(self) or original(self)
     )
     assert changed_predicates(rules, rules) == frozenset()
+    assert changed_predicates(rules, rules, HeldRules()) == frozenset()
     assert hashed == []
-    for _ in range(3):
-        assert changed_predicates(rules, other) == frozenset({"p9"})
-        assert changed_predicates(other, rules) == frozenset({"p9"})
-    assert len(hashed) == len(rules) + len(other)  # once per rule set, ever
+    # An install costs what it appends: through one holder, every step after
+    # the first hashes the appended rule (at most twice) and no other rule.
+    holder = HeldRules()
+    for step, (old, new) in enumerate(zip(chain, chain[1:])):
+        del hashed[:]
+        assert changed_predicates(old, new, holder) == frozenset({f"revision_{step + 2}"})
+        if step:
+            assert 1 <= len(hashed) <= 2 and all(rule is new.rules[-1] for rule in hashed)
+        else:
+            assert len(hashed) <= len(old) + 2
 
 
 # -- lenient grammar -------------------------------------------------------------

@@ -13,7 +13,9 @@ from repro.policy.proofs import (
 )
 from repro.policy.rules import Atom, Rule, RuleSet, Variable
 from repro.policy.store import PolicyStore
-from repro.workloads.updates import benign_successor
+from repro.workloads.updates import benign_successor, restricting_successor
+from tests.policy.proofcache_oracle import ProofCache as ReferenceProofCache
+from tests.policy.test_proofcache_oracle import COUNTERS, entry_order
 
 U, I = Variable("U"), Variable("I")
 
@@ -433,8 +435,14 @@ class TestConstantMemoryUnderPolicyChurn:
             cached_eval(cache, outgoing, registry, [cred])
         assert stats.retentions > 500 and stats.hits > 500
         assert store.apply(store.current(pid).successor(benign_successor(store.current(pid))))
-        # entries + one domain + one credential: nothing that grew with 500
-        assert self.held(cache) <= len(cache) + 2
+        # entries + one domain + one credential + the domain's held rules:
+        # nothing that grew with 500
+        assert self.held(cache) <= len(cache) + 3
+        # ... and what is held for the domain is the *current* version's rules,
+        # by the very tuple the store holds, not anything of the 500 it went through.
+        (held,) = cache._held.values()
+        assert held.rules is store.current(pid).rules.rules
+        assert held.distinct == set(held.rules)
         lineages = [lineage for domain in cache._lineages.values() for lineage in domain.values()]
         assert 0 < len(lineages) <= len(GUARD_PREDICATES)
         assert {lineage.version for lineage in lineages} == {store.version_of(pid)}
@@ -445,3 +453,74 @@ class TestConstantMemoryUnderPolicyChurn:
             cached_eval(cache, member_policy(version), registry, [cred])
         assert cache.clear() == 3
         assert self.held(cache) == 0
+
+    def test_clear_drops_the_held_rules(self, ca, registry, cache):
+        store = PolicyStore([member_policy(1)])
+        store.subscribe(cache.invalidate_policy)
+        cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
+        current = store.current(PolicyId("app"))
+        cached_eval(cache, current, registry, [cred])
+        assert store.apply(current.successor(benign_successor(current)))
+        assert len(cache) == 1 and len(cache._held) == 1
+        cache.clear()
+        assert self.held(cache) == 0
+
+
+class TestInstallsThatPassTheHolderBy:
+    """``invalidate_policy`` returns before diffing when the domain has nothing
+    cached, so the rules held for the domain can be versions behind the store.
+    The next diffed install must notice: every counter and every surviving
+    entry equals the version-pinned reference's, driven through the same steps."""
+
+    @pytest.mark.parametrize("evict", ["revocation", "clear"])
+    @pytest.mark.parametrize("skipped", ["benign", "restricting"])
+    @pytest.mark.parametrize("last", ["benign", "restricting"])
+    def test_a_stranded_holder_is_noticed(self, evict, skipped, last):
+        successors = {
+            "benign": benign_successor,
+            "restricting": lambda policy: restricting_successor(policy, f"role{policy.version}"),
+        }
+
+        def drive(cache_class):
+            ca = CertificateAuthority("ca")
+            registry = CARegistry([ca])
+            stats = ProofCacheCounters()
+            cache = cache_class(stats=stats, server="s1")
+            registry.subscribe_revocations(
+                lambda record: cache.invalidate_credential(record.cred_id)
+            )
+            store = PolicyStore([member_policy(1)])
+            store.subscribe(cache.invalidate_policy)
+            pid = PolicyId("app")
+            log = []
+
+            def install(kind):
+                current = store.current(pid)
+                assert store.apply(current.successor(successors[kind](current)))
+                log.append((tuple(getattr(stats, name) for name in COUNTERS), entry_order(cache)))
+
+            def warm(cred):
+                for item in ("inventory", "ledger"):
+                    cached_eval(cache, store.current(pid), registry, [cred], item=item)
+
+            first = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
+            warm(first)
+            install("benign")  # diffed: the domain's rules are held from here on
+            assert stats.retentions == 2
+            if evict == "clear":
+                cache.clear()  # drops the held rules with the entries
+            else:
+                ca.revoke(first.cred_id, at_time=1.0)  # empties the domain, not the holder
+            assert len(cache) == 0
+            for _ in range(3):
+                install(skipped)  # nothing cached: returns before the diff
+            warm(ca.issue("bob", Atom("role", ("bob", "member")), 2.0))
+            install(last)  # diffed against a version the holder never saw
+            return log
+
+        mine, reference = drive(ProofCache), drive(ReferenceProofCache)
+        assert mine == reference
+        counters, entries = mine[-1]
+        retentions, survivors = counters[COUNTERS.index("retentions")], len(entries)
+        # Whatever was skipped, only the last install decides what survives it.
+        assert (retentions, survivors) == ((4, 2) if last == "benign" else (2, 0))
