@@ -1,12 +1,14 @@
 """Applies a :class:`~repro.chaos.plan.FaultPlan` to a live testbed cluster.
 
-The nemesis touches the simulation through two narrow seams:
+The nemesis is the simulator's one fault injector: nothing else loses a
+message or crashes a node on a schedule (the network itself only loses
+what arrives at a node that is down).  It touches the simulation through
+two narrow seams:
 
-* the network's **chaos hook** (``Network.chaos``), consulted once per
-  message send *after* the historical link/rate checks and drawing only
-  from its own seeded RNG stream — so arming a nemesis never perturbs the
-  base trace's randomness, and the same ``(seed, plan)`` pair replays the
-  same run bit for bit;
+* the network's **chaos hook** (``Network.chaos``), the one drop-or-delay
+  decision per message send, drawing only from its own seeded RNG stream —
+  so arming a nemesis never perturbs the base trace's randomness, and the
+  same ``(seed, plan)`` pair replays the same run bit for bit;
 * **deferred kernel callbacks** for the scheduled faults (timed crashes,
   restarts, policy churn).
 

@@ -39,7 +39,8 @@ Supported fault kinds:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cloud import messages as msg
@@ -47,6 +48,8 @@ from repro.errors import SimulationError
 
 #: The closed set of fault kinds (validated on construction).
 FAULT_KINDS = ("drop_link", "drop_rate", "delay", "crash", "policy_churn")
+#: The kinds that act during a window ``[at, at + duration)``.
+WINDOWED_KINDS = ("drop_link", "drop_rate", "delay")
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,15 @@ class FaultSpec:
             raise SimulationError("policy_churn fault needs an admin")
         if self.kind == "drop_rate" and not 0.0 < self.rate <= 1.0:
             raise SimulationError(f"drop_rate needs rate in (0, 1], got {self.rate!r}")
+        # Negated comparisons, so that NaN fails every range check.
+        if not (self.at >= 0 and math.isfinite(self.at)):
+            raise SimulationError(f"fault 'at' must be finite and >= 0, got {self.at!r}")
+        if self.kind in WINDOWED_KINDS and not self.duration > 0:
+            raise SimulationError(f"{self.kind} needs 'duration' > 0, got {self.duration!r}")
+        if self.down_for is not None and not self.down_for > 0:
+            raise SimulationError(f"crash needs 'down_for' > 0 when set, got {self.down_for!r}")
+        if self.kind in ("delay", "policy_churn") and not self.delay >= 0:
+            raise SimulationError(f"{self.kind} needs 'delay' >= 0, got {self.delay!r}")
 
     def active(self, now: float) -> bool:
         """Whether a windowed fault covers instant ``now``."""
@@ -119,17 +131,12 @@ class FaultSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dict, defaults omitted for legible counterexamples."""
-        blank = FaultSpec(kind=self.kind, node=self.node, admin=self.admin, rate=self.rate)
-        record: Dict[str, Any] = {"kind": self.kind}
-        for name, value in asdict(self).items():
-            if name != "kind" and value != getattr(blank, name):
-                record[name] = value
-        for name in ("node", "admin"):
-            if getattr(self, name) is not None:
-                record[name] = getattr(self, name)
-        if self.kind == "drop_rate":
-            record["rate"] = self.rate
-        return record
+        # ``kind`` has no default (``MISSING``), so it is always kept.
+        return {
+            spec_field.name: getattr(self, spec_field.name)
+            for spec_field in fields(self)
+            if getattr(self, spec_field.name) != spec_field.default
+        }
 
 
 @dataclass(frozen=True)

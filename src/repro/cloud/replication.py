@@ -52,10 +52,6 @@ class PolicyReplicator(Node):
         if server_name not in self._targets:
             self._targets.append(server_name)
 
-    def follow(self, administrator: PolicyAdministrator) -> None:
-        """Distribute everything this administrator publishes from now on."""
-        administrator.on_publish(self.distribute)
-
     def distribute(self, policy: Policy, delay_override: Optional[Dict[str, float]] = None) -> None:
         """Send ``policy`` to every target after per-server random delays.
 
@@ -89,25 +85,21 @@ def bootstrap_policies(
     replicator: PolicyReplicator,
     administrators: Iterable[PolicyAdministrator],
     servers: Iterable["CloudServerLike"],
-    follow: bool = True,
 ) -> None:
     """Install every administrator's current policy on every server, now.
 
     The initial installation is synchronous (directly into each server's
-    policy store) so the simulation starts globally consistent.  With
-    ``follow=True`` subsequent publications flow automatically through
-    :meth:`PolicyReplicator.distribute` with random per-server delays; pass
-    ``follow=False`` when the caller distributes explicitly (e.g.
-    :meth:`repro.workloads.testbed.Cluster.publish`, which supports
-    engineered per-server delays).
+    policy store) so the simulation starts globally consistent, and every
+    server becomes a replication target.  Later publications are
+    distributed explicitly (:meth:`repro.workloads.testbed.Cluster.publish`
+    calls :meth:`PolicyReplicator.distribute`, with engineered per-server
+    delays when asked).
     """
     servers = list(servers)
     for administrator in administrators:
         for server in servers:
             replicator.add_target(server.name)
             server.policies.apply(administrator.current)
-        if follow:
-            replicator.follow(administrator)
 
 
 class CloudServerLike:

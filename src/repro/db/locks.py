@@ -34,11 +34,6 @@ from repro.sim.kernel import Environment
 if TYPE_CHECKING:  # repro.metrics imports this module
     from repro.metrics.counters import Metrics
 
-#: Trace categories of lock grants and releases (consumed by
-#: :mod:`repro.verify.conformance` to check strict-2PL discipline).
-LOCK_GRANT = "lock.grant"
-LOCK_RELEASE = "lock.release"
-
 
 class LockMode(enum.Enum):
     """Shared (read) or exclusive (write)."""

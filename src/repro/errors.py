@@ -31,14 +31,6 @@ class NetworkError(ReproError):
     """A message could not be delivered."""
 
 
-class NodeDownError(NetworkError):
-    """The destination node has crashed or is partitioned away."""
-
-    def __init__(self, node_name: str) -> None:
-        super().__init__(f"node {node_name!r} is unreachable")
-        self.node_name = node_name
-
-
 class RequestTimeout(NetworkError):
     """A request/reply exchange did not complete within its deadline."""
 

@@ -20,13 +20,26 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cloud.messages import PROTOCOL_CATEGORIES
-from repro.db.locks import LOCK_GRANT, LOCK_RELEASE, LockMode
-from repro.metrics.timeline import PROOF_EVAL, TXN_DONE, TXN_READY, TXN_START
+from repro.db.locks import LockMode
 from repro.obs.spans import SpanRecorder
 from repro.policy.rules import EngineCounters
 from repro.sim.network import Message
 from repro.sim.topology import RegionTopology, estimate_message_size
-from repro.sim.tracing import Pairs, Tracer
+from repro.sim.tracing import (
+    FAULT_CRASH,
+    FAULT_RECOVER,
+    LOCK_GRANT,
+    LOCK_RELEASE,
+    NET_DROP,
+    NET_RECV,
+    NET_SEND,
+    PROOF_EVAL,
+    TXN_DONE,
+    TXN_READY,
+    TXN_START,
+    Pairs,
+    Tracer,
+)
 
 if TYPE_CHECKING:  # repro.obs.live / .flight sit above the metrics layer
     from repro.metrics.stats import TransactionOutcome
@@ -206,9 +219,8 @@ class FaultCounters:
     """
 
     def __init__(self) -> None:
-        #: Messages dropped, by reason: ``link`` (failed link), ``rate``
-        #: (probabilistic drop), ``chaos`` (fault-plan verdict), ``down``
-        #: (destination crashed at delivery time).
+        #: Messages dropped, by reason: ``chaos`` (the chaos hook's verdict
+        #: at send time), ``down`` (destination crashed at delivery time).
         self.drops_by_reason: Counter = Counter()
         self.crashes = 0
         self.recoveries = 0
@@ -389,35 +401,35 @@ class Metrics:
         if self.flight is not None:
             self.flight.on_message(message, now)
         if self.tracer.enabled:
-            self.tracer.record(now, "net.send", _wire_items(message))
+            self.tracer.record(now, NET_SEND, _wire_items(message))
 
     def message_dropped(self, message: Message, reason: str, now: float) -> None:
-        """The network dropped a message at send time (link / rate / chaos)."""
+        """The network dropped a message at send time (the chaos hook's verdict)."""
         self.faults.on_drop(reason)
         if self.tracer.enabled:
-            self.tracer.record(now, "net.drop", _message_items(message, ("reason", reason)))
+            self.tracer.record(now, NET_DROP, _message_items(message, ("reason", reason)))
 
     def message_delivered(self, message: Message, now: float) -> None:
         """A message reached a live node."""
         if self.tracer.enabled:
-            self.tracer.record(now, "net.recv", _wire_items(message))
+            self.tracer.record(now, NET_RECV, _wire_items(message))
 
     def node_crashed(self, node: str, now: float) -> None:
         """A node crashed.  The trace record lets the conformance checker
         excuse locks a crashed participant never released."""
         self.faults.on_crash()
         if self.tracer.enabled:
-            self.tracer.record(now, "fault.crash", (("node", node),))
+            self.tracer.record(now, FAULT_CRASH, (("node", node),))
         if self.flight is not None:
-            self.flight.record(node, now, "fault.crash")
+            self.flight.record(node, now, FAULT_CRASH)
 
     def node_recovered(self, node: str, now: float) -> None:
         """A crashed node restarted."""
         self.faults.on_recovery()
         if self.tracer.enabled:
-            self.tracer.record(now, "fault.recover", (("node", node),))
+            self.tracer.record(now, FAULT_RECOVER, (("node", node),))
         if self.flight is not None:
-            self.flight.record(node, now, "fault.recover")
+            self.flight.record(node, now, FAULT_RECOVER)
 
     # -- facts: the transaction lifecycle --------------------------------------
 
@@ -429,7 +441,7 @@ class Metrics:
             self.tracer.record(now, TXN_START, (("txn_id", txn_id),))
         if self.flight is not None:
             detail = (("approach", approach), ("consistency", consistency))
-            self.flight.record(coordinator, now, "txn.start", txn_id, detail)
+            self.flight.record(coordinator, now, TXN_START, txn_id, detail)
 
     def txn_ready(self, txn_id: str, now: float) -> None:
         """ω(T): every query executed, the commit-time protocol starts."""
@@ -447,7 +459,7 @@ class Metrics:
         if self.flight is not None:
             reason = outcome.abort_reason.value if outcome.abort_reason else None
             detail = (("committed", outcome.committed), ("abort_reason", reason))
-            self.flight.record(coordinator, now, "txn.done", outcome.txn_id, detail)
+            self.flight.record(coordinator, now, TXN_DONE, outcome.txn_id, detail)
 
     def proof_evaluated(
         self, txn_id: str, phase: str, proof: "ProofOfAuthorization", cost: float
@@ -464,7 +476,7 @@ class Metrics:
             self.live.record_proof_eval(server, phase, cost, now)
         if self.flight is not None:
             detail = (("phase", phase), ("granted", granted), ("version", version))
-            self.flight.record(server, now, "proof.eval", txn_id, detail)
+            self.flight.record(server, now, PROOF_EVAL, txn_id, detail)
         if self.tracer.enabled:
             items = (
                 ("admin", proof.policy_id.admin),

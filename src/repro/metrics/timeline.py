@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import TransactionOutcome
-from repro.sim.tracing import Tracer
-
-#: Trace category emitted by servers on each proof evaluation.
-PROOF_EVAL = "proof.eval"
-#: Trace categories for the transaction window.
-TXN_START = "txn.start"
-TXN_READY = "txn.ready"
-TXN_DONE = "txn.done"
+from repro.sim.tracing import PROOF_EVAL, TXN_DONE, TXN_READY, TXN_START, Tracer
 
 
 @dataclass(frozen=True)

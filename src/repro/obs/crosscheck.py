@@ -26,9 +26,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.cloud import messages as msg
-from repro.metrics.timeline import PROOF_EVAL, TXN_DONE, TXN_START
 from repro.obs.spans import KIND_PROOF, KIND_RPC, SpanRecorder
-from repro.sim.tracing import Tracer
+from repro.sim.tracing import NET_SEND, PROOF_EVAL, TXN_DONE, TXN_START, Tracer
 
 #: Request kinds the coordinator always sends with a span attached.
 CHECKED_RPC_KINDS = (
@@ -61,7 +60,7 @@ def crosscheck_spans(
             dones[txn_id] = record.time
         elif record.category == PROOF_EVAL:
             proof_counts[txn_id] = proof_counts.get(txn_id, 0) + 1
-        elif record.category == "net.send":
+        elif record.category == NET_SEND:
             kind = record.get("kind")
             if kind in CHECKED_RPC_KINDS:
                 per_kind = send_counts.setdefault(txn_id, {})

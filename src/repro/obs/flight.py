@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.render import render_waterfall
+from repro.sim.tracing import NET_SEND
 
 __all__ = ["FlightEvent", "FlightRecorder", "IncidentBundle"]
 
@@ -185,7 +186,7 @@ class FlightRecorder:
         self.record(
             message.src,
             now,
-            "net.send",
+            NET_SEND,
             txn_id=message.payload.get("txn_id"),
             detail=(("kind", message.kind), ("dst", message.dst)),
         )

@@ -480,6 +480,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.cloud.config import CloudConfig
     from repro.core.consistency import ConsistencyLevel
     from repro.obs.openmetrics import validate_openmetrics
+    from repro.sim.tracing import LOCK_GRANT
     from repro.workloads.runner import OpenLoopRunner
     from repro.workloads.scale import (
         ScaleWorkloadSpec,
@@ -533,7 +534,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     any_server = sorted(cluster.servers)[0]
     cluster.tracer.record(
         cluster.env.now,
-        "lock.grant",
+        LOCK_GRANT,
         key="seeded/item",
         mode="X",
         server=any_server,

@@ -69,8 +69,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import PolicyError
-from repro.policy.parser import Token, render_atom, tokenize
+from repro.policy.parser import Clause, Literal, parse_clauses
 from repro.policy.policy import GUARD_PREDICATES
 from repro.policy.rules import Atom, Rule, RuleSet, Term, Variable
 
@@ -89,47 +88,6 @@ RULES: Dict[str, Tuple[str, str]] = {
 }
 
 _SUPPRESS_RE = re.compile(r"#\s*analyze:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
-
-
-@dataclass(frozen=True)
-class Literal:
-    """One body literal: an atom, possibly negated, with its source span."""
-
-    atom: Atom
-    negated: bool = False
-    line: int = 0
-    col: int = 0
-
-    def __repr__(self) -> str:
-        return f"not {self.atom!r}" if self.negated else repr(self.atom)
-
-
-@dataclass(frozen=True)
-class Clause:
-    """An analyzed clause ``head :- body`` (body may be empty: a fact).
-
-    Unlike :class:`repro.policy.rules.Rule`, construction never rejects
-    unsafe clauses — detecting them is the analyzer's job — and body
-    literals may be negated.
-    """
-
-    head: Atom
-    body: Tuple[Literal, ...] = ()
-    line: int = 0
-    col: int = 0
-    index: int = 0
-
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
-
-    def render(self) -> str:
-        if not self.body:
-            return f"{render_atom(self.head)}."
-        body = ", ".join(
-            ("not " if lit.negated else "") + render_atom(lit.atom) for lit in self.body
-        )
-        return f"{render_atom(self.head)} :- {body}."
 
 
 @dataclass(frozen=True)
@@ -163,118 +121,6 @@ class Finding:
             "path": self.path,
             "suppressed": self.suppressed,
         }
-
-
-# -- lenient front end -------------------------------------------------------------
-
-
-class _LenientParser:
-    """Recursive-descent parser producing :class:`Clause` values with spans.
-
-    A superset of the runtime grammar: body literals may be prefixed with
-    ``not``, and no safety checks are applied (the checks are the whole
-    point of this module).  Mirrors :class:`repro.policy.parser._Parser`.
-    """
-
-    def __init__(self, text: str) -> None:
-        self._tokens = list(tokenize(text))
-        self._index = 0
-
-    def _peek(self) -> Optional[Token]:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def _next(self, expected: Optional[str] = None) -> Token:
-        token = self._peek()
-        if token is None:
-            raise PolicyError(
-                "policy syntax error: unexpected end of input"
-                + (f" (expected {expected})" if expected else "")
-            )
-        if expected is not None and token.kind != expected:
-            raise PolicyError(
-                f"policy syntax error at line {token.line}: expected {expected}, "
-                f"got {token.kind} {token.text!r}"
-            )
-        self._index += 1
-        return token
-
-    def parse_program(self) -> List[Clause]:
-        clauses: List[Clause] = []
-        while self._peek() is not None:
-            clauses.append(self.parse_clause(len(clauses)))
-        return clauses
-
-    def parse_clause(self, index: int) -> Clause:
-        head, line, col = self.parse_atom()
-        token = self._peek()
-        body: List[Literal] = []
-        if token is not None and token.kind == "ARROW":
-            self._next("ARROW")
-            body.append(self.parse_literal())
-            while self._peek() is not None and self._peek().kind == "COMMA":
-                self._next("COMMA")
-                body.append(self.parse_literal())
-        self._next("DOT")
-        return Clause(head, tuple(body), line=line, col=col, index=index)
-
-    def parse_literal(self) -> Literal:
-        token = self._peek()
-        negated = False
-        if (
-            token is not None
-            and token.kind == "NAME"
-            and token.text == "not"
-            and self._index + 1 < len(self._tokens)
-            and self._tokens[self._index + 1].kind == "NAME"
-        ):
-            # ``not foo(...)`` — negation-as-failure marker.  ``not(...)``
-            # still parses as an atom whose predicate is ``not``.
-            self._next("NAME")
-            negated = True
-        atom, line, col = self.parse_atom()
-        return Literal(atom, negated=negated, line=line, col=col)
-
-    def parse_atom(self) -> Tuple[Atom, int, int]:
-        name = self._next("NAME")
-        if name.text[0].isupper():
-            raise PolicyError(
-                f"policy syntax error at line {name.line}: predicate names "
-                f"must not start uppercase ({name.text!r})"
-            )
-        args: List[Term] = []
-        token = self._peek()
-        if token is not None and token.kind == "LPAREN":
-            self._next("LPAREN")
-            if self._peek() is not None and self._peek().kind != "RPAREN":
-                args.append(self.parse_term())
-                while self._peek() is not None and self._peek().kind == "COMMA":
-                    self._next("COMMA")
-                    args.append(self.parse_term())
-            self._next("RPAREN")
-        return Atom(name.text, tuple(args)), name.line, name.column
-
-    def parse_term(self) -> Term:
-        token = self._peek()
-        if token is None:
-            raise PolicyError("policy syntax error: unexpected end of input in term")
-        if token.kind == "NUMBER":
-            self._next()
-            return int(token.text)
-        if token.kind == "QUOTED":
-            self._next()
-            inner = token.text[1:-1]
-            return inner.replace("\\'", "'").replace("\\\\", "\\")
-        name = self._next("NAME")
-        if name.text[0].isupper():
-            return Variable(name.text)
-        return name.text
-
-
-def parse_clauses(text: str) -> List[Clause]:
-    """Parse policy text into analyzer clauses (lenient grammar)."""
-    return _LenientParser(text).parse_program()
 
 
 def clauses_from_rules(rules: RuleSet) -> List[Clause]:

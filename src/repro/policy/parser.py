@@ -16,17 +16,23 @@ Syntax:
   contain letters, digits, ``_``, ``-`` and ``/``; anything else (spaces,
   dots, colons, ...) can be single-quoted (``'hello world'``).
 * a clause is ``head.`` (a fact) or ``head :- body1, body2, ... .``
+* a body literal may be negated, ``not banned(U)``; only the static
+  analyzer (:mod:`repro.policy.analyze`) reads such clauses — the runtime
+  engine has no negation-as-failure, so :func:`parse_rules` refuses them.
 * ``#`` and ``%`` start comments running to end of line.
 
-:func:`parse_rules` returns a :class:`~repro.policy.rules.RuleSet`;
-:func:`render_rules` is its inverse (parse ∘ render = identity, which the
-property tests check).
+There is one grammar and one parser: :func:`parse_clauses` returns
+:class:`Clause` values with source spans (what the analyzer checks);
+:func:`parse_rules` builds a :class:`~repro.policy.rules.RuleSet` from
+them, and :func:`render_rules` is its inverse (parse ∘ render = identity,
+which the property tests check).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import PolicyError
 from repro.policy.rules import Atom, Rule, RuleSet, Term, Variable
@@ -77,8 +83,50 @@ def tokenize(text: str) -> Iterator[Token]:
         position = match.end()
 
 
+@dataclass(frozen=True)
+class Literal:
+    """One body literal: an atom, possibly negated, with its source span."""
+
+    atom: Atom
+    negated: bool = False
+    line: int = 0
+    col: int = 0
+
+    def __repr__(self) -> str:
+        return f"not {self.atom!r}" if self.negated else repr(self.atom)
+
+
+@dataclass(frozen=True)
+class Clause:
+    """A parsed clause ``head :- body`` (body may be empty: a fact).
+
+    Unlike :class:`repro.policy.rules.Rule`, construction never rejects
+    unsafe clauses — detecting them is the analyzer's job — and body
+    literals may be negated.
+    """
+
+    head: Atom
+    body: Tuple[Literal, ...] = ()
+    line: int = 0
+    col: int = 0
+    index: int = 0
+
+    @property
+    def is_fact(self) -> bool:
+        return not self.body
+
+    def render(self) -> str:
+        if not self.body:
+            return f"{render_atom(self.head)}."
+        body = ", ".join(
+            ("not " if lit.negated else "") + render_atom(lit.atom) for lit in self.body
+        )
+        return f"{render_atom(self.head)} :- {body}."
+
+
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token stream, producing
+    :class:`Clause` values with spans; no safety checks are applied."""
 
     def __init__(self, text: str) -> None:
         self._tokens = list(tokenize(text))
@@ -106,27 +154,43 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
 
-    def parse_program(self) -> List[Rule]:
-        rules: List[Rule] = []
+    def parse_program(self) -> List[Clause]:
+        clauses: List[Clause] = []
         while self._peek() is not None:
-            rules.append(self.parse_clause())
-        return rules
+            clauses.append(self.parse_clause(len(clauses)))
+        return clauses
 
-    def parse_clause(self) -> Rule:
-        head = self.parse_atom()
+    def parse_clause(self, index: int) -> Clause:
+        head, line, col = self.parse_atom()
         token = self._peek()
-        body: Tuple[Atom, ...] = ()
+        body: List[Literal] = []
         if token is not None and token.kind == "ARROW":
             self._next("ARROW")
-            body_atoms = [self.parse_atom()]
+            body.append(self.parse_literal())
             while self._peek() is not None and self._peek().kind == "COMMA":
                 self._next("COMMA")
-                body_atoms.append(self.parse_atom())
-            body = tuple(body_atoms)
+                body.append(self.parse_literal())
         self._next("DOT")
-        return Rule(head, body)
+        return Clause(head, tuple(body), line=line, col=col, index=index)
 
-    def parse_atom(self) -> Atom:
+    def parse_literal(self) -> Literal:
+        token = self._peek()
+        negated = False
+        if (
+            token is not None
+            and token.kind == "NAME"
+            and token.text == "not"
+            and self._index + 1 < len(self._tokens)
+            and self._tokens[self._index + 1].kind == "NAME"
+        ):
+            # ``not foo(...)`` — negation-as-failure marker.  ``not(...)``
+            # still parses as an atom whose predicate is ``not``.
+            self._next("NAME")
+            negated = True
+        atom, line, col = self.parse_atom()
+        return Literal(atom, negated=negated, line=line, col=col)
+
+    def parse_atom(self) -> Tuple[Atom, int, int]:
         name = self._next("NAME")
         if _is_variable_name(name.text):
             raise PolicyError(
@@ -143,7 +207,7 @@ class _Parser:
                     self._next("COMMA")
                     args.append(self.parse_term())
             self._next("RPAREN")
-        return Atom(name.text, tuple(args))
+        return Atom(name.text, tuple(args)), name.line, name.column
 
     def parse_term(self) -> Term:
         token = self._peek()
@@ -166,17 +230,33 @@ def _is_variable_name(text: str) -> bool:
     return bool(text) and text[0].isupper()
 
 
+def parse_clauses(text: str) -> List[Clause]:
+    """Parse policy text into clauses with source spans (negation allowed)."""
+    return _Parser(text).parse_program()
+
+
+def _to_rule(clause: Clause) -> Rule:
+    for literal in clause.body:
+        if literal.negated:
+            raise PolicyError(
+                f"policy error at line {literal.line}: negation ('not "
+                f"{render_atom(literal.atom)}') is analysis-only; the runtime "
+                "engine has no negation-as-failure (POL007)"
+            )
+    return Rule(clause.head, tuple(literal.atom for literal in clause.body))
+
+
 def parse_rules(text: str) -> RuleSet:
-    """Parse a rule program into a :class:`RuleSet`."""
-    return RuleSet(_Parser(text).parse_program())
+    """Parse a rule program into a :class:`RuleSet` (no negated literals)."""
+    return RuleSet([_to_rule(clause) for clause in parse_clauses(text)])
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. ``"may_read(bob, customers)"``."""
     parser = _Parser(text)
-    atom = parser.parse_atom()
-    if parser._peek() is not None:
-        leftover = parser._peek()
+    atom, _line, _col = parser.parse_atom()
+    leftover = parser._peek()
+    if leftover is not None:
         raise PolicyError(
             f"policy syntax error: trailing input after atom at line {leftover.line}"
         )

@@ -2,9 +2,14 @@
 
 Nodes (:class:`Node`) register with a :class:`Network`, which delivers typed
 :class:`Message` objects after a latency drawn from a :class:`LatencyModel`.
-The network supports request/reply exchanges with optional timeouts, node
-crashes, link failures, and probabilistic message drops — enough to exercise
-the recovery behaviour of 2PC/2PVC (Section V-C of the paper).
+The network supports request/reply exchanges with optional timeouts and
+node crashes — enough to exercise the recovery behaviour of 2PC/2PVC
+(Section V-C of the paper).
+
+The network holds no fault state.  It decides one thing on its own: a
+message whose destination is down at delivery time is lost.  Every other
+loss or delay is the verdict of the one chaos hook (``Network.chaos``, the
+nemesis of :mod:`repro.chaos.nemesis`), asked once per send.
 
 Every message carries a *category* string.  Categories are the unit of
 accounting for the paper's Table I: protocol messages (voting, decision,
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Mapping, Optional
 
 from repro.errors import NetworkError, RequestTimeout, SimulationError
 from repro.obs.spans import KIND_RPC, Span, context_of
@@ -284,21 +289,16 @@ class Network:
         metrics: "Metrics",
         rng: Optional[random.Random] = None,
         latency: Optional[LatencyModel] = None,
-        drop_rate: float = 0.0,
     ) -> None:
         self.env = env
         self.metrics = metrics
         self.rng = rng or random.Random(0)  # verify: ignore[DET005] -- seeded default keeps un-wired networks deterministic
         self.latency = latency or FixedLatency(1.0)
-        #: Optional chaos hook (:class:`repro.chaos.nemesis.ChaosHook`):
-        #: consulted per send *after* link/rate checks, drawing from its own
-        #: seeded RNG stream so enabling it never perturbs the base trace.
+        #: Optional chaos hook (:class:`repro.chaos.nemesis.ChaosHook`): the
+        #: one drop-or-delay decision per send, drawing from its own seeded
+        #: RNG stream so enabling it never perturbs the base trace.
         self.chaos: Optional[Any] = None
-        if not 0.0 <= drop_rate < 1.0:
-            raise SimulationError(f"drop_rate must be in [0, 1), got {drop_rate!r}")
-        self.drop_rate = drop_rate
         self.nodes: Dict[str, Node] = {}
-        self.failed_links: Set[Tuple[str, str]] = set()
         self._pending: Dict[int, Event] = {}
         #: Open RPC spans keyed by request msg_id (closed on reply/timeout).
         self._pending_rpc: Dict[int, Span] = {}
@@ -327,18 +327,6 @@ class Network:
             return self.nodes[name]
         except KeyError:
             raise NetworkError(f"unknown node {name!r}") from None
-
-    def fail_link(self, src: str, dst: str, bidirectional: bool = True) -> None:
-        """Start dropping messages on a link."""
-        self.failed_links.add((src, dst))
-        if bidirectional:
-            self.failed_links.add((dst, src))
-
-    def heal_link(self, src: str, dst: str, bidirectional: bool = True) -> None:
-        """Stop dropping messages on a link."""
-        self.failed_links.discard((src, dst))
-        if bidirectional:
-            self.failed_links.discard((dst, src))
 
     # -- sending -----------------------------------------------------------
 
@@ -372,45 +360,31 @@ class Network:
         self._next_msg_id = msg_id + 1
         message = Message(msg_id, src, dst, kind, body, category, reply_to)
         self.metrics.on_message(message, self.env.now)
-        # Drop-reason resolution preserves the historical RNG consumption
-        # order exactly (link check short-circuits before the rate draw);
-        # the chaos hook runs last and draws only from its *own* seeded
-        # stream, so installing it never perturbs the base trace.
-        drop_reason: Optional[str] = None
         extra_delay = 0.0
-        if (src, dst) in self.failed_links:
-            drop_reason = "link"
-        elif self.drop_rate > 0 and self.rng.random() < self.drop_rate:
-            drop_reason = "rate"
-        elif self.chaos is not None:
-            chaos_drop, extra_delay = self.chaos.on_send(message, self.env.now)
-            if chaos_drop:
-                drop_reason = "chaos"
-                extra_delay = 0.0
-        if drop_reason is not None:
-            self.metrics.message_dropped(message, drop_reason, self.env.now)
+        if self.chaos is not None:
+            drop, extra_delay = self.chaos.on_send(message, self.env.now)
+            if drop:
+                self.metrics.message_dropped(message, "chaos", self.env.now)
+                return message
+        delay = self.latency.sample_message(self.rng, src, dst, message.payload, message.wire_size)
+        delay += extra_delay
+        env = self.env
+        when = env._now + delay
+        # Same-timestamp batching: if this message arrives at the exact
+        # instant of the currently open batch AND no kernel event has
+        # been scheduled since that batch's timeout (the sequence
+        # counter is untouched), its own timeout would carry the very
+        # next sequence number — so delivering it from the same kernel
+        # event preserves the global (time, priority, sequence) order
+        # bit-for-bit while saving a queue entry per message.
+        if when == self._batch_when and env._seq == self._batch_seq and self._batch is not None:
+            self._batch.append(message)
         else:
-            delay = self.latency.sample_message(
-                self.rng, src, dst, message.payload, message.wire_size
-            )
-            delay += extra_delay
-            env = self.env
-            when = env._now + delay
-            # Same-timestamp batching: if this message arrives at the exact
-            # instant of the currently open batch AND no kernel event has
-            # been scheduled since that batch's timeout (the sequence
-            # counter is untouched), its own timeout would carry the very
-            # next sequence number — so delivering it from the same kernel
-            # event preserves the global (time, priority, sequence) order
-            # bit-for-bit while saving a queue entry per message.
-            if when == self._batch_when and env._seq == self._batch_seq and self._batch is not None:
-                self._batch.append(message)
-            else:
-                batch = [message]
-                self._batch = batch
-                self._batch_when = when
-                env.defer(delay, self._deliver_batch, batch)
-                self._batch_seq = env._seq
+            batch = [message]
+            self._batch = batch
+            self._batch_when = when
+            env.defer(delay, self._deliver_batch, batch)
+            self._batch_seq = env._seq
         return message
 
     def _deliver_batch(self, arrival_event: Event) -> None:

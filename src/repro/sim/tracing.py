@@ -14,6 +14,21 @@ from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tu
 #: :attr:`TraceRecord.details` and of ``repro.verify.events.VerifyEvent.data``.
 Pairs = Tuple[Tuple[str, Any], ...]
 
+#: Trace categories, each defined here once: the facts
+#: :class:`repro.metrics.counters.Metrics` records, which the timeline
+#: figures, the span cross-check and the conformance checker read back.
+NET_SEND = "net.send"
+NET_RECV = "net.recv"
+NET_DROP = "net.drop"
+FAULT_CRASH = "fault.crash"
+FAULT_RECOVER = "fault.recover"
+PROOF_EVAL = "proof.eval"
+LOCK_GRANT = "lock.grant"
+LOCK_RELEASE = "lock.release"
+TXN_START = "txn.start"
+TXN_READY = "txn.ready"
+TXN_DONE = "txn.done"
+
 
 def pair_value(pairs: Pairs, key: str, default: Any = None) -> Any:
     """The value paired with ``key``, or ``default``."""

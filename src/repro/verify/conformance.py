@@ -37,19 +37,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud import messages as msg
 from repro.db.serializability import conflict_edges_from_histories, find_cycle
-from repro.sim.tracing import pair_value
+from repro.sim.tracing import (
+    FAULT_CRASH,
+    LOCK_GRANT,
+    LOCK_RELEASE,
+    NET_RECV,
+    NET_SEND,
+    PROOF_EVAL,
+    pair_value,
+)
 from repro.verify import report as rep
 from repro.verify.events import CAT_STORAGE, CAT_WAL, RunRecord, TxnMeta, VerifyEvent
 from repro.verify.report import VerificationReport, Violation, make_violation
-
-#: Trace categories (mirrors of the producing modules; string-typed here so
-#: the checker never imports simulator state).
-NET_SEND = "net.send"
-NET_RECV = "net.recv"
-PROOF_EVAL = "proof.eval"
-LOCK_GRANT = "lock.grant"
-LOCK_RELEASE = "lock.release"
-FAULT_CRASH = "fault.crash"
 
 _COMMIT = "commit"
 _ABORT = "abort"

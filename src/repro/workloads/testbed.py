@@ -369,7 +369,7 @@ def assemble_cluster(
     for domain in domain_specs:
         administrator = PolicyAdministrator(domain.name, domain.rules, domain.description)
         master.track(administrator)
-        bootstrap_policies(replicator, [administrator], servers.values(), follow=False)
+        bootstrap_policies(replicator, [administrator], servers.values())
         admins[domain.name] = administrator
 
     ocsp = OCSPResponder(config.ocsp_responder, registry)

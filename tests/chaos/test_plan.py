@@ -1,5 +1,7 @@
 """Fault-plan data model: validation, windows, serialization, generation."""
 
+import json
+import math
 import random
 
 import pytest
@@ -25,6 +27,32 @@ class TestFaultSpecValidation:
     def test_drop_rate_bounds(self, rate):
         with pytest.raises(SimulationError):
             FaultSpec("drop_rate", duration=10.0, rate=rate)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(kind="crash", node="s1", at=5.0, down_for=-1.0), "down_for"),
+            (dict(kind="crash", node="s1", at=5.0, down_for=0.0), "down_for"),
+            (dict(kind="crash", node="s1", at=-2.0), "at"),
+            (dict(kind="crash", node="s1", at=math.nan), "at"),
+            (dict(kind="crash", node="s1", at=math.inf), "at"),
+            (dict(kind="drop_link", src="tm1", dst="s1", at=2.0, duration=-3.0), "duration"),
+            (dict(kind="drop_rate", at=2.0, rate=0.1), "duration"),
+            (dict(kind="delay", at=1.0, duration=math.nan, delay=1.0), "duration"),
+            (dict(kind="delay", at=1.0, duration=2.0, delay=-1.0), "delay"),
+            (dict(kind="policy_churn", admin="app", at=1.0, delay=-0.5), "delay"),
+        ],
+    )
+    def test_out_of_range_values_are_refused_by_name(self, kwargs, field):
+        """Each of these used to construct, then stalled or crashed the run."""
+        with pytest.raises(SimulationError, match=f"'{field}'"):
+            FaultSpec(**kwargs)
+
+    def test_open_ended_windows_and_zero_delays_are_accepted(self):
+        FaultSpec("drop_rate", at=0.0, duration=math.inf, rate=0.5)
+        FaultSpec("delay", at=0.0, duration=1.0, delay=0.0)
+        FaultSpec("policy_churn", at=0.0, admin="app")
+        FaultSpec("crash", at=0.0, node="s1", down_for=None)
 
     def test_window_half_open(self):
         spec = FaultSpec("drop_rate", at=10.0, duration=5.0, rate=0.5)
@@ -61,6 +89,20 @@ MIXED = FaultPlan(
 class TestFaultPlan:
     def test_json_round_trip_is_identity(self):
         assert FaultPlan.from_json(MIXED.to_json()) == MIXED
+
+    def test_json_text_is_stable(self):
+        """Saved counterexamples keep their exact bytes: defaults omitted,
+        keys sorted, ``node`` / ``admin`` / ``rate`` written when set."""
+        faults = [
+            '{"duration": 80.0, "kind": "drop_rate", "rate": 0.02}',
+            '{"at": 5.0, "dst": "s2", "duration": 10.0, "kind": "drop_link", "src": "s1"}',
+            '{"at": 8.0, "delay": 2.5, "dst": "s3", "duration": 4.0, "kind": "delay"}',
+            '{"at": 20.0, "down_for": 30.0, "kind": "crash", "node": "s2", '
+            '"on_kind": "2pvc.vote"}',
+            '{"admin": "app", "at": 12.0, "delay": 40.0, "kind": "policy_churn", "revoke": true}',
+        ]
+        expected = {"faults": [json.loads(text) for text in faults], "label": "mixed"}
+        assert MIXED.to_json() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_to_dict_omits_defaults(self):
         record = FaultSpec("drop_rate", at=3.0, duration=9.0, rate=0.1).to_dict()

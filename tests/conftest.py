@@ -13,6 +13,22 @@ from repro.transactions.transaction import Query, Transaction
 from repro.workloads.testbed import build_cluster
 
 
+class LinkCut:
+    """A chaos hook (``Network.chaos``) dropping every message on a cut link.
+
+    For tests that cut a directed ``(src, dst)`` link at an instant known
+    only at run time: add to or discard from ``links`` as the run goes.
+    Faults known up front are a ``FaultPlan`` armed through ``Nemesis``.
+    """
+
+    def __init__(self, network, *links):
+        self.links = set(links)
+        network.chaos = self
+
+    def on_send(self, message, now):
+        return (message.src, message.dst) in self.links, 0.0
+
+
 @pytest.fixture
 def env():
     """A fresh simulation environment."""

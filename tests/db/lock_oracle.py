@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.db.locks import LOCK_GRANT, LOCK_RELEASE, LockMode, compatible
+from repro.db.locks import LockMode, compatible
 from repro.errors import DeadlockError
 from repro.obs.spans import KIND_LOCK, NULL_RECORDER, ParentRef, Span, SpanRecorder
 from repro.sim.events import Event
 from repro.sim.kernel import Environment
-from repro.sim.tracing import Tracer
+from repro.sim.tracing import LOCK_GRANT, LOCK_RELEASE, Tracer
 
 
 @dataclass

@@ -7,8 +7,12 @@ workloads at various drop rates and check safety (not liveness, which a
 lossy network legitimately hurts).
 """
 
+import math
+
 import pytest
 
+from repro.chaos.nemesis import Nemesis
+from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.trusted import check_trusted
@@ -21,10 +25,18 @@ VIEW = ConsistencyLevel.VIEW
 
 
 def lossy_cluster(drop_rate, seed):
+    """A cluster whose every message is lost with ``drop_rate``, for the whole run."""
     config = CloudConfig(latency=FixedLatency(1.0), request_timeout=15.0)
     cluster = build_cluster(n_servers=3, seed=seed, config=config)
-    cluster.network.drop_rate = drop_rate
+    loss = FaultSpec("drop_rate", duration=math.inf, rate=drop_rate)
+    Nemesis(cluster, FaultPlan((loss,))).install()
     return cluster
+
+
+def assert_loss_was_injected(cluster):
+    drops = cluster.tracer.select("net.drop")
+    assert drops and {record.get("reason") for record in drops} == {"chaos"}
+    assert cluster.metrics.faults.drops_by_reason["chaos"] == len(drops)
 
 
 def write_txn(credential, txn_id):
@@ -54,6 +66,7 @@ def test_lossy_network_preserves_atomicity(drop_rate, approach):
         process = cluster.submit(txn, approach, VIEW)
         outcomes.append(cluster.env.run(until=process))
     cluster.run()  # drain stragglers and recovery chatter
+    assert_loss_was_injected(cluster)
 
     # Resolve any in-doubt participants through crash+recover (termination
     # protocol): afterwards their state must match the coordinator log.
@@ -102,6 +115,7 @@ def test_commits_under_loss_are_still_trusted():
             assert report.trusted, report.failures
     # The test is about safety; still, something should usually commit.
     assert committed >= 1
+    assert_loss_was_injected(cluster)
 
 
 def test_no_locks_leak_after_lossy_run():
@@ -111,6 +125,7 @@ def test_no_locks_leak_after_lossy_run():
         process = cluster.submit(write_txn(credential, f"l{index}"), "deferred", VIEW)
         cluster.env.run(until=process)
     cluster.run()
+    assert_loss_was_injected(cluster)
     for name in cluster.server_names():
         server = cluster.server(name)
         item = f"{name}/x1"

@@ -19,6 +19,7 @@ from repro.sim.kernel import Environment
 from repro.sim.network import FixedLatency
 from repro.transactions.transaction import Query, Transaction
 from repro.workloads.testbed import build_cluster
+from tests.conftest import LinkCut
 
 VIEW = ConsistencyLevel.VIEW
 
@@ -78,6 +79,8 @@ class TestDecisionDurability:
         )
 
         # Cut the ack path (server -> TM) once the server has voted.
+        cut = LinkCut(cluster.network)
+
         def saboteur():
             while True:
                 yield cluster.env.timeout(0.25)
@@ -88,8 +91,7 @@ class TestDecisionDurability:
                     )
                     for name in lost_servers
                 ):
-                    for name in lost_servers:
-                        cluster.network.fail_link(name, "tm1", bidirectional=False)
+                    cut.links.update((name, "tm1") for name in lost_servers)
                     return
 
         cluster.env.process(saboteur())

@@ -14,6 +14,7 @@ from repro.errors import AbortReason
 from repro.sim.network import FixedLatency
 from repro.transactions.transaction import Query, Transaction
 from repro.workloads.testbed import build_cluster
+from tests.conftest import LinkCut
 
 VIEW = ConsistencyLevel.VIEW
 
@@ -59,16 +60,19 @@ class TestUnreachableParticipants:
     def test_link_failure_mid_commit_aborts(self):
         cluster = make_cluster()
         credential = cluster.issue_role_credential("alice")
+        cut = LinkCut(cluster.network)
 
         def saboteur():
             yield cluster.env.timeout(10.0)  # during execution/voting
-            cluster.network.fail_link("tm1", "s2")
+            cut.links.update({("tm1", "s2"), ("s2", "tm1")})
 
         cluster.env.process(saboteur())
         outcome = cluster.run_transaction(
             three_server_txn(credential, "t-link"), "deferred", VIEW
         )
         assert not outcome.committed
+        drops = cluster.tracer.select("net.drop")
+        assert drops and all(record.time >= 10.0 for record in drops)
 
 
 class TestCrashRecovery:
@@ -99,6 +103,7 @@ class TestCrashRecovery:
         cluster = make_cluster()
         credential = cluster.issue_role_credential("alice")
         txn_id = "t-doubt"
+        cut = LinkCut(cluster.network)
 
         # Cut the TM -> s2 decision path right after voting completes.
         def saboteur():
@@ -108,7 +113,7 @@ class TestCrashRecovery:
                     record.record_type is LogRecordType.PREPARED
                     for record in cluster.server("s2").wal.records_for(txn_id)
                 ):
-                    cluster.network.fail_link("tm1", "s2", bidirectional=False)
+                    cut.links.add(("tm1", "s2"))
                     return
 
         cluster.env.process(saboteur())
@@ -124,7 +129,7 @@ class TestCrashRecovery:
         assert txn_id in server.wal.prepared_without_decision()
 
         # Heal, crash, recover: the termination protocol asks the TM.
-        cluster.network.heal_link("tm1", "s2")
+        cut.links.clear()
         server.crash()
         server.recover()
         cluster.run()

@@ -15,6 +15,8 @@ global invariants that must survive *any* schedule:
 
 import pytest
 
+from repro.chaos.nemesis import Nemesis
+from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.trusted import check_trusted
@@ -22,7 +24,6 @@ from repro.db.serializability import check_conflict_serializable
 from repro.db.wal import LogRecordType
 from repro.sim.network import UniformLatency
 from repro.transactions.transaction import Query, Transaction
-from repro.workloads.faults import FaultSchedule
 from repro.workloads.testbed import build_cluster
 from repro.workloads.updates import PolicyUpdateProcess, revoke_at
 
@@ -51,10 +52,13 @@ def test_soak_mixed_workload(seed):
     # Bob's credential dies mid-run.
     revoke_at(cluster, bob.issuer, bob.cred_id, at_time=60.0)
     # Faults: one crash/recovery and one lossy window.
-    schedule = FaultSchedule(cluster)
-    schedule.crash("s3", at=45.0, recover_at=55.0)
-    schedule.drop_window(rate=0.03, start=80.0, end=110.0)
-    schedule.start()
+    plan = FaultPlan(
+        (
+            FaultSpec("crash", at=45.0, node="s3", down_for=10.0),
+            FaultSpec("drop_rate", at=80.0, duration=30.0, rate=0.03),
+        )
+    )
+    Nemesis(cluster, plan).install()
 
     # 24 transactions, mixed approaches/users, two TMs, paced arrivals.
     def driver():
@@ -90,6 +94,15 @@ def test_soak_mixed_workload(seed):
     assert len(outcomes) == 24
     committed_ids = {o.txn_id for o in outcomes if o.committed}
     assert committed_ids, "the soak run should commit something"
+    # What was injected: s3 down over [45, 55), messages lost only in [80, 110).
+    injected = [
+        (record.time, record.category, record.get("node"))
+        for record in cluster.tracer
+        if record.category in ("fault.crash", "fault.recover")
+    ]
+    assert injected == [(45.0, "fault.crash", "s3"), (55.0, "fault.recover", "s3")]
+    drops = cluster.tracer.select("net.drop")
+    assert drops and all(80.0 <= record.time < 110.0 for record in drops)
 
     # 1. Resolve any in-doubt participants first (lost decisions during the
     #    crash / lossy window): crash+recover triggers the termination

@@ -24,6 +24,7 @@ from repro.sim.kernel import Environment
 from repro.sim.network import FixedLatency, Network, Node
 from repro.sim.tracing import TraceRecord, Tracer
 from repro.verify.events import VerifyEvent, collect_run
+from tests.conftest import LinkCut
 from tests.obs.test_observation_handle import run_twenty
 from tests.obs.test_recorder_parity import CHAOS_CELLS, chaos_world
 
@@ -67,7 +68,7 @@ def test_message_records_are_ascending_with_and_without_ids_and_when_dropped():
     payloads = [{}, {"txn_id": "t1"}, {"query_id": "q1"}, {"txn_id": "t1", "query_id": "q1"}]
     for payload in payloads:
         a.send("b", "note", "test", **payload)
-    network.fail_link("a", "b")
+    LinkCut(network, ("a", "b"))
     for payload in payloads:
         a.send("b", "note", "test", **payload)
     env.run()
@@ -80,6 +81,7 @@ def test_message_records_are_ascending_with_and_without_ids_and_when_dropped():
     assert [key for key, _ in dropped.details] == [
         "dst", "kind", "query_id", "reason", "src", "txn_id"
     ]
+    assert dropped.get("reason") == "chaos"
     sent = metrics.tracer.select("net.send")[3]
     assert [key for key, _ in sent.details] == [
         "dst", "kind", "msg_category", "query_id", "src", "txn_id"

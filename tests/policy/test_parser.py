@@ -97,6 +97,17 @@ class TestParseRules:
     def test_empty_program(self):
         assert len(parse_rules("   # nothing here\n")) == 0
 
+    def test_negated_literal_is_refused_by_name(self):
+        """One grammar: the literal parses, then the runtime refuses it for
+        what it is (it used to read ``expected DOT, got NAME 'banned'``)."""
+        text = "may_read(U, I) :- role(U, member), not banned(U), item(I)."
+        with pytest.raises(PolicyError, match=r"line 1: negation \('not banned\(U\)'\)"):
+            parse_rules(text)
+
+    def test_an_atom_named_not_is_still_an_atom(self):
+        rules = parse_rules("p(X) :- not(X), q(X).")
+        assert [atom.predicate for atom in rules.rules[0].body] == ["not", "q"]
+
 
 class TestRendering:
     def test_fact_rendering(self):

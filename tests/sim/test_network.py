@@ -13,6 +13,7 @@ from repro.sim.network import (
     Node,
     UniformLatency,
 )
+from tests.conftest import LinkCut
 
 
 class Echo(Node):
@@ -102,7 +103,7 @@ class TestFailures:
     def test_request_timeout_fires(self, env, network):
         network.register(Echo())
         client = network.register(Client())
-        network.fail_link("client", "echo")
+        LinkCut(network, ("client", "echo"))
 
         def body():
             try:
@@ -116,12 +117,38 @@ class TestFailures:
     def test_heal_link_restores_delivery(self, env, network):
         echo = network.register(Echo())
         client = network.register(Client())
-        network.fail_link("client", "echo")
+        cut = LinkCut(network, ("client", "echo"))
         client.send("echo", "note", "test", n=1)
-        network.heal_link("client", "echo")
+        cut.links.clear()
         client.send("echo", "note", "test", n=2)
         env.run()
         assert len(echo.seen) == 1
+        assert network.metrics.faults.drops_by_reason == {"chaos": 1}
+
+    def test_the_hook_is_the_one_drop_or_delay_decision(self, env, network):
+        """A hook's extra delay is added to the sampled latency; with no hook
+        installed nothing is lost on the way to a live node."""
+        echo = network.register(Echo())
+        client = network.register(Client())
+        client.send("echo", "note", "test", n=1)
+        env.run()
+        assert (echo.seen, env.now) == (["note"], 1.0)
+
+        class Slow:
+            def on_send(self, message, now):
+                return False, 2.5
+
+        network.chaos = Slow()
+        client.send("echo", "note", "test", n=2)
+        env.run()
+        assert (echo.seen, env.now) == (["note", "note"], 4.5)
+        assert network.metrics.faults.messages_dropped == 0
+
+    def test_the_network_holds_no_fault_state(self, network):
+        import inspect
+
+        assert list(inspect.signature(Network).parameters) == ["env", "metrics", "rng", "latency"]
+        assert not any("link" in name or "drop" in name for name in vars(network))
 
     def test_crashed_node_drops_messages(self, env, network):
         echo = network.register(Echo())
@@ -139,10 +166,6 @@ class TestFailures:
         client.send("echo", "note", "test", n=1)
         env.run()
         assert echo.seen == ["note"]
-
-    def test_drop_rate_validation(self, env):
-        with pytest.raises(SimulationError):
-            Network(env, Metrics(), drop_rate=1.5)
 
     def test_reply_after_timeout_is_ignored(self, env):
         """A straggler reply arriving after the timeout must not blow up."""
@@ -212,7 +235,7 @@ class TestAnsweredRpcIsNotPinned:
     def test_timed_out_rpc_fails_with_the_same_text(self, env, network):
         network.register(Echo())
         client = network.register(Client())
-        network.fail_link("client", "echo")
+        LinkCut(network, ("client", "echo"))
         waiter = client.request("echo", "ping", "test", timeout=7.5, n=1)
         waiter.defused = True
         env.run()
@@ -265,7 +288,7 @@ class TestAccounting:
         network = Network(env, hook)
         echo = network.register(Echo())
         client = network.register(Client())
-        network.fail_link("client", "echo")
+        LinkCut(network, ("client", "echo"))
         client.send("echo", "note", "test", n=1)
         env.run()
         assert hook.count == 1

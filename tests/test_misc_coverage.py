@@ -7,7 +7,6 @@ from repro.cloud.messages import POLICY_INSTALL, CAT_REPLICATION
 from repro.errors import (
     AbortReason,
     DeadlockError,
-    NodeDownError,
     TransactionAborted,
 )
 from repro.policy.policy import PolicyId
@@ -26,11 +25,6 @@ class TestErrors:
         error = DeadlockError(victim="t2", cycle=("t2", "t1"))
         assert error.victim == "t2"
         assert error.cycle == ("t2", "t1")
-
-    def test_node_down_error_names_node(self):
-        error = NodeDownError("s9")
-        assert error.node_name == "s9"
-        assert "s9" in str(error)
 
     def test_abort_reasons_are_distinct_values(self):
         values = [reason.value for reason in AbortReason]
