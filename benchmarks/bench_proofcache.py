@@ -30,9 +30,9 @@ from dataclasses import replace
 from typing import Dict, List
 
 from repro.analysis.parallel import (
+    MIN_PARALLEL_COST,
     default_workers,
     estimate_point_cost,
-    min_parallel_cost,
     parallel_map,
     run_sweep,
     should_parallelize,
@@ -211,7 +211,7 @@ def measure_parallel(quick: bool, repeats: int) -> Dict[str, object]:
         "points": len(points),
         "workers": workers,
         "cost_estimate": sum(estimate_point_cost(point) for point in points),
-        "min_parallel_cost": min_parallel_cost(),
+        "min_parallel_cost": MIN_PARALLEL_COST,
         "plan": "parallel" if parallel_plan else "serial",
         "serial_s": round(serial_s, 4),
         "parallel_s": round(best_chosen, 4),

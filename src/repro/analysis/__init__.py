@@ -10,7 +10,6 @@ from repro.analysis.adaptive import AdaptiveSelector, EwmaEstimator, run_adaptiv
 from repro.analysis.parallel import (
     derive_seed,
     estimate_point_cost,
-    min_parallel_cost,
     parallel_map,
     run_sweep,
     should_parallelize,
@@ -50,7 +49,6 @@ __all__ = [
     "compare_approaches",
     "derive_seed",
     "estimate_point_cost",
-    "min_parallel_cost",
     "should_parallelize",
     "empirical_quadrants",
     "parallel_map",

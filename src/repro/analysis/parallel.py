@@ -22,7 +22,7 @@ milliseconds that dwarf a small grid.  Two mitigations:
 
 * :func:`run_sweep` gates on a deterministic cost estimate
   (:func:`estimate_point_cost`) and runs grids below
-  :func:`min_parallel_cost` in-process — see ``docs/performance.md`` for
+  :data:`MIN_PARALLEL_COST` in-process — see ``docs/performance.md`` for
   the calibration;
 * grids that do fan out reuse one **persistent pool** (:func:`get_pool`)
   across calls, so a bench sweeping several grids pays worker start-up
@@ -34,8 +34,8 @@ milliseconds that dwarf a small grid.  Two mitigations:
 
 ``REPRO_SWEEP_WORKERS`` (environment) overrides the default worker count;
 ``REPRO_SWEEP_SERIAL=1`` forces serial execution everywhere, which CI can
-use on constrained runners; ``REPRO_SWEEP_MIN_COST`` overrides the
-serial-fallback threshold (``0`` disables the gate).
+use on constrained runners.  Both describe the machine; the cost gate
+describes the workload, so it is a constant.
 """
 
 from __future__ import annotations
@@ -63,16 +63,13 @@ CHUNKS_PER_WORKER = 4
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 #: Environment knob: force serial execution (``1``/``true``/``yes``).
 SERIAL_ENV = "REPRO_SWEEP_SERIAL"
-#: Environment knob: override the minimum grid cost that justifies workers.
-MIN_COST_ENV = "REPRO_SWEEP_MIN_COST"
-
-#: Default cost threshold below which :func:`run_sweep` stays serial.
+#: Grid cost below which :func:`run_sweep` stays serial.
 #: Calibrated against worker start-up: a fresh process pays ~0.3-0.5 s of
 #: interpreter + ``repro`` import before its first point, and the default
 #: proof-cache bench grid (cost ~7.7k units, ~0.8 s serial) measurably
 #: *loses* wall-clock when fanned out (0.897x).  25k units ≈ 2.5 s of
 #: serial work, past which two workers reliably amortize their spawn cost.
-DEFAULT_MIN_PARALLEL_COST = 25_000
+MIN_PARALLEL_COST = 25_000
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -112,24 +109,13 @@ def estimate_point_cost(point: SweepPoint) -> int:
     Simulation wall-clock scales with scheduled events, which scale with
     transactions × queries-per-transaction × cluster size — the knobs a
     :class:`SweepPoint` carries.  The estimate only has to rank grids
-    against :func:`min_parallel_cost`; it is not a time prediction.
+    against :data:`MIN_PARALLEL_COST`; it is not a time prediction.
     """
     return (
         max(1, point.n_transactions)
         * max(1, point.txn_length)
         * max(1, point.n_servers)
     )
-
-
-def min_parallel_cost() -> int:
-    """Cost threshold for the serial gate (``REPRO_SWEEP_MIN_COST`` wins)."""
-    override = os.environ.get(MIN_COST_ENV, "").strip()
-    if override:
-        try:
-            return max(0, int(override))
-        except ValueError:
-            pass
-    return DEFAULT_MIN_PARALLEL_COST
 
 
 def should_parallelize(
@@ -139,7 +125,7 @@ def should_parallelize(
 
     False when serial is forced, fewer than two points or workers are
     available, or the grid's total :func:`estimate_point_cost` falls below
-    :func:`min_parallel_cost` — small grids finish faster in-process than
+    :data:`MIN_PARALLEL_COST` — small grids finish faster in-process than
     any worker finishes importing.  Exposed so benches can report which
     execution plan a measurement exercised.
     """
@@ -148,7 +134,7 @@ def should_parallelize(
     workers = max_workers if max_workers is not None else default_workers(len(points))
     if workers <= 1:
         return False
-    return sum(estimate_point_cost(point) for point in points) >= min_parallel_cost()
+    return sum(estimate_point_cost(point) for point in points) >= MIN_PARALLEL_COST
 
 
 def default_workers(n_items: int) -> int:

@@ -46,13 +46,13 @@ def analyze(wal: WriteAheadLog) -> RecoveryPlan:
     * activity but no PREPARED record → presume abort (the participant
       never promised anything, so unilateral rollback is safe).
     """
-    seen: List[str] = []
+    # Every transaction in first-seen order; a dict, so membership is O(1).
+    seen: Dict[str, None] = {}
     prepared: Dict[str, bool] = {}
     decision: Dict[str, LogRecordType] = {}
     ended: Dict[str, bool] = {}
     for record in wal.records():
-        if record.txn_id not in seen:
-            seen.append(record.txn_id)
+        seen.setdefault(record.txn_id)
         if record.record_type is LogRecordType.PREPARED:
             prepared[record.txn_id] = True
         elif record.record_type in DECISIONS:

@@ -174,22 +174,3 @@ class WriteAheadLog:
             if record.txn_id == txn_id and record.record_type in DECISIONS:
                 return record
         return None
-
-    def prepared_without_decision(self) -> Tuple[str, ...]:
-        """Transactions that are *in doubt* after a crash.
-
-        These logged a PREPARED record but no decision — on recovery the
-        participant must ask the coordinator how they ended.
-        """
-        prepared: List[str] = []
-        decided = set()
-        ended = set()
-        for record in self._records:
-            if record.record_type is LogRecordType.PREPARED:
-                if record.txn_id not in prepared:
-                    prepared.append(record.txn_id)
-            elif record.record_type in DECISIONS:
-                decided.add(record.txn_id)
-            elif record.record_type is LogRecordType.END:
-                ended.add(record.txn_id)
-        return tuple(txn for txn in prepared if txn not in decided and txn not in ended)

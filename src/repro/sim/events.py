@@ -110,13 +110,7 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        q = env._queue
-        if q.__class__ is list:
-            heappush(q, (env._now, priority, seq, self))
-            if len(q) > env._promote_at:
-                env._promote()
-        else:
-            q.push((env._now, priority, seq, self))
+        heappush(env._queue, (env._now, priority, seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -130,13 +124,7 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        q = env._queue
-        if q.__class__ is list:
-            heappush(q, (env._now, priority, seq, self))
-            if len(q) > env._promote_at:
-                env._promote()
-        else:
-            q.push((env._now, priority, seq, self))
+        heappush(env._queue, (env._now, priority, seq, self))
         return self
 
     # -- callbacks ---------------------------------------------------------
@@ -183,13 +171,7 @@ class Timeout(Event):
         self.delay = delay
         seq = env._seq
         env._seq = seq + 1
-        q = env._queue
-        if q.__class__ is list:
-            heappush(q, (env._now + delay, NORMAL, seq, self))
-            if len(q) > env._promote_at:
-                env._promote()
-        else:
-            q.push((env._now + delay, NORMAL, seq, self))
+        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
 
 
 class Condition(Event):

@@ -15,26 +15,17 @@ The event loop is the innermost loop of every simulated run, so
 :meth:`Environment.run` inlines the pop → advance-clock → dispatch sequence
 instead of calling :meth:`step` per event: at hundreds of thousands of
 events per second the per-event function call is a measurable fraction of
-total cost.  All three ``run`` forms share one heap loop and one calendar
-loop (``_dispatch``); :meth:`step` remains the canonical single-event
-reference — the two inlined bodies must stay behaviourally identical to it
+total cost.  All three ``run`` forms share one loop (``_dispatch``);
+:meth:`step` remains the canonical single-event reference — the inlined
+body must stay behaviourally identical to it
 (``tests/property/test_calendar_queue.py`` compares every run form against
-a ``step()`` loop).  Queue entries stay plain tuples on purpose: tuple
-comparison happens in C, which beats any ``__slots__`` class with a
-Python-level ``__lt__``.
-
-The queue is a size-triggered *hybrid*: a plain ``heapq`` list serves while
-the queue is small (it has the better constant there), and the first push
-that grows it past ``promote_at`` (default
-:data:`~repro.sim.queues.PROMOTE_THRESHOLD`) migrates all entries into a
-:class:`~repro.sim.queues.CalendarQueue`, whose bucketed layout keeps
-per-event cost flat at the 10⁴–10⁶ pending events large multi-region runs
-hold.  Both structures realize the same ``(time, priority, sequence)``
-total order, so the migration is invisible to simulation outcomes.  A
-promotion is one-way; once the queue is a calendar the run loop stays in a
-dedicated inner loop that skips the per-event structure check.
-``promote_at`` is a test seam, not a tuning knob: ``inf`` pins the heap,
-``0`` puts the calendar under the first event.
+a ``step()`` loop).  The queue is one ``heapq`` list of plain
+``(time, priority, sequence, event)`` tuples, and every push site pushes
+onto it directly: tuple comparison happens in C, which beats any
+``__slots__`` class with a Python-level ``__lt__``.  Pending events scale
+with offered load times the RPC-timer horizon, not with users — 8 192 at
+peak on the heaviest benchmark workload — which is where a binary heap has
+the best constant.
 
 Timeout pooling (``pooling=True``) recycles processed :class:`Timeout`
 objects through a free list: :meth:`timeout` / :meth:`defer` re-arm the
@@ -54,55 +45,43 @@ from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Generator, Iterable, List, NoReturn, Optional, Tuple, Union
 
 from repro.errors import SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout
 from repro.sim.process import Process
-from repro.sim.queues import CalendarQueue, DEFAULT_BUCKET_WIDTH, PROMOTE_THRESHOLD
 
 _QueueEntry = Tuple[float, int, int, Event]
 
 
-class _ClosedQueue:
-    """What a closed environment has for a queue: empty, and nothing gets in."""
+class _Closed:
+    """What a closed environment has for a sequence counter.
 
-    _len = 0
+    Every push site takes the next sequence number before it pushes, so a
+    counter that refuses to be incremented closes them all at no cost to
+    the open world.
+    """
 
-    def push(self, entry: Tuple[float, int, int, Event]) -> None:
+    __slots__ = ()
+
+    def __add__(self, other: int) -> NoReturn:
         raise SimulationError("cannot schedule an event on a closed environment")
+
+
+_CLOSED = _Closed()
 
 
 class Environment:
     """A simulated world with its own clock and event loop."""
 
-    __slots__ = (
-        "_now",
-        "_queue",
-        "_seq",
-        "_active_process",
-        "_promote_at",
-        "_bucket_width",
-        "_pooling",
-        "_pool",
-    )
+    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_pooling", "_pool")
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        pooling: bool = False,
-        bucket_width: float = DEFAULT_BUCKET_WIDTH,
-        promote_at: float = PROMOTE_THRESHOLD,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0, pooling: bool = False) -> None:
         self._now = float(initial_time)
-        #: list while in heap mode; CalendarQueue after promotion.
-        self._queue: Union[List[_QueueEntry], CalendarQueue] = []
+        self._queue: List[_QueueEntry] = []
+        #: Next sequence number; :data:`_CLOSED` once :meth:`close` ran.
         self._seq = 0
         self._active_process: Optional[Process] = None
-        #: heap size that triggers migration (tests pass ``inf`` to pin the
-        #: heap, ``0`` to run on the calendar from the first event).
-        self._promote_at = promote_at
-        self._bucket_width = bucket_width
         self._pooling = pooling
         self._pool: List[Timeout] = []
 
@@ -137,14 +116,7 @@ class Environment:
             timeout.delay = delay
             seq = self._seq
             self._seq = seq + 1
-            entry = (self._now + delay, NORMAL, seq, timeout)
-            q = self._queue
-            if q.__class__ is list:
-                heappush(q, entry)
-                if len(q) > self._promote_at:
-                    self._promote()
-            else:
-                q.push(entry)
+            heappush(self._queue, (self._now + delay, NORMAL, seq, timeout))
             return timeout
         timeout = Timeout(self, delay, value)
         if self._pooling:
@@ -172,14 +144,7 @@ class Environment:
             timeout.callbacks.append(fn)  # type: ignore[union-attr]
             seq = self._seq
             self._seq = seq + 1
-            entry = (self._now + delay, NORMAL, seq, timeout)
-            q = self._queue
-            if q.__class__ is list:
-                heappush(q, entry)
-                if len(q) > self._promote_at:
-                    self._promote()
-            else:
-                q.push(entry)
+            heappush(self._queue, (self._now + delay, NORMAL, seq, timeout))
             return timeout
         timeout = Timeout(self, delay, value)
         if self._pooling:
@@ -207,18 +172,7 @@ class Environment:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         seq = self._seq
         self._seq = seq + 1
-        entry = (self._now + delay, priority, seq, event)
-        q = self._queue
-        if q.__class__ is list:
-            heappush(q, entry)
-            if len(q) > self._promote_at:
-                self._promote()
-        else:
-            q.push(entry)
-
-    def _promote(self) -> None:
-        """Migrate the heap into a calendar queue (order-transparent)."""
-        self._queue = CalendarQueue.from_heap(self._queue, self._bucket_width)
+        heappush(self._queue, (self._now + delay, priority, seq, event))
 
     def close(self) -> None:
         """Forget every pending event, whatever waits on one, and the pool.
@@ -237,11 +191,11 @@ class Environment:
         pairs, not itself, to the collector.  See
         :meth:`repro.workloads.testbed.Cluster.close`.
         """
-        q = self._queue
-        if q.__class__ is _ClosedQueue:
+        if self._seq is _CLOSED:
             return
-        stranded = [entry[3] for entry in (q if q.__class__ is list else q.heap_entries())]
-        self._queue = _ClosedQueue()
+        stranded = [entry[3] for entry in self._queue]
+        self._queue.clear()
+        self._seq = _CLOSED  # type: ignore[assignment]
         self._pool = []
         while stranded:
             event = stranded.pop()
@@ -257,9 +211,7 @@ class Environment:
     def peek(self) -> float:
         """Timestamp of the next queued event, or ``inf`` if the queue is empty."""
         q = self._queue
-        if q.__class__ is list:
-            return q[0][0] if q else float("inf")
-        return q.peek_time() if q._len else float("inf")
+        return q[0][0] if q else float("inf")
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to its timestamp).
@@ -268,14 +220,9 @@ class Environment:
         same body for speed and must stay equivalent to it.
         """
         q = self._queue
-        if q.__class__ is list:
-            if not q:
-                raise SimulationError("step() on an empty event queue")
-            when, _priority, _seq, event = heappop(q)
-        else:
-            if not q._len:
-                raise SimulationError("step() on an empty event queue")
-            when, _priority, _seq, event = q.pop()
+        if not q:
+            raise SimulationError("step() on an empty event queue")
+        when, _priority, _seq, event = heappop(q)
         self._now = when
         if event._pooled:
             # Pooled timeouts are born triggered and can never fail, so the
@@ -309,7 +256,7 @@ class Environment:
         * an :class:`Event` — run until that event is processed; returns the
           event's value (or raises its exception).
         """
-        if self._queue.__class__ is _ClosedQueue:
+        if self._seq is _CLOSED:
             raise SimulationError("run() on a closed environment")
         if isinstance(until, Event):
             return self._run_until_event(until)
@@ -361,59 +308,19 @@ class Environment:
         collecting = gc.isenabled()
         gc.disable()
         try:
+            q = self._queue
             pool = self._pool
-            while True:
-                q = self._queue
-                if q.__class__ is not list:
-                    break  # promoted: drop into the calendar loop below
-                if not q or q[0][0] > deadline:
-                    return
+            while q and q[0][0] <= deadline:
                 when, _priority, _seq, event = heappop(q)
                 # Inlined step() body — keep in sync.
                 self._now = when
                 if event._pooled:
                     callbacks = event.callbacks
                     event._processed = True
-                    for callback in callbacks:
+                    for callback in callbacks:  # type: ignore[union-attr]
                         callback(event)
-                    callbacks.clear()
-                    pool.append(event)
-                else:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-            # Calendar steady state: the structure never reverts, so this loop
-            # drops the per-event class check.
-            while True:
-                # Inlined CalendarQueue pop fast path — keep in sync.
-                active = q._active
-                ai = q._ai
-                if ai < len(active):
-                    entry = active[ai]
-                    when = entry[0]
-                    if when > deadline:
-                        return
-                    q._ai = ai + 1
-                    q._len -= 1
-                    event = entry[3]
-                else:
-                    if not q._len or q.peek_time() > deadline:
-                        return
-                    when, _priority, _seq, event = q.pop()
-                # Inlined step() body — keep in sync.
-                self._now = when
-                if event._pooled:
-                    callbacks = event.callbacks
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    callbacks.clear()
-                    pool.append(event)
+                    callbacks.clear()  # type: ignore[union-attr]
+                    pool.append(event)  # type: ignore[arg-type]
                 else:
                     callbacks = event.callbacks
                     event.callbacks = None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Mapping, Optional
 
 from repro.errors import NetworkError, RequestTimeout, SimulationError
 from repro.obs.spans import KIND_RPC, Span, context_of
@@ -303,11 +303,6 @@ class Network:
         #: Open RPC spans keyed by request msg_id (closed on reply/timeout).
         self._pending_rpc: Dict[int, Span] = {}
         self._next_msg_id = 1
-        #: Same-timestamp delivery batch: consecutive sends that arrive at
-        #: the same instant share one kernel event (see ``send``).
-        self._batch: Optional[List[Message]] = None
-        self._batch_when = -1.0
-        self._batch_seq = -1
 
     # -- topology ----------------------------------------------------------
 
@@ -367,36 +362,16 @@ class Network:
                 self.metrics.message_dropped(message, "chaos", self.env.now)
                 return message
         delay = self.latency.sample_message(self.rng, src, dst, message.payload, message.wire_size)
-        delay += extra_delay
-        env = self.env
-        when = env._now + delay
-        # Same-timestamp batching: if this message arrives at the exact
-        # instant of the currently open batch AND no kernel event has
-        # been scheduled since that batch's timeout (the sequence
-        # counter is untouched), its own timeout would carry the very
-        # next sequence number — so delivering it from the same kernel
-        # event preserves the global (time, priority, sequence) order
-        # bit-for-bit while saving a queue entry per message.
-        if when == self._batch_when and env._seq == self._batch_seq and self._batch is not None:
-            self._batch.append(message)
-        else:
-            batch = [message]
-            self._batch = batch
-            self._batch_when = when
-            env.defer(delay, self._deliver_batch, batch)
-            self._batch_seq = env._seq
+        # One kernel event per message.  Sends that arrive at the same
+        # instant are delivered in send order (the queue breaks the tie on
+        # sequence number); only an URGENT event at that instant could come
+        # between two of them, and URGENT's one user, ``Process.interrupt``,
+        # has no caller in ``repro``.
+        self.env.defer(delay + extra_delay, self._deliver_message, message)
         return message
 
-    def _deliver_batch(self, arrival_event: Event) -> None:
-        batch: List[Message] = arrival_event.value
-        if batch is self._batch:
-            # Close the batch: nothing may append after delivery has run.
-            self._batch = None
-        deliver = self._deliver_message
-        for message in batch:
-            deliver(message)
-
-    def _deliver_message(self, message: Message) -> None:
+    def _deliver_message(self, arrival: Event) -> None:
+        message: Message = arrival.value
         node = self.nodes.get(message.dst)
         if node is None or node.is_down:
             # Dropped on the floor; requesters rely on timeouts.  Counted

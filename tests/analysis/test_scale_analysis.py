@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import random
 
+from repro.analysis import parallel
 from repro.analysis.parallel import (
-    DEFAULT_MIN_PARALLEL_COST,
-    MIN_COST_ENV,
+    MIN_PARALLEL_COST,
     SERIAL_ENV,
     estimate_point_cost,
-    min_parallel_cost,
     run_sweep,
     should_parallelize,
 )
@@ -47,44 +46,40 @@ class TestCostGate:
         assert estimate_point_cost(make_point(0, 0, 0)) == 1  # floor at 1
 
     def test_default_threshold(self, monkeypatch):
-        monkeypatch.delenv(MIN_COST_ENV, raising=False)
-        assert min_parallel_cost() == DEFAULT_MIN_PARALLEL_COST
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MIN_COST_ENV, "100")
-        assert min_parallel_cost() == 100
-        monkeypatch.setenv(MIN_COST_ENV, "garbage")
-        assert min_parallel_cost() == DEFAULT_MIN_PARALLEL_COST
+        monkeypatch.delenv(SERIAL_ENV, raising=False)
+        assert MIN_PARALLEL_COST == 25_000
+        # Two points of 12 500 units each sit exactly on the gate.
+        at_gate = [make_point(125, 10, 10) for _ in range(2)]
+        below = [make_point(125, 10, 10), make_point(124, 10, 10)]
+        assert should_parallelize(at_gate, max_workers=2)
+        assert not should_parallelize(below, max_workers=2)
 
     def test_small_grid_stays_serial(self, monkeypatch):
-        monkeypatch.delenv(MIN_COST_ENV, raising=False)
         monkeypatch.delenv(SERIAL_ENV, raising=False)
         points = [make_point() for _ in range(4)]  # cost 480 << 25k
         assert not should_parallelize(points, max_workers=4)
 
     def test_large_grid_parallelizes(self, monkeypatch):
-        monkeypatch.delenv(MIN_COST_ENV, raising=False)
         monkeypatch.delenv(SERIAL_ENV, raising=False)
         points = [make_point(1000, 10, 10) for _ in range(2)]  # cost 200k
         assert should_parallelize(points, max_workers=2)
 
     def test_gate_disabled_by_zero_threshold(self, monkeypatch):
-        monkeypatch.setenv(MIN_COST_ENV, "0")
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_COST", 0)
         monkeypatch.delenv(SERIAL_ENV, raising=False)
         assert should_parallelize([make_point(), make_point()], max_workers=2)
 
     def test_single_point_or_worker_never_parallelizes(self, monkeypatch):
-        monkeypatch.setenv(MIN_COST_ENV, "0")
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_COST", 0)
         assert not should_parallelize([make_point()], max_workers=8)
         assert not should_parallelize([make_point(), make_point()], max_workers=1)
 
     def test_serial_env_wins(self, monkeypatch):
-        monkeypatch.setenv(MIN_COST_ENV, "0")
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_COST", 0)
         monkeypatch.setenv(SERIAL_ENV, "1")
         assert not should_parallelize([make_point(), make_point()], max_workers=4)
 
     def test_gated_run_sweep_matches_serial(self, monkeypatch):
-        monkeypatch.delenv(MIN_COST_ENV, raising=False)
         monkeypatch.delenv(SERIAL_ENV, raising=False)
         points = [make_point(4, 2, 3), make_point(5, 2, 3)]
         gated = run_sweep(points, max_workers=4)

@@ -6,6 +6,17 @@ from repro.db.recovery import analyze
 from repro.db.wal import LogRecordType, WriteAheadLog
 
 
+class CountingId(str):
+    """A transaction id that counts the equality tests made against it."""
+
+    comparisons = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        CountingId.comparisons += 1
+        return str.__eq__(self, other)
+
+
 @pytest.fixture
 def wal():
     return WriteAheadLog("s1")
@@ -57,7 +68,7 @@ class TestReading:
         wal.force(LogRecordType.PREPARED, "t1", now=1.0)
         wal.force(LogRecordType.PREPARED, "t2", now=1.0)
         wal.force(LogRecordType.COMMIT, "t2", now=2.0)
-        assert wal.prepared_without_decision() == ("t1",)
+        assert analyze(wal).in_doubt == ("t1",)
 
 
 class TestRecoveryAnalysis:
@@ -100,3 +111,22 @@ class TestRecoveryAnalysis:
 
     def test_empty_log_is_clean(self, wal):
         assert analyze(wal).is_clean
+
+    def test_in_doubt_keeps_first_seen_order(self, wal):
+        wal.append(LogRecordType.BEGIN, "late", now=1.0)
+        wal.force(LogRecordType.PREPARED, "early", now=2.0)
+        wal.force(LogRecordType.PREPARED, "late", now=3.0)
+        assert analyze(wal).in_doubt == ("late", "early")
+
+    def test_analysis_is_linear_in_log_length(self, wal):
+        """A constant number of equality tests per record, not one per
+        transaction seen before it."""
+        n = 400
+        for index in range(n):
+            # A fresh id object per record, as records built from messages hold.
+            wal.append(LogRecordType.BEGIN, CountingId(f"t{index}"), now=1.0)
+            wal.force(LogRecordType.PREPARED, CountingId(f"t{index}"), now=2.0)
+        CountingId.comparisons = 0
+        plan = analyze(wal)
+        assert plan.in_doubt == tuple(f"t{index}" for index in range(n))
+        assert CountingId.comparisons <= 4 * 2 * n

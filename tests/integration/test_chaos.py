@@ -16,6 +16,7 @@ from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.trusted import check_trusted
+from repro.db.recovery import analyze
 from repro.db.wal import LogRecordType
 from repro.sim.network import FixedLatency
 from repro.transactions.transaction import Query, Transaction
@@ -72,7 +73,7 @@ def test_lossy_network_preserves_atomicity(drop_rate, approach):
     # protocol): afterwards their state must match the coordinator log.
     for name in cluster.server_names():
         server = cluster.server(name)
-        if server.wal.prepared_without_decision():
+        if analyze(server.wal).in_doubt:
             server.crash()
             server.recover()
     cluster.run()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
+from repro.db.recovery import analyze
 from repro.db.wal import LogRecordType
 from repro.errors import AbortReason
 from repro.sim.network import FixedLatency
@@ -126,7 +127,7 @@ class TestCrashRecovery:
 
         server = cluster.server("s2")
         # s2 is in doubt: prepared but no decision.
-        assert txn_id in server.wal.prepared_without_decision()
+        assert txn_id in analyze(server.wal).in_doubt
 
         # Heal, crash, recover: the termination protocol asks the TM.
         cut.links.clear()

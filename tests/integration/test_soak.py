@@ -21,6 +21,7 @@ from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.trusted import check_trusted
 from repro.db.serializability import check_conflict_serializable
+from repro.db.recovery import analyze
 from repro.db.wal import LogRecordType
 from repro.sim.network import UniformLatency
 from repro.transactions.transaction import Query, Transaction
@@ -109,7 +110,7 @@ def test_soak_mixed_workload(seed):
     #    protocol, after which participant state reflects the decisions.
     for name in cluster.server_names():
         server = cluster.server(name)
-        if server.wal.prepared_without_decision():
+        if analyze(server.wal).in_doubt:
             server.crash()
             server.recover()
     cluster.run(until=cluster.env.now + 150.0)

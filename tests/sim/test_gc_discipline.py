@@ -189,13 +189,6 @@ class TestDispatchRestoresTheCollector:
         assert seen == [False]
         assert gc.isenabled()
 
-    def test_run_until_event_on_the_calendar_queue(self):
-        env = Environment(promote_at=0)
-        seen = self.seen_inside(env)
-        env.run(until=env.timeout(5.0))
-        assert seen == [False]
-        assert gc.isenabled()
-
     def test_failed_undefused_event_raises_out_of_the_run(self, env):
         seen = self.seen_inside(env)
         env.defer(2.0, lambda _event: env.event().fail(ValueError("boom")))

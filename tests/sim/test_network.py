@@ -70,6 +70,24 @@ class TestDelivery:
         assert echo.seen == ["note"]
         assert env.now == 1.0
 
+    def test_each_send_is_its_own_kernel_event(self, env, network):
+        """Back-to-back sends arriving at one instant, nothing scheduled
+        between them: two queue entries, delivered in send order."""
+        received = []
+
+        class Recorder(Node):
+            def handle_message(self, message):
+                received.append(message.msg_id)
+
+        network.register(Recorder("sink"))
+        client = network.register(Client())
+        first = client.send("sink", "note", "test", n=1)
+        second = client.send("sink", "note", "test", n=2)
+        assert len(env._queue) == 2
+        env.run()
+        assert received == [first.msg_id, second.msg_id]
+        assert env.now == 1.0
+
     def test_request_reply_roundtrip(self, env, network):
         network.register(Echo())
         client = network.register(Client())
