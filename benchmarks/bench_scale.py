@@ -60,7 +60,6 @@ from repro.analysis.scale import (
 )
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
-from repro.metrics.timeline import StreamingPhaseBreakdown
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.scale import (
     PolicyStormProcess,
@@ -140,11 +139,9 @@ def run_one(
     runner = OpenLoopRunner(cluster, approach, consistency)
     tracker = StaleCommitTracker(cluster)
     locality = StreamingLocalitySplit(cluster, runner.assignments)
-    phases = StreamingPhaseBreakdown(sketch_accuracy=0.01)
 
     def on_outcome(outcome: Any) -> None:
         locality.observe(outcome)
-        phases.observe(outcome)
         tracker.observe(outcome)  # pops the coordinator's finished context
 
     runner.on_outcome = on_outcome
@@ -157,6 +154,7 @@ def run_one(
     # per-approach p50/p95/p99 the paper's Table I regime needs, without
     # any per-transaction sample list having existed.
     pooled = live.latency.merged()
+    commit_phase = live.commit_phase.merged()
     quantile_row = {
         "sketch_p50_latency": round(pooled.quantile(0.50), 2),
         "sketch_p95_latency": round(pooled.quantile(0.95), 2),
@@ -179,9 +177,9 @@ def run_one(
             "n_users": n_users,
             "shards_per_region": shards_per_region,
             "throughput": round(runner.throughput(), 4),
-            "mean_execution_time": round(phases.mean_execution_time, 2),
-            "mean_commit_phase_time": round(phases.mean_commit_phase_time, 2),
-            "p95_commit_phase_time": round(phases.quantile("commit", 0.95), 2),
+            "mean_execution_time": round(pooled.mean - commit_phase.mean, 2),
+            "mean_commit_phase_time": round(commit_phase.mean, 2),
+            "p95_commit_phase_time": round(commit_phase.quantile(0.95), 2),
             **quantile_row,
             # Throughput-over-time / policy-storm-response curves: the
             # retained windows, oldest first (see docs/observability.md).

@@ -15,7 +15,6 @@ formulas instantiated at the measured round count r.
 
 import pytest
 
-from repro.analysis.parallel import parallel_map
 from repro.cloud.config import CloudConfig
 from repro.core.complexity import TABLE1, max_messages, max_proofs
 from repro.core.consistency import ConsistencyLevel
@@ -31,11 +30,7 @@ N = 4  # participants = queries (the worst-case shape of Table I)
 
 
 def run_cell(cell):
-    """One measured cell (approach, level, stale): the transaction outcome.
-
-    Takes a single picklable tuple so the cells can fan out over worker
-    processes via :func:`repro.analysis.parallel.parallel_map`.
-    """
+    """One measured cell (approach, level, stale): the transaction outcome."""
     approach, level, stale = cell
     cluster = build_cluster(
         n_servers=N, seed=13, config=CloudConfig(latency=FixedLatency(1.0))
@@ -57,10 +52,10 @@ def run_cell(cell):
 
 
 def collect_rows(stale):
-    # Each cell builds its own seeded cluster, so the grid parallelizes
-    # with results identical to the old serial loop (ordered collection).
+    # Eight single-transaction cells: too little work for worker processes
+    # to win back their start-up, so the grid runs in a plain loop.
     cells = [(approach, level, stale) for level in (VIEW, GLOBAL) for approach in APPROACHES]
-    outcomes = parallel_map(run_cell, cells)
+    outcomes = [run_cell(cell) for cell in cells]
     rows = []
     for (approach, level, stale), outcome in zip(cells, outcomes):
         r = max(1, outcome.commit_rounds if level is GLOBAL else (2 if stale else 1))

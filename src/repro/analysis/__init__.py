@@ -8,12 +8,10 @@ from repro.analysis.accuracy import (
 )
 from repro.analysis.adaptive import AdaptiveSelector, EwmaEstimator, run_adaptive_batch
 from repro.analysis.parallel import (
-    derive_seed,
     estimate_point_cost,
     parallel_map,
     run_sweep,
     should_parallelize,
-    with_derived_seeds,
 )
 from repro.analysis.scale import (
     LocalitySplit,
@@ -47,7 +45,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "compare_approaches",
-    "derive_seed",
     "estimate_point_cost",
     "should_parallelize",
     "empirical_quadrants",
@@ -61,5 +58,4 @@ __all__ = [
     "StaleCommitTracker",
     "split_by_master_locality",
     "sweep",
-    "with_derived_seeds",
 ]

@@ -6,10 +6,8 @@ no state and their results are independent of execution order.  This
 module fans a grid out over :class:`concurrent.futures.ProcessPoolExecutor`
 while keeping the three guarantees the benches rely on:
 
-* **determinism** — each point carries its own seed (use
-  :func:`with_derived_seeds` to stamp a grid with distinct, stable,
-  index-derived seeds), so parallel and serial runs of the same grid
-  produce equal results;
+* **determinism** — each point carries its own seed, so parallel and
+  serial runs of the same grid produce equal results;
 * **ordered collection** — results come back in grid order regardless of
   which worker finishes first;
 * **graceful degradation** — a dead worker (OOM-killed, segfaulted,
@@ -41,12 +39,10 @@ describes the workload, so it is a constant.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.analysis.sweep import SweepPoint, SweepResult, run_point
@@ -65,38 +61,11 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 SERIAL_ENV = "REPRO_SWEEP_SERIAL"
 #: Grid cost below which :func:`run_sweep` stays serial.
 #: Calibrated against worker start-up: a fresh process pays ~0.3-0.5 s of
-#: interpreter + ``repro`` import before its first point, and the default
-#: proof-cache bench grid (cost ~7.7k units, ~0.8 s serial) measurably
-#: *loses* wall-clock when fanned out (0.897x).  25k units ≈ 2.5 s of
-#: serial work, past which two workers reliably amortize their spawn cost.
+#: interpreter + ``repro`` import before its first point, and an 8-point
+#: grid of cost ~7.7k units (~0.8 s serial) measurably *loses* wall-clock
+#: when fanned out (0.897x).  25k units ≈ 2.5 s of serial work, past which
+#: two workers reliably amortize their spawn cost.
 MIN_PARALLEL_COST = 25_000
-
-
-def derive_seed(base_seed: int, index: int) -> int:
-    """A stable, well-mixed seed for grid position ``index``.
-
-    Hash-derived (not ``base_seed + index``) so neighbouring points get
-    uncorrelated RNG streams, and platform-independent so the same grid
-    reproduces across machines and Python versions.
-    """
-    digest = hashlib.sha256(f"{base_seed}:{index}".encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def with_derived_seeds(
-    points: Sequence[SweepPoint], base_seed: int = 0
-) -> List[SweepPoint]:
-    """Copies of ``points`` with deterministic per-point seeds.
-
-    Point *i* gets ``derive_seed(base_seed, i)``.  Apply this once to a
-    grid before running it (serially or in parallel) when the points were
-    built without explicit seeds; grids that already carry meaningful
-    seeds should be run as-is.
-    """
-    return [
-        replace(point, seed=derive_seed(base_seed, index))
-        for index, point in enumerate(points)
-    ]
 
 
 def _serial_forced() -> bool:
@@ -138,13 +107,19 @@ def should_parallelize(
 
 
 def default_workers(n_items: int) -> int:
-    """Worker count: ``REPRO_SWEEP_WORKERS`` or ``min(n_items, cpus)``."""
+    """Worker count: ``REPRO_SWEEP_WORKERS`` or ``min(n_items, cpus)``.
+
+    A ``REPRO_SWEEP_WORKERS`` that is not an integer raises ``ValueError``
+    rather than quietly changing the execution plan.
+    """
     override = os.environ.get(WORKERS_ENV, "").strip()
     if override:
         try:
             return max(1, int(override))
         except ValueError:
-            pass
+            raise ValueError(
+                f"{WORKERS_ENV} must be an integer, got {override!r}"
+            ) from None
     return max(1, min(n_items, os.cpu_count() or 1))
 
 
@@ -217,7 +192,6 @@ def parallel_map(
     fn: Callable[[ItemT], ResultT],
     items: Sequence[ItemT],
     max_workers: Optional[int] = None,
-    fallback_serial: bool = True,
 ) -> List[ResultT]:
     """Apply ``fn`` to every item across worker processes, results in order.
 
@@ -228,9 +202,8 @@ def parallel_map(
     *raised by* ``fn`` propagate exactly as they would serially.  Failures
     *of the machinery* — a worker process dying, the pool failing to
     start, pickling errors — discard the pool and trigger a serial
-    in-process re-run of the whole sequence when ``fallback_serial`` is
-    true (the default), so callers always get a complete, ordered result
-    list.
+    in-process re-run of the whole sequence, so callers always get a
+    complete, ordered result list.
     """
     if not items:
         return []
@@ -246,8 +219,6 @@ def parallel_map(
         # Pre-pickled bytes always survive the queue.
         payloads = [pickle.dumps((fn, chunk)) for chunk in chunks]
     except Exception:
-        if not fallback_serial:
-            raise
         return [fn(item) for item in items]
     try:
         pool = get_pool(workers)
@@ -262,8 +233,6 @@ def parallel_map(
         # from script-style modules under the spawn start method).  The pool
         # may be poisoned — drop it so the next call starts clean.
         shutdown_pool(wait=False)
-        if not fallback_serial:
-            raise
         # The work itself is assumed sound, so redo everything in-process.
         return [fn(item) for item in items]
 
@@ -272,7 +241,6 @@ def run_sweep(
     points: Sequence[SweepPoint],
     parallel: bool = True,
     max_workers: Optional[int] = None,
-    fallback_serial: bool = True,
 ) -> List[SweepResult]:
     """Run a sweep grid, in parallel by default; results in grid order.
 
@@ -285,6 +253,4 @@ def run_sweep(
     """
     if not parallel or not should_parallelize(points, max_workers):
         return [run_point(point) for point in points]
-    return parallel_map(
-        run_point, points, max_workers=max_workers, fallback_serial=fallback_serial
-    )
+    return parallel_map(run_point, points, max_workers=max_workers)

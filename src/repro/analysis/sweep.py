@@ -34,9 +34,7 @@ from repro.workloads.updates import PolicyUpdateProcess
 class SweepPoint:
     """Configuration of one simulated condition.
 
-    ``seed`` is the *only* source of randomness for the whole point; grids
-    built without explicit seeds can be stamped with stable per-point
-    seeds via :func:`repro.analysis.parallel.with_derived_seeds`.
+    ``seed`` is the *only* source of randomness for the whole point.
     """
 
     approach: str
@@ -94,10 +92,8 @@ def run_point(point: SweepPoint) -> SweepResult:
     Deterministic in ``point`` alone: the cluster, workload, and update
     process are all seeded from ``point.seed``, and nothing outside the
     point is read.  Safe to call from worker processes (the function and
-    its argument/result types are picklable).  Proof caching follows
-    ``point.config_overrides["enable_proof_cache"]`` (default on); it
-    affects host CPU only, never the returned outcomes.  An override key
-    that is not a :class:`CloudConfig` field raises ``TypeError``.
+    its argument/result types are picklable).  An override key that is not
+    a :class:`CloudConfig` field raises ``TypeError``.
     """
     config = replace(CloudConfig(), **point.config_overrides)
     cluster = build_cluster(

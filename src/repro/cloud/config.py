@@ -89,19 +89,6 @@ class CloudConfig:
     #: execution, proof evaluation, and constraint checking each hold one
     #: slot while they run.
     server_concurrency: Optional[int] = None
-    #: Memoize proof evaluations per server (version-aware, invalidated on
-    #: policy installs and credential revocations).  Transparent to
-    #: simulated time and Table I counters — a hit still spends
-    #: ``proof_evaluation_time`` and counts as an evaluation — so outcomes
-    #: are bit-identical with the cache on or off; it only saves host CPU.
-    #: See docs/performance.md.
-    enable_proof_cache: bool = True
-    #: Run the trace sanitizer (:mod:`repro.verify.conformance`) over the
-    #: recorded trace at the end of every workload run.  Requires the
-    #: cluster to be built with tracing enabled; violations raise
-    #: :class:`repro.errors.VerificationError`.  Off by default — it is a
-    #: correctness harness, not part of the simulated system.
-    verify_traces: bool = False
     #: Record causal spans (:mod:`repro.obs`) for critical-path latency
     #: attribution.  Default-on: spans are host-side observability only —
     #: they never consume simulated time or touch Table I counters — and

@@ -34,7 +34,6 @@ from repro.policy.proofs import (
     LocalRevocationChecker,
     PrefetchedStatuses,
     ProofOfAuthorization,
-    evaluate_proof,
 )
 from repro.policy.rules import Atom
 from repro.policy.store import PolicyStore
@@ -117,26 +116,25 @@ class CloudServer(Node):
         #: This server's own credential-issuing identity (capabilities).
         self.authority = CertificateAuthority(f"{name}-authority")
         registry.add(self.authority)
-        #: Proof-evaluation memo (None when disabled).  The invalidation hooks
-        #: keep it consistent: policy installs drop the templates the diff can
-        #: affect, revocations drop the revoked credential's verdict.
-        self.proof_cache: Optional[ProofCache] = None
-        if config.enable_proof_cache:
-            cache = self.proof_cache = ProofCache(
-                stats=metrics.proof_cache,
-                server=name,
-                # Hits are outcome-neutral (see config), so bounding the
-                # memos cannot change results — it only keeps memory O(1)
-                # in the user population of a streaming run.
-                capacity=STREAMING_PROOF_CACHE_CAPACITY if config.streaming_metrics else None,
-            )
-            self.policies.subscribe(cache.invalidate_policy)
-            # The registry is shared and holds this server (its authority is
-            # registered there): the listener captures the cache alone, or
-            # registry -> listener -> server -> registry is a cycle.
-            registry.subscribe_revocations(
-                lambda record: cache.invalidate_credential(record.cred_id)
-            )
+        #: Proof-evaluation memo.  The invalidation hooks keep it consistent:
+        #: policy installs drop the templates the diff can affect, revocations
+        #: drop the revoked credential's verdict.
+        cache = self.proof_cache = ProofCache(
+            stats=metrics.proof_cache,
+            server=name,
+            # Hits are outcome-neutral (a hit still spends the simulated
+            # evaluation time and counts in Table I), so bounding the memos
+            # cannot change results — it only keeps memory O(1) in the user
+            # population of a streaming run.
+            capacity=STREAMING_PROOF_CACHE_CAPACITY if config.streaming_metrics else None,
+        )
+        self.policies.subscribe(cache.invalidate_policy)
+        # The registry is shared and holds this server (its authority is
+        # registered there): the listener captures the cache alone, or
+        # registry -> listener -> server -> registry is a cycle.
+        registry.subscribe_revocations(
+            lambda record: cache.invalidate_credential(record.cred_id)
+        )
 
     # Nodes get their env at registration time; the lock manager needs it.
     def _lock_manager(self) -> LockManager:
@@ -421,12 +419,11 @@ class CloudServer(Node):
 
         Uses ``policy`` when given (a snapshot pinned by the caller) and the
         latest locally installed policy otherwise.  Routes through the
-        proof cache when enabled, which returns the record ``evaluate_proof``
-        would at the same simulated cost, skipping host-side signature and
-        derivation work it has done before.  ``parent`` roots the ``proof.eval``
-        span, which covers the OCSP round trip (if any) and the simulated
-        evaluation time — the whole stretch attributes to "proof" on the
-        critical path.
+        proof cache, which returns the record ``evaluate_proof`` would at the
+        same simulated cost, skipping host-side signature and derivation work
+        it has done before.  ``parent`` roots the ``proof.eval`` span, which
+        covers the OCSP round trip (if any) and the simulated evaluation time
+        — the whole stretch attributes to "proof" on the critical path.
         """
         eval_started = self.env.now
         spans = self.metrics.spans
@@ -454,10 +451,7 @@ class CloudServer(Node):
         yield from self._consume_cpu(self.config.proof_evaluation_time)
         if policy is None:
             policy = self.policies.current(executed.admin)
-        evaluator = (
-            self.proof_cache.evaluate if self.proof_cache is not None else evaluate_proof
-        )
-        proof = evaluator(
+        proof = self.proof_cache.evaluate(
             policy=policy,
             query_id=executed.query.query_id,
             user=executed.user,

@@ -76,8 +76,7 @@ class AbortReason(enum.Enum):
 class VerificationError(ReproError):
     """The trace sanitizer found protocol-conformance violations.
 
-    Raised by the opt-in ``CloudConfig.verify_traces`` hook at the end of a
-    workload run.  ``report`` is the full
+    Raised by ``Cluster.verify(raise_on_violation=True)``.  ``report`` is the full
     :class:`repro.verify.report.VerificationReport`, so callers can render
     the offending event slices.
     """

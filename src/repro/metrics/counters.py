@@ -280,8 +280,7 @@ class VerificationCounters:
     """Trace-sanitizer accounting (see :mod:`repro.verify.conformance`).
 
     Updated whenever the conformance checker runs over a recorded trace —
-    via the ``CloudConfig.verify_traces`` hook, ``Cluster.verify()``, or the
-    ``python -m repro.verify`` CLI.  Host-side only; never part of the
+    via ``Cluster.verify()`` or the ``python -m repro.verify`` CLI.  Host-side only; never part of the
     Table I complexity numbers.
     """
 

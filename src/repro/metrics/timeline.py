@@ -7,18 +7,17 @@ the figure from the trace: one lane per server, a marker per evaluation,
 plus the α(T)/ω(T) window.
 
 Trace reconstruction needs a retained trace, which unbounded streaming
-runs don't keep.  :class:`StreamingPhaseBreakdown` is the constant-memory
-counterpart: it accumulates the headline per-phase split (execution vs the
-commit-time protocol) online from finished outcomes, so the scale bench
-can still report where transaction time goes at 10^5 users.
+runs don't keep.  Their per-phase split (execution vs the commit-time
+protocol) comes from the live-telemetry sketches instead:
+``metrics.live.commit_phase`` and ``metrics.live.latency``
+(:mod:`repro.obs.live`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.metrics.stats import TransactionOutcome
 from repro.sim.tracing import PROOF_EVAL, TXN_DONE, TXN_READY, TXN_START, Tracer
 
 
@@ -98,108 +97,3 @@ def extract_timeline(tracer: Tracer, txn_id: str) -> TransactionTimeline:
     if start is None:
         start = min((event.time for event in events), default=0.0)
     return TransactionTimeline(txn_id, start, ready, end, tuple(events))
-
-
-class StreamingPhaseBreakdown:
-    """Online execution/commit-phase time accounting — no trace required.
-
-    Folds each finished :class:`~repro.metrics.stats.TransactionOutcome`
-    into per-phase sums plus fixed-``resolution`` histograms (bin index →
-    count), so the α(T)→ω(T) execution window and the ω(T)→decision commit
-    window can be reported for runs of any length in O(1) memory.  Wire
-    :meth:`observe` into ``OpenLoopRunner.on_outcome``.
-
-    Passing ``sketch_accuracy`` additionally maintains one
-    :class:`repro.obs.sketch.QuantileSketch` per phase, so
-    :meth:`quantile` reports any per-phase percentile within the given
-    relative-error bound — still O(1) memory in the run length.
-    """
-
-    __slots__ = (
-        "resolution",
-        "count",
-        "execution_sum",
-        "commit_phase_sum",
-        "_execution_bins",
-        "_commit_bins",
-        "_execution_sketch",
-        "_commit_sketch",
-    )
-
-    def __init__(
-        self, resolution: float = 1.0, sketch_accuracy: Optional[float] = None
-    ) -> None:
-        if resolution <= 0:
-            raise ValueError("histogram resolution must be positive")
-        self.resolution = resolution
-        self.count = 0
-        self.execution_sum = 0.0
-        self.commit_phase_sum = 0.0
-        self._execution_bins: Dict[int, int] = {}
-        self._commit_bins: Dict[int, int] = {}
-        if sketch_accuracy is not None:
-            # Local import: repro.obs.sketch is dependency-free, but the
-            # metrics layer should not require repro.obs unless asked to.
-            from repro.obs.sketch import QuantileSketch
-
-            self._execution_sketch: Optional["QuantileSketch"] = QuantileSketch(
-                sketch_accuracy
-            )
-            self._commit_sketch: Optional["QuantileSketch"] = QuantileSketch(
-                sketch_accuracy
-            )
-        else:
-            self._execution_sketch = None
-            self._commit_sketch = None
-
-    def observe(self, outcome: TransactionOutcome) -> None:
-        self.count += 1
-        execution = outcome.execution_done_at - outcome.started_at
-        commit_phase = outcome.finished_at - outcome.execution_done_at
-        self.execution_sum += execution
-        self.commit_phase_sum += commit_phase
-        bin_index = int(execution / self.resolution)
-        self._execution_bins[bin_index] = self._execution_bins.get(bin_index, 0) + 1
-        bin_index = int(commit_phase / self.resolution)
-        self._commit_bins[bin_index] = self._commit_bins.get(bin_index, 0) + 1
-        if self._execution_sketch is not None:
-            self._execution_sketch.add(execution)
-            assert self._commit_sketch is not None
-            self._commit_sketch.add(commit_phase)
-
-    def quantile(self, phase: str, fraction: float) -> float:
-        """Per-phase quantile from the sketch (requires ``sketch_accuracy``)."""
-        if phase == "commit":
-            sketch = self._commit_sketch
-        elif phase == "execution":
-            sketch = self._execution_sketch
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
-        if sketch is None:
-            raise ValueError(
-                "quantile() needs StreamingPhaseBreakdown(sketch_accuracy=...)"
-            )
-        return sketch.quantile(fraction)
-
-    @property
-    def mean_execution_time(self) -> float:
-        """Mean α(T)→ω(T) window across observed transactions."""
-        return self.execution_sum / self.count if self.count else 0.0
-
-    @property
-    def mean_commit_phase_time(self) -> float:
-        """Mean ω(T)→decision window across observed transactions."""
-        return self.commit_phase_sum / self.count if self.count else 0.0
-
-    def rows(self, phase: str = "commit") -> List[Tuple[float, float, int]]:
-        """Histogram rows ``(bin_low, bin_high, count)`` for one phase."""
-        if phase == "commit":
-            bins = self._commit_bins
-        elif phase == "execution":
-            bins = self._execution_bins
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
-        return [
-            (index * self.resolution, (index + 1) * self.resolution, bins[index])
-            for index in sorted(bins)
-        ]

@@ -145,11 +145,10 @@ class FlightRecorder:
     Memory is ``capacity × nodes`` events, independent of run length.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, enabled: bool = True) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("flight-recorder capacity must be positive")
         self.capacity = capacity
-        self.enabled = enabled
         #: node -> ring of ``FlightEvent`` field tuples (built on inspection).
         self._rings: Dict[str, Deque[Tuple[Any, ...]]] = {}
         self._seq = 0
@@ -169,8 +168,6 @@ class FlightRecorder:
         detail: Tuple[Tuple[str, Any], ...] = (),
     ) -> None:
         """Append one event to ``node``'s ring (evicting the oldest)."""
-        if not self.enabled:
-            return
         ring = self._rings.get(node)
         if ring is None:
             ring = deque(maxlen=self.capacity)
@@ -181,8 +178,6 @@ class FlightRecorder:
 
     def on_message(self, message: Any, now: float) -> None:
         """A message sent at ``now``: recorded on the source node's ring."""
-        if not self.enabled:
-            return
         self.record(
             message.src,
             now,

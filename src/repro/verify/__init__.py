@@ -6,8 +6,7 @@ Two independent, offline analyses that keep the simulator honest:
   paper's definitional guarantees (2PVC state machines, proof freshness
   per approach, φ/ψ consistency, lock discipline, WAL ordering,
   serializability).  Entry points: :func:`verify_cluster`,
-  ``Cluster.verify()``, ``CloudConfig.verify_traces``, and
-  ``python -m repro.verify``.
+  ``Cluster.verify()``, and ``python -m repro.verify``.
 * :mod:`repro.verify.lint` — an AST pass over the *source tree* enforcing
   the repo's determinism rules (no wall clocks, no unseeded randomness,
   no order-sensitive set iteration, frozen message records).  Entry
@@ -46,7 +45,7 @@ def dump_incident(cluster: Any, report: VerificationReport, reason: str) -> None
     ``cluster.metrics.flight.bundles``.
     """
     flight = cluster.metrics.flight
-    if report.violations and flight is not None and flight.enabled:
+    if report.violations and flight is not None:
         flight.dump(reason, cluster.env.now, violations=report, metrics=cluster.metrics)
 
 

@@ -7,8 +7,7 @@ times (e.g. a Poisson process), assigning each to a TM round-robin, and
 collects every outcome — the machinery for throughput/latency-under-load
 experiments that a closed loop cannot express.
 
-Two retention modes, selected by ``CloudConfig.streaming_metrics`` (or the
-``retain_outcomes`` override):
+Two retention modes, selected by ``CloudConfig.streaming_metrics``:
 
 * **retained** (default): every outcome lands in :attr:`outcomes` and the
   runner waits on the full list of completion events — convenient for
@@ -62,12 +61,6 @@ class OpenLoopRunner:
     #: accounting at scale (e.g. the stale-commit tracker) that must not
     #: retain per-transaction state until the end of the run.
     on_outcome: Optional[Callable[[TransactionOutcome], None]] = None
-    #: Set by :meth:`run` when ``CloudConfig.verify_traces`` is on — the
-    #: :class:`repro.verify.report.VerificationReport` of the finished run.
-    verification_report: Optional[object] = None
-    #: ``None`` follows ``CloudConfig.streaming_metrics`` (retain unless
-    #: streaming); ``True``/``False`` forces the mode for this runner.
-    retain_outcomes: Optional[bool] = None
     #: The online aggregate fed in streaming mode (created on first run;
     #: pre-set it to choose a different histogram resolution).
     stream: Optional[StreamingOutcomeAggregator] = None
@@ -129,10 +122,7 @@ class OpenLoopRunner:
         until: Optional[float],
     ) -> None:
         env = self.cluster.env
-        retain = self.retain_outcomes
-        if retain is None:
-            retain = not self.cluster.config.streaming_metrics
-        self._retain = retain
+        retain = self._retain = not self.cluster.config.streaming_metrics
         if not retain:
             if self.stream is None:
                 self.stream = StreamingOutcomeAggregator()
@@ -183,10 +173,6 @@ class OpenLoopRunner:
                 env.run(until=done)
         if until is not None:
             env.run(until=until)
-        if self.cluster.config.verify_traces:
-            # Opt-in conformance pass over the finished run's trace; raises
-            # repro.errors.VerificationError if any invariant is violated.
-            self.verification_report = self.cluster.verify(raise_on_violation=True)
 
     def _collect(self, event: Event) -> None:
         if event.exception is not None:

@@ -11,10 +11,8 @@ from repro.analysis.parallel import (
     SERIAL_ENV,
     WORKERS_ENV,
     default_workers,
-    derive_seed,
     parallel_map,
     run_sweep,
-    with_derived_seeds,
 )
 from repro.analysis.sweep import SweepPoint, sweep
 from repro.core.consistency import ConsistencyLevel
@@ -50,21 +48,6 @@ def die_in_worker(x):
     return x + 100
 
 
-class TestSeedDerivation:
-    def test_derive_seed_is_deterministic(self):
-        assert derive_seed(42, 0) == derive_seed(42, 0)
-        assert derive_seed(42, 0) != derive_seed(42, 1)
-        assert derive_seed(42, 0) != derive_seed(43, 0)
-
-    def test_with_derived_seeds_replaces_in_order(self):
-        points = small_grid()[:3]
-        seeded = with_derived_seeds(points, base_seed=7)
-        assert [p.seed for p in seeded] == [derive_seed(7, i) for i in range(3)]
-        # Everything except the seed is untouched; originals are not mutated.
-        assert all(p.approach == q.approach for p, q in zip(points, seeded))
-        assert all(p.seed == 17 for p in points)
-
-
 class TestParallelMap:
     def test_ordered_results(self):
         items = list(range(12))
@@ -81,17 +64,17 @@ class TestParallelMap:
         monkeypatch.setenv(WORKERS_ENV, "1")
         assert default_workers(8) == 1
 
+    def test_malformed_workers_env_raises(self, monkeypatch):
+        # A typo in the setting must not quietly fall back to the CPU count.
+        monkeypatch.setenv(WORKERS_ENV, "two")
+        with pytest.raises(ValueError, match=r"REPRO_SWEEP_WORKERS.*'two'"):
+            default_workers(8)
+
     def test_worker_death_falls_back_to_serial(self):
         # The pool dies (every worker exits), then the serial fallback
         # computes the real answers in the parent process.
         result = parallel_map(die_in_worker, [1, 2, 3], max_workers=2)
         assert result == [101, 102, 103]
-
-    def test_worker_death_without_fallback_raises(self):
-        with pytest.raises(Exception):
-            parallel_map(
-                die_in_worker, [1, 2, 3], max_workers=2, fallback_serial=False
-            )
 
     def test_unpicklable_fn_falls_back_to_serial(self):
         def local_fn(x):  # closures can't be sent to workers

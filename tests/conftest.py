@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.counters import Metrics
+from repro.policy.proofcache import ProofCache
+from repro.policy.proofs import evaluate_proof
 from repro.sim.kernel import Environment
 from repro.sim.network import FixedLatency, Network
 from repro.transactions.transaction import Query, Transaction
@@ -27,6 +31,26 @@ class LinkCut:
 
     def on_send(self, message, now):
         return (message.src, message.dst) in self.links, 0.0
+
+
+@pytest.fixture
+def uncached(monkeypatch):
+    """Context manager: inside it, every proof is derived from scratch.
+
+    Servers always route proofs through their :class:`ProofCache`; the
+    uncached run survives only as this oracle, which puts the plain
+    ``evaluate_proof`` under every ``ProofCache.evaluate`` call.  A cache hit
+    spends the same simulated time and counts the same, so a run inside and
+    outside the context must produce equal outcomes.
+    """
+
+    @contextlib.contextmanager
+    def patched():
+        with monkeypatch.context() as patch:
+            patch.setattr(ProofCache, "evaluate", lambda self, **kw: evaluate_proof(**kw))
+            yield
+
+    return patched
 
 
 @pytest.fixture

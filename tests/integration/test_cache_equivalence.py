@@ -1,6 +1,7 @@
 """The proof cache's safety contract, end to end.
 
 Under a fixed seed, a cached run and an uncached run of the same workload
+(the ``uncached`` fixture: ``evaluate_proof`` under every cache lookup)
 must produce **identical** ``TransactionOutcome`` sequences — for every
 approach and both consistency levels, with and without policy churn.  The
 cache may only save host CPU; it must never change a 2PV/2PVC vote, a
@@ -18,7 +19,7 @@ APPROACHES = ("deferred", "punctual", "incremental", "continuous")
 LEVELS = (ConsistencyLevel.VIEW, ConsistencyLevel.GLOBAL)
 
 
-def outcomes(approach, level, *, enable_cache, update_interval=None, seed=29):
+def outcomes(approach, level, *, update_interval=None, seed=29):
     point = SweepPoint(
         approach=approach,
         consistency=level,
@@ -27,30 +28,25 @@ def outcomes(approach, level, *, enable_cache, update_interval=None, seed=29):
         n_transactions=8,
         update_interval=update_interval,
         seed=seed,
-        config_overrides={"enable_proof_cache": enable_cache},
     )
     return run_point(point).outcomes
 
 
 @pytest.mark.parametrize("level", LEVELS, ids=lambda l: l.value)
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_cached_equals_uncached(approach, level):
-    cached = outcomes(approach, level, enable_cache=True)
-    uncached = outcomes(approach, level, enable_cache=False)
-    assert cached == uncached
+def test_cached_equals_uncached(approach, level, uncached):
+    cached = outcomes(approach, level)
+    with uncached():
+        assert cached == outcomes(approach, level)
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_cached_equals_uncached_under_policy_churn(approach):
+def test_cached_equals_uncached_under_policy_churn(approach, uncached):
     # Policy updates exercise the install-invalidation hook mid-run; the
     # equality must survive cache entries being dropped and rebuilt.
-    cached = outcomes(
-        approach, ConsistencyLevel.VIEW, enable_cache=True, update_interval=15.0
-    )
-    uncached = outcomes(
-        approach, ConsistencyLevel.VIEW, enable_cache=False, update_interval=15.0
-    )
-    assert cached == uncached
+    cached = outcomes(approach, ConsistencyLevel.VIEW, update_interval=15.0)
+    with uncached():
+        assert cached == outcomes(approach, ConsistencyLevel.VIEW, update_interval=15.0)
 
 
 def test_cache_sees_traffic_on_continuous():

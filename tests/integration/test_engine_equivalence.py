@@ -21,7 +21,7 @@ APPROACHES = ("deferred", "punctual", "incremental", "continuous")
 LEVELS = (ConsistencyLevel.VIEW, ConsistencyLevel.GLOBAL)
 
 
-def outcomes(approach, level, *, update_interval=None, enable_cache=True):
+def outcomes(approach, level, *, update_interval=None):
     point = SweepPoint(
         approach=approach,
         consistency=level,
@@ -30,7 +30,6 @@ def outcomes(approach, level, *, update_interval=None, enable_cache=True):
         n_transactions=8,
         update_interval=update_interval,
         seed=37,
-        config_overrides={"enable_proof_cache": enable_cache},
     )
     return run_point(point).outcomes
 
@@ -67,8 +66,9 @@ def test_indexed_equals_naive_under_policy_churn(approach, naive):
     assert indexed == naive(approach, ConsistencyLevel.VIEW, update_interval=15.0)
 
 
-def test_indexed_equals_naive_uncached(naive):
+def test_indexed_equals_naive_uncached(naive, uncached):
     # Without the proof cache every evaluation walks the engine, so this
     # exercises the resolvers hardest.
-    indexed = outcomes("continuous", ConsistencyLevel.VIEW, enable_cache=False)
-    assert indexed == naive("continuous", ConsistencyLevel.VIEW, enable_cache=False)
+    with uncached():
+        indexed = outcomes("continuous", ConsistencyLevel.VIEW)
+        assert indexed == naive("continuous", ConsistencyLevel.VIEW)

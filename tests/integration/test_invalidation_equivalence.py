@@ -4,8 +4,8 @@ Which cache entries survive a policy install may never change a verdict, a
 vote, a commit decision, a latency, or a Table I counter.  Under a fixed
 seed a default run — installs keep every entry the rule diff provably
 cannot affect — must therefore produce the same ``TransactionOutcome``
-sequence as a run with no proof cache at all (the strongest oracle: every
-proof derived from scratch) and as a run where every install takes the
+sequence as a run with every proof derived from scratch (the ``uncached``
+fixture, the strongest oracle) and as a run where every install takes the
 cache's coarse fallback and drops the whole domain, for every approach and
 both consistency levels, across benign and restricting policy storms (the
 two update shapes the workloads publish).
@@ -21,7 +21,7 @@ APPROACHES = ("deferred", "punctual", "incremental", "continuous")
 LEVELS = (ConsistencyLevel.VIEW, ConsistencyLevel.GLOBAL)
 
 
-def outcomes(approach, level, *, enable_cache=True, update_mode="benign", seed=31):
+def outcomes(approach, level, *, update_mode="benign", seed=31):
     point = SweepPoint(
         approach=approach,
         consistency=level,
@@ -31,7 +31,6 @@ def outcomes(approach, level, *, enable_cache=True, update_mode="benign", seed=3
         update_interval=12.0,
         update_mode=update_mode,
         seed=seed,
-        config_overrides={"enable_proof_cache": enable_cache},
     )
     return run_point(point).outcomes
 
@@ -56,21 +55,21 @@ def coarse(monkeypatch):
 
 @pytest.mark.parametrize("level", LEVELS, ids=lambda l: l.value)
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_precise_equals_coarse_on_grid(approach, level, coarse):
+def test_precise_equals_coarse_on_grid(approach, level, coarse, uncached):
     precise = outcomes(approach, level)
-    assert precise == outcomes(approach, level, enable_cache=False)
+    with uncached():
+        assert precise == outcomes(approach, level)
     assert precise == coarse(approach, level)
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_precise_equals_coarse_under_restricting_storm(approach, coarse):
+def test_precise_equals_coarse_under_restricting_storm(approach, coarse, uncached):
     # "alternate" publishes guard-rewriting successors: the diff reaches
     # may_read/may_write, so installs must actually drop entries here —
     # and still change nothing observable.
     precise = outcomes(approach, ConsistencyLevel.VIEW, update_mode="alternate")
-    assert precise == outcomes(
-        approach, ConsistencyLevel.VIEW, enable_cache=False, update_mode="alternate"
-    )
+    with uncached():
+        assert precise == outcomes(approach, ConsistencyLevel.VIEW, update_mode="alternate")
     assert precise == coarse(approach, ConsistencyLevel.VIEW, update_mode="alternate")
 
 
@@ -108,3 +107,39 @@ def test_precise_retains_under_benign_storm():
     for txn in transactions[2:]:
         cluster.run_transaction(txn, "continuous")
     assert counts() == (32, 8, 0, 7)
+
+
+def test_policy_storm_counters(uncached):
+    # A benign successor lands after every transaction (the scale workloads'
+    # policy-storm regime): installs re-point the entries their rule diff
+    # cannot affect instead of dropping them.  The four counters are
+    # seed-deterministic, so another value is a different cache, not noise.
+    from repro.workloads.generator import WorkloadSpec, uniform_transactions
+    from repro.workloads.testbed import build_cluster
+    from repro.workloads.updates import benign_successor
+
+    def run():
+        cluster = build_cluster(n_servers=4, items_per_server=6, seed=61)
+        credential = cluster.issue_role_credential("alice")
+        spec = WorkloadSpec(txn_length=6, read_fraction=0.7, count=40, user="alice")
+        transactions = uniform_transactions(
+            spec, cluster.catalog, cluster.rng.stream("workload"), [credential]
+        )
+        admin = cluster.admins["app"]
+        results = []
+        for txn in transactions:
+            results.append(cluster.run_transaction(txn, "continuous"))
+            cluster.publish("app", benign_successor(admin.current))
+        return results, cluster.metrics.proof_cache
+
+    cached, stats = run()
+    assert (stats.hits, stats.misses, stats.invalidations, stats.retentions) == (
+        866,
+        58,
+        10,
+        1542,
+    )
+    with uncached():
+        derived, bypassed = run()
+    assert bypassed.lookups == 0
+    assert cached == derived

@@ -63,12 +63,6 @@ class TestRing:
         assert recorder.nodes() == ["s1", "s2"]
         assert recorder.events("unknown") == []
 
-    def test_disabled_recorder_records_nothing(self):
-        recorder = FlightRecorder(enabled=False)
-        recorder.record("s1", 0.0, "tick")
-        recorder.on_message(object(), 0.0)  # must not even touch the message
-        assert recorder.events() == [] and recorder.recorded == 0
-
     def test_on_message_uses_bound_clock(self):
         """The clock is the caller's: the send site passes its own ``now``."""
         recorder = FlightRecorder()

@@ -65,7 +65,7 @@ def collector_as_found():
 # -- the three runs the gates are held against -------------------------------------
 
 
-def wan_cell(n_users: int = 300, proof_cache: bool = True):
+def wan_cell(n_users: int = 300):
     """The benchmark's WAN cell (3 regions x 2 shards, deferred/view), small."""
     config = CloudConfig(
         request_timeout=3000.0,
@@ -73,7 +73,6 @@ def wan_cell(n_users: int = 300, proof_cache: bool = True):
         streaming_metrics=True,
         live_telemetry=True,
         flight_recorder=True,
-        enable_proof_cache=proof_cache,
     )
     cluster = build_multiregion_cluster(
         shards_per_region=2, items_per_shard=16, seed=5, config=config, trace=False
@@ -87,7 +86,7 @@ def wan_cell(n_users: int = 300, proof_cache: bool = True):
     return cluster, lambda: runner.run_scheduled(schedule)
 
 
-def churn_point(n_transactions: int = 40, proof_cache: bool = True) -> SweepPoint:
+def churn_point(n_transactions: int = 40) -> SweepPoint:
     """The benchmark's policy-churn point (continuous/global), small."""
     return SweepPoint(
         approach="continuous",
@@ -98,7 +97,7 @@ def churn_point(n_transactions: int = 40, proof_cache: bool = True) -> SweepPoin
         update_interval=25.0,
         update_mode="benign",
         seed=5,
-        config_overrides={"obs_spans": False, "enable_proof_cache": proof_cache},
+        config_overrides={"obs_spans": False},
     )
 
 
@@ -330,29 +329,32 @@ class TestWorldsDieByReferenceCount:
             worlds.append(weakref.ref(kept_clusters.pop()))
         assert len(fuzz._finished_worlds) <= 2
 
-    def test_run_point(self):
+    def test_run_point(self, uncached):
         """The update process and its replication timers are still pending
         when the driver finishes: ``close()`` unhooks them."""
-        point = churn_point(proof_cache=False)
-        assert found_by_collector(lambda: run_point(point)) <= RUN_GARBAGE_BOUND
+        point = churn_point()
+        with uncached():
+            assert found_by_collector(lambda: run_point(point)) <= RUN_GARBAGE_BOUND
 
-    def test_multiregion_cluster_closed_by_hand(self):
+    def test_multiregion_cluster_closed_by_hand(self, uncached):
         def body():
-            cluster, run = wan_cell(proof_cache=False)
+            cluster, run = wan_cell()
             run()
             cluster.close()
 
-        assert found_by_collector(body) <= RUN_GARBAGE_BOUND
+        with uncached():
+            assert found_by_collector(body) <= RUN_GARBAGE_BOUND
 
-    def test_an_unclosed_world_is_what_close_is_for(self):
+    def test_an_unclosed_world_is_what_close_is_for(self, uncached):
         """The counter-example: without ``close()`` the same world is one
         blob only the collector can free (so the bounds above mean something)."""
 
         def body():
-            cluster, run = wan_cell(proof_cache=False)
+            cluster, run = wan_cell()
             run()
 
-        assert found_by_collector(body) > 10 * WORLD_GARBAGE_BOUND
+        with uncached():
+            assert found_by_collector(body) > 10 * WORLD_GARBAGE_BOUND
 
 
 # -- (d) a closed cluster keeps its results ----------------------------------------

@@ -1,10 +1,9 @@
-"""End-to-end wiring of the sanitizer: config hook, metrics, error path, CLI."""
+"""End-to-end wiring of the sanitizer: explicit verify, metrics, error path, CLI."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.errors import VerificationError
 from repro.workloads.generator import (
@@ -30,21 +29,19 @@ def _run_workload(cluster, approach="deferred", count=4):
     return runner
 
 
-def test_verify_traces_hook_checks_every_run():
-    config = CloudConfig(verify_traces=True)
-    cluster = build_cluster(n_servers=2, items_per_server=3, seed=3, config=config)
-    runner = _run_workload(cluster)
-    report = runner.verification_report
-    assert report is not None and report.ok
+def test_explicit_verify_checks_the_run():
+    cluster = build_cluster(n_servers=2, items_per_server=3, seed=3)
+    _run_workload(cluster)
+    report = cluster.verify(raise_on_violation=True)
+    assert report.ok
     assert cluster.metrics.verification.runs == 1
     assert cluster.metrics.verification.violations == 0
     assert cluster.metrics.verification.events_checked == report.events_checked > 0
 
 
-def test_hook_is_off_by_default():
+def test_a_run_is_not_verified_unless_asked():
     cluster = build_cluster(n_servers=2, items_per_server=3, seed=3)
-    runner = _run_workload(cluster)
-    assert runner.verification_report is None
+    _run_workload(cluster)
     assert cluster.metrics.verification.runs == 0
 
 
