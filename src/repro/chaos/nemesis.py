@@ -157,7 +157,7 @@ class Nemesis:
 
             rules = RuleSet(
                 rule
-                for rule in rules.rules
+                for rule in rules
                 if not rule.head.predicate.startswith("may_")
             )
         delays = {

@@ -53,10 +53,9 @@ class PolicyAdministrator:
         return list(self._history)
 
     def version(self, number: int) -> Policy:
-        """Fetch a specific historical version."""
-        for policy in self._history:
-            if policy.version == number:
-                return policy
+        """Fetch a specific historical version (versions are dense from 1)."""
+        if 1 <= number <= len(self._history):
+            return self._history[number - 1]
         raise PolicyError(f"{self.admin} has no version {number}")
 
     def on_publish(self, hook: PublishHook) -> None:

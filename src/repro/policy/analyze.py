@@ -131,7 +131,7 @@ def clauses_from_rules(rules: RuleSet) -> List[Clause]:
     still point somewhere useful.
     """
     clauses: List[Clause] = []
-    for index, rule in enumerate(rules.rules):
+    for index, rule in enumerate(rules):
         body = tuple(Literal(atom, line=index + 1) for atom in rule.body)
         clauses.append(Clause(rule.head, body, line=index + 1, col=1, index=index))
     return clauses
@@ -695,32 +695,32 @@ def analyze_rules(
 
 
 class HeldRules:
-    """The rules of the version a policy holder holds, as one set it moves.
+    """The version a policy holder holds, and its rules as one set it moves.
 
     A holder that installs version after version keeps one of these and
-    hands it to :func:`changed_predicates`: an install that appends to the
-    held rules costs its tail, and no version owns a set of its own.
+    hands it to :func:`changed_predicates`: an install that extends the
+    held rule set costs its tail, and no version owns a set of its own.
     """
 
     __slots__ = ("rules", "distinct")
 
     def __init__(self) -> None:
-        self.rules: Tuple[Rule, ...] = ()
+        self.rules: Optional[RuleSet] = None
         self.distinct: Set[Rule] = set()
 
     def advance(self, old: RuleSet, new: RuleSet) -> FrozenSet[str]:
         """Head predicates of the rules in one of ``old``/``new`` only; then hold ``new``."""
-        if self.rules is not old.rules:  # the holder moved without telling us
-            self.rules, self.distinct = old.rules, set(old.rules)
-        held, incoming = self.rules, new.rules
-        if incoming[: len(held)] == held:  # shared rules compare by identity
-            changed = set(incoming[len(held):]).difference(self.distinct)
+        if self.rules is not old:  # the holder moved without telling us
+            self.rules, self.distinct = old, set(old.rules)
+        appended = new.tail_since(old)
+        if appended is not None:
+            changed = set(appended).difference(self.distinct)
             self.distinct.update(changed)
         else:
-            distinct = set(incoming)
+            distinct = set(new.rules)
             changed = distinct.symmetric_difference(self.distinct)
             self.distinct = distinct
-        self.rules = incoming
+        self.rules = new
         return frozenset(rule.head.predicate for rule in changed)
 
 
@@ -734,8 +734,8 @@ def changed_predicates(old: RuleSet, new: RuleSet, held: Optional[HeldRules] = N
 
     A pure function of the two rule sets.  A caller that diffs each version
     it installs against the one it held passes its :class:`HeldRules`: same
-    answer, at the cost of what ``new`` appends to ``old`` (of both full
-    sets for any other change, or if ``held`` is not for ``old`` after all).
+    answer, at the cost of the tails ``new`` extends ``old`` by (of both
+    full sets for any other change, or if ``held`` is not for ``old``).
     """
     if old is new:
         return frozenset()

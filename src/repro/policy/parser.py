@@ -297,5 +297,5 @@ def render_rule(rule: Rule) -> str:
 def render_rules(rules: RuleSet, header: str = "") -> str:
     """Render a rule set as parseable program text."""
     lines = [f"# {header}"] if header else []
-    lines.extend(render_rule(rule) for rule in rules.rules)
+    lines.extend(render_rule(rule) for rule in rules)
     return "\n".join(lines) + "\n"

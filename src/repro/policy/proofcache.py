@@ -72,7 +72,7 @@ Pattern = Tuple[Tuple[Any, ...], Tuple[Any, ...]]
 def rule_constants(rules: RuleSet, closure: FrozenSet[str]) -> FrozenSet[Term]:
     """Every constant a rule whose head predicate is in ``closure`` mentions."""
     return frozenset(
-        arg for rule in rules.rules if rule.head.predicate in closure
+        arg for rule in rules if rule.head.predicate in closure
         for atom in (rule.head, *rule.body) for arg in atom.args if not isinstance(arg, Variable)
     )
 

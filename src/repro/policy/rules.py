@@ -194,23 +194,6 @@ class Rule:
                     seen.append(arg)
         return tuple(seen)
 
-    def rename(self, counter: Iterator[int]) -> "Rule":
-        """Return a copy with variables renamed apart (for unification)."""
-        mapping: Dict[Variable, Variable] = {}
-
-        def fresh(term: Term) -> Term:
-            if not isinstance(term, Variable):
-                return term
-            if term not in mapping:
-                mapping[term] = Variable(f"{term.name}~{next(counter)}")
-            return mapping[term]
-
-        head = Atom(self.head.predicate, tuple(fresh(arg) for arg in self.head.args))
-        body = tuple(
-            Atom(atom.predicate, tuple(fresh(arg) for arg in atom.args)) for atom in self.body
-        )
-        return Rule(head, body)
-
     def __repr__(self) -> str:
         if not self.body:
             return f"{self.head}."
@@ -289,9 +272,6 @@ class EngineCounters:
     )
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         #: ``prove()`` calls.
         self.proofs = 0
         #: Fact candidates inspected (after indexing narrowed them).
@@ -350,10 +330,6 @@ class FactBase:
         if fact not in self._exact:
             self._exact[fact] = source
 
-    def candidates(self, predicate: str) -> Sequence[Tuple[Atom, Optional[str]]]:
-        """All facts with the given predicate."""
-        return self._by_predicate.get(predicate, ())
-
     def candidates_for(self, goal: Atom) -> Sequence[Tuple[Atom, Optional[str]]]:
         """Facts that could unify with ``goal``, narrowed by the indexes.
 
@@ -402,31 +378,30 @@ class _IndexedRule:
         )
 
 
-#: (predicate, arity) → rules whose head's first argument is a variable (or
-#: the head is nullary): candidates for *every* goal of that functor.
-_HeadOpen = Dict[Tuple[str, int], List[_IndexedRule]]
-#: (predicate, arity, ground first arg) → rules discriminated by their
-#: head's first argument.
-_HeadFirst = Dict[Tuple[str, int, Term], List[_IndexedRule]]
+#: One dict holds both head indexes.  (predicate, arity) → rules whose head's
+#: first argument is a variable (or the head is nullary): candidates for
+#: *every* goal of that functor; (predicate, arity, ground first arg) → rules
+#: discriminated by their head's first argument.
+_Heads = Dict[Tuple[object, ...], List[_IndexedRule]]
+_Candidates = Dict[Tuple[object, ...], Sequence[_IndexedRule]]
 
 
-class _ProveState:
-    """Per-``prove()`` scratch state: table, counters, truncation tracking."""
+def _bucket(rule_set: Optional[RuleSet], key: Tuple[object, ...]) -> Sequence[_IndexedRule]:
+    """The indexed rules under ``key``: the nearest indexed ancestor's list."""
+    while rule_set is not None:
+        heads, rule_set, _ = rule_set._index  # type: ignore[misc]
+        if key in heads:
+            return heads[key]
+    return ()
 
-    __slots__ = (
-        "facts",
-        "counter",
-        "solved",
-        "failed",
-        "truncations",
-        "facts_scanned",
-        "rules_tried",
-        "rules_prefiltered",
-        "table_hits",
-        "renames_avoided",
-    )
+
+class _ProveState(EngineCounters):
+    """Per-``prove()`` scratch state: table, truncation tracking, the counters."""
+
+    __slots__ = ("facts", "counter", "solved", "failed", "truncations")
 
     def __init__(self, facts: FactBase) -> None:
+        super().__init__()
         self.facts = facts
         self.counter = itertools.count()
         #: Ground goal → fully grounded witness subtree.
@@ -437,58 +412,101 @@ class _ProveState:
         #: truncation happened underneath are context-dependent and must not
         #: be negatively tabled.
         self.truncations = 0
-        self.facts_scanned = 0
-        self.rules_tried = 0
-        self.rules_prefiltered = 0
-        self.table_hits = 0
-        self.renames_avoided = 0
 
 
 class RuleSet:
-    """A logically immutable collection of rules with an indexed, tabled prover.
+    """A logically immutable sequence of rules with an indexed, tabled prover.
 
-    The tuple of rules is all a rule set *is*: equality, hashing and every
-    verdict depend on nothing else.  The head indexes and the merged
-    candidate lists are caches filled on first use, so a policy version
-    that is published but never proved against (most of them, under policy
-    churn) costs its tuple and nothing more.
+    The rules are all a rule set *is*: equality, hashing and every verdict
+    depend on nothing else.  A rule set made by :meth:`extended` is its
+    parent plus the rules it appends (its *tail*), so a chain of policy
+    versions shares every rule its members have in common; a chain is
+    walked iteratively, however deep.  The head indexes and the merged
+    candidate lists are caches filled on first use: a chained set's extend
+    those of its nearest indexed ancestor by the tails in between, and a
+    version that is published but never proved against (most of them,
+    under policy churn) costs its tail and nothing more.
     """
 
+    __slots__ = ("_parent", "_tail", "_len", "_index")
+
     def __init__(self, rules: Iterable[Rule]) -> None:
-        self._rules: Tuple[Rule, ...] = tuple(rules)
-        self._heads: Optional[Tuple[_HeadOpen, _HeadFirst]] = None
-        #: Memoized merged candidate lists (the rule set is immutable, so
-        #: a (predicate, arity, first-arg) key always yields the same list).
-        self._candidate_cache: Dict[Tuple[str, int, object], Sequence[_IndexedRule]] = {}
+        self._parent: Optional[RuleSet] = None
+        self._tail: Tuple[Rule, ...] = tuple(rules)
+        self._len = len(self._tail)
+        #: Once built: the head indexes, the ancestor whose indexes they
+        #: extend, and the memoized merged candidate lists.
+        self._index: Optional[Tuple[_Heads, Optional[RuleSet], _Candidates]] = None
+
+    def extended(self, rules: Iterable[Rule]) -> "RuleSet":
+        """This rule set followed by ``rules``, sharing this one's rules and indexes."""
+        child = RuleSet(rules)
+        child._parent, child._len = self, self._len + child._len
+        return child
+
+    def tail_since(self, ancestor: Optional[RuleSet]) -> Optional[List[Rule]]:
+        """The rules appended since ``ancestor`` (every rule, for ``None``), or
+        ``None`` when this set does not descend from ``ancestor``."""
+        tails: List[Tuple[Rule, ...]] = []
+        node: Optional[RuleSet] = self
+        floor = 0 if ancestor is None else ancestor._len
+        while node is not ancestor:
+            if node is None or node._len < floor:
+                return None
+            tails.append(node._tail)
+            node = node._parent
+        return [rule for tail in reversed(tails) for rule in tail]
+
+    def __iter__(self) -> Iterator[Rule]:
+        return iter(self.tail_since(None) or ())
 
     @property
     def rules(self) -> Tuple[Rule, ...]:
-        return self._rules
+        return self._tail if self._parent is None else tuple(self)
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return self._len
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RuleSet) and self._rules == other._rules
+        return self is other or (
+            isinstance(other, RuleSet) and self._len == other._len and self.rules == other.rules
+        )
 
     def __hash__(self) -> int:
-        return hash(self._rules)
+        """A fold over the rules: a chained and a flat set of equal rules hash equal."""
+        value = 0
+        for rule in self:
+            value = hash((value, rule))
+        return value
 
-    def _head_indexes(self) -> Tuple[_HeadOpen, _HeadFirst]:
-        """Both head indexes, built in rule-set order on the first call."""
-        if self._heads is not None:
-            return self._heads
-        head_open: _HeadOpen = {}
-        head_first: _HeadFirst = {}
-        for position, rule in enumerate(self._rules):
-            indexed = _IndexedRule(position, rule)
-            key = (rule.head.predicate, len(rule.head.args))
+    def __reduce__(self) -> Tuple[type, Tuple[Tuple[Rule, ...]]]:
+        return type(self), (self.rules,)
+
+    def _build_index(self) -> None:
+        """Index the tails between the nearest indexed ancestor and this set.
+
+        An unindexed root is indexed on its own first, for every descendant
+        to share.  A bucket a tail adds to starts as a copy of the ancestor's;
+        every other bucket stays the ancestor's own list.
+        """
+        walked: List[RuleSet] = []
+        base: Optional[RuleSet] = self
+        while base is not None and base._index is None:
+            walked.append(base)
+            base = base._parent
+        if base is None and len(walked) > 1:
+            base = walked.pop()
+            base._build_index()
+        heads: _Heads = {}
+        tails = (rule for owner in reversed(walked) for rule in owner._tail)
+        for position, rule in enumerate(tails, 0 if base is None else base._len):
+            key: Tuple[object, ...] = (rule.head.predicate, len(rule.head.args))
             if rule.head.args and not isinstance(rule.head.args[0], Variable):
-                head_first.setdefault((key[0], key[1], rule.head.args[0]), []).append(indexed)
-            else:
-                head_open.setdefault(key, []).append(indexed)
-        self._heads = (head_open, head_first)
-        return self._heads
+                key += (rule.head.args[0],)
+            if key not in heads:
+                heads[key] = list(_bucket(base, key))
+            heads[key].append(_IndexedRule(position, rule))
+        self._index = (heads, base, {})
 
     # -- candidate selection --------------------------------------------------
 
@@ -499,39 +517,37 @@ class RuleSet:
         same order the naive resolver would — the first witness found stays
         deterministic and familiar.
         """
-        if concrete.args and not isinstance(concrete.args[0], Variable):
-            cache_key = (concrete.predicate, len(concrete.args), concrete.args[0])
-        else:
-            cache_key = (concrete.predicate, len(concrete.args), None)
-        cached = self._candidate_cache.get(cache_key)
+        functor = (concrete.predicate, len(concrete.args))
+        ground = bool(concrete.args) and not isinstance(concrete.args[0], Variable)
+        cache_key = functor + ((concrete.args[0],) if ground else (None,))
+        if self._index is None:
+            self._build_index()
+        cache = self._index[2]  # type: ignore[index]
+        cached = cache.get(cache_key)
         if cached is not None:
             return cached
-        head_open, head_first = self._head_indexes()
-        key = (concrete.predicate, len(concrete.args))
-        open_rules = head_open.get(key, ())
-        if cache_key[2] is not None:
-            first: Sequence[_IndexedRule] = head_first.get(
-                (key[0], key[1], concrete.args[0]), ()
-            )
+        open_rules = _bucket(self, functor)
+        if ground:
+            first = _bucket(self, cache_key)
         else:
             # Variable first argument: every first-arg bucket of this functor
-            # is a candidate.  Rare in authorization workloads (goals arrive
-            # ground); correctness over speed here.
-            first = [
-                indexed
-                for (pred, arity, _arg0), bucket in head_first.items()
-                if pred == key[0] and arity == key[1]
-                for indexed in bucket
-            ]
+            # is a candidate, the nearest indexed ancestor's copy of each.
+            # Rare in authorization workloads (goals arrive ground).
+            buckets: _Candidates = {}
+            node: Optional[RuleSet] = self
+            while node is not None:
+                heads, node, _ = node._index  # type: ignore[misc]
+                for key, bucket in heads.items():
+                    if len(key) == 3 and key[:2] == functor:
+                        buckets.setdefault(key, bucket)
+            first = [indexed for bucket in buckets.values() for indexed in bucket]
         if not first:
             merged: Sequence[_IndexedRule] = open_rules
-        elif not open_rules:
+        elif not open_rules and ground:
             merged = first
         else:
-            combined = list(open_rules) + list(first)
-            combined.sort(key=lambda indexed: indexed.position)
-            merged = combined
-        self._candidate_cache[cache_key] = merged
+            merged = sorted([*open_rules, *first], key=lambda indexed: indexed.position)
+        cache[cache_key] = merged
         return merged
 
     @staticmethod
@@ -594,12 +610,8 @@ class RuleSet:
             result = node_substitute(node, subst)
             break
         if counters is not None:
-            counters.proofs += 1
-            counters.facts_scanned += state.facts_scanned
-            counters.rules_tried += state.rules_tried
-            counters.rules_prefiltered += state.rules_prefiltered
-            counters.table_hits += state.table_hits
-            counters.renames_avoided += state.renames_avoided
+            state.proofs = 1
+            counters.merge(state)
         return result
 
     def _solve(

@@ -9,7 +9,7 @@ the paper's protocols detect and repair.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import PolicyError
 from repro.policy.policy import Policy, PolicyId
@@ -72,10 +72,6 @@ class PolicyStore:
     def versions(self) -> Dict[PolicyId, int]:
         """Snapshot of all (domain → version) pairs."""
         return {pid: policy.version for pid, policy in self._policies.items()}
-
-    def domains(self) -> Tuple[PolicyId, ...]:
-        """All administrative domains with an installed policy."""
-        return tuple(self._policies)
 
     def __len__(self) -> int:
         return len(self._policies)

@@ -68,20 +68,11 @@ def compume_policy_v2(items: Tuple[str, ...]) -> RuleSet:
     Only a live (sales_rep ∧ assigned_region ∧ located_in) proof grants
     access — the change CompuMe pushes right after Bob's reassignment.
     """
-    user, item, region = Variable("U"), Variable("I"), Variable("R")
-    rep_path = (
-        Atom("sales_rep", (user,)),
-        Atom("assigned_region", (user, region)),
-        Atom("located_in", (user, region)),
-        Atom("item", (item,)),
+    return RuleSet(
+        rule
+        for rule in compume_policy_v1(items)
+        if all(atom.predicate != "read_capability" for atom in rule.body)
     )
-    rules: List[Rule] = [
-        Rule(Atom("may_read", (user, item)), rep_path),
-        Rule(Atom("may_write", (user, item)), rep_path),
-    ]
-    for key in items:
-        rules.append(Rule(Atom("item", (key,))))
-    return RuleSet(rules)
 
 
 @dataclass

@@ -30,12 +30,11 @@ from repro.workloads.testbed import Cluster
 def benign_successor(policy: Policy) -> RuleSet:
     """A rule set semantically identical to ``policy``'s (version churn only).
 
-    The returned rule set contains the same rules plus an inert marker rule
+    The returned rule set is ``policy``'s extended by an inert marker rule
     (a fresh nullary fact), so it compares unequal to the original while
-    granting exactly the same accesses.
+    granting exactly the same accesses, and shares every rule it has.
     """
-    marker = Rule(Atom(f"revision_{policy.version + 1}", ()))
-    return RuleSet(tuple(policy.rules.rules) + (marker,))
+    return policy.rules.extended((Rule(Atom(f"revision_{policy.version + 1}", ())),))
 
 
 def restricting_successor(policy: Policy, required_role: str) -> RuleSet:
@@ -48,7 +47,7 @@ def restricting_successor(policy: Policy, required_role: str) -> RuleSet:
     user, item = Variable("U"), Variable("I")
     kept = [
         rule
-        for rule in policy.rules.rules
+        for rule in policy.rules
         if rule.head.predicate not in ("may_read", "may_write")
     ]
     guards = [

@@ -28,9 +28,29 @@ from repro.policy.rules import (
     Rule,
     RuleSet,
     Substitution,
+    Term,
+    Variable,
     node_substitute,
     unify,
 )
+
+
+def rename(rule: Rule, counter: Iterator[int]) -> Rule:
+    """A copy of ``rule`` with its variables renamed apart (for unification)."""
+    mapping: Dict[Variable, Variable] = {}
+
+    def fresh(term: Term) -> Term:
+        if not isinstance(term, Variable):
+            return term
+        if term not in mapping:
+            mapping[term] = Variable(f"{term.name}~{next(counter)}")
+        return mapping[term]
+
+    head = Atom(rule.head.predicate, tuple(fresh(arg) for arg in rule.head.args))
+    body = tuple(
+        Atom(atom.predicate, tuple(fresh(arg) for arg in atom.args)) for atom in rule.body
+    )
+    return Rule(head, body)
 
 
 class NaiveRuleSet(RuleSet):
@@ -78,13 +98,13 @@ class NaiveRuleSet(RuleSet):
         if concrete in stack:
             return  # cycle guard
         # 1. facts
-        for fact, source in facts.candidates(concrete.predicate):
+        for fact, source in facts._by_predicate.get(concrete.predicate, ()):
             extended = unify(concrete, fact, subst)
             if extended is not None:
                 yield extended, ProofNode(fact, "fact", source=source)
         # 2. rules
         for rule in self._by_head.get(concrete.predicate, ()):
-            fresh = rule.rename(counter)
+            fresh = rename(rule, counter)
             extended = unify(concrete, fresh.head, subst)
             if extended is None:
                 continue

@@ -343,6 +343,11 @@ def _diff_pairs(seed: int):
             ("equal, distinct objects", old, RuleSet([_rebuilt(rule) for rule in base])),
             ("same object", old, old),
             ("empty", old, RuleSet([])),
+            # Chained sets: the flat set of the same rules, and a sibling
+            # (extends ``old`` too, but not the version the holder holds).
+            ("chained vs flat", old.extended(spare[:2]), RuleSet(base + spare[:2])),
+            ("duplicated by a tail", old, old.extended([base[victim]])),
+            ("siblings", old.extended(spare[:1]), old.extended(spare[1:3] + [base[victim]])),
         ]
 
     def chain(first: Policy, successor, length: int):
@@ -398,7 +403,7 @@ def test_changed_predicates_agrees_with_the_parents_on_every_kind_of_pair():
     assert {kind for kind, _, _ in _diff_pairs(0)} == {
         "added", "removed", "rewritten", "reordered", "duplicated", "duplicated+removed",
         "disjoint", "equal, distinct objects", "same object", "empty",
-        "benign chain", "alternate chain",
+        "chained vs flat", "duplicated by a tail", "siblings", "benign chain", "alternate chain",
     }
     assert _mismatches(changed_predicates) == set()
     assert _mismatches(_through(HeldRules())) == set()
@@ -462,26 +467,25 @@ class _MutantHolder(HeldRules):
         self.defect = defect
 
     def advance(self, old: RuleSet, new: RuleSet):
-        stale = self.rules is not old.rules
+        stale = self.rules is not old
         if self.defect == "trusts its state":
             stale = not self.distinct  # seeded once, never checked to be for ``old``
         if stale:
-            self.rules, self.distinct = old.rules, set(old.rules)
-        held, incoming = self.rules, new.rules
+            self.rules, self.distinct = old, set(old.rules)
         if self.defect == "at least as long":
-            extends = len(incoming) >= len(held)
+            appended = new.rules[len(old):] if len(new) >= len(old) else None
         else:
-            extends = incoming[: len(held)] == held
-        if extends:
-            changed = set(incoming[len(held):])
+            appended = new.tail_since(old)
+        if appended is not None:
+            changed = set(appended)
             if self.defect != "no membership test":
                 changed = changed.difference(self.distinct)
             self.distinct.update(changed)
         else:
-            distinct = set(incoming)
+            distinct = set(new.rules)
             changed = distinct.symmetric_difference(self.distinct)
             self.distinct = distinct
-        self.rules = incoming
+        self.rules = new
         return frozenset(rule.head.predicate for rule in changed)
 
 
@@ -499,8 +503,8 @@ def test_the_holder_harness_catches_three_seeded_mutants():
         expected = [_oracle_changed_predicates(chain[i], chain[i + skip]) for i in (0, 1)]
         assert (answers != expected) is wrong, skip
     # A tail rule the held version already has is not a change.
-    assert "duplicated" in _mismatches(_through(_MutantHolder("no membership test")))
-    # "Extends" is prefix equality, not length.
+    assert "duplicated by a tail" in _mismatches(_through(_MutantHolder("no membership test")))
+    # "Extends" is being a descendant of ``old``, not being at least as long.
     assert {"rewritten", "alternate chain"} <= _mismatches(
         _through(_MutantHolder("at least as long"))
     )

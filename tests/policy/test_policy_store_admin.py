@@ -103,5 +103,15 @@ class TestAdministrator:
         admin = PolicyAdministrator("app", simple_rules())
         admin.publish(simple_rules("b"))
         assert admin.version(1).version == 1
+        assert admin.version(2) is admin.current
         with pytest.raises(PolicyError):
             admin.version(99)
+
+    @pytest.mark.parametrize("number", [0, -1, 3])
+    def test_version_lookup_rejects_numbers_never_published(self, number):
+        # Versions are dense from 1: an unchecked ``_history[number - 1]``
+        # would answer 0 with the latest version and -1 with an older one.
+        admin = PolicyAdministrator("app", simple_rules())
+        admin.publish(simple_rules("b"))
+        with pytest.raises(PolicyError):
+            admin.version(number)

@@ -510,9 +510,9 @@ class TestConstantMemoryUnderPolicyChurn:
         # nothing that grew with 500
         assert self.held(cache) <= len(cache) + len(cache._verdicts) + 2
         # ... and what is held for the domain is the *current* version's rules,
-        # by the very tuple the store holds, not anything of the 500 it went through.
+        # the very rule set the store holds, not anything of the 500 it went through.
         (held,) = cache._held.values()
-        assert held.rules is store.current(pid).rules.rules
+        assert held.rules is store.current(pid).rules
         assert held.distinct == set(held.rules)
         lineages = [lineage for domain in cache._lineages.values() for lineage in domain.values()]
         assert 0 < len(lineages) <= len(GUARD_PREDICATES)

