@@ -10,10 +10,19 @@ flat ``RuleSet`` of its rules:
 * ``rules``, ``len``, ``==`` and ``hash`` agree;
 * ``_rule_candidates`` gives the same rules in the same order, for ground
   and for variable first arguments;
-* ``prove`` gives the flat set's witness, and that witness equals the naive
-  reference's (``tests/policy/rules_oracle.py``) on ground goals;
+* ``prove`` gives the flat set's witness on ground goals, and that witness
+  equals the naive reference's (``tests/policy/rules_oracle.py``);
 * ``changed_predicates`` — pure, and through one long-lived ``HeldRules`` —
   equals the parent's diff (``_oracle_changed_predicates``).
+
+Proofs are asked for ground goals only, as in
+``tests/property/test_engine_equivalence.py``: ``safe_rules`` bodies use
+only head variables and constants, so every subgoal of a ground goal is
+ground, tabled and cycle-checked.  An open goal against random recursive
+rules is not bounded: two rules like ``q(Y) :- q(Y), r(a)`` branch twice at
+each of ``MAX_DEPTH`` levels, for flat and chained sets alike.  What a chain
+could change about an open goal's search is its candidate lists, and those
+are compared for open first arguments too.
 
 A deterministic case walks a 5 000-version chain, deeper than the
 interpreter's recursion limit.
@@ -108,9 +117,9 @@ def test_every_version_is_its_flat_rule_set(chain):
         assert hash(version) == hash(reference)
         for goal in GOALS:
             assert candidates(version, goal) == candidates(reference, goal), goal
-            proof = version.prove(goal, facts)
-            assert proof == reference.prove(goal, facts), goal
             if goal.is_ground:
+                proof = version.prove(goal, facts)
+                assert proof == reference.prove(goal, facts), goal
                 assert proof == naive_view(reference).prove(goal, facts), goal
 
 
