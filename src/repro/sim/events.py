@@ -47,7 +47,6 @@ class Event:
         "_triggered",
         "_processed",
         "defused",
-        "_pooled",
     )
 
     def __init__(self, env: "Environment") -> None:  # noqa: F821 (forward ref)
@@ -59,10 +58,6 @@ class Event:
         self._processed = False
         #: True once some consumer has taken responsibility for a failure.
         self.defused = False
-        #: True only for pool-managed timeouts (see ``Environment.timeout``):
-        #: the run loop recycles the object once its callbacks have run.
-        #: Anything that retains an event past its firing must clear it.
-        self._pooled = False
 
     # -- state inspection -------------------------------------------------
 
@@ -167,7 +162,6 @@ class Timeout(Event):
         self._triggered = True
         self._processed = False
         self.defused = False
-        self._pooled = False
         self.delay = delay
         seq = env._seq
         env._seq = seq + 1
@@ -185,9 +179,6 @@ class Condition(Event):
         for event in self.events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
-            # Pin children: the condition reads child.value after they fire,
-            # so pooled timeouts must not be recycled out from under it.
-            event._pooled = False
         self._remaining = len(self.events)
         if not self.events:
             self.succeed(self._collect())

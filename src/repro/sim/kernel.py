@@ -18,7 +18,7 @@ events per second the per-event function call is a measurable fraction of
 total cost.  All three ``run`` forms share one loop (``_dispatch``);
 :meth:`step` remains the canonical single-event reference — the inlined
 body must stay behaviourally identical to it
-(``tests/property/test_calendar_queue.py`` compares every run form against
+(``tests/property/test_kernel_run_forms.py`` compares every run form against
 a ``step()`` loop).  The queue is one ``heapq`` list of plain
 ``(time, priority, sequence, event)`` tuples, and every push site pushes
 onto it directly: tuple comparison happens in C, which beats any
@@ -27,13 +27,11 @@ with offered load times the RPC-timer horizon, not with users — 8 192 at
 peak on the heaviest benchmark workload — which is where a binary heap has
 the best constant.
 
-Timeout pooling (``pooling=True``) recycles processed :class:`Timeout`
-objects through a free list: :meth:`timeout` / :meth:`defer` re-arm the
-recycled object and its callback list instead of allocating fresh ones per
-event.  It is opt-in because code that holds a timeout reference *past* its
-firing would observe the recycled object; the in-tree protocol stack never
-does (conditions pin their children, ``run(until=event)`` pins its target),
-so the testbed enables it for every cluster run.
+A :class:`Timeout` has one life cycle: allocated by :meth:`timeout` /
+:meth:`defer`, fired by the loop, let go by reference count.  Nothing
+recycles it, so whoever holds a fired timeout — a condition reading its
+children, ``run(until=event)`` its target, a test — keeps what it saw
+(``tests/sim/test_fired_timeouts.py``).
 
 The dispatch loop runs with CPython's cyclic collector suspended — the
 one place in ``src/`` that touches :mod:`gc`; ``_dispatch`` says why it is
@@ -74,16 +72,14 @@ _CLOSED = _Closed()
 class Environment:
     """A simulated world with its own clock and event loop."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_pooling", "_pool")
+    __slots__ = ("_now", "_queue", "_seq", "_active_process")
 
-    def __init__(self, initial_time: float = 0.0, pooling: bool = False) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[_QueueEntry] = []
         #: Next sequence number; :data:`_CLOSED` once :meth:`close` ran.
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self._pooling = pooling
-        self._pool: List[Timeout] = []
 
     # -- clock ---------------------------------------------------------------
 
@@ -99,29 +95,8 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` time units from now.
-
-        With pooling enabled, re-arms a recycled timeout when one is
-        available — same observable behaviour, no allocation.
-        """
-        pool = self._pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay!r}")
-            timeout = pool.pop()
-            timeout._value = value
-            timeout._processed = False
-            # defused stays False: a pooled timeout is born triggered and can
-            # never fail, so nothing ever defuses it.
-            timeout.delay = delay
-            seq = self._seq
-            self._seq = seq + 1
-            heappush(self._queue, (self._now + delay, NORMAL, seq, timeout))
-            return timeout
-        timeout = Timeout(self, delay, value)
-        if self._pooling:
-            timeout._pooled = True
-        return timeout
+        """An event that fires ``delay`` time units from now."""
+        return Timeout(self, delay, value)
 
     def defer(self, delay: float, fn: Callable[[Event], None], value: Any = None) -> Timeout:
         """``timeout(delay, value)`` with ``fn`` installed, in one call.
@@ -131,24 +106,7 @@ class Environment:
         delivery); behaviourally identical to
         ``timeout(delay, value).add_callback(fn)``.
         """
-        pool = self._pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay!r}")
-            timeout = pool.pop()
-            timeout._value = value
-            timeout._processed = False
-            # defused stays False: a pooled timeout is born triggered and can
-            # never fail, so nothing ever defuses it.
-            timeout.delay = delay
-            timeout.callbacks.append(fn)  # type: ignore[union-attr]
-            seq = self._seq
-            self._seq = seq + 1
-            heappush(self._queue, (self._now + delay, NORMAL, seq, timeout))
-            return timeout
         timeout = Timeout(self, delay, value)
-        if self._pooling:
-            timeout._pooled = True
         timeout.callbacks.append(fn)  # type: ignore[union-attr]
         return timeout
 
@@ -175,15 +133,15 @@ class Environment:
         heappush(self._queue, (self._now + delay, priority, seq, event))
 
     def close(self) -> None:
-        """Forget every pending event, whatever waits on one, and the pool.
+        """Forget every pending event and whatever waits on one.
 
         Each of them holds this environment, so a world dropped with events
-        still queued (``run(until=...)``) or with a warm pool is cyclic
-        garbage.  So is every wait: a waiter holds its target and the
-        target's callback list holds the waiter.  Nothing will fire these
-        events any more, so their waiters are unhooked too, transitively (a
-        process waiting on a process waiting on a timer); a process nobody
-        else holds ends there, its generator closed.  After ``close()`` the
+        still queued (``run(until=...)``) is cyclic garbage.  So is every
+        wait: a waiter holds its target and the target's callback list
+        holds the waiter.  Nothing will fire these events any more, so their
+        waiters are unhooked too, transitively (a process waiting on a
+        process waiting on a timer); a process nobody else holds ends there,
+        its generator closed.  After ``close()`` the
         world dies by reference count, and scheduling an event or calling
         :meth:`run` raises :class:`SimulationError`.  Waits on events only a
         node can trigger (a queued lock request, an RPC with no timer) are
@@ -196,7 +154,6 @@ class Environment:
         stranded = [entry[3] for entry in self._queue]
         self._queue.clear()
         self._seq = _CLOSED  # type: ignore[assignment]
-        self._pool = []
         while stranded:
             event = stranded.pop()
             callbacks = event.callbacks
@@ -224,17 +181,6 @@ class Environment:
             raise SimulationError("step() on an empty event queue")
         when, _priority, _seq, event = heappop(q)
         self._now = when
-        if event._pooled:
-            # Pooled timeouts are born triggered and can never fail, so the
-            # exception/defuse machinery is skipped; their callback list is
-            # reused in place (see the pooling notes in the module docstring).
-            callbacks = event.callbacks
-            event._processed = True
-            for callback in callbacks:  # type: ignore[union-attr]
-                callback(event)
-            callbacks.clear()  # type: ignore[union-attr]
-            self._pool.append(event)  # type: ignore[arg-type]
-            return
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
@@ -278,9 +224,6 @@ class Environment:
             event.defused = True
             raise StopSimulation(event)
 
-        # Pin the target: the caller reads its value after the run, so it
-        # must never be recycled out from under them.
-        target._pooled = False
         target.add_callback(_finish)
         try:
             self._dispatch(float("inf"))
@@ -309,27 +252,18 @@ class Environment:
         gc.disable()
         try:
             q = self._queue
-            pool = self._pool
             while q and q[0][0] <= deadline:
                 when, _priority, _seq, event = heappop(q)
                 # Inlined step() body — keep in sync.
                 self._now = when
-                if event._pooled:
-                    callbacks = event.callbacks
-                    event._processed = True
-                    for callback in callbacks:  # type: ignore[union-attr]
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                if callbacks:
+                    for callback in callbacks:
                         callback(event)
-                    callbacks.clear()  # type: ignore[union-attr]
-                    pool.append(event)  # type: ignore[arg-type]
-                else:
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
+                if event._exception is not None and not event.defused:
+                    raise event._exception
         finally:
             if collecting:
                 gc.enable()

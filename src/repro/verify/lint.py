@@ -20,22 +20,11 @@ enforces the repo's rules statically:
 ``DET005``  ``random.Random(...)`` must not be constructed outside
             ``repro.sim.rng`` in simulated subsystems — route randomness
             through named ``RandomStreams``.
-``DET006``  no iteration over pooled / free-list containers in
-            ``repro.sim`` — a pool holds *recycled live objects* in
-            recycle order, which depends on completion history; iterating
-            one leaks that history into whatever the loop does.  Pools
-            are LIFO stacks: ``append``/``pop`` only.
-``DET007``  no use of a pooled object after it was released back to its
-            pool (``pool.append(obj)`` is a free: the next allocation may
-            recycle and mutate ``obj`` under you).  Completes DET006 —
-            that rule keeps pool *contents* opaque, this one keeps
-            released *references* dead.  Branch-aware within a function:
-            only uses downstream of the release on the same path count.
 ``DET008``  no blocking/synchronous host I/O (``open``/``print``/
             ``input``, ``time.sleep``, ``socket``/``subprocess``/
             ``requests``/``urllib``, ``sys.stdout.write``, …) inside
             ``repro.core`` protocol logic — the enforcement pre-gate for
-            the sans-io refactor (ROADMAP item 3): protocol code must
+            the sans-io refactor (ROADMAP item 4): protocol code must
             stay pure state-machine.
 
 Suppression: append ``# verify: ignore[CODE] -- reason`` (or a bare
@@ -99,16 +88,6 @@ RULES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
             "repro.analysis",
             "repro.chaos",
         ),
-    ),
-    "DET006": (
-        "iteration over a pooled/free-list container (recycle order is "
-        "completion-history dependent; pools are append/pop-only stacks)",
-        ("repro.sim",),
-    ),
-    "DET007": (
-        "pooled object used after release to its pool (the next allocation "
-        "may recycle and mutate it under you)",
-        ("repro.sim",),
     ),
     "DET008": (
         "blocking/synchronous host I/O in protocol logic (sans-io: "
@@ -180,11 +159,6 @@ _ORDER_INSENSITIVE_METHODS = {
     "isdisjoint",
 }
 _FROZEN_CLASS_SUFFIXES = ("Message", "Record", "Msg")
-#: Attribute/variable names that denote object pools or free lists.  The
-#: kernel's timeout pool is ``_pool``; keep the set in sync with any new
-#: pooled container (DET006).
-_POOL_NAMES = {"_pool", "pool", "_free", "free", "_freelist", "_free_list", "free_list"}
-
 #: Builtins that block on (or write to) host file descriptors (DET008).
 _BLOCKING_BUILTINS = {"open", "input", "print", "breakpoint"}
 #: Any call into these modules is host I/O from protocol code (DET008).
@@ -394,114 +368,6 @@ class _Visitor(ast.NodeVisitor):
         elif dotted.startswith(("sys.stdout.", "sys.stderr.", "sys.stdin.")):
             self._emit(node, "DET008", f"call to {dotted}()")
 
-    # -- DET007: use of a pooled object after release ----------------------------
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_det007(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_det007(node)
-        self.generic_visit(node)
-
-    def _det007_release_of(self, node: ast.AST) -> Optional[ast.Name]:
-        """The Name released by ``<pool>.append(name)``, if this is one."""
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "append"
-            and self._is_poollike(node.func.value)
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Name)
-        ):
-            return node.args[0]
-        return None
-
-    def _det007_leaf(self, stmt: ast.stmt, released: Dict[str, int]) -> None:
-        """Process one non-compound statement in source order."""
-        events: List[Tuple[int, int, str, str, ast.AST]] = []
-        skip: Set[int] = set()
-        for node in ast.walk(stmt):
-            arg = self._det007_release_of(node)
-            if arg is not None:
-                skip.add(id(arg))
-                events.append((node.lineno, node.col_offset, "release", arg.id, node))
-            elif isinstance(node, ast.Name):
-                kind = "load" if isinstance(node.ctx, ast.Load) else "bind"
-                events.append((node.lineno, node.col_offset, kind, node.id, node))
-        for lineno, col, kind, name, node in sorted(
-            events, key=lambda e: (e[0], e[1])
-        ):
-            if kind == "release":
-                released[name] = lineno
-            elif kind == "bind":
-                released.pop(name, None)
-            elif id(node) not in skip and name in released:
-                self._emit(
-                    node,
-                    "DET007",
-                    f"{name!r} was released to a pool on line {released[name]} "
-                    "and may already be recycled; do not touch it afterwards",
-                )
-                del released[name]  # one finding per release
-
-    def _det007_scan(self, stmts: Sequence[ast.stmt], released: Dict[str, int]) -> None:
-        """Branch-aware walk: a release taints only its own path; after a
-        branch point, only names released on *every* branch stay tainted."""
-
-        def intersect(into: Dict[str, int], *branches: Dict[str, int]) -> None:
-            keep = {
-                name: line
-                for name, line in branches[0].items()
-                if all(name in other for other in branches[1:])
-            }
-            into.clear()
-            into.update(keep)
-
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue  # separate scope; scanned by its own visit
-            if isinstance(stmt, ast.If):
-                self._det007_leaf(ast.Expr(stmt.test), released)
-                body, orelse = dict(released), dict(released)
-                self._det007_scan(stmt.body, body)
-                self._det007_scan(stmt.orelse, orelse)
-                intersect(released, body, orelse)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                header = stmt.test if isinstance(stmt, ast.While) else stmt.iter
-                self._det007_leaf(ast.Expr(header), released)
-                if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    for target in ast.walk(stmt.target):
-                        if isinstance(target, ast.Name):
-                            released.pop(target.id, None)
-                body = dict(released)
-                self._det007_scan(stmt.body, body)
-                self._det007_scan(stmt.orelse, body)
-                intersect(released, released, body)
-            elif isinstance(stmt, ast.Try):
-                body = dict(released)
-                self._det007_scan(stmt.body, body)
-                self._det007_scan(stmt.orelse, body)
-                branches = [body]
-                for handler in stmt.handlers:
-                    branch = dict(released)
-                    self._det007_scan(handler.body, branch)
-                    branches.append(branch)
-                intersect(released, *branches)
-                self._det007_scan(stmt.finalbody, released)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self._det007_leaf(ast.Expr(item.context_expr), released)
-                self._det007_scan(stmt.body, released)
-            else:
-                self._det007_leaf(stmt, released)
-
-    def _check_det007(self, fn: ast.AST) -> None:
-        if not rule_applies("DET007", self.module):
-            return
-        body = getattr(fn, "body", [])
-        self._det007_scan(body, {})
-
     # -- DET003: set iteration -------------------------------------------------
 
     def _is_setlike(self, node: ast.AST) -> bool:
@@ -550,29 +416,12 @@ class _Visitor(ast.NodeVisitor):
             node = parent if isinstance(parent, (ast.GeneratorExp, ast.ListComp)) else None
         return False
 
-    # -- DET006: pooled containers ---------------------------------------------
-
-    @staticmethod
-    def _is_poollike(node: ast.AST) -> bool:
-        if isinstance(node, ast.Attribute):
-            return node.attr in _POOL_NAMES
-        if isinstance(node, ast.Name):
-            return node.id in _POOL_NAMES
-        return False
-
     def visit_For(self, node: ast.For) -> None:
         if self._is_setlike(node.iter):
             self._emit(
                 node.iter,
                 "DET003",
                 "for-loop over an unordered set (wrap in sorted(...))",
-            )
-        if self._is_poollike(node.iter):
-            self._emit(
-                node.iter,
-                "DET006",
-                "for-loop over a pooled/free-list container (entries are "
-                "recycled objects in completion-history order)",
             )
         self.generic_visit(node)
 
@@ -584,13 +433,6 @@ class _Visitor(ast.NodeVisitor):
                     "DET003",
                     "comprehension over an unordered set reaches an "
                     "order-sensitive result (wrap in sorted(...))",
-                )
-            if self._is_poollike(comp.iter):
-                self._emit(
-                    comp.iter,
-                    "DET006",
-                    "comprehension over a pooled/free-list container (entries "
-                    "are recycled objects in completion-history order)",
                 )
 
     def visit_ListComp(self, node: ast.ListComp) -> None:

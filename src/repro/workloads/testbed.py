@@ -208,8 +208,8 @@ class Cluster:
         reference to a cluster frees nothing until the cyclic collector
         happens to walk it.  ``close()`` cuts exactly those links: it
         empties ``network.nodes`` and ``network.chaos`` and drops the
-        kernel's pending events and timeout pool, after which everything
-        dies by reference count the moment the cluster is let go.
+        kernel's pending events, after which everything dies by reference
+        count the moment the cluster is let go.
 
         Results are untouched: ``metrics``, ``servers``, ``tms``, WALs,
         storage and access logs, ``tracer``, ``obs`` and
@@ -307,9 +307,7 @@ def assemble_cluster(
     if topology is not None:
         latency = RegionalLatency(topology)
     rng = RandomStreams(seed)
-    # Pooling is safe for the in-tree protocol stack: nothing retains a
-    # timeout past its firing (see the pooling notes in repro.sim.kernel).
-    env = Environment(pooling=True)
+    env = Environment()
     metrics = Metrics(
         streaming=config.streaming_metrics,
         trace=trace,

@@ -5,14 +5,10 @@ disable switch) and the :class:`~repro.obs.flight.IncidentBundle` file
 layout; the integration tests run a real span-recorded cluster, seed a
 strict-2PL violation against a *finished* transaction, and check
 :func:`repro.verify.verify_cluster` dumps a complete, strictly valid
-bundle — including the waterfall of the implicated transaction.  The
-pooling test asserts the recorded window is bit-identical with the kernel's
-timeout pooling on and off (rings copy plain tuples, never pooled kernel
-objects).
+bundle — including the waterfall of the implicated transaction.
 """
 
 import json
-from functools import partial
 
 import pytest
 
@@ -32,8 +28,6 @@ from repro.workloads.generator import (
     poisson_arrivals,
     uniform_transactions,
 )
-from repro.sim.kernel import Environment
-from repro.workloads import testbed
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.testbed import build_cluster
 
@@ -209,20 +203,3 @@ class TestVerifyHook:
         assert cluster.metrics.flight is None
         cluster.verify()  # must not raise on the missing recorder
 
-
-class TestPoolingDeterminism:
-    def test_ring_window_identical_with_and_without_pooling(self, monkeypatch):
-        """Eviction order and content must not see the kernel's free lists."""
-        # Small rings, so the short workload makes them evict.
-        monkeypatch.setattr(flight, "FlightRecorder", partial(FlightRecorder, capacity=32))
-        windows = [run_cluster().metrics.flight.events()]  # testbed default: pooled
-        monkeypatch.setattr(testbed, "Environment", lambda pooling: Environment(pooling=False))
-        windows.append(run_cluster().metrics.flight.events())
-        assert windows[0] == windows[1]
-        assert windows[0], "expected a non-empty recorded window"
-        # Capacity actually bit: some ring must have evicted.
-        cluster_events = windows[0]
-        per_node = {}
-        for event in cluster_events:
-            per_node[event.node] = per_node.get(event.node, 0) + 1
-        assert max(per_node.values()) == 32

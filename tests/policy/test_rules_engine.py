@@ -180,6 +180,25 @@ class TestCycleGuardAndDepth:
         proof = rules.prove(Atom("top", ("a",)), facts_from(Atom("base", ("a",))))
         assert proof is not None
 
+    def test_left_recursion_through_an_open_subgoal_reaches_every_hop(self):
+        # ancestor(a, d) needs the open subgoal ancestor(a, ?Z), which calls
+        # a variant of itself.  A guard that cut that call as a cycle would
+        # stop at one hop (only b) and deny the ground goal.
+        Z = Variable("Z")
+        rules = RuleSet(
+            [
+                Rule(Atom("ancestor", (X, Y)), (Atom("ancestor", (X, Z)), Atom("parent", (Z, Y)))),
+                Rule(Atom("ancestor", (X, Y)), (Atom("parent", (X, Y)),)),
+            ]
+        )
+        facts = facts_from(
+            Atom("parent", ("a", "b")), Atom("parent", ("b", "c")), Atom("parent", ("c", "d"))
+        )
+        goal = Atom("ancestor", ("a", "d"))
+        proof = rules.prove(goal, facts)
+        assert proof is not None and proof.atom == goal
+        assert naive_view(rules).prove(goal, facts) is not None
+
 
 class TestCounters:
     def test_merge_and_snapshot(self):

@@ -5,12 +5,8 @@ dispatch; ``Environment._dispatch`` inlines the same body for speed behind
 all three :meth:`~repro.sim.kernel.Environment.run` forms (drain, deadline,
 target event).  These tests run one scenario — processes on staggered
 timers, a self-re-arming ``defer`` chain, optionally a failing process —
-through each run form, with and without timeout pooling, and compare the
-event log, the outcome and the clock against the same scenario stepped by
-hand.
-
-(The file keeps its name from when it also held the calendar queue's
-property tests; the kernel has one ``heapq`` queue now.)
+through each run form and compare the event log, the outcome and the clock
+against the same scenario stepped by hand.
 """
 
 import pytest
@@ -27,8 +23,8 @@ FLAVOURS = ("plain", "bystander_fails", "target_fails")
 
 
 class TestKernelEquivalence:
-    """Every ``run`` form, pooled or not, is bit-identical to dispatching
-    the same simulation through ``step()``."""
+    """Every ``run`` form is bit-identical to dispatching the same
+    simulation through ``step()``."""
 
     @staticmethod
     def _scenario(env, log, flavour):
@@ -78,8 +74,8 @@ class TestKernelEquivalence:
         return None
 
     @classmethod
-    def _run(cls, form="deadline", pooling=False, flavour="plain", stepwise=False):
-        env = Environment(pooling=pooling)
+    def _run(cls, form="deadline", flavour="plain", stepwise=False):
+        env = Environment()
         log = []
         target = cls._scenario(env, log, flavour)
         try:
@@ -89,11 +85,10 @@ class TestKernelEquivalence:
         return log, outcome, env.now
 
     @pytest.mark.parametrize("flavour", FLAVOURS)
-    @pytest.mark.parametrize("pooling", (False, True), ids=("unpooled", "pooled"))
     @pytest.mark.parametrize("form", RUN_FORMS)
-    def test_run_matches_step_loop(self, form, pooling, flavour):
-        ref_log, ref_outcome, ref_now = self._run(form, flavour=flavour, stepwise=True)
-        log, outcome, now = self._run(form, pooling, flavour)
+    def test_run_matches_step_loop(self, form, flavour):
+        ref_log, ref_outcome, ref_now = self._run(form, flavour, stepwise=True)
+        log, outcome, now = self._run(form, flavour)
         assert log == ref_log
         assert outcome == ref_outcome
         if form == "deadline" and outcome[0] == "returned":
@@ -104,10 +99,9 @@ class TestKernelEquivalence:
         if flavour != "plain":
             assert outcome[0] == "raised"  # the failure must still propagate
 
-    @pytest.mark.parametrize("pooling", (False, True), ids=("unpooled", "pooled"))
-    def test_until_event_reports_drained_queue(self, pooling):
+    def test_until_event_reports_drained_queue(self):
         ref_log, _, ref_now = self._run("drain", stepwise=True)
-        env = Environment(pooling=pooling)
+        env = Environment()
         log = []
         self._scenario(env, log, "plain")
         with pytest.raises(SimulationError, match="queue drained"):

@@ -239,145 +239,6 @@ def test_random_construction_inside_rng_module_is_exempt(tmp_path):
     assert active_codes(findings) == []
 
 
-# -- DET006: pooled containers -------------------------------------------------
-
-
-def test_for_loop_over_pool_is_flagged(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        "repro/sim/pooling.py",
-        """
-        class Env:
-            def __init__(self):
-                self._pool = []
-
-            def scan(self):
-                for timeout in self._pool:
-                    timeout.reset()
-        """,
-    )
-    assert active_codes(findings) == ["DET006"]
-
-
-def test_comprehension_over_free_list_is_flagged(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        "repro/sim/pooling.py",
-        """
-        def live(free_list):
-            return [entry for entry in free_list if entry.armed]
-        """,
-    )
-    assert active_codes(findings) == ["DET006"]
-
-
-def test_pool_append_pop_is_allowed(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        "repro/sim/pooling.py",
-        """
-        class Env:
-            def __init__(self):
-                self._pool = []
-
-            def recycle(self, timeout):
-                self._pool.append(timeout)
-
-            def take(self):
-                return self._pool.pop() if self._pool else None
-        """,
-    )
-    assert active_codes(findings) == []
-
-
-def test_pool_iteration_outside_sim_scope_is_allowed(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        "repro/analysis/pools.py",
-        """
-        def drain(pool):
-            return [item for item in pool]
-        """,
-    )
-    assert active_codes(findings) == []
-
-
-# -- DET007: use-after-release into a pool -------------------------------------
-
-
-def test_use_after_pool_release_is_flagged(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        "repro/sim/pooling.py",
-        """
-        class Env:
-            def recycle(self, event):
-                self._pool.append(event)
-                event.value = 1
-        """,
-    )
-    assert active_codes(findings) == ["DET007"]
-
-
-def test_return_after_pool_release_is_flagged(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        "repro/sim/pooling.py",
-        """
-        def recycle(pool, obj):
-            pool.append(obj)
-            return obj
-        """,
-    )
-    assert active_codes(findings) == ["DET007"]
-
-
-def test_release_in_one_branch_does_not_taint_the_other(tmp_path):
-    """The kernel's ``if pooled: pool.append(event) / else: use event``
-    shape must stay clean — only same-path uses count."""
-    findings = lint_source(
-        tmp_path,
-        "repro/sim/pooling.py",
-        """
-        def step(self, event):
-            if event.pooled:
-                event.callbacks.clear()
-                self._pool.append(event)
-            else:
-                event.callbacks = None
-                event.close()
-        """,
-    )
-    assert active_codes(findings) == []
-
-
-def test_rebinding_after_release_is_allowed(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        "repro/sim/pooling.py",
-        """
-        def reuse(self, event, make):
-            self._pool.append(event)
-            event = make()
-            return event
-        """,
-    )
-    assert active_codes(findings) == []
-
-
-def test_use_after_release_outside_sim_scope_is_allowed(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        "repro/analysis/pooling.py",
-        """
-        def recycle(pool, obj):
-            pool.append(obj)
-            return obj
-        """,
-    )
-    assert active_codes(findings) == []
-
-
 # -- DET008: blocking I/O in protocol logic ------------------------------------
 
 
