@@ -99,9 +99,9 @@ class RegionMessageCounters:
     Inactive (every hook a no-op) until :meth:`configure` binds a
     :class:`repro.sim.topology.RegionTopology`; the testbed does that when
     a cluster is built with ``CloudConfig.topology`` set.  Messages are
-    bucketed by ``(src region, dst region)``; bytes use the same
-    deterministic wire-size estimate the bandwidth model charges, so the
-    two views agree.  Host-side accounting only — never part of the
+    counted by ``(src region, dst region)``; bytes, cross-region only, use
+    the same deterministic wire-size estimate the bandwidth model charges,
+    so the two views agree.  Host-side accounting only — never part of the
     Table I complexity numbers.
     """
 
@@ -119,25 +119,18 @@ class RegionMessageCounters:
     def on_message(self, message: Message) -> None:
         if self.topology is None:
             return
-        pair = (
-            self.topology.region_of(message.src),
-            self.topology.region_of(message.dst),
-        )
+        pair = self.topology.link(message.src, message.dst)[0]
         self.by_pair[pair] += 1
-        size = message.wire_size
-        if size is None:
-            size = message.wire_size = estimate_message_size(message.payload)
-        self.bytes_by_pair[pair] += size
         if pair[0] == pair[1]:
             self.intra_region += 1
-        else:
-            self.cross_region += 1
+            return
+        self.cross_region += 1
+        message.wire_size = size = estimate_message_size(message.payload)
+        self.bytes_by_pair[pair] += size
 
     def cross_region_bytes(self) -> int:
         """Estimated bytes that crossed a region boundary."""
-        return sum(
-            count for pair, count in self.bytes_by_pair.items() if pair[0] != pair[1]
-        )
+        return sum(self.bytes_by_pair.values())
 
 
 class ProofCounters:
@@ -592,8 +585,7 @@ def counter_samples(metrics: "Metrics") -> List[CounterSample]:
         samples.append(CounterSample("proof_cache_events", (("event", event),), float(value)))
     for name, value in sorted(metrics.engine.snapshot().items()):
         samples.append(CounterSample("engine_work", (("counter", name),), float(value)))
-    region_pairs = sorted(metrics.regions.by_pair)
-    for src_region, dst_region in region_pairs:
+    for src_region, dst_region in sorted(metrics.regions.by_pair):
         samples.append(
             CounterSample(
                 "region_messages",
@@ -601,7 +593,7 @@ def counter_samples(metrics: "Metrics") -> List[CounterSample]:
                 float(metrics.regions.by_pair[(src_region, dst_region)]),
             )
         )
-    for src_region, dst_region in region_pairs:
+    for src_region, dst_region in sorted(metrics.regions.bytes_by_pair):
         samples.append(
             CounterSample(
                 "region_bytes",

@@ -78,9 +78,8 @@ class Message:
         self.payload = payload
         self.category = category
         self.reply_to = reply_to
-        #: Estimated bytes on the wire (:func:`repro.sim.topology.
-        #: estimate_message_size`), stored by the first party that sizes
-        #: the message so the next one does not walk the payload again.
+        #: Estimated bytes on the wire, set where they are charged: by the
+        #: region counters on a cross-region message (``estimate_message_size``).
         self.wire_size: Optional[int] = None
         #: The details of this message's ``net.send`` / ``net.recv`` trace
         #: records (:class:`repro.metrics.counters.Metrics`), on traced runs.

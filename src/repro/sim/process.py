@@ -49,12 +49,10 @@ class Process(Event):
             raise SimulationError(f"process body must be a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
-        self._wake: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        bootstrap = Event(env)
-        bootstrap.succeed(None)
-        self._wait_on(bootstrap)
+        # Starts the body at (now, NORMAL, seq): after everything already due now.
+        self._target: Optional[Event] = env.defer(0.0, self._resume)
+        self._wake: Optional[Event] = self._target
 
     @property
     def is_alive(self) -> bool:
@@ -91,10 +89,6 @@ class Process(Event):
         poke.add_callback(self._resume)
 
     # -- stepping ----------------------------------------------------------
-
-    def _wait_on(self, event: Event) -> None:
-        self._target = self._wake = event
-        event.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
         """Step the generator until it waits on an unprocessed event.
@@ -159,7 +153,8 @@ class Process(Event):
                 if target.processed:
                     event = target  # already done: step again immediately
                     continue
-                self._wait_on(target)
+                self._target = self._wake = target
+                target.add_callback(self._resume)
                 return
         finally:
             self.env._active_process = None

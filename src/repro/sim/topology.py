@@ -111,9 +111,10 @@ class RegionTopology:
         if self.default_region not in self.regions:
             raise SimulationError(f"default region {self.default_region!r} not in topology")
         self._profiles: Dict[Tuple[str, str], LinkProfile] = {}
+        self._placement: Dict[str, str] = {}
+        self._links: Dict[Tuple[str, str], Tuple[Tuple[str, str], LinkProfile]] = {}
         for (src, dst), profile in (profiles or {}).items():
             self.set_profile(src, dst, profile)
-        self._placement: Dict[str, str] = {}
 
     # -- matrix ------------------------------------------------------------
 
@@ -123,6 +124,7 @@ class RegionTopology:
             if region not in self.regions:
                 raise SimulationError(f"unknown region {region!r}")
         self._profiles[(src, dst)] = profile
+        self._links.clear()
 
     def profile_between(self, src_region: str, dst_region: str) -> LinkProfile:
         """The effective profile for a region pair (symmetric fill)."""
@@ -130,9 +132,7 @@ class RegionTopology:
         if profile is None:
             profile = self._profiles.get((dst_region, src_region))
         if profile is None:
-            profile = (
-                self.intra_profile if src_region == dst_region else self.default_profile
-            )
+            profile = self.intra_profile if src_region == dst_region else self.default_profile
         return profile
 
     # -- placement ---------------------------------------------------------
@@ -142,6 +142,7 @@ class RegionTopology:
         if region not in self.regions:
             raise SimulationError(f"unknown region {region!r}")
         self._placement[node] = region
+        self._links.clear()
 
     def region_of(self, node: str) -> str:
         """The region a node lives in (``default_region`` if unplaced)."""
@@ -151,12 +152,21 @@ class RegionTopology:
         """A copy of the node → region map (placed nodes only)."""
         return dict(self._placement)
 
+    def link(self, src: str, dst: str) -> Tuple[Tuple[str, str], LinkProfile]:
+        """The region pair and link profile between two *nodes* (memoised per pair)."""
+        found = self._links.get((src, dst))
+        if found is None:
+            pair = (self.region_of(src), self.region_of(dst))
+            found = self._links[(src, dst)] = (pair, self.profile_between(*pair))
+        return found
+
     def is_cross_region(self, src: str, dst: str) -> bool:
-        return self.region_of(src) != self.region_of(dst)
+        src_region, dst_region = self.link(src, dst)[0]
+        return src_region != dst_region
 
     def profile(self, src: str, dst: str) -> LinkProfile:
         """The link profile between two *nodes*."""
-        return self.profile_between(self.region_of(src), self.region_of(dst))
+        return self.link(src, dst)[1]
 
 
 def default_wan_topology(
@@ -248,19 +258,19 @@ class RegionalLatency(LatencyModel):
     Delay = link propagation (base + jitter) plus the message-size /
     bandwidth transfer term of the link (zero on a link that declares no
     bandwidth).  The network delivers every message through
-    :meth:`sample_message`, which estimates the payload's wire size unless
-    the message was already sized; plain :meth:`sample` calls — e.g. from
-    code unaware of sizes — charge propagation only.
+    :meth:`sample_message`, which sizes the payload only on a link with a
+    bandwidth and only if the region counters have not; plain :meth:`sample`
+    calls — e.g. from code unaware of sizes — charge propagation only.
     """
 
     def __init__(self, topology: RegionTopology) -> None:
         self.topology = topology
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        return self.topology.profile(src, dst).sample_delay(rng)
+        return self.topology.link(src, dst)[1].sample_delay(rng)
 
     def sample_sized(self, rng: random.Random, src: str, dst: str, size_bytes: int) -> float:
-        profile = self.topology.profile(src, dst)
+        profile = self.topology.link(src, dst)[1]
         return profile.sample_delay(rng) + profile.transfer_time(size_bytes)
 
     def sample_message(
@@ -271,6 +281,10 @@ class RegionalLatency(LatencyModel):
         payload: Mapping[str, Any],
         size_bytes: Optional[int] = None,
     ) -> float:
+        profile = self.topology.link(src, dst)[1]
+        delay = profile.sample_delay(rng)
+        if profile.bandwidth is None:
+            return delay
         if size_bytes is None:
             size_bytes = estimate_message_size(payload)
-        return self.sample_sized(rng, src, dst, size_bytes)
+        return delay + profile.transfer_time(size_bytes)

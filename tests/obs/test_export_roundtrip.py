@@ -6,14 +6,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 
 import pytest
 
+from repro.cloud.config import CloudConfig
+from repro.core.consistency import ConsistencyLevel
 from repro.metrics.export import FIELDS, PHASE_FIELDS, to_csv, to_json
 from repro.metrics.stats import TransactionOutcome
 from repro.obs.critical import phase_columns
 from repro.obs.export import spans_from_jsonl, spans_to_jsonl
 from repro.obs.openmetrics import DURATION_BUCKETS, render_openmetrics, validate_openmetrics
+from repro.workloads.runner import OpenLoopRunner
+from repro.workloads.scale import ScaleWorkloadSpec, generate_scale_workload, mint_user_credentials
+from repro.workloads.testbed import build_multiregion_cluster
 
 
 def test_jsonl_round_trip(cluster_factory):
@@ -78,6 +84,31 @@ def test_openmetrics_counters_match_metrics(cluster_factory):
     # Verification and engine counters must be part of the enumeration.
     assert "repro_verification_runs" in families
     assert "repro_engine_work" in families
+
+
+def test_region_bytes_are_sampled_for_cross_region_pairs_only():
+    """Bytes are counted only where a message crosses regions, so an
+    intra-region pair has no byte sample (a 0 there would be a false zero);
+    its message count is still exposed."""
+    cluster = build_multiregion_cluster(
+        shards_per_region=1, items_per_shard=8, seed=3, config=CloudConfig(request_timeout=4000.0)
+    )
+    spec = ScaleWorkloadSpec(n_users=10, arrival_rate=0.5, txn_length=2)
+    credentials = mint_user_credentials(cluster, spec.n_users)
+    schedule = generate_scale_workload(spec, cluster.shards, random.Random(2), credentials)
+    runner = OpenLoopRunner(cluster, "deferred", ConsistencyLevel.VIEW, tm_for=cluster.tm_index_for)
+    runner.run([entry.txn for entry in schedule], [entry.arrival for entry in schedule])
+    families = validate_openmetrics(render_openmetrics(cluster.metrics, cluster.obs))
+
+    def pairs(family):
+        return [
+            (labels["src_region"], labels["dst_region"])
+            for labels in (dict(labels) for _, labels, _ in families[f"repro_{family}"]["samples"])
+        ]
+
+    assert any(src == dst for src, dst in pairs("region_messages"))
+    assert pairs("region_bytes")
+    assert [(src, dst) for src, dst in pairs("region_bytes") if src == dst] == []
 
 
 def test_validate_rejects_missing_eof():

@@ -23,7 +23,11 @@ prints the ``EXPECTED`` literal.  It was produced with
 WAN world's spans, live, OpenMetrics and counter digests, re-recorded when
 the proof cache began to serve one user's query from another's template
 (its lookups record a hit now); ``WAN_WITHOUT_CACHE_FACTS`` pins everything
-else those recorders hold at the sources before that change.
+else those recorders hold at the sources before that change.  The same
+world's OpenMetrics and counter digests were re-recorded again when bytes
+became counted for cross-region messages only (an intra-region pair has no
+``region_bytes`` sample since); ``WAN_WITHOUT_INTRA_REGION_BYTES`` pins the
+rest at the sources before that change.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from typing import Any, Dict
 
 import pytest
@@ -109,8 +114,32 @@ def recorder_digests(cluster: Any) -> Dict[str, str]:
     return digests
 
 
+#: An exposition line of an intra-region pair's ``region_bytes`` sample.
+INTRA_REGION_BYTES = re.compile(
+    r'^repro_region_bytes_total\{dst_region="([^"]*)",src_region="\1"\}'
+)
+
+
+def _intra_region_bytes(sample: Any) -> bool:
+    labels = dict(sample.labels)
+    return sample.family == "region_bytes" and labels["src_region"] == labels["dst_region"]
+
+
+def without_intra_region_bytes(cluster: Any) -> Dict[str, str]:
+    """Digests of OpenMetrics and counters minus intra-region ``region_bytes``."""
+    exposition = _without_sums(render_openmetrics(cluster.metrics, cluster.obs)).split("\n")
+    samples = counter_samples(cluster.metrics)
+    return {
+        "openmetrics": _sha(
+            "\n".join(line for line in exposition if not INTRA_REGION_BYTES.match(line))
+        ),
+        "counters": _sha(repr([sample for sample in samples if not _intra_region_bytes(sample)])),
+    }
+
+
 def without_cache_facts(cluster: Any) -> Dict[str, str]:
-    """Digests of spans, live windows and OpenMetrics minus the cache facts."""
+    """Digests of spans, live windows and OpenMetrics minus the cache facts
+    (and minus intra-region ``region_bytes``, which are gone since)."""
     spans = [span.to_dict() for span in cluster.obs]
     for span in spans:
         span["attrs"].pop("cache", None)
@@ -123,9 +152,12 @@ def without_cache_facts(cluster: Any) -> Dict[str, str]:
         "spans": _sha(_dump(spans)),
         "live": _sha(json.dumps(live, sort_keys=True)),
         "openmetrics": _sha(
-            "\n".join(line for line in exposition if not any(
-                fact in line for fact in ("proof_cache", "engine_work")
-            ))
+            "\n".join(
+                line
+                for line in exposition
+                if not INTRA_REGION_BYTES.match(line)
+                and not any(fact in line for fact in ("proof_cache", "engine_work"))
+            )
         ),
     }
 
@@ -276,8 +308,10 @@ EXPECTED: Dict[str, Dict[str, str]] = {
     "wan/60": {
         "trace": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "spans": "45e757901267c9c5387fe67a15c4153c94cf2646b848929b49d375450ac4f0df",
-        "openmetrics": "8956c27c4c872eba6531387206613d6d54f0acab98ab0b41a082c92645e72ff4",
-        "counters": "84096a0637e2a1bc10b6626e94137e72b6d5231fe462dfbee0447f57ed491524",
+        # Re-recorded: intra-region pairs have no region_bytes sample since
+        # bytes are counted cross-region only (WAN_WITHOUT_INTRA_REGION_BYTES).
+        "openmetrics": "53be1dbe8dc8c9020360cb8dc967bf537edee9221eea895e1501af532d490db6",
+        "counters": "af5000659ef2d77667f4e3f50fc1d56bca604f01513d402de1ec956fcd541254",
         "flight": "b28cd8899486061716dc893915597d2a25432d6bb097ebfc9e0e86a37b4fe821",
         "bundles": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "live": "84376eb39c09106d49d0418ab8f196ce61643504bb7d4db757a324826e0cc81f"
@@ -290,11 +324,24 @@ EXPECTED: Dict[str, Dict[str, str]] = {
 #: the inference engine's work (``engine_work``).  Generated from the sources
 #: of ``e9f7712``, whose cache keyed on the user and never hit in this world;
 #: 85 of its 120 lookups hit a subject-generic template since, which moved
-#: those facts and nothing else.
+#: those facts and nothing else.  The OpenMetrics digest was regenerated from
+#: the same sources when the projection began to drop intra-region
+#: ``region_bytes`` lines too (``afba00e4…`` without that filter).
 WAN_WITHOUT_CACHE_FACTS = {
     "spans": "1ffd7450f994ff8090c5f8f30d80129f1af2d9611dddef047d2eeeb99ebc6fcf",
     "live": "2423b8710e08b6a3a7858eb22808a498bc46f89518a9bed731f734adf08a0362",
-    "openmetrics": "afba00e41ee41422bd8bd69a9c1b8da9657d3b2545cfcbb8cecb7777c198e8dc",
+    "openmetrics": "e78a3cdd24a48129da243037dba1a23f2cbcf45ef05f3dc1f79953f848cd8669",
+}
+
+#: The streaming WAN world's OpenMetrics and counter samples minus the
+#: intra-region ``region_bytes`` samples, generated from the sources of
+#: ``c0a9792``, which sized every message and counted its bytes per region
+#: pair.  Since then an intra-region message is not sized (no link in the
+#: repo's topologies charges its bytes), and these projections equal the
+#: full digests of ``EXPECTED["wan/60"]``: no other sample moved.
+WAN_WITHOUT_INTRA_REGION_BYTES = {
+    "openmetrics": "53be1dbe8dc8c9020360cb8dc967bf537edee9221eea895e1501af532d490db6",
+    "counters": "af5000659ef2d77667f4e3f50fc1d56bca604f01513d402de1ec956fcd541254",
 }
 
 
@@ -325,6 +372,8 @@ def test_streaming_wan_recorders_match_the_parent():
     assert recorder_digests(cluster) == EXPECTED["wan/60"]
     # What moved since the parent is the cache facts, and only those.
     assert without_cache_facts(cluster) == WAN_WITHOUT_CACHE_FACTS
+    # ... and the intra-region byte samples, and only those.
+    assert without_intra_region_bytes(cluster) == WAN_WITHOUT_INTRA_REGION_BYTES
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import topology
 from repro.sim.topology import (
     DEFAULT_REGIONS,
     MESSAGE_OVERHEAD_BYTES,
@@ -78,6 +79,22 @@ class TestRegionTopology:
         assert not topo.is_cross_region("n1", "n1")
         with pytest.raises(SimulationError):
             topo.place("n2", "nowhere")
+
+    def test_link_is_resolved_again_after_a_placement_or_a_profile(self):
+        intra, default = LinkProfile(0.1), LinkProfile(50.0)
+        topo = RegionTopology(["a", "b"], intra_profile=intra, default_profile=default)
+        topo.place("n1", "a")
+        topo.place("n2", "a")
+        assert topo.link("n1", "n2") == (("a", "a"), intra)
+        assert topo.link("n1", "n2") is topo.link("n1", "n2")  # memoised
+        topo.place("n2", "b")
+        assert topo.link("n1", "n2") == (("a", "b"), default)
+        assert topo.profile("n1", "n2") is default
+        assert topo.is_cross_region("n1", "n2")
+        declared = LinkProfile(25.0)
+        topo.set_profile("b", "a", declared)
+        assert topo.link("n1", "n2") == (("a", "b"), declared)
+        assert topo.link("n2", "n1") == (("b", "a"), declared)
 
     def test_validation(self):
         with pytest.raises(SimulationError):
@@ -163,3 +180,30 @@ class TestRegionalLatency:
         payload = {"x": "y"}
         expected_bytes = estimate_message_size(payload)
         assert model.sample_message(rng, "n1", "n2", payload) == 10.0 + expected_bytes / 100.0
+
+    def test_an_unsized_link_never_sizes_the_message(self, monkeypatch):
+        _, model = self.make()
+
+        def refuse(payload):
+            raise AssertionError("sized a message on a link without bandwidth")
+
+        monkeypatch.setattr(topology, "estimate_message_size", refuse)
+        rng = random.Random(0)
+        assert model.sample_message(rng, "n1", "n1", {"x": "y"}) == 1.0
+        # A cross-region message the counters sized already is not sized again.
+        assert model.sample_message(rng, "n1", "n2", {"x": "y"}, size_bytes=500) == 15.0
+
+    def test_a_lan_bandwidth_keeps_its_transfer_term(self):
+        topo = default_wan_topology(lan_bandwidth=100.0)
+        topo.place("n1", "us-east")
+        topo.place("n2", "us-east")
+        model = RegionalLatency(topo)
+        payload = {"versions": [1, 2, 3], "proof": "x" * 100}
+        size = estimate_message_size(payload)
+        message_rng, sized_rng = random.Random(11), random.Random(11)
+        delay = model.sample_message(message_rng, "n1", "n2", payload)
+        assert delay == model.sample_sized(sized_rng, "n1", "n2", size)
+        assert message_rng.getstate() == sized_rng.getstate()
+        # The transfer term is really there: the same draw without it is shorter.
+        propagation = model.sample(random.Random(11), "n1", "n2")
+        assert delay == propagation + size / 100.0 > propagation

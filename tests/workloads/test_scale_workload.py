@@ -13,6 +13,7 @@ from repro.core.consistency import ConsistencyLevel
 from repro.errors import SimulationError
 from repro.metrics import counters
 from repro.sim import topology
+from repro.sim.network import Network
 from repro.sim.topology import DEFAULT_OBJECT_BYTES, estimate_message_size, estimate_wire_size
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.scale import (
@@ -293,19 +294,31 @@ class TestShardedRunEndToEnd:
     def test_wire_sizes_equal_the_previous_estimator(self, monkeypatch):
         """Sizes feed simulated WAN transfer time and the cross-region byte
         counters, so a cheaper estimator must size every payload of a real
-        run — opaque protocol values included — exactly as before."""
-        payloads = []
+        run — opaque protocol values included — exactly as before.  The
+        payloads are taken at ``Network.send``: every message, sized or not."""
+        payloads, sized = [], []
+        send = Network.send
 
-        def recording(payload):
-            payloads.append(payload)
+        def recording_send(self, *args, **kwargs):
+            message = send(self, *args, **kwargs)
+            payloads.append(message.payload)
+            return message
+
+        def counting(payload):
+            sized.append(payload)
             return estimate_message_size(payload)
 
-        monkeypatch.setattr(counters, "estimate_message_size", recording)
-        monkeypatch.setattr(topology, "estimate_message_size", recording)
+        monkeypatch.setattr(Network, "send", recording_send)
+        monkeypatch.setattr(counters, "estimate_message_size", counting)
+        monkeypatch.setattr(topology, "estimate_message_size", counting)
         cluster, _, _, _ = self.make_run()
-        assert len(payloads) == cluster.metrics.regions.intra_region + (
-            cluster.metrics.regions.cross_region
-        )
+        regions = cluster.metrics.regions
+        assert len(payloads) == regions.intra_region + regions.cross_region
+        # The default WAN topology has no LAN bandwidth: a size is paid only
+        # where bytes are charged, once per cross-region message.
+        assert cluster.topology.intra_profile.bandwidth is None
+        assert regions.intra_region > 0
+        assert len(sized) == regions.cross_region
 
         def leaves(value):
             if isinstance(value, dict):
