@@ -13,13 +13,13 @@ from typing import Any, Callable, Dict, Iterable, Sequence, Tuple
 
 from repro.analysis.parallel import run_sweep
 from repro.analysis.sweep import SweepPoint, SweepResult
+
+# Every bench sweeping "per approach" iterates this one tuple: the paper's
+# four approaches, in its presentation order.
+from repro.core.approaches import PAPER_APPROACHES as APPROACHES
 from repro.metrics.report import format_table
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: The paper's four enforcement approaches, in its presentation order.
-#: Every bench sweeping "per approach" iterates this one tuple.
-APPROACHES = ("deferred", "punctual", "incremental", "continuous")
 
 
 def sweep_grid(

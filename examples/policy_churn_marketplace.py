@@ -28,7 +28,7 @@ def main() -> None:
         txn_length=5,
         n_transactions=40,
         update_interval=25.0,
-        restricting_updates=True,
+        update_mode="alternate",
         read_fraction=0.6,
         seed=77,
     )

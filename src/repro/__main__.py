@@ -21,19 +21,18 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.core.complexity import TABLE1, max_messages, max_proofs
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.report import format_table
 from repro.transactions.transaction import Query, Transaction
 from repro.workloads.testbed import build_cluster
 
-APPROACHES = ("deferred", "punctual", "incremental", "continuous")
-
 
 def _demo(seed: int) -> int:
     rows = []
-    for level in (ConsistencyLevel.VIEW, ConsistencyLevel.GLOBAL):
-        for approach in APPROACHES:
+    for level in map(ConsistencyLevel, CONSISTENCY_LEVELS):
+        for approach in PAPER_APPROACHES:
             cluster = build_cluster(n_servers=3, seed=seed)
             credential = cluster.issue_role_credential("alice")
             txn = Transaction(
@@ -73,8 +72,8 @@ def _table1(seed: int) -> int:
 
     n = 4
     rows = []
-    for level in (ConsistencyLevel.VIEW, ConsistencyLevel.GLOBAL):
-        for approach in APPROACHES:
+    for level in map(ConsistencyLevel, CONSISTENCY_LEVELS):
+        for approach in PAPER_APPROACHES:
             cluster = build_cluster(n_servers=n, seed=seed)
             credential = cluster.issue_role_credential("alice")
             txn = one_query_per_server(
@@ -131,7 +130,7 @@ def _bob(seed: int) -> int:
     from repro.workloads.scenarios import audit_committed_revocations, run_bob_with
 
     rows = []
-    for approach in APPROACHES:
+    for approach in PAPER_APPROACHES:
         outcome, scenario = run_bob_with(approach, ConsistencyLevel.VIEW, seed=seed)
         offenders = audit_committed_revocations(scenario, outcome.txn_id)
         rows.append(

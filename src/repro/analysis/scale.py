@@ -163,15 +163,14 @@ class StreamingLocalitySplit:
         self,
         cluster: Cluster,
         assignments: Mapping[str, str],
-        resolution: float = 1.0,
     ) -> None:
         self.master_region = cluster.region_of(cluster.config.master_name)
         self._region_of = cluster.region_of
         self._assignments = assignments
         #: TM name → region, memoized (the TM set is small and fixed).
         self._tm_regions: Dict[str, Optional[str]] = {}
-        self.local = StreamingOutcomeAggregator(resolution)
-        self.remote = StreamingOutcomeAggregator(resolution)
+        self.local = StreamingOutcomeAggregator()
+        self.remote = StreamingOutcomeAggregator()
 
     def observe(self, outcome: TransactionOutcome) -> None:
         tm_name = self._assignments.get(outcome.txn_id)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cloud.config import CloudConfig
-from repro.core.approaches import get_approach
+from repro.core.approaches import PAPER_APPROACHES, get_approach
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.stats import OutcomeAggregate, TransactionOutcome, aggregate
 from repro.sim.events import Event
@@ -44,25 +44,18 @@ class SweepPoint:
     n_transactions: int = 30
     #: Mean time between policy publications; None disables updates.
     update_interval: Optional[float] = None
-    #: When updates flip authorization outcomes (restricting) instead of
-    #: being benign version churn.
-    restricting_updates: bool = False
-    #: Explicit update mode ("benign" | "alternate" | "transient"); when
-    #: None, derived from ``restricting_updates``.
-    update_mode: Optional[str] = None
-    #: Length of the denial window in "transient" mode.
-    deny_window: float = 10.0
+    #: Update mode: "benign" (version churn only) or "alternate" (updates
+    #: flip authorization outcomes), see :class:`PolicyUpdateProcess`.
+    update_mode: str = "benign"
     #: Resubmit transactions aborted for policy reasons (inconsistency or
     #: proof denial) — what a real client does when Incremental aborts on
-    #: harmless version churn, or when a transient incident passes.
+    #: harmless version churn.
     retry_policy_aborts: bool = False
     max_retries: int = 3
-    #: Delay before a retry attempt (lets transient incidents pass).
+    #: Delay before a retry attempt.
     retry_backoff: float = 0.0
     read_fraction: float = 0.7
     seed: int = 0
-    #: Gap between consecutive transaction submissions (closed loop when 0).
-    submit_gap: float = 0.0
     config_overrides: Dict[str, object] = field(default_factory=dict)
 
     def label(self) -> str:
@@ -120,16 +113,14 @@ def run_point(point: SweepPoint) -> SweepResult:
 
     updates: Optional[PolicyUpdateProcess] = None
     if point.update_interval is not None:
-        mode = point.update_mode or ("alternate" if point.restricting_updates else "benign")
         updates = PolicyUpdateProcess(
             cluster,
             "app",
             interval=point.update_interval,
             rng=cluster.rng.stream("updates"),
             jitter=point.update_interval * 0.1,
-            restrict_to_role="senior" if mode in ("alternate", "transient") else None,
-            mode=mode,
-            deny_window=point.deny_window,
+            restrict_to_role="senior" if point.update_mode == "alternate" else None,
+            mode=point.update_mode,
         )
         updates.start()
 
@@ -163,8 +154,6 @@ def run_point(point: SweepPoint) -> SweepResult:
                     txn.queries,
                     txn.credentials,
                 )
-            if point.submit_gap:
-                yield cluster.env.timeout(point.submit_gap)
 
     done = cluster.env.process(driver(), name="sweep-driver")
     cluster.env.run(until=done)
@@ -187,7 +176,7 @@ def sweep(points: Sequence[SweepPoint]) -> List[SweepResult]:
 
 def compare_approaches(
     base: SweepPoint,
-    approaches: Sequence[str] = ("deferred", "punctual", "incremental", "continuous"),
+    approaches: Sequence[str] = PAPER_APPROACHES,
     parallel: bool = False,
 ) -> Dict[str, SweepResult]:
     """Run the same condition under each approach (same seed and workload).

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.sweep import SweepPoint, SweepResult
+from repro.core.approaches import PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.stats import aggregate
-
-APPROACHES = ("deferred", "punctual", "incremental", "continuous")
 
 
 def recommend(txn_length_time: float, update_interval: float, short_threshold: float) -> str:
@@ -141,7 +140,7 @@ def empirical_quadrants(
     labels: List[Tuple[str, str]] = []  # (quadrant name, approach) per point
     for name, length, interval, frequent in quadrants:
         for seed in seeds:
-            for approach in APPROACHES:
+            for approach in PAPER_APPROACHES:
                 grid.append(
                     SweepPoint(
                         approach=approach,

@@ -27,6 +27,7 @@ from repro.chaos.contrast import WeakApproach
 from repro.chaos.nemesis import Nemesis
 from repro.chaos.plan import FaultPlan
 from repro.cloud.config import CloudConfig
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
 from repro.sim.network import FixedLatency
 from repro.transactions.states import TxnStatus
@@ -34,12 +35,6 @@ from repro.verify import check_run, collect_run, dump_incident
 from repro.verify import report as rep
 from repro.workloads.generator import WorkloadSpec, uniform_transactions
 from repro.workloads.testbed import build_cluster
-
-#: The paper's four enforcement approaches (the registry names).
-PAPER_APPROACHES: Tuple[str, ...] = ("deferred", "punctual", "incremental", "continuous")
-#: Grid axis: both consistency levels of Section III.
-CONSISTENCY_LEVELS: Tuple[str, ...] = ("view", "global")
-
 
 @dataclass(frozen=True)
 class FuzzCase:

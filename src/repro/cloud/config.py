@@ -110,14 +110,6 @@ class CloudConfig:
     #: memory — the observability layer for streaming runs where sample
     #: lists are discarded.  Host-side only; never consumes simulated time.
     live_telemetry: bool = False
-    #: Width of one live-telemetry time-series window (simulation units).
-    telemetry_window: float = 250.0
-    #: Number of time-series windows retained (ring capacity).
-    telemetry_windows: int = 64
-    #: Relative-error bound α of the live-telemetry quantile sketches:
-    #: any reported quantile is within ``α·x`` of the exact nearest-rank
-    #: sample ``x``.  Smaller α costs O(log range / α) bucket memory.
-    sketch_accuracy: float = 0.01
     #: Flight recorder (:mod:`repro.obs.flight`): bounded per-node rings of
     #: recent events, dumped as a self-contained incident bundle when the
     #: conformance checker finds violations (or on explicit trigger).

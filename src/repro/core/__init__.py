@@ -10,9 +10,15 @@
 * :mod:`repro.core.complexity` — Table I closed forms.
 """
 
-from repro.core.approaches import APPROACHES, ProofApproach, get_approach, register
+from repro.core.approaches import (
+    APPROACHES,
+    CONSISTENCY_LEVELS,
+    PAPER_APPROACHES,
+    ProofApproach,
+    get_approach,
+    register,
+)
 from repro.core.complexity import (
-    APPROACH_ORDER,
     ComplexityEntry,
     TABLE1,
     log_complexity,
@@ -39,13 +45,14 @@ from repro.core.twopvc import CommitResult, broadcast_decision, run_2pvc
 
 __all__ = [
     "APPROACHES",
-    "APPROACH_ORDER",
+    "CONSISTENCY_LEVELS",
     "CommitResult",
     "ComplexityEntry",
     "ConsistencyLevel",
     "ContinuousProofs",
     "DeferredProofs",
     "IncrementalPunctualProofs",
+    "PAPER_APPROACHES",
     "ProofApproach",
     "PunctualProofs",
     "TABLE1",

@@ -21,7 +21,7 @@ Continuous (Def. 9)    no          2PV over all servers    view: 2PVC w/o
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Generator, Type
+from typing import Any, Dict, Generator, Tuple, Type
 
 from repro.core.context import TxnContext
 from repro.core.twopvc import CommitResult
@@ -80,6 +80,12 @@ def require_granted(reply: Message) -> None:
             f"query {reply['query_id']} denied at {proof.server}: {proof.reason}",
         )
 
+
+#: The paper's four approaches (registry names), in its presentation order.
+PAPER_APPROACHES: Tuple[str, ...] = ("deferred", "punctual", "incremental", "continuous")
+#: Both consistency levels of Section III (``ConsistencyLevel`` values),
+#: view first.
+CONSISTENCY_LEVELS: Tuple[str, ...] = ("view", "global")
 
 #: Registry populated by the concrete approach modules (via register()).
 APPROACHES: Dict[str, Type[ProofApproach]] = {}

@@ -22,10 +22,6 @@ from typing import Callable, Dict, Tuple
 
 from repro.core.consistency import ConsistencyLevel
 
-#: Approach names in the paper's column order.
-APPROACH_ORDER = ("deferred", "punctual", "incremental", "continuous")
-
-
 @dataclass(frozen=True)
 class ComplexityEntry:
     """One cell pair of Table I: message and proof formulas plus their text."""

@@ -12,9 +12,8 @@ Two ways to build the aggregate:
   percentiles);
 * :class:`StreamingOutcomeAggregator` — online, one outcome at a time in
   O(1) memory (``CloudConfig.streaming_metrics`` runs).  Every column is
-  exact except ``p95_latency``, which is read off a fixed-resolution
-  histogram and lands within one bin width of the exact nearest-rank
-  value.
+  exact except ``p95_latency``, which is read off a histogram of unit-width
+  bins and lands within one time unit of the exact nearest-rank value.
 """
 
 from __future__ import annotations
@@ -110,15 +109,14 @@ class StreamingOutcomeAggregator:
     """Online :func:`aggregate`: feed outcomes one at a time, keep O(1) state.
 
     Counts, sums, and abort-reason tallies are exact; the latency
-    distribution is kept as a fixed-``resolution`` histogram (bin index →
+    distribution is kept as a histogram of unit-width bins (bin index →
     count), so :meth:`percentile` returns the upper edge of the bin holding
-    the nearest-rank sample — at most one bin width above the exact value.
+    the nearest-rank sample — at most one time unit above the exact value.
     ``first_started`` / ``last_finished`` track the run's span so
     throughput can be computed without retaining outcomes.
     """
 
     __slots__ = (
-        "resolution",
         "count",
         "commits",
         "aborts",
@@ -134,10 +132,7 @@ class StreamingOutcomeAggregator:
         "_latency_bins",
     )
 
-    def __init__(self, resolution: float = 1.0) -> None:
-        if resolution <= 0:
-            raise ValueError("histogram resolution must be positive")
-        self.resolution = resolution
+    def __init__(self) -> None:
         self.count = 0
         self.commits = 0
         self.aborts = 0
@@ -172,7 +167,7 @@ class StreamingOutcomeAggregator:
             self.first_started = outcome.started_at
         if outcome.finished_at > self.last_finished:
             self.last_finished = outcome.finished_at
-        bin_index = int(latency / self.resolution)
+        bin_index = int(latency)
         bins = self._latency_bins
         bins[bin_index] = bins.get(bin_index, 0) + 1
 
@@ -185,33 +180,13 @@ class StreamingOutcomeAggregator:
         for bin_index in sorted(self._latency_bins):
             seen += self._latency_bins[bin_index]
             if seen > rank:
-                return (bin_index + 1) * self.resolution
-        return (max(self._latency_bins) + 1) * self.resolution
+                return float(bin_index + 1)
+        return float(max(self._latency_bins) + 1)
 
     @property
     def span(self) -> float:
         """``last_finished − first_started`` (0.0 before the first outcome)."""
         return self.last_finished - self.first_started if self.count else 0.0
-
-    def merge(self, other: "StreamingOutcomeAggregator") -> None:
-        """Fold another stream in (e.g. to combine per-partition streams)."""
-        if other.resolution != self.resolution:
-            raise ValueError("cannot merge streams with different resolutions")
-        self.count += other.count
-        self.commits += other.commits
-        self.aborts += other.aborts
-        for reason, count in other.abort_reasons.items():
-            self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + count
-        self.latency_sum += other.latency_sum
-        self.commit_latency_sum += other.commit_latency_sum
-        self.messages_sum += other.messages_sum
-        self.proofs_sum += other.proofs_sum
-        self.wasted_time_total += other.wasted_time_total
-        self.aborted_queries_sum += other.aborted_queries_sum
-        self.first_started = min(self.first_started, other.first_started)
-        self.last_finished = max(self.last_finished, other.last_finished)
-        for bin_index, count in other._latency_bins.items():
-            self._latency_bins[bin_index] = self._latency_bins.get(bin_index, 0) + count
 
     def aggregate(self) -> OutcomeAggregate:
         """The :class:`OutcomeAggregate` of everything folded in so far."""

@@ -1,8 +1,8 @@
 """``python -m repro.obs`` — span tracing over smoke workloads.
 
 Runs the same seeded open-loop workloads as ``python -m repro.verify``
-(benign policy churn in flight) with span recording on, then renders what
-was captured:
+(:func:`repro.workloads.scenarios.run_smoke_workload`, benign policy churn
+in flight) with span recording on, then renders what was captured:
 
 * ``spans`` — per-trace summary plus ASCII waterfalls;
 * ``critical-path`` — exclusive-time latency attribution per
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
-from repro.cloud.config import CloudConfig
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.report import format_table
 from repro.obs.critical import CATEGORIES, aggregate_grid, attribute_latency
@@ -29,57 +29,11 @@ from repro.obs.export import spans_to_jsonl
 from repro.obs.openmetrics import render_openmetrics
 from repro.obs.render import render_flame, render_waterfall
 from repro.obs.spans import check_all_trees
+from repro.workloads.scenarios import run_smoke_workload
 from repro.workloads.testbed import Cluster
-
-APPROACHES = ("deferred", "punctual", "incremental", "continuous")
-LEVELS = {"view": ConsistencyLevel.VIEW, "global": ConsistencyLevel.GLOBAL}
 
 #: Reconciliation tolerance: exclusive times must telescope to latency.
 TOLERANCE = 1e-6
-
-
-def run_workload(
-    approach: str,
-    level: ConsistencyLevel,
-    seed: int,
-    transactions: int,
-    servers: int,
-    update_interval: float,
-    sample_rate: float,
-) -> Cluster:
-    """One smoke workload with span recording on; returns the cluster."""
-    from repro.workloads.generator import (
-        WorkloadSpec,
-        poisson_arrivals,
-        uniform_transactions,
-    )
-    from repro.workloads.runner import OpenLoopRunner
-    from repro.workloads.testbed import build_cluster
-    from repro.workloads.updates import PolicyUpdateProcess
-
-    config = CloudConfig(obs_spans=True, obs_sample_rate=sample_rate)
-    cluster = build_cluster(
-        n_servers=servers, items_per_server=4, seed=seed, config=config
-    )
-    credential = cluster.issue_role_credential("alice")
-    spec = WorkloadSpec(txn_length=3, read_fraction=0.7, count=transactions, user="alice")
-    txns = uniform_transactions(
-        spec, cluster.catalog, cluster.rng.stream("workload"), [credential]
-    )
-    arrivals = poisson_arrivals(
-        cluster.rng.stream("arrivals"), rate=0.05, count=len(txns)
-    )
-    if update_interval:
-        PolicyUpdateProcess(
-            cluster,
-            "app",
-            interval=update_interval,
-            rng=cluster.rng.stream("updates"),
-            mode="benign",
-            count=max(2, transactions // 3),
-        ).start()
-    OpenLoopRunner(cluster, approach, level).run(txns, arrivals)
-    return cluster
 
 
 def _gate(cluster: Cluster) -> List[str]:
@@ -95,8 +49,8 @@ def _report_problems(problems: Sequence[str]) -> None:
 
 
 def cmd_spans(args: argparse.Namespace) -> int:
-    cluster = run_workload(
-        args.approach, LEVELS[args.consistency], args.seed, args.transactions,
+    cluster = run_smoke_workload(
+        args.approach, ConsistencyLevel(args.consistency), args.seed, args.transactions,
         args.servers, args.update_interval, args.sample_rate,
     )
     recorder = cluster.obs
@@ -138,15 +92,15 @@ def cmd_spans(args: argparse.Namespace) -> int:
 
 
 def cmd_critical_path(args: argparse.Namespace) -> int:
-    approaches = [args.approach] if args.approach else list(APPROACHES)
-    levels = [args.consistency] if args.consistency else list(LEVELS)
+    approaches = [args.approach] if args.approach else list(PAPER_APPROACHES)
+    levels = [args.consistency] if args.consistency else list(CONSISTENCY_LEVELS)
     rows: List[Sequence[Any]] = []
     problems: List[str] = []
     worst_delta = 0.0
     for approach in approaches:
         for level_name in levels:
-            cluster = run_workload(
-                approach, LEVELS[level_name], args.seed, args.transactions,
+            cluster = run_smoke_workload(
+                approach, ConsistencyLevel(level_name), args.seed, args.transactions,
                 args.servers, args.update_interval, args.sample_rate,
             )
             problems.extend(_gate(cluster))
@@ -189,8 +143,8 @@ def cmd_critical_path(args: argparse.Namespace) -> int:
 
 
 def cmd_flame(args: argparse.Namespace) -> int:
-    cluster = run_workload(
-        args.approach, LEVELS[args.consistency], args.seed, args.transactions,
+    cluster = run_smoke_workload(
+        args.approach, ConsistencyLevel(args.consistency), args.seed, args.transactions,
         args.servers, args.update_interval, args.sample_rate,
     )
     print(render_flame(cluster.obs, width=args.width))
@@ -200,8 +154,8 @@ def cmd_flame(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    cluster = run_workload(
-        args.approach, LEVELS[args.consistency], args.seed, args.transactions,
+    cluster = run_smoke_workload(
+        args.approach, ConsistencyLevel(args.consistency), args.seed, args.transactions,
         args.servers, args.update_interval, args.sample_rate,
     )
     if args.format == "openmetrics":
@@ -244,15 +198,15 @@ def _add_workload_flags(parser: argparse.ArgumentParser, pick_one: bool) -> None
         help="fraction of transactions whose spans are recorded",
     )
     if pick_one:
-        parser.add_argument("--approach", choices=APPROACHES, default="continuous")
-        parser.add_argument("--consistency", choices=tuple(LEVELS), default="view")
+        parser.add_argument("--approach", choices=PAPER_APPROACHES, default="continuous")
+        parser.add_argument("--consistency", choices=CONSISTENCY_LEVELS, default="view")
     else:
         parser.add_argument(
-            "--approach", choices=APPROACHES, default=None,
+            "--approach", choices=PAPER_APPROACHES, default=None,
             help="restrict to one approach (default: all four)",
         )
         parser.add_argument(
-            "--consistency", choices=tuple(LEVELS), default=None,
+            "--consistency", choices=CONSISTENCY_LEVELS, default=None,
             help="restrict to one consistency level (default: both)",
         )
 

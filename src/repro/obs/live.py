@@ -454,16 +454,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     import json as _json
     import random
 
+    # Local imports: the protocol and workload layers sit above repro.obs.
+    from repro.cloud.config import CloudConfig
+    from repro.core.approaches import CONSISTENCY_LEVELS
+    from repro.core.consistency import ConsistencyLevel
+    from repro.obs.openmetrics import validate_openmetrics
+    from repro.sim.tracing import LOCK_GRANT
+    from repro.workloads.runner import OpenLoopRunner
+    from repro.workloads.scale import (
+        ScaleWorkloadSpec,
+        iter_scale_workload,
+        mint_user_credentials,
+    )
+    from repro.workloads.testbed import build_multiregion_cluster
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.live", description=main.__doc__
     )
     parser.add_argument("--users", type=int, default=60, help="simulated users")
     parser.add_argument("--arrival-rate", type=float, default=0.3)
     parser.add_argument("--approach", default="deferred")
-    parser.add_argument("--consistency", choices=("view", "global"), default="view")
-    parser.add_argument("--window", type=float, default=DEFAULT_WINDOW)
-    parser.add_argument("--windows", type=int, default=DEFAULT_WINDOW_COUNT)
-    parser.add_argument("--accuracy", type=float, default=0.01, help="sketch alpha")
+    parser.add_argument("--consistency", choices=CONSISTENCY_LEVELS, default="view")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--json", action="store_true", help="dump the snapshot as JSON")
     parser.add_argument(
@@ -476,25 +487,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Local imports: the workload layer sits above repro.obs.
-    from repro.cloud.config import CloudConfig
-    from repro.core.consistency import ConsistencyLevel
-    from repro.obs.openmetrics import validate_openmetrics
-    from repro.sim.tracing import LOCK_GRANT
-    from repro.workloads.runner import OpenLoopRunner
-    from repro.workloads.scale import (
-        ScaleWorkloadSpec,
-        iter_scale_workload,
-        mint_user_credentials,
-    )
-    from repro.workloads.testbed import build_multiregion_cluster
-
     config = CloudConfig(
         request_timeout=3000.0,
         live_telemetry=True,
-        telemetry_window=args.window,
-        telemetry_windows=args.windows,
-        sketch_accuracy=args.accuracy,
         flight_recorder=True,
     )
     cluster = build_multiregion_cluster(
@@ -505,10 +500,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     schedule = iter_scale_workload(
         spec, cluster.shards, random.Random(args.seed + 1), credentials
     )
-    consistency = (
-        ConsistencyLevel.VIEW if args.consistency == "view" else ConsistencyLevel.GLOBAL
-    )
-    runner = OpenLoopRunner(cluster, args.approach, consistency)
+    runner = OpenLoopRunner(cluster, args.approach, ConsistencyLevel(args.consistency))
     runner.run_scheduled(schedule)
 
     live = cluster.metrics.live

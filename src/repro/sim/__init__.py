@@ -4,16 +4,15 @@ This package is a self-contained SimPy-style kernel plus a simulated network:
 
 * :class:`~repro.sim.kernel.Environment` — clock and event loop.
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf`.
-* :class:`~repro.sim.process.Process` / :class:`~repro.sim.process.Interrupt`
-  — generator-based concurrency.
+  :class:`~repro.sim.events.AllOf`.
+* :class:`~repro.sim.process.Process` — generator-based concurrency.
 * :class:`~repro.sim.network.Network` / :class:`~repro.sim.network.Node` —
   message passing with latency models, crashes, and drops.
 * :class:`~repro.sim.rng.RandomStreams` — reproducible named RNG streams.
 * :class:`~repro.sim.tracing.Tracer` — structured trace recording.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, NORMAL, URGENT
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.kernel import Environment
 from repro.sim.network import (
     FixedLatency,
@@ -24,24 +23,21 @@ from repro.sim.network import (
     Node,
     UniformLatency,
 )
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "FixedLatency",
-    "Interrupt",
     "LatencyModel",
     "LogNormalLatency",
     "Message",
     "Network",
     "Node",
-    "NORMAL",
     "Process",
     "Resource",
     "RandomStreams",
@@ -49,5 +45,4 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "UniformLatency",
-    "URGENT",
 ]

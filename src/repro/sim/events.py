@@ -24,12 +24,6 @@ from repro.errors import SimulationError
 
 _PENDING = object()
 
-#: Scheduling priorities: URGENT events are popped before NORMAL events that
-#: share the same timestamp.  Interrupts use URGENT so that a process is
-#: interrupted before it would otherwise resume.
-URGENT = 0
-NORMAL = 1
-
 
 class Event:
     """A one-shot occurrence inside the simulation.
@@ -94,21 +88,21 @@ class Event:
 
     # -- triggering -------------------------------------------------------
 
-    def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Set a success value and enqueue the event for processing."""
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")
         self._triggered = True
         self._value = value
         # Zero-delay schedule, pushed directly: equivalent to
-        # ``env.schedule(self, 0.0, priority)`` without the delay check.
+        # ``env.schedule(self)`` without the delay check.
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, priority, seq, self))
+        heappush(env._queue, (env._now, seq, self))
         return self
 
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Set a failure exception and enqueue the event for processing."""
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
@@ -119,7 +113,7 @@ class Event:
         env = self.env
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now, priority, seq, self))
+        heappush(env._queue, (env._now, seq, self))
         return self
 
     # -- callbacks ---------------------------------------------------------
@@ -165,11 +159,17 @@ class Timeout(Event):
         self.delay = delay
         seq = env._seq
         env._seq = seq + 1
-        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
+        heappush(env._queue, (env._now + delay, seq, self))
 
 
-class Condition(Event):
-    """Base for events composed of several child events (AllOf / AnyOf)."""
+class AllOf(Event):
+    """Succeeds when *all* children succeed; fails as soon as one fails.
+
+    The success value is the list of child values in construction order.
+    Children that fail *after* the condition has already triggered are
+    defused (the condition took responsibility for them when it was
+    created), so stragglers never crash the kernel.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -181,28 +181,10 @@ class Condition(Event):
                 raise SimulationError("cannot mix events from different environments")
         self._remaining = len(self.events)
         if not self.events:
-            self.succeed(self._collect())
+            self.succeed([])
             return
         for event in self.events:
             event.add_callback(self._on_child)
-
-    def _collect(self) -> List[Any]:
-        return [event.value for event in self.events if event.processed and event.ok]
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Succeeds when *all* children succeed; fails as soon as one fails.
-
-    The success value is the list of child values in construction order.
-    Children that fail *after* the condition has already triggered are
-    defused (the condition took responsibility for them when it was
-    created), so stragglers never crash the kernel.
-    """
-
-    __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
         if not event.ok:
@@ -215,24 +197,3 @@ class AllOf(Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([child.value for child in self.events])
-
-
-class AnyOf(Condition):
-    """Succeeds when the *first* child succeeds (value = ``(index, value)``).
-
-    Fails if a child fails before any succeeds; child failures arriving
-    after the condition triggered are defused like in :class:`AllOf`.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if not event.ok:
-            event.defused = True
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.exception)  # type: ignore[arg-type]
-            return
-        index = self.events.index(event)
-        self.succeed((index, event.value))

@@ -20,9 +20,10 @@ total cost.  All three ``run`` forms share one loop (``_dispatch``);
 body must stay behaviourally identical to it
 (``tests/property/test_kernel_run_forms.py`` compares every run form against
 a ``step()`` loop).  The queue is one ``heapq`` list of plain
-``(time, priority, sequence, event)`` tuples, and every push site pushes
-onto it directly: tuple comparison happens in C, which beats any
-``__slots__`` class with a Python-level ``__lt__``.  Pending events scale
+``(time, sequence, event)`` tuples, so events due at the same instant are
+processed in push order, whatever their kind.  Every push site pushes onto
+it directly: tuple comparison happens in C, which beats any ``__slots__``
+class with a Python-level ``__lt__``.  Pending events scale
 with offered load times the RPC-timer horizon, not with users — 8 192 at
 peak on the heaviest benchmark workload — which is where a binary heap has
 the best constant.
@@ -46,10 +47,10 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, NoReturn, Optional, Tuple, Union
 
 from repro.errors import SimulationError, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
 
-_QueueEntry = Tuple[float, int, int, Event]
+_QueueEntry = Tuple[float, int, Event]
 
 
 class _Closed:
@@ -72,14 +73,13 @@ _CLOSED = _Closed()
 class Environment:
     """A simulated world with its own clock and event loop."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process")
+    __slots__ = ("_now", "_queue", "_seq")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[_QueueEntry] = []
         #: Next sequence number; :data:`_CLOSED` once :meth:`close` ran.
         self._seq = 0
-        self._active_process: Optional[Process] = None
 
     # -- clock ---------------------------------------------------------------
 
@@ -118,19 +118,15 @@ class Environment:
         """An event that succeeds once every event in ``events`` succeeds."""
         return AllOf(self, list(events))
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event that succeeds once any event in ``events`` succeeds."""
-        return AnyOf(self, list(events))
-
     # -- scheduling -------------------------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Enqueue a triggered event for processing at ``now + delay``."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self._now + delay, priority, seq, event))
+        heappush(self._queue, (self._now + delay, seq, event))
 
     def close(self) -> None:
         """Forget every pending event and whatever waits on one.
@@ -151,7 +147,7 @@ class Environment:
         """
         if self._seq is _CLOSED:
             return
-        stranded = [entry[3] for entry in self._queue]
+        stranded = [entry[2] for entry in self._queue]
         self._queue.clear()
         self._seq = _CLOSED  # type: ignore[assignment]
         while stranded:
@@ -179,7 +175,7 @@ class Environment:
         q = self._queue
         if not q:
             raise SimulationError("step() on an empty event queue")
-        when, _priority, _seq, event = heappop(q)
+        when, _seq, event = heappop(q)
         self._now = when
         callbacks = event.callbacks
         event.callbacks = None
@@ -253,7 +249,7 @@ class Environment:
         try:
             q = self._queue
             while q and q[0][0] <= deadline:
-                when, _priority, _seq, event = heappop(q)
+                when, _seq, event = heappop(q)
                 # Inlined step() body — keep in sync.
                 self._now = when
                 callbacks = event.callbacks

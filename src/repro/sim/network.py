@@ -362,10 +362,9 @@ class Network:
                 return message
         delay = self.latency.sample_message(self.rng, src, dst, message.payload, message.wire_size)
         # One kernel event per message.  Sends that arrive at the same
-        # instant are delivered in send order (the queue breaks the tie on
-        # sequence number); only an URGENT event at that instant could come
-        # between two of them, and URGENT's one user, ``Process.interrupt``,
-        # has no caller in ``repro``.
+        # instant are delivered in send order: same-instant events are
+        # processed in push order (the queue breaks the tie on sequence
+        # number alone).
         self.env.defer(delay + extra_delay, self._deliver_message, message)
         return message
 

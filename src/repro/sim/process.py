@@ -7,15 +7,9 @@ exception thrown into it).  The process itself is an event: it triggers when
 the generator returns (success, with the ``return`` value) or raises
 (failure).
 
-Processes support *interrupts*: ``process.interrupt(cause)`` throws an
-:class:`Interrupt` into the generator at the current simulation time,
-regardless of what the process is waiting on.  Stale resumptions from the
-abandoned wait target are suppressed by identity: the process remembers the
-one event it expects to be woken by (``_wake``), and a resumption from any
-other event is ignored.  Events are processed at most once, so identity is
-as discriminating as an epoch counter while letting every wait share the
-single bound-method callback ``self._resume`` instead of allocating a
-closure per wait.
+A process waits on exactly one event at a time and nothing preempts it, so
+the one event that resumes it is the one it last yielded; every wait shares
+the single bound-method callback ``self._resume``.
 """
 
 from __future__ import annotations
@@ -23,21 +17,13 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, URGENT
-
-
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+from repro.sim.events import Event
 
 
 class Process(Event):
     """An event representing the lifetime of a generator-based activity."""
 
-    __slots__ = ("_generator", "_target", "_wake", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -50,19 +36,13 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        # Starts the body at (now, NORMAL, seq): after everything already due now.
-        self._target: Optional[Event] = env.defer(0.0, self._resume)
-        self._wake: Optional[Event] = self._target
+        # Starts the body at (now, seq): after everything already due now.
+        env.defer(0.0, self._resume)
 
     @property
     def is_alive(self) -> bool:
         """Whether the generator has not yet finished."""
         return not self._triggered
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (or ``None``)."""
-        return self._target
 
     def _note_crossing(self, exc: BaseException, waiting_at: Any) -> None:
         """Record on ``exc`` that it passed through this process uncaught."""
@@ -74,19 +54,6 @@ class Process(Event):
         if notes is None:
             exc.__notes__ = notes = []  # type: ignore[attr-defined]
         notes.append(f"passed through process {self.name!r}{where}")
-
-    # -- interrupt ---------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        self._target = None
-        poke = Event(self.env)
-        poke.fail(Interrupt(cause), priority=URGENT)
-        poke.defused = True
-        self._wake = poke  # the abandoned wait target's wake-up is now stale
-        poke.add_callback(self._resume)
 
     # -- stepping ----------------------------------------------------------
 
@@ -115,46 +82,37 @@ class Process(Event):
           (``__notes__``, printed with the traceback from 3.11 on) naming
           itself and the line it was waiting at.
         """
-        if event is not self._wake or self._triggered:
-            return  # stale wake-up from an abandoned wait target
-        self._wake = None
-        self._target = None
-        self.env._active_process = self
-        try:
-            while True:
-                thrown = event._exception
-                try:
-                    if thrown is None:
-                        target = self._generator.send(event.value if event.triggered else None)
-                    else:
-                        event.defused = True
-                        arrived_with = thrown.__traceback__
-                        target = self._generator.throw(thrown)
-                        thrown.__traceback__ = arrived_with
-                except StopIteration as stop:
-                    if thrown is not None:
-                        thrown.__traceback__ = arrived_with
-                    self.succeed(stop.value)
-                    return
-                except BaseException as exc:  # generator crashed
-                    crash_site = exc.__traceback__.tb_next
-                    if exc is thrown:  # let through: nothing of ours stays on it
-                        self._note_crossing(exc, None if crash_site is arrived_with else crash_site)
-                        crash_site = arrived_with
-                    elif thrown is not None:
-                        thrown.__traceback__ = arrived_with
-                    self.fail(exc.with_traceback(crash_site))
-                    return
-                if not isinstance(target, Event):
-                    error = SimulationError(f"process yielded a non-event: {target!r}")
-                    self._generator.close()
-                    self.fail(error)
-                    return
-                if target.processed:
-                    event = target  # already done: step again immediately
-                    continue
-                self._target = self._wake = target
-                target.add_callback(self._resume)
+        while True:
+            thrown = event._exception
+            try:
+                if thrown is None:
+                    target = self._generator.send(event.value if event.triggered else None)
+                else:
+                    event.defused = True
+                    arrived_with = thrown.__traceback__
+                    target = self._generator.throw(thrown)
+                    thrown.__traceback__ = arrived_with
+            except StopIteration as stop:
+                if thrown is not None:
+                    thrown.__traceback__ = arrived_with
+                self.succeed(stop.value)
                 return
-        finally:
-            self.env._active_process = None
+            except BaseException as exc:  # generator crashed
+                crash_site = exc.__traceback__.tb_next
+                if exc is thrown:  # let through: nothing of ours stays on it
+                    self._note_crossing(exc, None if crash_site is arrived_with else crash_site)
+                    crash_site = arrived_with
+                elif thrown is not None:
+                    thrown.__traceback__ = arrived_with
+                self.fail(exc.with_traceback(crash_site))
+                return
+            if not isinstance(target, Event):
+                error = SimulationError(f"process yielded a non-event: {target!r}")
+                self._generator.close()
+                self.fail(error)
+                return
+            if target.processed:
+                event = target  # already done: step again immediately
+                continue
+            target.add_callback(self._resume)
+            return

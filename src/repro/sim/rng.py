@@ -31,10 +31,5 @@ class RandomStreams:
         self._streams[name] = stream
         return stream
 
-    def fork(self, salt: str) -> "RandomStreams":
-        """Derive an independent family of streams (e.g. per replication run)."""
-        digest = hashlib.sha256(f"{self.master_seed}/{salt}".encode("utf-8")).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:
         return f"RandomStreams(master_seed={self.master_seed})"

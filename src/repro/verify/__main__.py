@@ -13,14 +13,12 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.report import format_table
 from repro.verify import check_run, collect_run
 from repro.verify.conformance import CHECKS
 from repro.verify.report import ALL_CODES
-
-APPROACHES = ("deferred", "punctual", "incremental", "continuous")
-LEVELS = {"view": ConsistencyLevel.VIEW, "global": ConsistencyLevel.GLOBAL}
 
 
 def run_one(
@@ -32,35 +30,9 @@ def run_one(
     update_interval: Optional[float],
 ) -> Dict[str, Any]:
     """One smoke workload under the sanitizer; returns a result row."""
-    from repro.workloads.generator import (
-        WorkloadSpec,
-        poisson_arrivals,
-        uniform_transactions,
-    )
-    from repro.workloads.runner import OpenLoopRunner
-    from repro.workloads.testbed import build_cluster
-    from repro.workloads.updates import PolicyUpdateProcess
+    from repro.workloads.scenarios import run_smoke_workload
 
-    cluster = build_cluster(n_servers=servers, items_per_server=4, seed=seed)
-    credential = cluster.issue_role_credential("alice")
-    spec = WorkloadSpec(txn_length=3, read_fraction=0.7, count=transactions, user="alice")
-    txns = uniform_transactions(
-        spec, cluster.catalog, cluster.rng.stream("workload"), [credential]
-    )
-    arrivals = poisson_arrivals(
-        cluster.rng.stream("arrivals"), rate=0.05, count=len(txns)
-    )
-    if update_interval:
-        PolicyUpdateProcess(
-            cluster,
-            "app",
-            interval=update_interval,
-            rng=cluster.rng.stream("updates"),
-            mode="benign",
-            count=max(2, transactions // 3),
-        ).start()
-    runner = OpenLoopRunner(cluster, approach, level)
-    runner.run(txns, arrivals)
+    cluster = run_smoke_workload(approach, level, seed, transactions, servers, update_interval)
     run = collect_run(cluster)
     report = check_run(run)
     cluster.metrics.verification.on_report(report)
@@ -91,11 +63,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="benign policy-churn interval (0 disables churn)",
     )
     parser.add_argument(
-        "--approach", choices=APPROACHES, default=None,
+        "--approach", choices=PAPER_APPROACHES, default=None,
         help="restrict to one approach (default: all four)",
     )
     parser.add_argument(
-        "--consistency", choices=tuple(LEVELS), default=None,
+        "--consistency", choices=CONSISTENCY_LEVELS, default=None,
         help="restrict to one consistency level (default: both)",
     )
     parser.add_argument("--json", type=str, default=None, help="write results to PATH")
@@ -111,8 +83,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  {code}")
         return 0
 
-    approaches = [args.approach] if args.approach else list(APPROACHES)
-    levels = [args.consistency] if args.consistency else list(LEVELS)
+    approaches = [args.approach] if args.approach else list(PAPER_APPROACHES)
+    levels = [args.consistency] if args.consistency else list(CONSISTENCY_LEVELS)
 
     rows: List[Sequence[Any]] = []
     results: List[Dict[str, Any]] = []
@@ -121,7 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for level_name in levels:
             result = run_one(
                 approach,
-                LEVELS[level_name],
+                ConsistencyLevel(level_name),
                 seed=args.seed,
                 transactions=args.transactions,
                 servers=args.servers,

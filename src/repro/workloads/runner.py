@@ -61,8 +61,7 @@ class OpenLoopRunner:
     #: accounting at scale (e.g. the stale-commit tracker) that must not
     #: retain per-transaction state until the end of the run.
     on_outcome: Optional[Callable[[TransactionOutcome], None]] = None
-    #: The online aggregate fed in streaming mode (created on first run;
-    #: pre-set it to choose a different histogram resolution).
+    #: The online aggregate fed in streaming mode (created on first run).
     stream: Optional[StreamingOutcomeAggregator] = None
 
     # Plain class attributes (not dataclass fields): mode resolved per run.

@@ -89,8 +89,6 @@ class ScaleWorkloadSpec:
     zipf_skew: float = 0.9
     #: Probability a non-anchor query stays in the user's home region.
     locality: float = 0.9
-    #: Home-region mix; None = uniform over the shard map's regions.
-    region_weights: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
         if self.n_users < 1:
@@ -117,23 +115,6 @@ class ScheduledTransaction:
     tm_index: int
 
 
-def _weighted_region(
-    rng: random.Random, regions: Sequence[str], weights: Optional[Mapping[str, float]]
-) -> str:
-    if weights is None:
-        return regions[int(rng.random() * len(regions)) % len(regions)]
-    total = sum(weights.get(region, 0.0) for region in regions)
-    if total <= 0:
-        raise SimulationError("region weights must sum to a positive value")
-    draw = rng.random() * total
-    acc = 0.0
-    for region in regions:
-        acc += weights.get(region, 0.0)
-        if draw < acc:
-            return region
-    return regions[-1]
-
-
 def iter_scale_workload(
     spec: ScaleWorkloadSpec,
     shards: ShardMap,
@@ -156,11 +137,11 @@ def iter_scale_workload(
     :func:`mint_user_credentials` and reuse the mapping across approaches
     so every approach replays the *same* users.
 
-    Item choice: the user's home region is drawn from ``region_weights``;
-    each query picks a region (home w.p. ``locality``, else uniform over
-    the others), a uniform shard within it, and a Zipf-ranked item within
-    the shard.  Items are de-duplicated within a transaction (re-drawn on
-    collision, bounded) so a transaction never self-deadlocks.
+    Item choice: the user's home region is uniform over the shard map's
+    regions; each query picks a region (home w.p. ``locality``, else
+    uniform over the others), a uniform shard within it, and a Zipf-ranked
+    item within the shard.  Items are de-duplicated within a transaction
+    (re-drawn on collision, bounded) so a transaction never self-deadlocks.
     """
     regions = list(shards.regions)
     if not regions:
@@ -177,7 +158,7 @@ def iter_scale_workload(
         # ids (TM tables, metrics, span indexes) hits the identity path.
         user = intern(f"{id_prefix}{index}")
         creds = tuple(credentials[user])
-        home = _weighted_region(rng, regions, spec.region_weights)
+        home = regions[int(rng.random() * len(regions)) % len(regions)]
         for t in range(spec.txns_per_user):
             txn_id = intern(f"{user}-t{t + 1}")
             chosen: List[str] = []

@@ -1,4 +1,4 @@
-"""Canned scenarios, starting with the paper's motivating example (Fig. 1).
+"""Canned scenarios: the paper's motivating example (Fig. 1) and the smoke world.
 
 Bob is a CompuMe sales representative.  The customers database and the
 inventory database both enforce CompuMe's policy: a sales rep may read if
@@ -25,7 +25,16 @@ from repro.policy.credentials import CertificateAuthority, Credential
 from repro.policy.rules import Atom, Rule, RuleSet, Variable
 from repro.sim.process import Process
 from repro.transactions.transaction import Query, Transaction
-from repro.workloads.testbed import Cluster, DomainSpec, ServerSpec, assemble_cluster
+from repro.workloads.generator import WorkloadSpec, poisson_arrivals, uniform_transactions
+from repro.workloads.runner import OpenLoopRunner
+from repro.workloads.testbed import (
+    Cluster,
+    DomainSpec,
+    ServerSpec,
+    assemble_cluster,
+    build_cluster,
+)
+from repro.workloads.updates import PolicyUpdateProcess
 
 #: Node/domain names used by the scenario.
 CUSTOMERS_DB = "customers-db"
@@ -217,3 +226,42 @@ def audit_committed_revocations(scenario: BobScenario, txn_id: str) -> List[str]
                 if cred_id not in offenders:
                     offenders.append(cred_id)
     return offenders
+
+
+def run_smoke_workload(
+    approach: str,
+    level: ConsistencyLevel,
+    seed: int,
+    transactions: int,
+    servers: int,
+    update_interval: Optional[float],
+    sample_rate: float = 1.0,
+) -> Cluster:
+    """The seeded smoke world of ``python -m repro.verify`` and ``python -m repro.obs``.
+
+    ``servers`` servers of 4 items each; ``transactions`` uniform 3-query
+    transactions (70 % reads) by one credentialed user, arriving as a
+    Poisson stream at rate 0.05; benign policy churn every
+    ``update_interval`` units while it runs (none when falsy).  Spans are
+    recorded for ``sample_rate`` of the transactions.  Returns the finished
+    cluster; the caller closes it.
+    """
+    config = CloudConfig(obs_spans=True, obs_sample_rate=sample_rate)
+    cluster = build_cluster(n_servers=servers, items_per_server=4, seed=seed, config=config)
+    credential = cluster.issue_role_credential("alice")
+    spec = WorkloadSpec(txn_length=3, read_fraction=0.7, count=transactions, user="alice")
+    txns = uniform_transactions(
+        spec, cluster.catalog, cluster.rng.stream("workload"), [credential]
+    )
+    arrivals = poisson_arrivals(cluster.rng.stream("arrivals"), rate=0.05, count=len(txns))
+    if update_interval:
+        PolicyUpdateProcess(
+            cluster,
+            "app",
+            interval=update_interval,
+            rng=cluster.rng.stream("updates"),
+            mode="benign",
+            count=max(2, transactions // 3),
+        ).start()
+    OpenLoopRunner(cluster, approach, level).run(txns, arrivals)
+    return cluster

@@ -321,12 +321,7 @@ def assemble_cluster(
         # needed when the knob is on.
         from repro.obs.live import LiveTelemetry
 
-        live = LiveTelemetry(
-            window=config.telemetry_window,
-            capacity=config.telemetry_windows,
-            relative_accuracy=config.sketch_accuracy,
-            metrics=metrics,
-        )
+        live = LiveTelemetry(metrics=metrics)
         if topology is not None:
             live.bind_regions(topology.region_of)
         metrics.live = live

@@ -63,7 +63,7 @@ def restricting_successor(policy: Policy, required_role: str) -> RuleSet:
 class PolicyUpdateProcess:
     """Publishes policy versions at (possibly jittered) regular intervals.
 
-    Three modes, matching the regimes the trade-off analysis needs:
+    Two modes, matching the regimes the trade-off analysis needs:
 
     * ``"benign"`` — pure version churn: each update is semantically
       identical, only ``ver(P)`` moves.  Exercises the consistency
@@ -71,9 +71,6 @@ class PolicyUpdateProcess:
       flipping an authorization outcome.
     * ``"alternate"`` — tighten to ``restrict_to_role``, then restore to
       the member policy, repeatedly.  Outcomes flip on every update.
-    * ``"transient"`` — each update tightens to ``restrict_to_role`` and a
-      restore follows ``deny_window`` time units later; the policy is
-      "bad" only inside short windows.  Models occasional incidents.
     """
 
     def __init__(
@@ -86,9 +83,8 @@ class PolicyUpdateProcess:
         restrict_to_role: Optional[str] = None,
         count: Optional[int] = None,
         mode: str = "alternate",
-        deny_window: float = 10.0,
     ) -> None:
-        if mode not in ("benign", "alternate", "transient"):
+        if mode not in ("benign", "alternate"):
             raise ValueError(f"unknown update mode {mode!r}")
         self.cluster = cluster
         self.admin_name = admin_name
@@ -98,7 +94,6 @@ class PolicyUpdateProcess:
         self.restrict_to_role = restrict_to_role
         self.count = count
         self.mode = mode if restrict_to_role is not None else "benign"
-        self.deny_window = deny_window
         self.published: List[Policy] = []
 
     def start(self) -> "Process":  # noqa: F821 - repro.sim.process.Process
@@ -121,21 +116,10 @@ class PolicyUpdateProcess:
             current = self.cluster.admin(self.admin_name).current
             if self.mode == "benign":
                 self._publish(benign_successor(current), f"benign #{published + 1}")
-            elif self.mode == "alternate":
+            else:
                 role = self.restrict_to_role if published % 2 == 0 else MEMBER_ROLE
                 self._publish(
                     restricting_successor(current, role), f"alternate #{published + 1}"
-                )
-            else:  # transient: tighten now, restore after the deny window
-                self._publish(
-                    restricting_successor(current, self.restrict_to_role),
-                    f"tighten #{published + 1}",
-                )
-                yield self.cluster.env.timeout(self.deny_window)
-                restored = self.cluster.admin(self.admin_name).current
-                self._publish(
-                    restricting_successor(restored, MEMBER_ROLE),
-                    f"restore #{published + 1}",
                 )
             published += 1
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.approaches import PAPER_APPROACHES
 from repro.core.complexity import (
-    APPROACH_ORDER,
     TABLE1,
     log_complexity,
     max_messages,
@@ -73,7 +73,7 @@ class TestSafe:
 class TestTable1Formulas:
     def test_all_eight_cells_present(self):
         assert len(TABLE1) == 8
-        for approach in APPROACH_ORDER:
+        for approach in PAPER_APPROACHES:
             assert (approach, VIEW) in TABLE1
             assert (approach, GLOBAL) in TABLE1
 

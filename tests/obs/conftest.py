@@ -12,7 +12,7 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.core.consistency import ConsistencyLevel
-from repro.obs.__main__ import run_workload
+from repro.workloads.scenarios import run_smoke_workload
 
 APPROACHES = ("deferred", "punctual", "incremental", "continuous")
 LEVELS = {"view": ConsistencyLevel.VIEW, "global": ConsistencyLevel.GLOBAL}
@@ -31,7 +31,7 @@ def cluster_factory():
     def factory(approach: str, level_name: str = "view"):
         key = (approach, level_name)
         if key not in _CACHE:
-            _CACHE[key] = run_workload(
+            _CACHE[key] = run_smoke_workload(
                 approach,
                 LEVELS[level_name],
                 seed=7,

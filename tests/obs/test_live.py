@@ -222,15 +222,13 @@ class TestLiveTelemetryIntegration:
         )
         from repro.workloads.testbed import build_multiregion_cluster
 
-        config = CloudConfig(
-            request_timeout=1000.0,
-            live_telemetry=True,
-            telemetry_window=200.0,
-            flight_recorder=True,
-        )
+        config = CloudConfig(request_timeout=1000.0, flight_recorder=True)
         cluster = build_multiregion_cluster(
             shards_per_region=1, items_per_shard=8, seed=31, config=config
         )
+        live = LiveTelemetry(window=200.0, capacity=64, metrics=cluster.metrics)
+        live.bind_regions(cluster.topology.region_of)
+        cluster.metrics.live = live
         spec = ScaleWorkloadSpec(n_users=24, arrival_rate=0.4)
         credentials = mint_user_credentials(cluster, spec.n_users)
         schedule = iter_scale_workload(
@@ -277,7 +275,7 @@ class TestCLI:
         assert snapshot["windows"]
 
     def test_report_default(self, capsys):
-        assert main(["--users", "12", "--seed", "5", "--window", "100"]) == 0
+        assert main(["--users", "12", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "live telemetry" in out
         assert "deferred" in out

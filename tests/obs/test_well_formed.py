@@ -65,9 +65,9 @@ def test_trace_covers_protocol_structure(cluster_factory, approach):
 def test_sampling_is_deterministic_per_trace():
     """A 0.2 sample keeps exactly the crc32-selected subset of traces."""
     from repro.core.consistency import ConsistencyLevel
-    from repro.obs.__main__ import run_workload
+    from repro.workloads.scenarios import run_smoke_workload
 
-    cluster = run_workload(
+    cluster = run_smoke_workload(
         "deferred", ConsistencyLevel.VIEW, seed=7, transactions=8,
         servers=3, update_interval=0.0, sample_rate=0.2,
     )

@@ -1,10 +1,37 @@
 """Unit tests for the event primitives."""
 
+import itertools
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.kernel import Environment
+
+EVENT_KINDS = ("timeout", "succeed", "fail", "process")
+
+
+def push(env, kind, note):
+    """Put one event of ``kind`` on the queue, due now; ``note()`` runs
+    when it is processed."""
+    if kind == "timeout":
+        env.timeout(0).add_callback(lambda _event: note())
+    elif kind == "process":
+
+        def body():
+            note()
+            return
+            yield  # a generator that never waits
+
+        env.process(body())
+    else:
+        event = env.event()
+        event.add_callback(lambda _event: note())
+        if kind == "succeed":
+            event.succeed()
+        else:
+            event.fail(ValueError(kind))
+            event.defused = True
 
 
 class TestEvent:
@@ -119,6 +146,21 @@ class TestTimeout:
         env.timeout(1).add_callback(lambda ev: order.append(2))
         env.run()
         assert order == [1, 2]
+        # Mixed kinds, every push order: a zero-delay timeout, a succeed(),
+        # a defused fail() and a process start pushed at one instant are
+        # processed in push order.  Nothing jumps the queue.
+        for kinds in itertools.permutations(EVENT_KINDS):
+            order.clear()
+
+            def push_all(_event, kinds=kinds):
+                for index, kind in enumerate(kinds):
+                    push(env, kind, lambda index=index: order.append(index))
+
+            at = env.now + 1
+            env.timeout(1).add_callback(push_all)
+            env.run()
+            assert order == [0, 1, 2, 3], kinds
+            assert env.now == at
 
 
 class TestAllOf:
@@ -153,25 +195,3 @@ class TestAllOf:
         other = Environment()
         with pytest.raises(SimulationError):
             env.all_of([env.timeout(1), other.timeout(1)])
-
-
-class TestAnyOf:
-    def test_first_winner_and_index(self, env):
-        combined = env.any_of([env.timeout(5, "slow"), env.timeout(1, "fast")])
-        env.run()
-        assert combined.value == (1, "fast")
-
-    def test_triggers_at_earliest_time(self, env):
-        combined = env.any_of([env.timeout(5), env.timeout(2)])
-        when = []
-        combined.add_callback(lambda ev: when.append(env.now))
-        env.run()
-        assert when == [2]
-
-    def test_child_failure_fails_anyof(self, env):
-        bad = env.event()
-        bad.fail(KeyError("x"))
-        combined = env.any_of([env.timeout(5), bad])
-        combined.add_callback(lambda ev: setattr(ev, "defused", True))
-        env.run()
-        assert isinstance(combined.exception, KeyError)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 
 
 class TestBasics:
@@ -266,71 +266,3 @@ class TestStoredExceptionsFormNoCycle:
         assert traceback_functions(second.exception) == ["translator"]
         assert second.exception.__cause__ is first.exception
         assert traceback_functions(first.exception) == ["crasher"]
-
-
-class TestInterrupts:
-    def test_interrupt_is_catchable(self, env):
-        def body():
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, env.now)
-
-        process = env.process(body())
-
-        def interrupter():
-            yield env.timeout(5)
-            process.interrupt("reason")
-
-        env.process(interrupter())
-        assert env.run(until=process) == ("interrupted", "reason", 5)
-
-    def test_interrupted_process_can_continue_waiting(self, env):
-        def body():
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                pass
-            yield env.timeout(10)
-            return env.now
-
-        process = env.process(body())
-
-        def interrupter():
-            yield env.timeout(5)
-            process.interrupt()
-
-        env.process(interrupter())
-        assert env.run(until=process) == 15
-
-    def test_stale_wakeup_after_interrupt_is_ignored(self, env):
-        """The abandoned timeout firing later must not resume the process."""
-        resumed_values = []
-
-        def body():
-            try:
-                yield env.timeout(8, value="abandoned")
-            except Interrupt:
-                pass
-            value = yield env.timeout(20, value="real")
-            resumed_values.append(value)
-            return value
-
-        process = env.process(body())
-
-        def interrupter():
-            yield env.timeout(2)
-            process.interrupt()
-
-        env.process(interrupter())
-        assert env.run(until=process) == "real"
-        assert resumed_values == ["real"]
-
-    def test_interrupting_finished_process_raises(self, env):
-        def body():
-            yield env.timeout(1)
-
-        process = env.process(body())
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()

@@ -36,12 +36,3 @@ def test_adding_a_consumer_does_not_perturb_others():
     second.stream("brand-new-consumer").random()  # extra consumer
     perturbed = [second.stream("net").random() for _ in range(3)]
     assert baseline == perturbed
-
-
-def test_fork_is_deterministic_and_distinct():
-    base = RandomStreams(5)
-    fork_a1 = base.fork("run-1").stream("x").random()
-    fork_a2 = RandomStreams(5).fork("run-1").stream("x").random()
-    fork_b = base.fork("run-2").stream("x").random()
-    assert fork_a1 == fork_a2
-    assert fork_a1 != fork_b

@@ -28,6 +28,7 @@ from repro.analysis.scale import StaleCommitTracker
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.stats import StreamingOutcomeAggregator, aggregate
+from repro.obs.live import LiveTelemetry
 from repro.policy.proofcache import STREAMING_PROOF_CACHE_CAPACITY
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.scale import (
@@ -128,16 +129,6 @@ class TestEquivalence:
 
 
 class TestAggregatorUnit:
-    def test_rejects_nonpositive_resolution(self):
-        with pytest.raises(ValueError):
-            StreamingOutcomeAggregator(resolution=0.0)
-
-    def test_merge_requires_same_resolution(self):
-        left = StreamingOutcomeAggregator(resolution=1.0)
-        right = StreamingOutcomeAggregator(resolution=2.0)
-        with pytest.raises(ValueError):
-            left.merge(right)
-
     def test_empty_aggregate_is_zeroed(self):
         empty = StreamingOutcomeAggregator().aggregate()
         assert empty.count == 0
@@ -188,9 +179,6 @@ class TestConstantMemory:
                 request_timeout=500.0,
                 obs_spans=False,
                 streaming_metrics=True,
-                live_telemetry=True,
-                telemetry_window=100.0,
-                telemetry_windows=32,
                 flight_recorder=True,
             )
             cluster = build_multiregion_cluster(
@@ -201,6 +189,9 @@ class TestConstantMemory:
                 config=config,
                 trace=False,
             )
+            live = LiveTelemetry(window=100.0, capacity=32, metrics=cluster.metrics)
+            live.bind_regions(cluster.topology.region_of)
+            cluster.metrics.live = live
             spec = ScaleWorkloadSpec(
                 n_users=n_users, arrival_rate=0.25, txn_length=2
             )
