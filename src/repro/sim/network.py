@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import TYPE_CHECKING, Any, Dict, Generator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Mapping, Optional, Tuple
 
 from repro.errors import NetworkError, RequestTimeout, SimulationError
 from repro.obs.spans import KIND_RPC, Span, context_of
 from repro.sim.events import Event
-from repro.sim.kernel import Environment
+from repro.sim.kernel import DeadlineLine, Environment
 from repro.sim.tracing import Pairs
 
 if TYPE_CHECKING:  # repro.metrics imports this module
@@ -301,6 +301,8 @@ class Network:
         self._pending: Dict[int, Event] = {}
         #: Open RPC spans keyed by request msg_id (closed on reply/timeout).
         self._pending_rpc: Dict[int, Span] = {}
+        #: RPC timers: one deadline line per distinct ``request`` timeout.
+        self.deadlines: Dict[float, DeadlineLine] = {}
         self._next_msg_id = 1
 
     # -- topology ----------------------------------------------------------
@@ -381,6 +383,8 @@ class Network:
             # A reply resolves its pending request; replies to fire-and-forget
             # sends and stragglers arriving after a timeout are dropped.
             waiter = self._pending.pop(message.reply_to, None)
+            for line in self.deadlines.values():
+                line.discard(message.reply_to)
             rpc_span = self._pending_rpc.pop(message.reply_to, None)
             if rpc_span is not None:
                 self.metrics.spans.finish(rpc_span, self.env.now)
@@ -424,18 +428,16 @@ class Network:
         if rpc is not None:
             self._pending_rpc[message.msg_id] = rpc
         if timeout is not None:
-            # A plain tuple through the timer's value, not a closure: the
-            # timer outlives an answered RPC by up to ``timeout`` units and
-            # must not pin the request message, its payload or the waiter.
-            self.env.defer(timeout, self._expire_rpc, (message.msg_id, kind, src, dst, timeout))
+            line = self.deadlines.get(timeout)
+            if line is None:
+                line = self.deadlines[timeout] = DeadlineLine(self.env, timeout, self._expire_rpc)
+            line.add(message.msg_id, (kind, src, dst, timeout))
         return waiter
 
-    def _expire_rpc(self, timer: Event) -> None:
-        """RPC timer: fail the waiter unless the reply got there first."""
-        msg_id, kind, src, dst, timeout = timer.value
-        waiter = self._pending.pop(msg_id, None)
-        if waiter is None:  # answered: reply delivery popped it
-            return
+    def _expire_rpc(self, msg_id: int, rpc: Tuple[str, str, str, float]) -> None:
+        """RPC timer: the reply did not come in time (its delivery discards it)."""
+        kind, src, dst, timeout = rpc
+        waiter = self._pending.pop(msg_id)
         rpc_span = self._pending_rpc.pop(msg_id, None)
         if rpc_span is not None:
             self.metrics.spans.finish(rpc_span, self.env.now, status="timeout")

@@ -204,12 +204,14 @@ class Cluster:
         A wired world is cyclic by construction — ``network.nodes`` holds
         the nodes and every node holds the network; the kernel queue holds
         events and every event holds the kernel; an installed nemesis holds
-        the cluster and hangs off ``network.chaos`` — so dropping the last
-        reference to a cluster frees nothing until the cyclic collector
-        happens to walk it.  ``close()`` cuts exactly those links: it
-        empties ``network.nodes`` and ``network.chaos`` and drops the
-        kernel's pending events, after which everything dies by reference
-        count the moment the cluster is let go.
+        the cluster and hangs off ``network.chaos``; every RPC deadline
+        line in ``network.deadlines`` holds the network's expiry callback —
+        so dropping the last reference to a cluster frees nothing until the
+        cyclic collector happens to walk it.  ``close()`` cuts exactly those
+        links: it empties ``network.nodes``, ``network.chaos`` and
+        ``network.deadlines`` and drops the kernel's pending events, after
+        which everything dies by reference count the moment the cluster is
+        let go.
 
         Results are untouched: ``metrics``, ``servers``, ``tms``, WALs,
         storage and access logs, ``tracer``, ``obs`` and
@@ -224,6 +226,7 @@ class Cluster:
         self.closed = True
         self.network.nodes.clear()
         self.network.chaos = None
+        self.network.deadlines.clear()
         self.env.close()
 
     def _require_open(self) -> None:

@@ -203,9 +203,10 @@ class TestFailures:
 
 
 class TestAnsweredRpcIsNotPinned:
-    """The RPC timer outlives an answered request by up to ``timeout``
-    units; it must not keep the request message, its payload or the waiter
-    alive for that long (it used to be a closure over all three)."""
+    """An answered request's deadline is discarded, but its line's queue
+    entry may stay queued for up to ``timeout`` units; it must not keep the
+    request message, its payload or the waiter alive for that long (the
+    timer used to be a closure over all three)."""
 
     @staticmethod
     def reachable_from(root):
@@ -260,6 +261,46 @@ class TestAnsweredRpcIsNotPinned:
         assert isinstance(waiter.exception, RequestTimeout)
         assert str(waiter.exception) == "ping client->echo timed out after 7.5"
         assert network._pending == {} and network._pending_rpc == {}
+
+    def test_answered_round_trips_leave_one_entry_per_line(self, env, network):
+        """10 000 answered requests: the queue does not hold their timers,
+        and a drained run still ends at the last request's deadline."""
+        network.latency = UniformLatency(0.5, 1.5)
+        network.register(Echo())
+        clients = [network.register(Client(f"c{index}")) for index in range(50)]
+        last_request = [0.0]
+
+        def body(client):
+            for n in range(200):
+                last_request[0] = env.now
+                reply = yield client.request("echo", "ping", "test", timeout=500, n=n)
+                assert reply["n"] == n + 1
+
+        env.run(until=env.all_of([env.process(body(client)) for client in clients]))
+        assert len(env._queue) <= 2
+        (line,) = network.deadlines.values()
+        assert line._deadlines == {} and network._pending == {}
+        env.run()
+        assert env.now == last_request[0] + 500
+
+    def test_same_instant_requests_time_out_in_request_order(self, env, network):
+        network.register(Echo())
+        client = network.register(Client())
+        LinkCut(network, ("client", "echo"))
+        failed = []
+
+        def call(name, timeout, start):
+            yield env.timeout(start)
+            try:
+                yield client.request("echo", "ping", "test", timeout=timeout, n=0)
+            except RequestTimeout:
+                failed.append((env.now, name))
+
+        for name in ("first", "second", "third"):
+            env.process(call(name, 5, 0))
+        env.process(call("shorter, later", 3, 2))  # another line, same deadline
+        env.run()
+        assert failed == [(5, "first"), (5, "second"), (5, "third"), (5, "shorter, later")]
 
     def test_request_has_no_nested_function(self):
         import inspect
