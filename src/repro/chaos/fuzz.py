@@ -29,6 +29,7 @@ from repro.chaos.plan import FaultPlan
 from repro.cloud.config import CloudConfig
 from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
+from repro.sim.kernel import collector_suspended
 from repro.sim.network import FixedLatency
 from repro.transactions.states import TxnStatus
 from repro.verify import check_run, collect_run, dump_incident
@@ -126,17 +127,42 @@ class CaseResult:
 
 
 def _trace_digest(tracer: Any) -> str:
-    """Stable digest over every trace record (time, category, details)."""
+    """Stable digest over every trace record (time, category, details).
+
+    Hashes the line ``f"{time!r}|{category}|{details!r}"`` of each record,
+    rendering each distinct fact once: a details tuple (net.send and
+    net.recv share one), built from its pairs as ``repr`` builds it; a
+    ``str``/``str`` pair; a nonzero float time.  Equal values that render
+    apart (``True == 1 == 1.0``, ``0.0 == -0.0``) never share a rendering
+    (``tests/chaos/test_trace_digest_identity.py``).
+    """
     records = list(tracer)  # alive until the end: an ``id`` below names one tuple
-    # A message's net.send and net.recv records share one details tuple, and
-    # rendering details is most of the work: do it once per tuple.
     rendered: Dict[int, str] = {}
+    string_pairs: Dict[Tuple[str, str], str] = {}
+    stamps: Dict[float, str] = {}
     lines = []
     for time, category, details in records:
         text = rendered.get(id(details))
         if text is None:
-            text = rendered[id(details)] = repr(details)
-        lines.append(f"{time!r}|{category}|{text}\n")
+            parts = []
+            for pair in details:
+                key, value = pair
+                if value.__class__ is str and key.__class__ is str:
+                    part = string_pairs.get(pair)
+                    if part is None:
+                        part = string_pairs[pair] = repr(pair)
+                else:
+                    part = repr(pair)
+                parts.append(part)
+            text = "(" + ", ".join(parts) + (",)" if len(parts) == 1 else ")")
+            rendered[id(details)] = text
+        if time.__class__ is float and time:
+            stamp = stamps.get(time)
+            if stamp is None:
+                stamp = stamps[time] = repr(time)
+        else:
+            stamp = repr(time)
+        lines.append(f"{stamp}|{category}|{text}\n")
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
@@ -185,65 +211,70 @@ def run_case(case: FuzzCase, flight: bool = False) -> CaseResult:
     the teardown is paid in this function's zone.  Memory-neutral for such a
     runner; a caller that holds nothing keeps one extra finished world
     (~1.5 MB) alive.
+
+    The whole case runs under :func:`~repro.sim.kernel.collector_suspended`:
+    the ~6 collector passes it would start find nothing, and the young pass
+    taken on its way out is the one a case pays.
     """
-    del _finished_worlds[:-1]
-    config = CloudConfig(
-        latency=FixedLatency(1.0),
-        request_timeout=case.request_timeout,
-        rpc_max_retries=case.rpc_max_retries,
-        flight_recorder=flight,
-    )
-    cluster = build_cluster(
-        n_servers=case.n_servers,
-        items_per_server=case.items_per_server,
-        seed=case.seed,
-        config=config,
-    )
-    approach: Any = case.approach
-    if case.approach == WeakApproach.name:
-        approach = WeakApproach()
-    nemesis = Nemesis(cluster, case.plan).install()
-    cluster.env.process(_driver(cluster, case, approach), name="chaos.driver")
-    cluster.run()
-    # End-of-run recovery pass: restart anything still down, then drain
-    # again so WAL recovery (termination protocol) resolves in-doubt
-    # transactions before the books are audited.
-    recovered = nemesis.recover_all()
-    cluster.run()
+    with collector_suspended():
+        del _finished_worlds[:-1]
+        config = CloudConfig(
+            latency=FixedLatency(1.0),
+            request_timeout=case.request_timeout,
+            rpc_max_retries=case.rpc_max_retries,
+            flight_recorder=flight,
+        )
+        cluster = build_cluster(
+            n_servers=case.n_servers,
+            items_per_server=case.items_per_server,
+            seed=case.seed,
+            config=config,
+        )
+        approach: Any = case.approach
+        if case.approach == WeakApproach.name:
+            approach = WeakApproach()
+        nemesis = Nemesis(cluster, case.plan).install()
+        cluster.env.process(_driver(cluster, case, approach), name="chaos.driver")
+        cluster.run()
+        # End-of-run recovery pass: restart anything still down, then drain
+        # again so WAL recovery (termination protocol) resolves in-doubt
+        # transactions before the books are audited.
+        recovered = nemesis.recover_all()
+        cluster.run()
 
-    run = collect_run(cluster)
-    report = check_run(run)
-    dump_incident(cluster, report, f"chaos: {', '.join(report.codes())}")
+        run = collect_run(cluster)
+        report = check_run(run)
+        dump_incident(cluster, report, f"chaos: {', '.join(report.codes())}")
 
-    committed = aborted = 0
-    for tm in cluster.tms:
-        for ctx in tm.finished.values():
-            if ctx.status is TxnStatus.COMMITTED:
-                committed += 1
-            elif ctx.status is TxnStatus.ABORTED:
-                aborted += 1
-    unsafe = len(
-        {
-            violation.txn_id
-            for violation in report.violations
-            if violation.code == rep.CONSISTENCY_UNSAFE_COMMIT
-        }
-    )
-    anomalies = classify_report(report, run)
-    digest = _trace_digest(cluster.tracer)
-    cluster.close()
-    _finished_worlds.append(cluster)
-    return CaseResult(
-        case=case,
-        violation_codes=tuple(report.codes()),
-        anomalies=anomalies,
-        trace_digest=digest,
-        committed=committed,
-        aborted=aborted,
-        unsafe_commits=unsafe,
-        recovered_nodes=tuple(recovered),
-        bundles=list(cluster.metrics.flight.bundles) if flight else [],
-    )
+        committed = aborted = 0
+        for tm in cluster.tms:
+            for ctx in tm.finished.values():
+                if ctx.status is TxnStatus.COMMITTED:
+                    committed += 1
+                elif ctx.status is TxnStatus.ABORTED:
+                    aborted += 1
+        unsafe = len(
+            {
+                violation.txn_id
+                for violation in report.violations
+                if violation.code == rep.CONSISTENCY_UNSAFE_COMMIT
+            }
+        )
+        anomalies = classify_report(report, run)
+        digest = _trace_digest(cluster.tracer)
+        cluster.close()
+        _finished_worlds.append(cluster)
+        return CaseResult(
+            case=case,
+            violation_codes=tuple(report.codes()),
+            anomalies=anomalies,
+            trace_digest=digest,
+            committed=committed,
+            aborted=aborted,
+            unsafe_commits=unsafe,
+            recovered_nodes=tuple(recovered),
+            bundles=list(cluster.metrics.flight.bundles) if flight else [],
+        )
 
 
 def sweep(

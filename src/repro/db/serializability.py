@@ -31,14 +31,9 @@ class ConflictEdge:
     kind: str  # "ww" | "wr" | "rw"
 
 
-def _conflicts(first: AccessKind, second: AccessKind) -> Optional[str]:
-    if first is AccessKind.WRITE and second is AccessKind.WRITE:
-        return "ww"
-    if first is AccessKind.WRITE and second is AccessKind.READ:
-        return "wr"
-    if first is AccessKind.READ and second is AccessKind.WRITE:
-        return "rw"
-    return None
+_READ, _WRITE = AccessKind.READ.value, AccessKind.WRITE.value
+#: The conflict an earlier and a later access of one item make, by kind name.
+_CONFLICTS = {(_WRITE, _WRITE): "ww", (_WRITE, _READ): "wr", (_READ, _WRITE): "rw"}
 
 
 def conflict_edges_from_histories(
@@ -56,19 +51,16 @@ def conflict_edges_from_histories(
     edges: List[ConflictEdge] = []
     seen: Set[Tuple[str, str, str, str]] = set()
     for history in histories:
-        per_item: Dict[str, List[Tuple[str, AccessKind]]] = {}
+        per_item: Dict[str, List[Tuple[str, str]]] = {}
         for txn_id, item, kind_name in history:
-            if kind_name not in (AccessKind.READ.value, AccessKind.WRITE.value):
-                continue
-            if txn_id not in committed:
-                continue
-            per_item.setdefault(item, []).append((txn_id, AccessKind(kind_name)))
+            if (kind_name == _READ or kind_name == _WRITE) and txn_id in committed:
+                per_item.setdefault(item, []).append((txn_id, kind_name))
         for item, accesses in per_item.items():
             for index, (first_txn, first_kind) in enumerate(accesses):
                 for second_txn, second_kind in accesses[index + 1 :]:
                     if first_txn == second_txn:
                         continue
-                    kind = _conflicts(first_kind, second_kind)
+                    kind = _CONFLICTS.get((first_kind, second_kind))
                     if kind is None:
                         continue
                     key = (first_txn, second_txn, item, kind)

@@ -36,15 +36,17 @@ recycles it, so whoever holds a fired timeout — a condition reading its
 children, ``run(until=event)`` its target, a test — keeps what it saw
 (``tests/sim/test_fired_timeouts.py``).
 
-The dispatch loop runs with CPython's cyclic collector suspended — the
-one place in ``src/`` that touches :mod:`gc`; ``_dispatch`` says why it is
-free of charge — and :meth:`Environment.close` is the other half: it lets a
-finished world die by reference count as well.
+The dispatch loop (and :func:`repro.chaos.fuzz.run_case`, for a whole case)
+runs under :func:`collector_suspended` — the one place in ``src/`` that
+touches :mod:`gc`; it says why that is free of charge — and
+:meth:`Environment.close` is the other half: it lets a finished world die by
+reference count as well.
 """
 
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, NoReturn, Optional, Tuple, Union
 
@@ -70,6 +72,30 @@ class _Closed:
 
 
 _CLOSED = _Closed()
+
+
+@contextmanager
+def collector_suspended() -> Generator[None, None, None]:
+    """Run the body with CPython's cyclic collector off; leave it as found.
+
+    A simulated run creates no cyclic garbage (``tests/sim/test_gc_discipline.py``),
+    so a pass inside one frees nothing and costs (retained state) x (passes)
+    ("The collector" in docs/performance.md).  Only the outermost suspension
+    acts; a nested one leaves the collector off.  Its exit takes the young
+    pass the next allocation would start if the young generation is over its
+    threshold, so that pass is paid in the caller's frame, not in whoever
+    allocates next.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        if gc.get_count()[0] > gc.get_threshold()[0]:
+            gc.collect(0)
 
 
 class DeadlineLine:
@@ -331,19 +357,11 @@ class Environment:
         drains the queue, and ``run(until=event)`` leaves through the
         :class:`StopSimulation` its target's callback raises.
 
-        The cyclic collector is suspended for the duration and left exactly
-        as found, whichever way the loop is left (deadline, drained queue,
-        :class:`StopSimulation`, a failed event).  A run creates no cyclic
-        garbage (``tests/sim/test_gc_discipline.py`` holds it to that), so a
-        pass inside the loop frees nothing and costs (retained state) x
-        (passes): about a fifth of host time before this was here (see "The
-        collector" in docs/performance.md).  A nested ``run()`` from a
-        callback finds the collector off and leaves it off; a caller that
-        keeps it off gets it back off.  :meth:`step` does not touch it.
+        The loop runs under :func:`collector_suspended`, whichever way it is
+        left (deadline, drained queue, :class:`StopSimulation`, a failed
+        event).  :meth:`step` does not touch the collector.
         """
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_suspended():
             q = self._queue
             while q and q[0][0] <= deadline:
                 when, _seq, event = heappop(q)
@@ -357,6 +375,3 @@ class Environment:
                         callback(event)
                 if event._exception is not None and not event.defused:
                     raise event._exception
-        finally:
-            if collecting:
-                gc.enable()

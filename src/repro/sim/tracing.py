@@ -83,7 +83,8 @@ class Tracer:
             return
         if details:
             items = tuple(sorted((*items, *details.items())))
-        self._records.append(TraceRecord(time, category, items))
+        # ``tuple.__new__``: the namedtuple's own ``__new__`` is a Python frame per record.
+        self._records.append(tuple.__new__(TraceRecord, (time, category, items)))
 
     def __len__(self) -> int:
         return len(self._records)

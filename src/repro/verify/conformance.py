@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud import messages as msg
@@ -737,16 +738,25 @@ def check_wal(run: RunRecord, views: Dict[str, _TxnView]) -> List[Violation]:
 
 
 def check_serializability(run: RunRecord, views: Dict[str, _TxnView]) -> List[Violation]:
+    """Only committed accesses make edges, and every committed transaction
+    has a view: a server's history is its views' accesses in event order
+    (``tests/verify/serializability_oracle.py`` scans every event instead)."""
     committed = {txn_id for txn_id, view in views.items() if view.committed}
     per_server: Dict[str, List[VerifyEvent]] = defaultdict(list)
-    for event in run.events:
-        if event.category == CAT_STORAGE:
-            per_server[event.get("server")].append(event)
+    for txn_id, view in views.items():
+        if txn_id in committed:
+            for server, accesses in view.accesses.items():
+                per_server[server] += accesses
     histories = []
     for server in sorted(per_server):
-        ordered = sorted(per_server[server], key=lambda event: event.get("sequence"))
+        accesses = per_server[server]
+        accesses.sort(key=attrgetter("event_id"))  # transaction order back to event order
+        ordered = sorted((a.data for a in accesses), key=lambda d: pair_value(d, "sequence"))
         histories.append(
-            [(event.get("txn_id"), event.get("key"), event.get("kind")) for event in ordered]
+            [
+                (pair_value(d, "txn_id"), pair_value(d, "key"), pair_value(d, "kind"))
+                for d in ordered
+            ]
         )
     edges = conflict_edges_from_histories(histories, committed)
     cycle = find_cycle(edges)

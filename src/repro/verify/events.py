@@ -105,12 +105,6 @@ class RunRecord:  # verify: ignore[DET004] -- not a traced value: mutation tests
                 selected.append(event)
         return selected
 
-    def by_id(self, event_id: int) -> Optional[VerifyEvent]:
-        for event in self.events:
-            if event.event_id == event_id:
-                return event
-        return None
-
     def version_at(self, admin: str, time: float) -> Optional[int]:
         """The master's latest published version of ``admin`` at ``time``."""
         version: Optional[int] = None
@@ -178,7 +172,7 @@ def collect_run(cluster: Any, outcomes: Optional[Sequence[Any]] = None) -> RunRe
         for log_record in node.wal.records():
             data: Dict[str, Any] = {
                 "node": node.name,
-                "record_type": log_record.record_type.value,
+                "record_type": log_record.record_type._value_,  # ``.value`` is a descriptor call
                 "txn_id": log_record.txn_id,
                 "forced": log_record.forced,
                 "lsn": log_record.lsn,
@@ -204,9 +198,9 @@ def collect_run(cluster: Any, outcomes: Optional[Sequence[Any]] = None) -> RunRe
             )
             evidence.append((None, SOURCE_STORAGE, CAT_STORAGE, pairs))
 
+    # ``tuple.__new__``: the namedtuple's own ``__new__`` is a Python frame per event.
     events = [
-        VerifyEvent(event_id, time, source, category, data)
-        for event_id, (time, source, category, data) in enumerate(evidence)
+        tuple.__new__(VerifyEvent, (event_id, *entry)) for event_id, entry in enumerate(evidence)
     ]
 
     transactions = {

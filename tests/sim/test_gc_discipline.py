@@ -2,8 +2,10 @@
 
 Four gates (see "The collector" in docs/performance.md):
 
-(a) ``Environment._dispatch`` suspends the cyclic collector and leaves it
-    exactly as found, so no pass happens inside a run;
+(a) ``Environment._dispatch`` and ``run_case`` suspend the cyclic collector
+    through ``collector_suspended`` and leave it exactly as found, so the
+    only pass under a run is the one the outermost suspension takes on its
+    way out;
 (b) a run leaves nothing for the collector — everything the protocol code
     drops dies by reference count (this is what makes (a) free of charge,
     and the guard for whatever later changes add to the hot path);
@@ -12,8 +14,9 @@ Four gates (see "The collector" in docs/performance.md):
 (d) a closed cluster still answers every question about the run it held.
 
 The bounds are far from both sides: a knot costs thousands of objects (a
-finished chaos cluster is 12 000–15 000), the floor is the proof cache's
-own lineage <-> key links (~100 per cluster).
+finished chaos cluster is 12 000–15 000); the floor, once the proof cache's
+lineage <-> key links (~100 per cluster), is 0 since those stopped forming
+a knot.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.cloud import messages as msg
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.errors import SimulationError
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, collector_suspended
 from repro.verify import collect_run
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.scale import (
@@ -226,44 +229,85 @@ class TestDispatchRestoresTheCollector:
         assert gc.isenabled()
 
 
+#: The frame that runs the helper's body, and so its exit pass.
+HELPER = collector_suspended.__wrapped__.__code__
+
+
 @pytest.fixture
-def passes_inside_runs():
-    """Generations of the collector passes that start under the dispatch loop."""
-    dispatch = Environment._dispatch.__code__
-    passes = []
+def passes():
+    """Every collector pass that starts: ``(generation, under, by_exit)``.
+
+    ``under`` names the run it started in (``_dispatch`` or ``run_case`` on
+    the stack, innermost first, else ``None``); ``by_exit`` says the helper's
+    exit started it.  An automatic pass cannot start while the collector is
+    off, so one that starts inside a suspension is an explicit call, and the
+    fixture fails on it.
+    """
+    runs = {Environment._dispatch.__code__: "_dispatch", fuzz.run_case.__code__: "run_case"}
+    started = []
+    suspended = []
 
     def on_gc(phase, info):
         if phase != "start":
             return
+        if not gc.isenabled():
+            suspended.append(info["generation"])
         frame = sys._getframe(1)  # whoever allocated the object that tripped it
-        while frame is not None:
-            if frame.f_code is dispatch:
-                passes.append(info["generation"])
-                return
+        by_exit = frame.f_code is HELPER
+        under = None
+        while frame is not None and under is None:
+            under = runs.get(frame.f_code)
             frame = frame.f_back
+        started.append((info["generation"], under, by_exit))
 
     gc.callbacks.append(on_gc)
-    yield passes
+    yield started
     gc.callbacks.remove(on_gc)
+    assert suspended == []
 
 
 class TestNoPassInsideARun:
-    """At the parent commit each of these runs is interrupted by dozens of
-    passes (the retained state grows, the thresholds trip)."""
+    """Without the suspension each of these runs is interrupted by dozens of
+    passes (the retained state grows, the thresholds trip); with it, the only
+    pass under a run is the one the outermost suspension takes on its way out."""
 
-    def test_wan_cell(self, passes_inside_runs):
+    def test_wan_cell(self, passes):
         cluster, run = wan_cell()
         run()
         assert cluster.env.now > 0
-        assert passes_inside_runs == []
+        assert [by_exit for _gen, under, by_exit in passes if under] == [True]
 
-    def test_policy_churn_point(self, passes_inside_runs):
+    def test_policy_churn_point(self, passes):
         assert len(run_point(churn_point()).outcomes) == 40
-        assert passes_inside_runs == []
+        assert all(by_exit for _gen, under, by_exit in passes if under)
 
-    def test_chaos_case(self, passes_inside_runs):
+    def test_chaos_case(self, passes):
+        """A case takes one young pass, the one its ``run_case`` suspension
+        takes on the way out: its drains find the collector off and leave it
+        off (≈ 5.8 passes per case before ``run_case`` suspended it)."""
         run_case(chaos_case())
-        assert passes_inside_runs == []
+        assert passes == [(0, "run_case", True)]
+
+
+class TestRunCaseLeavesTheCollectorAsFound:
+    def test_entered_with_the_collector_off(self, passes):
+        gc.disable()
+        run_case(chaos_case())
+        assert not gc.isenabled()
+        assert passes == []
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_a_case_that_raises(self, monkeypatch, passes, enabled):
+        def failing_check(run):
+            assert not gc.isenabled()
+            raise RuntimeError("checker failed")
+
+        monkeypatch.setattr(fuzz, "check_run", failing_check)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="checker failed"):
+            run_case(chaos_case())
+        assert gc.isenabled() is enabled
+        assert passes == ([(0, "run_case", True)] if enabled else [])
 
 
 # -- (b) no cyclic garbage while running ------------------------------------------
@@ -291,11 +335,11 @@ class TestRunsLeaveNothingForTheCollector:
 
 
 class TestWorldsDieByReferenceCount:
-    """One knot is left in place, and it sets the floor: the proof cache's
-    ``_Lineage.keys`` <-> cache-key links, about four objects per cached
-    proof (~100 for a chaos case).  The chaos cases run with the cache on
-    and must stay near that floor; the larger runs switch the cache off and
-    must leave next to nothing."""
+    """The bounds were set when one knot was left in place: the proof
+    cache's ``_Lineage.keys`` <-> cache-key links, about four objects per
+    cached proof (~100 for a chaos case).  Those links no longer form a
+    knot (a finished chaos world leaves 0 objects); the chaos cases still
+    run with the cache on, the larger runs with it off."""
 
     @pytest.mark.parametrize("consistency", CONSISTENCY_LEVELS)
     @pytest.mark.parametrize("approach", PAPER_APPROACHES)
@@ -486,6 +530,9 @@ class TestClosedClusterStaysReadable:
 
 class TestStructure:
     def test_the_collector_is_touched_in_one_place(self):
+        """Only ``collector_suspended`` calls :mod:`gc`; ``_dispatch`` and
+        ``run_case`` suspend it through that helper."""
+        import inspect
         import pathlib
         import re
 
@@ -499,7 +546,13 @@ class TestStructure:
             if touching.search(path.read_text(encoding="utf-8"))
         )
         assert files == ["sim/kernel.py"]
-        assert {"disable", "enable"} <= set(Environment._dispatch.__code__.co_names)
+        kernel = (root / "sim" / "kernel.py").read_text(encoding="utf-8")
+        helper = inspect.getsource(collector_suspended.__wrapped__)
+        assert helper in kernel and "gc." in helper
+        assert "gc." not in kernel.replace(helper, "")
+        for user in (Environment._dispatch, fuzz.run_case):
+            assert "collector_suspended" in user.__code__.co_names
+            assert "gc" not in user.__code__.co_names
         assert "gc" not in Environment.step.__code__.co_names
 
     def test_no_listener_made_in_server_init_holds_the_server(self):
