@@ -17,7 +17,7 @@ from repro.analysis.scale import (
     LocalitySplit,
     ScaleRunResult,
     StaleCommitTracker,
-    split_by_master_locality,
+    StreamingLocalitySplit,
 )
 from repro.analysis.sweep import (
     SweepPoint,
@@ -56,6 +56,6 @@ __all__ = [
     "LocalitySplit",
     "ScaleRunResult",
     "StaleCommitTracker",
-    "split_by_master_locality",
+    "StreamingLocalitySplit",
     "sweep",
 ]

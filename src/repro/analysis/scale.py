@@ -14,8 +14,8 @@ measurements are specific to that regime and live here:
   finished :class:`~repro.core.context.TxnContext`, and **discards** it —
   memory stays O(1) per transaction no matter how large the run.
 
-* :func:`split_by_master_locality` — partitions outcomes by whether the
-  coordinating TM shares a region with the policy master.  The scale
+* :class:`StreamingLocalitySplit` — partitions outcomes, online, by whether
+  the coordinating TM shares a region with the policy master.  The scale
   bench's headline number is the commit-latency gap between the two
   halves per approach: every master-version fetch from a remote-region
   coordinator pays a WAN round trip.
@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import PolicyError
-from repro.metrics.stats import (
-    OutcomeAggregate,
-    StreamingOutcomeAggregator,
-    TransactionOutcome,
-    aggregate,
-)
+from repro.metrics.stats import OutcomeAggregate, StreamingOutcomeAggregator, TransactionOutcome
 from repro.workloads.testbed import Cluster
 
 
@@ -118,45 +113,19 @@ class LocalitySplit:
         return self.remote.mean_commit_latency - self.local.mean_commit_latency
 
 
-def split_by_master_locality(
-    outcomes: Mapping[str, TransactionOutcome] | List[TransactionOutcome],
-    assignments: Mapping[str, str],
-    cluster: Cluster,
-) -> LocalitySplit:
-    """Split outcomes by the coordinating TM's region vs the master's.
-
-    ``assignments`` is :attr:`OpenLoopRunner.assignments` (txn → TM name).
-    On non-topology clusters every TM counts as master-local.
-    """
-    if not isinstance(outcomes, list):
-        outcomes = list(outcomes.values())
-    master_region = cluster.region_of(cluster.config.master_name)
-    local: List[TransactionOutcome] = []
-    remote: List[TransactionOutcome] = []
-    for outcome in outcomes:
-        tm_name = assignments.get(outcome.txn_id)
-        tm_region = cluster.region_of(tm_name) if tm_name is not None else None
-        if master_region is not None and tm_region not in (None, master_region):
-            remote.append(outcome)
-        else:
-            local.append(outcome)
-    return LocalitySplit(
-        master_region=master_region,
-        local=aggregate(local),
-        remote=aggregate(remote),
-    )
-
-
 class StreamingLocalitySplit:
-    """Online :func:`split_by_master_locality` for streaming runs.
+    """Splits outcomes by the coordinating TM's region vs the master's.
 
     Wire :meth:`observe` into :attr:`OpenLoopRunner.on_outcome` — hooks run
     before the runner evicts the transaction's assignment, so the live
-    ``assignments`` mapping is consulted at completion time.  Each half is
-    folded into a :class:`~repro.metrics.stats.StreamingOutcomeAggregator`,
-    keeping memory O(1) in the run length; :meth:`split` materializes the
-    same :class:`LocalitySplit` the offline function returns (p95 columns
-    approximate within one histogram bin, everything else exact).
+    ``assignments`` mapping (:attr:`OpenLoopRunner.assignments`, txn → TM
+    name) is consulted at completion time; a transaction with no assignment,
+    and every TM of a cluster without a topology, counts as master-local.
+    Each half is folded into a
+    :class:`~repro.metrics.stats.StreamingOutcomeAggregator`, keeping memory
+    O(1) in the run length; :meth:`split` materializes the
+    :class:`LocalitySplit` (p95 columns within one histogram bin, everything
+    else exact).
     """
 
     def __init__(
@@ -211,6 +180,8 @@ class ScaleRunResult:
     #: very large scale — see bench_scale's ``--verify-max-users``).
     verify_violations: Optional[int]
     storm_publications: int = 0
+    #: Transactions the conformance check covered (``None`` when skipped).
+    verify_transactions: Optional[int] = None
     #: Bench-specific extras merged into the row verbatim (scalar columns,
     #: or structured values like sketch quantile tables / window series).
     extra: Dict[str, Any] = field(default_factory=dict)
@@ -245,5 +216,6 @@ class ScaleRunResult:
             "cross_region_bytes": self.cross_region_bytes,
             "storm_publications": self.storm_publications,
             "verify_violations": self.verify_violations,
+            "verify_transactions": self.verify_transactions,
             **self.extra,
         }

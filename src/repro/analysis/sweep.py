@@ -129,6 +129,8 @@ def run_point(point: SweepPoint) -> SweepResult:
     from repro.errors import AbortReason
     from repro.transactions.transaction import Transaction
 
+    outcomes: List[TransactionOutcome] = []
+
     def driver() -> Generator[Event, object, None]:
         for txn in transactions:
             attempt = 0
@@ -136,6 +138,7 @@ def run_point(point: SweepPoint) -> SweepResult:
             while True:
                 process = cluster.tm.submit(current, approach, point.consistency)
                 outcome = yield process
+                outcomes.append(outcome)
                 retryable = (
                     point.retry_policy_aborts
                     and not outcome.committed
@@ -157,7 +160,6 @@ def run_point(point: SweepPoint) -> SweepResult:
 
     done = cluster.env.process(driver(), name="sweep-driver")
     cluster.env.run(until=done)
-    outcomes = list(cluster.tm.outcomes)
     # Only the outcomes leave: let the world die by reference count (the
     # update process and its timers are still queued at this point).
     cluster.close()

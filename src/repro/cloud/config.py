@@ -99,10 +99,10 @@ class CloudConfig:
     #: deterministic per transaction id (crc32 hash), so the same
     #: transactions are sampled on every run; 1.0 records everything.
     obs_sample_rate: float = 1.0
-    #: Streaming (constant-memory) metrics: aggregate transaction outcomes
-    #: online instead of retaining per-transaction records.  Report and
-    #: export columns are unchanged; only memory behaviour differs.  Large
-    #: scale runs (bench_scale) switch this on.
+    #: The open-loop runner's sink: on, ``OpenLoopRunner`` keeps no outcome
+    #: list and evicts each transaction's assignment and coordinator context
+    #: as it finishes (its online aggregate is fed either way).  Read by
+    #: nothing else.  Large scale runs (bench_scale) switch this on.
     streaming_metrics: bool = False
     #: Live telemetry (:mod:`repro.obs.live`): labeled mergeable quantile
     #: sketches (latency, commit phase, lock-wait, proof-eval cost) plus a

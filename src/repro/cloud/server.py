@@ -29,7 +29,7 @@ from repro.obs.spans import KIND_CPU, KIND_PROOF, KIND_SERVER, ParentRef, Span
 from repro.policy.credentials import CARegistry, CertificateAuthority, Credential
 from repro.policy.ocsp import fetch_statuses
 from repro.policy.policy import Operation, Policy, PolicyId
-from repro.policy.proofcache import STREAMING_PROOF_CACHE_CAPACITY, ProofCache
+from repro.policy.proofcache import ProofCache
 from repro.policy.proofs import (
     LocalRevocationChecker,
     PrefetchedStatuses,
@@ -97,16 +97,14 @@ class CloudServer(Node):
         self.config = config
         self.registry = registry
         self.metrics = metrics
-        # The access log exists for post-run isolation checks, which need a
-        # retained trace anyway; untraced runs (streaming at scale) skip it
-        # so storage memory stays bounded by live workspaces.
-        self.storage = StorageEngine(name, record_accesses=metrics.tracer.enabled)
+        # The access log and the whole WAL are conformance evidence: a traced
+        # run keeps both; an untraced one logs no accesses and compacts its
+        # WAL, so memory stays bounded by live work.
+        traced = metrics.tracer.enabled
+        self.storage = StorageEngine(name, record_accesses=traced)
         self.constraints = ConstraintSet()
         self.policies = PolicyStore()
-        self.wal = WriteAheadLog(
-            name,
-            compact_at=STREAMING_COMPACT_AT if metrics.streaming else None,
-        )
+        self.wal = WriteAheadLog(name, compact_at=None if traced else STREAMING_COMPACT_AT)
         self.default_admin = default_admin
         #: item → administrative domain (defaults to ``default_admin``).
         self.domain_of: Dict[str, str] = dict(domain_of or {})
@@ -119,15 +117,7 @@ class CloudServer(Node):
         #: Proof-evaluation memo.  The invalidation hooks keep it consistent:
         #: policy installs drop the templates the diff can affect, revocations
         #: drop the revoked credential's verdict.
-        cache = self.proof_cache = ProofCache(
-            stats=metrics.proof_cache,
-            server=name,
-            # Hits are outcome-neutral (a hit still spends the simulated
-            # evaluation time and counts in Table I), so bounding the memos
-            # cannot change results — it only keeps memory O(1) in the user
-            # population of a streaming run.
-            capacity=STREAMING_PROOF_CACHE_CAPACITY if config.streaming_metrics else None,
-        )
+        cache = self.proof_cache = ProofCache(stats=metrics.proof_cache, server=name)
         self.policies.subscribe(cache.invalidate_policy)
         # The registry is shared and holds this server (its authority is
         # registered there): the listener captures the cache alone, or

@@ -63,8 +63,8 @@ class StorageEngine:
         self._workspaces: Dict[str, Workspace] = {}
         #: Ordered access history (reads/writes/applies) for isolation
         #: checking; see :mod:`repro.db.serializability`.  Grows with every
-        #: access, so untraced streaming runs — which never replay it —
-        #: construct the engine with ``record_accesses=False``.
+        #: access, so untraced runs — which never replay it — construct
+        #: the engine with ``record_accesses=False``.
         self.access_log: List[AccessRecord] = []
         self._record_accesses = record_accesses
         self._sequence = itertools.count()

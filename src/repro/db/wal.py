@@ -58,9 +58,10 @@ class LogRecord:
         return default
 
 
-#: Record-count threshold at which streaming-mode WALs compact (see
+#: Record-count threshold at which an untraced run's WALs compact (see
 #: ``WriteAheadLog(compact_at=...)``); chosen so compaction cost amortizes
 #: to O(1) per write while the retained tail stays a few thousand records.
+#: A traced run's WALs are conformance evidence and never compact.
 STREAMING_COMPACT_AT = 4096
 
 
@@ -72,16 +73,21 @@ class WriteAheadLog:
     counter.
 
     ``compact_at`` (None = never, the default) enables checkpoint-style
-    truncation for unbounded streaming runs: whenever the retained record
-    count reaches the threshold, records of transactions this node is
-    provably done with are dropped — those with an END record (coordinator
-    forgot after collecting acks), an ABORT decision (presumed abort: an
-    inquiry gets the same answer with or without the record), or a COMMIT
-    decision alongside a PREPARED record (a participant; nobody queries a
-    participant's log).  A coordinator's COMMIT is retained until its END
-    lands, so in-doubt inquiries still resolve correctly.  LSNs and the
-    ``forced_writes`` / ``unforced_writes`` complexity counters are
-    unaffected; only the record *list* is truncated.
+    truncation for untraced runs: whenever the retained record count reaches
+    the threshold, records of transactions this node is done with are
+    dropped — those with an END record (coordinator forgot after collecting
+    acks), an ABORT decision (presumed abort: an inquiry gets the same answer
+    with or without the record), or a COMMIT decision alongside a PREPARED
+    record (a participant).  A coordinator's COMMIT is retained until its END
+    lands, so in-doubt inquiries still resolve correctly.  A participant's
+    log *is* queried after its decision: ``CloudServer`` reads
+    :meth:`decision_for` to recognise a duplicate PREPARE or DECISION.  Such
+    a duplicate comes only from a coordinator retry, so dropping the
+    participant's records is sound only while no coordinator retries
+    (``CloudConfig.rpc_max_retries == 0``, the default) — a retry arriving
+    after compaction would find neither state nor decision and be taken for
+    a new request.  LSNs and the ``forced_writes`` / ``unforced_writes``
+    complexity counters are unaffected; only the record *list* is truncated.
     """
 
     def __init__(self, owner: str, compact_at: Optional[int] = None) -> None:

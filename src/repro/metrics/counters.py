@@ -3,9 +3,10 @@
 The paper evaluates its protocols on three axes (Section VI-A): message
 complexity, proof-evaluation complexity, and log complexity.  Messages and
 proof evaluations are counted here; forced log writes are read off each
-node's WAL.  Counters are kept both globally (by category) and per
-transaction (messages whose payload carries a ``txn_id``), so benches can
-report exact per-transaction protocol costs against the Table I formulas.
+node's WAL.  Counters are kept globally (by category) and, while a
+transaction is open, per transaction (protocol messages whose payload
+carries its ``txn_id``, proofs evaluated for it), so each outcome reports
+its exact protocol costs against the Table I formulas.
 
 :class:`Metrics` is also the one handle through which every component
 *records*: one method per recorded fact, each deciding once which recorders
@@ -49,21 +50,22 @@ if TYPE_CHECKING:  # repro.obs.live / .flight sit above the metrics layer
 
 
 class MessageCounters:
-    """Counts messages by category, and by (transaction, category)."""
+    """Counts messages by category, and each open transaction's protocol messages."""
 
     def __init__(self) -> None:
         self.by_category: Counter = Counter()
-        self.by_txn: Dict[str, Counter] = {}
+        #: Open transaction → protocol (Table I) messages so far; an entry is
+        #: opened by ``Metrics.txn_started`` and closed by ``Metrics.close_txn``.
+        self.by_txn: Dict[str, int] = {}
 
     def on_message(self, message: Message) -> None:
         """Count one message sent."""
-        self.by_category[message.category] += 1
-        txn_id = message.payload.get("txn_id")
-        if txn_id is not None:
-            counter = self.by_txn.get(txn_id)
-            if counter is None:  # construct on miss only: this runs per message
-                counter = self.by_txn[txn_id] = Counter()
-            counter[message.category] += 1
+        category = message.category
+        self.by_category[category] += 1
+        if category in PROTOCOL_CATEGORIES:
+            txn_id = message.payload.get("txn_id")
+            if txn_id in self.by_txn:
+                self.by_txn[txn_id] += 1
 
     # queries ------------------------------------------------------------------
 
@@ -76,21 +78,6 @@ class MessageCounters:
     def protocol_total(self) -> int:
         """Messages counted by the paper's Table I (protocol categories)."""
         return self.total(PROTOCOL_CATEGORIES)
-
-    def for_txn(self, txn_id: str, categories: Optional[Iterable[str]] = None) -> int:
-        """Messages attributed to one transaction."""
-        counter = self.by_txn.get(txn_id, Counter())
-        if categories is None:
-            return sum(counter.values())
-        return sum(counter[category] for category in categories)
-
-    def protocol_for_txn(self, txn_id: str) -> int:
-        """Protocol (Table I) messages attributed to one transaction."""
-        return self.for_txn(txn_id, PROTOCOL_CATEGORIES)
-
-    def breakdown_for_txn(self, txn_id: str) -> Dict[str, int]:
-        """Category → count for one transaction."""
-        return dict(self.by_txn.get(txn_id, Counter()))
 
 
 class RegionMessageCounters:
@@ -139,16 +126,14 @@ class ProofCounters:
     def __init__(self) -> None:
         self.total = 0
         self.by_server: Counter = Counter()
-        self.by_txn: Counter = Counter()
+        #: Open transaction → evaluations so far (see ``MessageCounters.by_txn``).
+        self.by_txn: Dict[str, int] = {}
 
     def on_proof(self, server: str, txn_id: Optional[str] = None) -> None:
         self.total += 1
         self.by_server[server] += 1
-        if txn_id is not None:
+        if txn_id in self.by_txn:
             self.by_txn[txn_id] += 1
-
-    def for_txn(self, txn_id: str) -> int:
-        return self.by_txn[txn_id]
 
 
 class ProofCacheCounters:
@@ -345,24 +330,19 @@ class Metrics:
     (``metrics.faults.on_retry()``).  Spans follow control flow, so opening
     and closing them stays an explicit call on ``metrics.spans``.
 
-    ``streaming`` enables constant-memory accounting for unbounded runs:
-    the per-transaction attribution maps (``messages.by_txn``,
-    ``proofs.by_txn``) are evicted through :meth:`release_txn` as each
-    transaction finishes, so their size is bounded by the number of
-    *in-flight* transactions instead of growing with the run.  Global and
-    by-category counters are untouched either way, and the per-transaction
-    counts are read into the :class:`~repro.metrics.stats.TransactionOutcome`
-    before eviction — report and export columns are identical in both modes.
+    Per-transaction attribution (``messages.by_txn``, ``proofs.by_txn``) is
+    held only while a transaction is open: :meth:`txn_started` opens it and
+    :meth:`close_txn` reads and drops it, so its size is bounded by the
+    transactions in flight.  A message or proof of a transaction with no open
+    entry is counted only globally.
     """
 
     def __init__(
         self,
-        streaming: bool = False,
         trace: bool = False,
         spans: bool = False,
         sample_rate: float = 1.0,
     ) -> None:
-        self.streaming = streaming
         self.messages = MessageCounters()
         self.proofs = ProofCounters()
         self.proof_cache = ProofCacheCounters()
@@ -429,6 +409,8 @@ class Metrics:
         self, coordinator: str, txn_id: str, approach: str, consistency: str, now: float
     ) -> None:
         """α(T): a coordinator took a transaction on."""
+        self.messages.by_txn[txn_id] = 0
+        self.proofs.by_txn[txn_id] = 0
         if self.tracer.enabled:
             self.tracer.record(now, TXN_START, (("txn_id", txn_id),))
         if self.flight is not None:
@@ -439,6 +421,11 @@ class Metrics:
         """ω(T): every query executed, the commit-time protocol starts."""
         if self.tracer.enabled:
             self.tracer.record(now, TXN_READY, (("txn_id", txn_id),))
+
+    def close_txn(self, txn_id: str) -> Tuple[int, int]:
+        """Protocol messages and proof evaluations of one finished
+        transaction; its attribution entries are dropped."""
+        return self.messages.by_txn.pop(txn_id, 0), self.proofs.by_txn.pop(txn_id, 0)
 
     def txn_finished(self, coordinator: str, outcome: "TransactionOutcome") -> None:
         """A transaction reached its global decision."""
@@ -511,20 +498,6 @@ class Metrics:
         """A transaction committed behind the master's version (see StaleCommitTracker)."""
         if self.live is not None:
             self.live.record_stale(now)
-
-    # -- streaming ---------------------------------------------------------------
-
-    def release_txn(self, txn_id: str) -> None:
-        """Drop per-transaction attribution for one finished transaction.
-
-        No-op unless ``streaming`` — the TM calls this unconditionally after
-        building the outcome, so retained-mode runs keep the breakdowns for
-        post-hoc inspection while streaming runs stay bounded.
-        """
-        if not self.streaming:
-            return
-        self.messages.by_txn.pop(txn_id, None)
-        self.proofs.by_txn.pop(txn_id, None)
 
 
 @dataclass(frozen=True)

@@ -6,21 +6,19 @@ saves "expensive undo operations"), and protocol cost.  Each finished
 transaction yields a :class:`TransactionOutcome`; :class:`OutcomeAggregate`
 summarizes a batch.
 
-Two ways to build the aggregate:
-
-* :func:`aggregate` — offline, over a retained list of outcomes (exact
-  percentiles);
-* :class:`StreamingOutcomeAggregator` — online, one outcome at a time in
-  O(1) memory (``CloudConfig.streaming_metrics`` runs).  Every column is
-  exact except ``p95_latency``, which is read off a histogram of unit-width
-  bins and lands within one time unit of the exact nearest-rank value.
+One implementation builds the aggregate,
+:class:`StreamingOutcomeAggregator`: online, one outcome at a time in O(1)
+memory.  Every column is exact except ``p95_latency``, which is read off a
+histogram of unit-width bins and lands within one time unit of the exact
+nearest-rank value.  :func:`aggregate` is the same fold over a retained
+list, with the exact nearest-rank p95 in place of the histogram's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import AbortReason
 
@@ -211,37 +209,11 @@ class StreamingOutcomeAggregator:
 
 
 def aggregate(outcomes: Iterable[TransactionOutcome]) -> OutcomeAggregate:
-    """Summarize a batch of transaction outcomes."""
-    outcomes = list(outcomes)
-    commits = [outcome for outcome in outcomes if outcome.committed]
-    aborts = [outcome for outcome in outcomes if not outcome.committed]
-    reasons: Dict[str, int] = {}
-    for outcome in aborts:
-        key = outcome.abort_reason.value if outcome.abort_reason else "unknown"
-        reasons[key] = reasons.get(key, 0) + 1
-    latencies = [outcome.latency for outcome in outcomes]
-    return OutcomeAggregate(
-        count=len(outcomes),
-        commits=len(commits),
-        aborts=len(aborts),
-        abort_reasons=reasons,
-        mean_latency=sum(latencies) / len(latencies) if latencies else 0.0,
-        p95_latency=percentile(latencies, 0.95),
-        mean_commit_latency=(
-            sum(outcome.latency for outcome in commits) / len(commits) if commits else 0.0
-        ),
-        mean_messages=(
-            sum(outcome.protocol_messages for outcome in outcomes) / len(outcomes)
-            if outcomes
-            else 0.0
-        ),
-        mean_proofs=(
-            sum(outcome.proof_evaluations for outcome in outcomes) / len(outcomes)
-            if outcomes
-            else 0.0
-        ),
-        total_wasted_time=sum(outcome.wasted_time for outcome in outcomes),
-        mean_queries_before_abort=(
-            sum(outcome.queries_executed for outcome in aborts) / len(aborts) if aborts else 0.0
-        ),
-    )
+    """Summarize a batch of transaction outcomes: the
+    :class:`StreamingOutcomeAggregator` fold, with the exact nearest-rank p95."""
+    stream = StreamingOutcomeAggregator()
+    latencies: List[float] = []
+    for outcome in outcomes:
+        stream.add(outcome)
+        latencies.append(outcome.latency)
+    return replace(stream.aggregate(), p95_latency=percentile(latencies, 0.95))

@@ -52,9 +52,10 @@ from repro.policy.proofs import (
 )
 from repro.policy.rules import Atom, FactBase, ProofNode, RuleSet, Term, Variable, _fast_atom
 
-#: LRU bound of each memo under ``CloudConfig.streaming_metrics`` (unbounded
-#: otherwise), sized so a contended scale run's working set fits while
-#: distinct-user churn cannot grow either memo with the population.
+#: LRU bound of each memo, sized so a contended scale run's working set fits
+#: while distinct-user churn cannot grow either memo with the population.
+#: Hits are outcome-neutral (a hit still spends the simulated evaluation time
+#: and counts in Table I), so the bound cannot change results.
 STREAMING_PROOF_CACHE_CAPACITY = 4096
 
 
@@ -163,15 +164,16 @@ class ProofCache:
     ``on_retention`` for templates an install *kept*), e.g.
     :class:`repro.metrics.counters.ProofCacheCounters`, or ``None``.  A hit
     is a lookup that ran no derivation search.  ``capacity`` bounds each memo
-    with LRU eviction (``None`` = unbounded); only a store or a hit makes an
-    entry recent, so an install does not refresh the templates it retains.
+    with LRU eviction (``None`` = unbounded, for tests); only a store or a hit
+    makes an entry recent, so an install does not refresh the templates it
+    retains.
     """
 
     def __init__(
         self,
         stats: Optional[object] = None,
         server: str = "",
-        capacity: Optional[int] = None,
+        capacity: Optional[int] = STREAMING_PROOF_CACHE_CAPACITY,
     ) -> None:
         self.stats = stats
         self.server = server

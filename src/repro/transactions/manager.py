@@ -63,12 +63,12 @@ class TransactionManager(Node):
         self.config = config
         self.catalog = catalog
         self.metrics = metrics
+        # A traced run keeps its evidence whole; an untraced one compacts.
         self.wal = WriteAheadLog(
-            name,
-            compact_at=STREAMING_COMPACT_AT if metrics.streaming else None,
+            name, compact_at=None if metrics.tracer.enabled else STREAMING_COMPACT_AT
         )
-        #: Finished outcomes, kept for inspection — empty when the metrics
-        #: bundle is streaming (outcomes then flow only through callbacks).
+        #: Finished outcomes, the checker's transaction index: kept only when
+        #: the run is traced (``submit``'s process resolves to each outcome).
         self.outcomes: List[TransactionOutcome] = []
         self.active: Dict[str, TxnContext] = {}
         #: Finished contexts kept for inspection by tests and benches.
@@ -238,7 +238,7 @@ class TransactionManager(Node):
         )
         outcome = self._build_outcome(ctx)
         self.metrics.txn_finished(self.name, outcome)
-        if not self.metrics.streaming:
+        if self.metrics.tracer.enabled:
             self.outcomes.append(outcome)
         self.finished[txn.txn_id] = ctx
         self.active.pop(txn.txn_id, None)
@@ -316,7 +316,8 @@ class TransactionManager(Node):
             pass  # a dead participant resolves via recovery; abort stands
 
     def _build_outcome(self, ctx: TxnContext) -> TransactionOutcome:
-        outcome = TransactionOutcome(
+        protocol_messages, proof_evaluations = self.metrics.close_txn(ctx.txn_id)
+        return TransactionOutcome(
             txn_id=ctx.txn_id,
             approach=ctx.approach_name,
             consistency=ctx.consistency.value,
@@ -329,11 +330,7 @@ class TransactionManager(Node):
             queries_executed=ctx.executed_queries,
             participants=len(ctx.active_participants()),
             voting_rounds=ctx.voting_rounds,
-            protocol_messages=self.metrics.messages.protocol_for_txn(ctx.txn_id),
-            proof_evaluations=self.metrics.proofs.for_txn(ctx.txn_id),
+            protocol_messages=protocol_messages,
+            proof_evaluations=proof_evaluations,
             commit_rounds=ctx.commit_rounds,
         )
-        # The per-txn counts are captured in the outcome above; in streaming
-        # mode the attribution maps can now forget this transaction.
-        self.metrics.release_txn(ctx.txn_id)
-        return outcome

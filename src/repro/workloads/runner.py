@@ -7,16 +7,16 @@ times (e.g. a Poisson process), assigning each to a TM round-robin, and
 collects every outcome — the machinery for throughput/latency-under-load
 experiments that a closed loop cannot express.
 
-Two retention modes, selected by ``CloudConfig.streaming_metrics``:
+Every outcome is folded into an online
+:class:`~repro.metrics.stats.StreamingOutcomeAggregator` (:attr:`stream`),
+and completion is tracked with one in-flight counter.
+``CloudConfig.streaming_metrics`` picks what else the runner keeps:
 
-* **retained** (default): every outcome lands in :attr:`outcomes` and the
-  runner waits on the full list of completion events — convenient for
-  tests and small benches.
-* **streaming**: outcomes are folded into an online
-  :class:`~repro.metrics.stats.StreamingOutcomeAggregator`
-  (:attr:`stream`) and then dropped; completion is tracked with a single
-  in-flight counter; the per-transaction ``assignments`` entry and the
-  coordinator's ``finished`` context are evicted as each transaction
+* off (default): every outcome also lands in :attr:`outcomes`, and
+  :attr:`assignments` keeps every transaction's TM — convenient for tests
+  and small benches;
+* on: nothing per transaction outlives it — the ``assignments`` entry and
+  the coordinator's ``finished`` context are evicted as each transaction
   completes.  Peak memory is bounded by the number of *in-flight*
   transactions, not the length of the run — what makes 10^5-user
   ``bench_scale`` runs routine (see docs/scale.md).
@@ -41,9 +41,9 @@ class OpenLoopRunner:
     """Submits a timed workload and gathers outcomes.
 
     ``assignments`` records which TM coordinated each transaction, so tests
-    can verify the balancing discipline.  (In streaming mode entries are
-    popped as transactions finish — ``on_outcome`` observers still see the
-    assignment, since hooks run before eviction.)
+    can verify the balancing discipline.  (Under ``streaming_metrics`` entries
+    are popped as transactions finish — ``on_outcome`` observers still see
+    the assignment, since hooks run before eviction.)
     """
 
     cluster: Cluster
@@ -61,12 +61,11 @@ class OpenLoopRunner:
     #: accounting at scale (e.g. the stale-commit tracker) that must not
     #: retain per-transaction state until the end of the run.
     on_outcome: Optional[Callable[[TransactionOutcome], None]] = None
-    #: The online aggregate fed in streaming mode (created on first run).
-    stream: Optional[StreamingOutcomeAggregator] = None
+    #: The online aggregate of every outcome.
+    stream: StreamingOutcomeAggregator = field(default_factory=StreamingOutcomeAggregator)
 
-    # Plain class attributes (not dataclass fields): mode resolved per run.
+    # A plain class attribute (not a dataclass field): resolved per run.
     _retain = True
-    _tm_by_name = None
 
     def __post_init__(self) -> None:
         if isinstance(self.approach, str):
@@ -82,8 +81,8 @@ class OpenLoopRunner:
 
         Arrival times must be non-decreasing and are interpreted as
         absolute simulation times (>= the environment's current time).
-        Returns the retained outcomes (empty in streaming mode — read
-        :attr:`stream` instead).
+        Returns the retained outcomes (empty under ``streaming_metrics`` —
+        read :attr:`stream` instead).
         """
         if len(transactions) != len(arrival_times):
             raise SimulationError("one arrival time per transaction required")
@@ -121,15 +120,7 @@ class OpenLoopRunner:
         until: Optional[float],
     ) -> None:
         env = self.cluster.env
-        retain = self._retain = not self.cluster.config.streaming_metrics
-        if not retain:
-            if self.stream is None:
-                self.stream = StreamingOutcomeAggregator()
-            self._tm_by_name = {tm.name: tm for tm in self.cluster.tms}
-
-        done_events: List[Event] = []
-        # Streaming completion tracking: one counter + one event instead of
-        # a per-transaction event list.
+        self._retain = not self.cluster.config.streaming_metrics
         state = {"pending": 0, "submitted_all": False}
         done = env.event()
 
@@ -153,23 +144,16 @@ class OpenLoopRunner:
                 self.assignments[txn.txn_id] = tm.name
                 process = tm.submit(txn, self.approach, self.consistency)
                 process.add_callback(self._collect)
-                if retain:
-                    done_events.append(process)
-                else:
-                    state["pending"] += 1
-                    process.add_callback(_finished_one)
+                state["pending"] += 1
+                process.add_callback(_finished_one)
                 index += 1
 
         submit_proc = env.process(submitter(), name="open-loop-submitter")
         env.run(until=submit_proc)
         # Wait for every in-flight transaction to finish.
-        if retain:
-            if done_events:
-                env.run(until=env.all_of(done_events))
-        else:
-            state["submitted_all"] = True
-            if state["pending"]:
-                env.run(until=done)
+        state["submitted_all"] = True
+        if state["pending"]:
+            env.run(until=done)
         if until is not None:
             env.run(until=until)
 
@@ -177,38 +161,30 @@ class OpenLoopRunner:
         if event.exception is not None:
             return
         outcome = event.value
+        self.stream.add(outcome)
         if self._retain:
             self.outcomes.append(outcome)
-            if self.on_outcome is not None:
-                self.on_outcome(outcome)
-            return
-        self.stream.add(outcome)
         if self.on_outcome is not None:
             self.on_outcome(outcome)
-        # Hooks have run; evict this transaction's bookkeeping so streaming
-        # runs stay bounded by in-flight work.
+        if self._retain:
+            return
+        # Hooks have run; evict this transaction's bookkeeping so the run
+        # stays bounded by in-flight work.
         txn_id = outcome.txn_id
         tm_name = self.assignments.pop(txn_id, None)
-        if self._tm_by_name is not None and tm_name is not None:
-            tm = self._tm_by_name.get(tm_name)
-            if tm is not None:
-                tm.finished.pop(txn_id, None)  # type: ignore[attr-defined]
+        for tm in self.cluster.tms:
+            if tm.name == tm_name:
+                tm.finished.pop(txn_id, None)
 
     # -- summaries ---------------------------------------------------------------
 
     def throughput(self) -> float:
         """Committed transactions per simulated time unit."""
         stream = self.stream
-        if stream is not None and stream.count:
-            span = stream.span
-            return stream.commits / span if span > 0 else float("inf")
-        if not self.outcomes:
+        if not stream.count:
             return 0.0
-        span = max(outcome.finished_at for outcome in self.outcomes) - min(
-            outcome.started_at for outcome in self.outcomes
-        )
-        commits = sum(1 for outcome in self.outcomes if outcome.committed)
-        return commits / span if span > 0 else float("inf")
+        span = stream.span
+        return stream.commits / span if span > 0 else float("inf")
 
     def per_tm_counts(self) -> Dict[str, int]:
         """How many transactions each TM coordinated."""

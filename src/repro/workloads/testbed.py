@@ -312,7 +312,6 @@ def assemble_cluster(
     rng = RandomStreams(seed)
     env = Environment()
     metrics = Metrics(
-        streaming=config.streaming_metrics,
         trace=trace,
         spans=config.obs_spans,
         sample_rate=config.obs_sample_rate,

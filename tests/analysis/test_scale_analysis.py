@@ -15,7 +15,7 @@ from repro.analysis.parallel import (
 from repro.analysis.scale import (
     ScaleRunResult,
     StaleCommitTracker,
-    split_by_master_locality,
+    StreamingLocalitySplit,
 )
 from repro.analysis.sweep import SweepPoint
 from repro.cloud.config import CloudConfig
@@ -132,10 +132,18 @@ class TestStaleCommitTracker:
         assert tracker.stale_rate == 0.0
 
 
+def locality_split(outcomes, assignments, cluster):
+    """The finished run's outcomes, fed through the one locality split."""
+    locality = StreamingLocalitySplit(cluster, assignments)
+    for outcome in outcomes:
+        locality.observe(outcome)
+    return locality.split()
+
+
 class TestLocalitySplit:
     def test_partition_is_total_and_region_correct(self):
         cluster, runner, _, outcomes = run_scale()
-        split = split_by_master_locality(outcomes, runner.assignments, cluster)
+        split = locality_split(outcomes, runner.assignments, cluster)
         assert split.master_region == cluster.region_of(cluster.config.master_name)
         assert split.local.count + split.remote.count == len(outcomes)
         for outcome in outcomes:
@@ -145,7 +153,7 @@ class TestLocalitySplit:
 
     def test_gap_is_remote_minus_local(self):
         cluster, runner, _, outcomes = run_scale()
-        split = split_by_master_locality(outcomes, runner.assignments, cluster)
+        split = locality_split(outcomes, runner.assignments, cluster)
         assert split.commit_latency_gap == (
             split.remote.mean_commit_latency - split.local.mean_commit_latency
         )
@@ -160,7 +168,7 @@ class TestLocalitySplit:
             approach="deferred",
             consistency="view",
             overall=aggregate(outcomes),
-            locality=split_by_master_locality(outcomes, runner.assignments, cluster),
+            locality=locality_split(outcomes, runner.assignments, cluster),
             stale_commits=tracker.stale_commits,
             stale_rate=tracker.stale_rate,
             cross_region_messages=cluster.metrics.regions.cross_region,

@@ -48,11 +48,11 @@ class TestOnlineChecking:
     def test_ocsp_traffic_flows_and_is_not_protocol(self):
         cluster = make_cluster()
         credential = cluster.issue_role_credential("alice")
-        cluster.run_transaction(two_reads(credential), "punctual", VIEW)
+        outcome = cluster.run_transaction(two_reads(credential), "punctual", VIEW)
         ocsp_messages = cluster.metrics.messages.by_category[CAT_OCSP]
         assert ocsp_messages > 0
         # Protocol counts unchanged by OCSP mode: still 2n vote + 2n decision.
-        assert cluster.metrics.messages.protocol_for_txn("t-ocsp") == 8
+        assert outcome.protocol_messages == 8
 
     def test_revocation_detected_through_responder(self):
         cluster = make_cluster()

@@ -514,15 +514,24 @@ class TestClosedClusterStaysReadable:
         assert cluster.env.peek() == float("inf")
         assert len(cluster.servers) == 12 and len(cluster.tms) == 6
 
-    def test_results_of_closing_helpers_are_verifiable(self, kept_clusters):
+    def test_results_of_closing_helpers_are_verifiable(self, kept_clusters, monkeypatch):
         """What ``run.py --smoke`` does: ``Cluster.verify()`` on the clusters
-        ``run_case`` and ``run_point`` built, after those returned."""
+        ``run_case`` and ``run_point`` built, after those returned.  Like the
+        smoke run, the churn point is traced, so its evidence is kept."""
+        sweep_module = importlib.import_module("repro.analysis.sweep")
+        build = sweep_module.build_cluster
+        monkeypatch.setattr(
+            sweep_module,
+            "build_cluster",
+            lambda *args, **kwargs: build(*args, **{**kwargs, "trace": True}),
+        )
         result = run_case(chaos_case())
         run_point(churn_point(10))
         chaos_cluster, churn_cluster = kept_clusters
         assert chaos_cluster.closed and churn_cluster.closed
         assert tuple(chaos_cluster.verify().codes()) == result.violation_codes
         assert len(churn_cluster.tm.outcomes) == 10
+        assert churn_cluster.verify().transactions_checked == 10
 
 
 # -- structure: where the discipline lives -----------------------------------------

@@ -46,53 +46,50 @@ class TestMessageCounters:
         assert counters.protocol_total() == 2
 
     def test_per_txn_attribution(self):
+        """Only an open transaction's protocol messages are attributed; the
+        rest count globally."""
+        metrics = Metrics()
+        metrics.txn_started("tm1", "t1", "deferred", "view", 0.0)
+        metrics.on_message(message(CAT_VOTE, "t1"), 0.0)
+        metrics.on_message(message(CAT_OCSP, "t1"), 0.0)  # not a protocol message
+        metrics.on_message(message(CAT_VOTE, "t2"), 0.0)  # never opened
+        metrics.on_message(message(CAT_VOTE), 0.0)  # unattributed
+        assert metrics.messages.by_txn == {"t1": 1}
+        assert metrics.messages.protocol_total() == 3
+        assert metrics.messages.total() == 4
+
+    def test_one_counter_per_transaction_not_per_message(self):
+        """``on_message`` runs per send: an open transaction holds one int,
+        whatever it is sent."""
         counters = MessageCounters()
-        counters.on_message(message(CAT_VOTE, "t1"))
-        counters.on_message(message(CAT_VOTE, "t2"))
-        counters.on_message(message(CAT_VOTE))  # unattributed
-        assert counters.protocol_for_txn("t1") == 1
-        assert counters.breakdown_for_txn("t1") == {CAT_VOTE: 1}
-
-    def test_one_counter_per_transaction_not_per_message(self, monkeypatch):
-        """``on_message`` runs per send: it must construct a per-transaction
-        counter on a miss only (it used to build and drop one per message)."""
-        import repro.metrics.counters as counters_module
-
-        constructed = []
-
-        class CountingCounter(counters_module.Counter):
-            def __init__(self, *args, **kwargs):
-                constructed.append(1)
-                super().__init__(*args, **kwargs)
-
-        counters = MessageCounters()
-        monkeypatch.setattr(counters_module, "Counter", CountingCounter)
+        counters.by_txn.update((f"t{index}", 0) for index in range(10))
         for index in range(1000):
             category = CAT_VOTE if index % 2 else CAT_DECISION
             counters.on_message(message(category, f"t{index % 10}", msg_id=index))
-        assert len(constructed) == 10
         assert counters.total() == counters.protocol_total() == 1000
-        assert counters.for_txn("t3") == 100
-        assert counters.breakdown_for_txn("t3") == {CAT_VOTE: 100}
-        assert counters.breakdown_for_txn("t4") == {CAT_DECISION: 100}
-        assert len(counters.by_txn) == 10
+        assert counters.by_txn == {f"t{index}": 100 for index in range(10)}
 
-    def test_release_txn_forgets_the_breakdown_and_keeps_the_totals(self):
-        metrics = Metrics(streaming=True)
+    def test_close_txn_drops_attribution_keeps_totals(self):
+        metrics = Metrics()
+        metrics.txn_started("tm1", "t1", "deferred", "view", 0.0)
         for _ in range(3):
             metrics.on_message(message(CAT_VOTE, "t1"), 0.0)
-        metrics.release_txn("t1")
-        assert metrics.messages.for_txn("t1") == 0
-        assert metrics.messages.total() == 3
-        metrics.on_message(message(CAT_VOTE, "t1"), 0.0)  # a straggler starts afresh
-        assert metrics.messages.breakdown_for_txn("t1") == {CAT_VOTE: 1}
+        metrics.proofs.on_proof("s1", "t1")
+        assert metrics.close_txn("t1") == (3, 1)
+        assert metrics.messages.by_txn == {} and metrics.proofs.by_txn == {}
+        metrics.on_message(message(CAT_VOTE, "t1"), 0.0)  # a straggler counts globally
+        metrics.proofs.on_proof("s1", "t1")
+        assert metrics.messages.by_txn == {} and metrics.proofs.by_txn == {}
+        assert metrics.messages.total() == 4 and metrics.proofs.total == 2
+        assert metrics.close_txn("t1") == (0, 0)
 
     def test_metrics_bundle_routes_hook(self):
         metrics = Metrics()
+        metrics.txn_started("tm1", "t1", "deferred", "view", 0.0)
         metrics.on_message(message(CAT_VOTE, "t1"), 0.0)
         metrics.proofs.on_proof("s1", "t1")
-        assert metrics.messages.protocol_for_txn("t1") == 1
-        assert metrics.proofs.for_txn("t1") == 1
+        assert metrics.messages.by_txn == {"t1": 1}
+        assert metrics.proofs.by_txn == {"t1": 1}
         assert metrics.proofs.by_server["s1"] == 1
 
 

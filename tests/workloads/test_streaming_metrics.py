@@ -1,9 +1,13 @@
-"""Streaming metrics: equivalence with retained mode, and O(1) memory.
+"""Streaming metrics: equivalence with retained mode, O(1) memory, and
+evidence kept whole when a run is traced.
 
-``CloudConfig.streaming_metrics`` switches the whole pipeline — runner,
-metrics attribution, TM outcome retention, WAL compaction — from "keep
-everything, aggregate at the end" to "fold and evict as transactions
-finish".  Two things must hold:
+``CloudConfig.streaming_metrics`` picks the open-loop runner's sink and
+nothing else: with it on, the runner keeps no outcome list and evicts each
+transaction's assignment and coordinator context as it finishes.  What
+else a run keeps follows one rule per kind of state: conformance evidence
+(the TM's outcomes, whole WALs, the storage access log) is kept iff the run
+is traced; everything else (per-transaction attribution, the proof cache)
+is bounded in every run.  Three things must hold:
 
 * **equivalence** — the streamed aggregate equals the offline
   ``aggregate()`` of the retained run column for column (the p95 column
@@ -14,7 +18,10 @@ finish".  Two things must hold:
 * **constant memory** — peak traced allocation is bounded by in-flight
   work, not run length: a 10x longer run must stay under 2x the peak
   (``tracemalloc``, measured from after cluster build so interning pools
-  and policy state don't count against the run).
+  and policy state don't count against the run);
+
+* **checked evidence** — a traced streaming run's ``Cluster.verify()``
+  checks every transaction it decided.
 """
 
 import gc
@@ -113,7 +120,9 @@ class TestEquivalence:
         )
 
     def test_streaming_run_evicts_per_txn_state(self):
-        cluster, runner, _ = run(streaming=True, n_users=60, with_tracker=True)
+        # Untraced: a traced run keeps the TM's outcomes as evidence.
+        cluster, runner, _ = run(streaming=True, n_users=60, trace=False, with_tracker=True)
+        assert runner.stream.count == 60
         assert runner.assignments == {}
         assert cluster.metrics.messages.by_txn == {}
         assert cluster.metrics.proofs.by_txn == {}
@@ -122,10 +131,35 @@ class TestEquivalence:
             assert tm.finished == {}
 
     def test_retained_run_keeps_everything(self):
-        cluster, runner, _ = run(streaming=False, n_users=60)
+        _, runner, _ = run(streaming=False, n_users=60)
         assert len(runner.outcomes) == 60  # one txn per user by default
         assert runner.assignments
-        assert cluster.metrics.messages.by_txn
+
+
+class TestTracedStreamingRunIsChecked:
+    def test_every_decided_transaction_is_checked(self):
+        cluster, runner, _ = run(streaming=True, n_users=60, with_tracker=True)
+        report = cluster.verify()
+        assert runner.stream.count == 60
+        assert report.transactions_checked == runner.stream.count
+        assert not report.violations, report.codes()
+
+    def test_a_traced_wal_is_never_compacted(self, monkeypatch):
+        import repro.cloud.server as server_mod
+        import repro.transactions.manager as manager_mod
+
+        threshold = 16
+        monkeypatch.setattr(manager_mod, "STREAMING_COMPACT_AT", threshold)
+        monkeypatch.setattr(server_mod, "STREAMING_COMPACT_AT", threshold)
+        cluster, runner, _ = run(streaming=True, n_users=60, with_tracker=True)
+        nodes = list(cluster.servers.values()) + list(cluster.tms)
+        # The threshold sits below the run's WAL volume, and nothing was dropped.
+        assert max(len(node.wal.records()) for node in nodes) > threshold
+        for node in nodes:
+            assert len(node.wal.records()) == node.wal.forced_writes + node.wal.unforced_writes
+        report = cluster.verify()
+        assert report.transactions_checked == runner.stream.count
+        assert not report.violations, report.codes()
 
 
 class TestAggregatorUnit:
@@ -137,12 +171,14 @@ class TestAggregatorUnit:
 
 
 class TestConstantMemory:
-    @pytest.mark.parametrize(
-        "streaming, capacity", [(True, STREAMING_PROOF_CACHE_CAPACITY), (False, None)]
-    )
-    def test_proof_cache_is_bounded_only_when_streaming(self, streaming, capacity):
-        cluster = build_cluster(n_servers=2, config=CloudConfig(streaming_metrics=streaming))
-        assert {server.proof_cache.capacity for server in cluster.servers.values()} == {capacity}
+    def test_proof_cache_is_always_bounded(self):
+        for streaming in (True, False):
+            for trace in (True, False):
+                config = CloudConfig(streaming_metrics=streaming)
+                cluster = build_cluster(n_servers=2, config=config, trace=trace)
+                servers = cluster.servers.values()
+                capacities = {server.proof_cache.capacity for server in servers}
+                assert capacities == {STREAMING_PROOF_CACHE_CAPACITY}, (streaming, trace)
 
     def test_peak_memory_is_sublinear_in_run_length(self, monkeypatch):
         """10x the transactions must cost < 2x the traced peak.
@@ -154,7 +190,7 @@ class TestConstantMemory:
         groups, interning) are excluded; tracing is off because a retained
         trace is linear by design.
 
-        Streaming mode's bounded stores (the WAL up to its compaction
+        The bounded stores of an untraced run (the WAL up to its compaction
         threshold, the LRU proof cache and the flight rings up to their
         capacities) plateau rather than stay flat; the constants are shrunk
         below the *small* run's volume so both runs measure the plateau,
@@ -166,7 +202,9 @@ class TestConstantMemory:
 
         monkeypatch.setattr(manager_mod, "STREAMING_COMPACT_AT", 256)
         monkeypatch.setattr(server_mod, "STREAMING_COMPACT_AT", 256)
-        monkeypatch.setattr(server_mod, "STREAMING_PROOF_CACHE_CAPACITY", 32)
+        monkeypatch.setattr(
+            server_mod, "ProofCache", partial(server_mod.ProofCache, capacity=32)
+        )
         monkeypatch.setattr(
             flight_mod, "FlightRecorder", partial(flight_mod.FlightRecorder, capacity=64)
         )
@@ -218,7 +256,8 @@ class TestConstantMemory:
             assert flight.recorded > 0
             # The bounded stores really are bounded by their constants.
             for server in cluster.servers.values():
-                assert len(server.proof_cache) <= server_mod.STREAMING_PROOF_CACHE_CAPACITY
+                assert server.proof_cache.capacity == 32
+                assert len(server.proof_cache) <= server.proof_cache.capacity
             assert all(len(flight.events(node)) <= flight.capacity for node in flight.nodes())
             return peak
 
