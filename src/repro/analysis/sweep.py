@@ -18,7 +18,7 @@ run_sweep` fan grids out over processes without changing any result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.cloud.config import CloudConfig
 from repro.core.approaches import PAPER_APPROACHES, get_approach
@@ -26,7 +26,7 @@ from repro.core.consistency import ConsistencyLevel
 from repro.metrics.stats import OutcomeAggregate, TransactionOutcome, aggregate
 from repro.sim.events import Event
 from repro.workloads.generator import WorkloadSpec, uniform_transactions
-from repro.workloads.testbed import Cluster, build_cluster
+from repro.workloads.testbed import build_cluster
 from repro.workloads.updates import PolicyUpdateProcess
 
 

@@ -22,7 +22,7 @@ from repro.db.constraints import ConstraintSet
 from repro.db.locks import LockManager, LockMode
 from repro.db.recovery import analyze
 from repro.db.storage import StorageEngine
-from repro.db.wal import STREAMING_COMPACT_AT, LogRecordType, WriteAheadLog
+from repro.db.wal import LogRecordType, WriteAheadLog, compact_threshold
 from repro.errors import DeadlockError, NetworkError, PolicyError, RequestTimeout
 from repro.metrics.counters import Metrics
 from repro.obs.spans import KIND_CPU, KIND_PROOF, KIND_SERVER, ParentRef, Span
@@ -99,12 +99,12 @@ class CloudServer(Node):
         self.metrics = metrics
         # The access log and the whole WAL are conformance evidence: a traced
         # run keeps both; an untraced one logs no accesses and compacts its
-        # WAL, so memory stays bounded by live work.
+        # WAL (unless coordinators retry), so memory stays bounded.
         traced = metrics.tracer.enabled
         self.storage = StorageEngine(name, record_accesses=traced)
         self.constraints = ConstraintSet()
         self.policies = PolicyStore()
-        self.wal = WriteAheadLog(name, compact_at=None if traced else STREAMING_COMPACT_AT)
+        self.wal = WriteAheadLog(name, compact_at=compact_threshold(traced, config.rpc_max_retries))
         self.default_admin = default_admin
         #: item → administrative domain (defaults to ``default_admin``).
         self.domain_of: Dict[str, str] = dict(domain_of or {})

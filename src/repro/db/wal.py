@@ -15,7 +15,7 @@ along with its vote and truth value" (Section V-C); the payload of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.transactions.states import Decision
@@ -58,11 +58,16 @@ class LogRecord:
         return default
 
 
-#: Record-count threshold at which an untraced run's WALs compact (see
+#: Record-count threshold at which a compacting WAL truncates (see
 #: ``WriteAheadLog(compact_at=...)``); chosen so compaction cost amortizes
 #: to O(1) per write while the retained tail stays a few thousand records.
-#: A traced run's WALs are conformance evidence and never compact.
 STREAMING_COMPACT_AT = 4096
+
+
+def compact_threshold(traced: bool, rpc_max_retries: int) -> Optional[int]:
+    """A node's ``compact_at``: never when the run is traced (its WALs are
+    conformance evidence) or coordinators retry (see :class:`WriteAheadLog`)."""
+    return None if traced or rpc_max_retries else STREAMING_COMPACT_AT
 
 
 class WriteAheadLog:
@@ -86,8 +91,9 @@ class WriteAheadLog:
     participant's records is sound only while no coordinator retries
     (``CloudConfig.rpc_max_retries == 0``, the default) — a retry arriving
     after compaction would find neither state nor decision and be taken for
-    a new request.  LSNs and the ``forced_writes`` / ``unforced_writes``
-    complexity counters are unaffected; only the record *list* is truncated.
+    a new request; :func:`compact_threshold` enables compaction only then.
+    LSNs and the ``forced_writes`` / ``unforced_writes`` complexity counters
+    are unaffected; only the record *list* is truncated.
     """
 
     def __init__(self, owner: str, compact_at: Optional[int] = None) -> None:

@@ -11,14 +11,15 @@ One implementation builds the aggregate,
 memory.  Every column is exact except ``p95_latency``, which is read off a
 histogram of unit-width bins and lands within one time unit of the exact
 nearest-rank value.  :func:`aggregate` is the same fold over a retained
-list, with the exact nearest-rank p95 in place of the histogram's.
+list, with the exact nearest-rank p95 in place of the histogram's and its
+float sums taken by built-in :func:`sum` (compensated from Python 3.12).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.errors import AbortReason
 
@@ -210,10 +211,19 @@ class StreamingOutcomeAggregator:
 
 def aggregate(outcomes: Iterable[TransactionOutcome]) -> OutcomeAggregate:
     """Summarize a batch of transaction outcomes: the
-    :class:`StreamingOutcomeAggregator` fold, with the exact nearest-rank p95."""
+    :class:`StreamingOutcomeAggregator` fold, with the exact nearest-rank p95
+    and float sums by built-in ``sum`` (from Python 3.12 it compensates its
+    rounding, so the fold's left-to-right ``+=`` can differ in the last bits)."""
+    outcomes = list(outcomes)
     stream = StreamingOutcomeAggregator()
-    latencies: List[float] = []
     for outcome in outcomes:
         stream.add(outcome)
-        latencies.append(outcome.latency)
-    return replace(stream.aggregate(), p95_latency=percentile(latencies, 0.95))
+    latencies = [outcome.latency for outcome in outcomes]
+    won = [outcome.latency for outcome in outcomes if outcome.committed]
+    return replace(
+        stream.aggregate(),
+        mean_latency=sum(latencies) / len(latencies) if latencies else 0.0,
+        p95_latency=percentile(latencies, 0.95),
+        mean_commit_latency=sum(won) / len(won) if won else 0.0,
+        total_wasted_time=sum((outcome.wasted_time for outcome in outcomes), 0.0),
+    )

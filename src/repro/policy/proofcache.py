@@ -164,16 +164,15 @@ class ProofCache:
     ``on_retention`` for templates an install *kept*), e.g.
     :class:`repro.metrics.counters.ProofCacheCounters`, or ``None``.  A hit
     is a lookup that ran no derivation search.  ``capacity`` bounds each memo
-    with LRU eviction (``None`` = unbounded, for tests); only a store or a hit
-    makes an entry recent, so an install does not refresh the templates it
-    retains.
+    with LRU eviction; only a store or a hit makes an entry recent, so an
+    install does not refresh the templates it retains.
     """
 
     def __init__(
         self,
         stats: Optional[object] = None,
         server: str = "",
-        capacity: Optional[int] = STREAMING_PROOF_CACHE_CAPACITY,
+        capacity: int = STREAMING_PROOF_CACHE_CAPACITY,
     ) -> None:
         self.stats = stats
         self.server = server
@@ -278,7 +277,7 @@ class ProofCache:
             self._templates[key] = _Template(derivations, bindings, proof)
             lineage.patterns[pattern] = None
             self._lineages.setdefault(policy.policy_id, {})[policy.version, goal] = lineage
-            while self.capacity is not None and len(self._templates) > self.capacity:
+            while len(self._templates) > self.capacity:
                 self._unindex(self._templates.popitem(last=False)[0])
             if self.stats is not None:
                 self.stats.on_miss(self.server)
@@ -401,7 +400,7 @@ class ProofCache:
         verdicts = self._verdicts
         verdicts[credential.cred_id] = _Verdict(token, credential, assessment, start, end)
         verdicts.move_to_end(credential.cred_id)
-        while self.capacity is not None and len(verdicts) > self.capacity:
+        while len(verdicts) > self.capacity:
             verdicts.popitem(last=False)
         return assessment
 

@@ -29,7 +29,7 @@ from repro.core.consistency import ConsistencyLevel
 from repro.core.context import TxnContext
 from repro.core.twopvc import broadcast_decision
 from repro.db.items import ItemCatalog
-from repro.db.wal import STREAMING_COMPACT_AT, LogRecordType, WriteAheadLog
+from repro.db.wal import LogRecordType, WriteAheadLog, compact_threshold
 from repro.errors import (
     AbortReason,
     NetworkError,
@@ -63,9 +63,8 @@ class TransactionManager(Node):
         self.config = config
         self.catalog = catalog
         self.metrics = metrics
-        # A traced run keeps its evidence whole; an untraced one compacts.
         self.wal = WriteAheadLog(
-            name, compact_at=None if metrics.tracer.enabled else STREAMING_COMPACT_AT
+            name, compact_at=compact_threshold(metrics.tracer.enabled, config.rpc_max_retries)
         )
         #: Finished outcomes, the checker's transaction index: kept only when
         #: the run is traced (``submit``'s process resolves to each outcome).

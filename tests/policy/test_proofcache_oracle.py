@@ -14,6 +14,7 @@ both must make the same decision — re-point it to the new version or drop it.
 """
 
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -40,6 +41,8 @@ KINDS = ("benign", "may_read", "may_write", "item")
 #: one of the three things it cannot diff against.
 PROVENANCE = ("known", "none", "not-older", "foreign")
 COUNTERS = ("hits", "misses", "bypasses", "invalidations", "retentions")
+#: A capacity no schedule here reaches: the cache never evicts.
+UNBOUNDED = sys.maxsize
 
 
 def first_version(admin):
@@ -266,7 +269,7 @@ def final_counters(log):
 @given(
     seed=st.integers(0, 2**32 - 1),
     length=st.integers(1, 90),
-    capacity=st.sampled_from((None, 3)),
+    capacity=st.sampled_from((UNBOUNDED, 3)),
 )
 @settings(max_examples=250, deadline=None)
 def test_lineage_cache_matches_the_version_pinned_reference(seed, length, capacity):
@@ -281,10 +284,10 @@ def test_lineage_cache_matches_the_version_pinned_reference(seed, length, capaci
 @settings(max_examples=120, deadline=None)
 def test_unbounded_multi_domain_cache_matches_the_reference(seed, length):
     ops = schedule(seed, length, n_domains=2)
-    mine = replay(ProofCache, ops, None, 2)
+    mine = replay(ProofCache, ops, UNBOUNDED, 2)
     for got, want in records(mine):
         assert got == want
-    agree_on_installs(mine, replay(ReferenceProofCache, ops, None, 2))
+    agree_on_installs(mine, replay(ReferenceProofCache, ops, UNBOUNDED, 2))
 
 
 def test_schedule_space_reaches_the_hard_cases():
@@ -327,7 +330,7 @@ def test_pre_delivered_version_shadows_its_retained_twin():
         ("evaluate", "app", "current", 0.0, "bob", Operation.READ, ("ledger",), (0,), "local", 0.0),
         ("evaluate", "app", "current", 0.0, "bob", Operation.READ, ("inventory",), (0,), "local", 0.0),
     ]
-    log = replay(ProofCache, ops, None)
+    log = replay(ProofCache, ops, UNBOUNDED)
     assert all(got == want for got, want in records(log))
     counters, size, _order = log[-1]
     assert dict(zip(COUNTERS, counters)) == {
@@ -406,7 +409,7 @@ def mismatches(cache_class=ProofCache):
                 found.add(name)
     for seed in range(12):
         ops = schedule(seed, 60, n_domains=1)
-        if any(got != want for got, want in records(replay(cache_class, ops, None))):
+        if any(got != want for got, want in records(replay(cache_class, ops, UNBOUNDED))):
             found.add("schedules")
     return found
 

@@ -1,11 +1,12 @@
 """The list-based outcome aggregate (the oracle, not a path).
 
-This is :func:`repro.metrics.stats.aggregate` as it stood before it became
-a fold through :class:`~repro.metrics.stats.StreamingOutcomeAggregator`:
-every column is a separate formula over the retained list.  It is kept
+This is :func:`repro.metrics.stats.aggregate` as it stood before its counts
+and tally became a fold through
+:class:`~repro.metrics.stats.StreamingOutcomeAggregator`: every column is a
+separate formula over the retained list.  It is kept
 verbatim because it states each column plainly, and
 ``test_aggregate_properties.py`` requires the fold to reproduce every
-column bit for bit.
+column bit for bit on every Python version.
 """
 
 from __future__ import annotations

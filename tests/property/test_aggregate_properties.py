@@ -1,12 +1,15 @@
 """Property tests: the one outcome aggregate equals the list formulas.
 
-:func:`repro.metrics.stats.aggregate` is a fold through
-:class:`~repro.metrics.stats.StreamingOutcomeAggregator` with the exact
-nearest-rank p95 put back.  On random outcome lists — empty, all commits,
-all aborts, mixed abort reasons (``None`` among them) — every column must
-equal :func:`aggregate_oracle.reference_aggregate`'s bit for bit: floats by
-their ``float.hex``, so a sum taken in another order would show, and the
-abort-reason tally in the same insertion order.
+:func:`repro.metrics.stats.aggregate` folds counts, integer means and the
+abort-reason tally through
+:class:`~repro.metrics.stats.StreamingOutcomeAggregator` and takes its
+float sums with built-in ``sum`` (compensated from Python 3.12, so a
+left-to-right ``+=`` would not match it there).  On random outcome lists —
+empty, all commits, all aborts, mixed abort reasons (``None`` among them) —
+every column must equal :func:`aggregate_oracle.reference_aggregate`'s bit
+for bit on every Python version: floats by their ``float.hex``, so a sum
+taken another way would show, and the abort-reason tally in the same
+insertion order.
 """
 
 import dataclasses

@@ -34,6 +34,7 @@ import pytest
 from repro.analysis.scale import StaleCommitTracker
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
+from repro.db import wal as wal_mod
 from repro.metrics.stats import StreamingOutcomeAggregator, aggregate
 from repro.obs.live import LiveTelemetry
 from repro.policy.proofcache import STREAMING_PROOF_CACHE_CAPACITY
@@ -48,9 +49,12 @@ from repro.workloads.testbed import build_cluster, build_multiregion_cluster
 SEED = 59
 
 
-def build(streaming, n_users, trace):
+def build(streaming, n_users, trace, retries=0):
     config = CloudConfig(
-        request_timeout=500.0, obs_spans=False, streaming_metrics=streaming
+        request_timeout=500.0,
+        obs_spans=False,
+        streaming_metrics=streaming,
+        rpc_max_retries=retries,
     )
     cluster = build_multiregion_cluster(
         shards_per_region=1,
@@ -68,8 +72,8 @@ def build(streaming, n_users, trace):
     return cluster, schedule
 
 
-def run(streaming, n_users, trace=True, collect=False, with_tracker=False):
-    cluster, schedule = build(streaming, n_users, trace)
+def run(streaming, n_users, trace=True, collect=False, with_tracker=False, retries=0):
+    cluster, schedule = build(streaming, n_users, trace, retries)
     runner = OpenLoopRunner(cluster, "deferred", ConsistencyLevel.VIEW)
     seen = []
     tracker = StaleCommitTracker(cluster) if with_tracker else None
@@ -136,6 +140,22 @@ class TestEquivalence:
         assert runner.assignments
 
 
+#: A compaction threshold below the WAL volume of a 60-user run.
+WAL_THRESHOLD = 16
+
+
+def wal_lengths(cluster):
+    """(some WAL outgrew ``WAL_THRESHOLD``, every WAL kept every record)."""
+    nodes = list(cluster.servers.values()) + list(cluster.tms)
+    return (
+        max(len(node.wal.records()) for node in nodes) > WAL_THRESHOLD,
+        all(
+            len(node.wal.records()) == node.wal.forced_writes + node.wal.unforced_writes
+            for node in nodes
+        ),
+    )
+
+
 class TestTracedStreamingRunIsChecked:
     def test_every_decided_transaction_is_checked(self):
         cluster, runner, _ = run(streaming=True, n_users=60, with_tracker=True)
@@ -145,21 +165,29 @@ class TestTracedStreamingRunIsChecked:
         assert not report.violations, report.codes()
 
     def test_a_traced_wal_is_never_compacted(self, monkeypatch):
-        import repro.cloud.server as server_mod
-        import repro.transactions.manager as manager_mod
-
-        threshold = 16
-        monkeypatch.setattr(manager_mod, "STREAMING_COMPACT_AT", threshold)
-        monkeypatch.setattr(server_mod, "STREAMING_COMPACT_AT", threshold)
+        monkeypatch.setattr(wal_mod, "STREAMING_COMPACT_AT", WAL_THRESHOLD)
         cluster, runner, _ = run(streaming=True, n_users=60, with_tracker=True)
-        nodes = list(cluster.servers.values()) + list(cluster.tms)
-        # The threshold sits below the run's WAL volume, and nothing was dropped.
-        assert max(len(node.wal.records()) for node in nodes) > threshold
-        for node in nodes:
-            assert len(node.wal.records()) == node.wal.forced_writes + node.wal.unforced_writes
+        assert wal_lengths(cluster) == (True, True)
         report = cluster.verify()
         assert report.transactions_checked == runner.stream.count
         assert not report.violations, report.codes()
+
+
+class TestWalCompaction:
+    """An untraced run compacts its WALs only while no coordinator retries:
+    a retried PREPARE or DECISION reads the participant's log."""
+
+    def test_an_untraced_run_compacts(self, monkeypatch):
+        monkeypatch.setattr(wal_mod, "STREAMING_COMPACT_AT", WAL_THRESHOLD)
+        cluster, runner, _ = run(streaming=True, n_users=60, trace=False)
+        assert runner.stream.count == 60
+        assert wal_lengths(cluster)[1] is False
+
+    def test_an_untraced_run_with_retries_keeps_its_wal(self, monkeypatch):
+        monkeypatch.setattr(wal_mod, "STREAMING_COMPACT_AT", WAL_THRESHOLD)
+        cluster, runner, _ = run(streaming=True, n_users=60, trace=False, retries=2)
+        assert runner.stream.count == 60
+        assert wal_lengths(cluster) == (True, True)
 
 
 class TestAggregatorUnit:
@@ -198,10 +226,8 @@ class TestConstantMemory:
         """
         import repro.cloud.server as server_mod
         import repro.obs.flight as flight_mod
-        import repro.transactions.manager as manager_mod
 
-        monkeypatch.setattr(manager_mod, "STREAMING_COMPACT_AT", 256)
-        monkeypatch.setattr(server_mod, "STREAMING_COMPACT_AT", 256)
+        monkeypatch.setattr(wal_mod, "STREAMING_COMPACT_AT", 256)
         monkeypatch.setattr(
             server_mod, "ProofCache", partial(server_mod.ProofCache, capacity=32)
         )
