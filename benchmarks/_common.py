@@ -39,12 +39,12 @@ def sweep_grid(
     return dict(zip(grid, results))
 
 
-def emit(name: str, text: str) -> None:
-    """Print a reproduction artifact and persist it to the results dir."""
+def emit(name: str, text: str, directory: pathlib.Path = RESULTS_DIR) -> None:
+    """Print a reproduction artifact and persist it (to the results dir by default)."""
     print()
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
 
 def emit_table(
@@ -53,10 +53,11 @@ def emit_table(
     rows: Iterable[Sequence[Any]],
     title: str = "",
     notes: Sequence[str] = (),
+    directory: pathlib.Path = RESULTS_DIR,
 ) -> str:
     """Format, print, and persist one table; returns the rendered text."""
     text = format_table(headers, rows, title=title)
     if notes:
         text += "\n" + "\n".join(notes)
-    emit(name, text)
+    emit(name, text, directory)
     return text

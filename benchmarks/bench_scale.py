@@ -27,15 +27,17 @@ per-transaction state (metrics attribution, coordinator contexts) is
 evicted as transactions finish — peak memory is bounded by in-flight work,
 which is what makes 10^5-user runs routine.  Runs small enough to keep a
 trace (``--verify-max-users``, default 20 000) keep their evidence whole
-(outcomes, uncompacted WALs, access logs) and must pass ``repro.verify``
+(outcomes, whole WALs, access logs) and must pass ``repro.verify``
 with zero violations over every transaction they decided — a violation, or
 a cell whose check covered fewer transactions than it decided, is a
 correctness failure, not a benchmark result, and exits non-zero; larger
 runs disable tracing (the trace alone would dwarf the simulation) and
 report ``verify_violations: null`` and ``verify_transactions: null``.
 
-Writes ``BENCH_SCALE.json`` (repo root by default) and
-``benchmarks/results/scale.txt``.  Run:
+Writes ``BENCH_SCALE.json`` (repo root by default) and the text table: the
+default full-size sweep regenerates the committed
+``benchmarks/results/scale.txt``; any other sweep (``--quick`` included)
+writes ``<out>.table.txt`` beside the JSON report instead.  Run:
 
     PYTHONPATH=src python benchmarks/bench_scale.py [--quick] [--out PATH]
 
@@ -72,7 +74,7 @@ from repro.workloads.scale import (
 )
 from repro.workloads.testbed import build_multiregion_cluster
 
-from _common import APPROACHES, emit_table
+from _common import APPROACHES, RESULTS_DIR, emit_table
 
 SEED = 83
 #: Per-region storms per run scales with the horizon: one storm roughly
@@ -272,8 +274,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                         f"violations={violations} wall={wall[key]:.1f}s"
                     )
 
+    # Only the default full-size sweep may regenerate the committed table.
+    out_path = pathlib.Path(args.out)
+    full_size = all(
+        value == parser.get_default(option)
+        for option, value in vars(args).items()
+        if option != "out"
+    )
     emit_table(
-        "scale",
+        "scale" if full_size else f"{out_path.stem}.table",
         [
             "users",
             "approach",
@@ -309,6 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "stale %: commits whose proof version was superseded by decision time",
             "streaming metrics: outcomes aggregated online, O(in-flight) memory",
         ],
+        directory=RESULTS_DIR if full_size else out_path.parent,
     )
 
     clean = all(
@@ -347,7 +357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "all_decided_transactions_checked": not partial,
     }
 
-    out_path = pathlib.Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"\nwrote {out_path}")

@@ -1,4 +1,9 @@
-"""Trade-off analysis: sweeps, the §VI-B decision guide, adaptive selection."""
+"""Trade-off analysis: sweeps, the §VI-B decision guide, adaptive selection.
+
+The process-pool sweep engine (``parallel``) is imported on first use."""
+
+import importlib
+from typing import Any
 
 from repro.analysis.accuracy import (
     AccuracyReport,
@@ -7,12 +12,6 @@ from repro.analysis.accuracy import (
     oracle_for_cluster,
 )
 from repro.analysis.adaptive import AdaptiveSelector, EwmaEstimator, run_adaptive_batch
-from repro.analysis.parallel import (
-    estimate_point_cost,
-    parallel_map,
-    run_sweep,
-    should_parallelize,
-)
 from repro.analysis.scale import (
     LocalitySplit,
     ScaleRunResult,
@@ -59,3 +58,9 @@ __all__ = [
     "StreamingLocalitySplit",
     "sweep",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in ("estimate_point_cost", "parallel_map", "run_sweep", "should_parallelize"):
+        return getattr(importlib.import_module("repro.analysis.parallel"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

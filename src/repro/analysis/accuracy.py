@@ -23,7 +23,7 @@ decision:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.policy.admin import PolicyAdministrator
 from repro.policy.credentials import CARegistry, Credential

@@ -18,8 +18,8 @@ Estimates are exponentially-weighted so the selector tracks regime shifts
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.analysis.tradeoff import recommend_regime
 from repro.core.approaches import ProofApproach, get_approach

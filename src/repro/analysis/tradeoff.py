@@ -19,7 +19,7 @@ recommendation actually wins (or report where it does not).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.sweep import SweepPoint, SweepResult
 from repro.core.approaches import PAPER_APPROACHES

@@ -22,7 +22,7 @@ the decision.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.errors import SimulationError

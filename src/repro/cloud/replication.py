@@ -20,7 +20,7 @@ from repro.cloud import messages as msg
 from repro.errors import SimulationError
 from repro.policy.admin import PolicyAdministrator
 from repro.policy.policy import Policy
-from repro.sim.network import Message, Network, Node
+from repro.sim.network import Message, Node
 
 
 class PolicyReplicator(Node):

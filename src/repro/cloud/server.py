@@ -22,7 +22,7 @@ from repro.db.constraints import ConstraintSet
 from repro.db.locks import LockManager, LockMode
 from repro.db.recovery import analyze
 from repro.db.storage import StorageEngine
-from repro.db.wal import LogRecordType, WriteAheadLog, compact_threshold
+from repro.db.wal import LogRecord, LogRecordType, WriteAheadLog, forgets_finished
 from repro.errors import DeadlockError, NetworkError, PolicyError, RequestTimeout
 from repro.metrics.counters import Metrics
 from repro.obs.spans import KIND_CPU, KIND_PROOF, KIND_SERVER, ParentRef, Span
@@ -96,15 +96,16 @@ class CloudServer(Node):
         super().__init__(name)
         self.config = config
         self.registry = registry
+        self._revocation = LocalRevocationChecker(registry)
         self.metrics = metrics
         # The access log and the whole WAL are conformance evidence: a traced
-        # run keeps both; an untraced one logs no accesses and compacts its
-        # WAL (unless coordinators retry), so memory stays bounded.
+        # run keeps both; an untraced one logs no accesses and its WAL forgets
+        # finished transactions (unless coordinators retry).
         traced = metrics.tracer.enabled
         self.storage = StorageEngine(name, record_accesses=traced)
         self.constraints = ConstraintSet()
         self.policies = PolicyStore()
-        self.wal = WriteAheadLog(name, compact_at=compact_threshold(traced, config.rpc_max_retries))
+        self.wal = WriteAheadLog(name, forget=forgets_finished(traced, config.rpc_max_retries))
         self.default_admin = default_admin
         #: item → administrative domain (defaults to ``default_admin``).
         self.domain_of: Dict[str, str] = dict(domain_of or {})
@@ -386,7 +387,7 @@ class CloudServer(Node):
     def _deny(self, message: Message, reason: str, detail: str) -> None:
         """Refuse an EXECUTE_QUERY: roll the transaction back here, say why."""
         txn_id = message["txn_id"]
-        self._rollback_local(txn_id)
+        self._release(txn_id)
         self.reply(
             message,
             msg.QUERY_DENIED,
@@ -437,7 +438,7 @@ class CloudServer(Node):
             )
             checker: Any = PrefetchedStatuses(statuses)
         else:
-            checker = LocalRevocationChecker(self.registry)
+            checker = self._revocation
         yield from self._consume_cpu(self.config.proof_evaluation_time)
         if policy is None:
             policy = self.policies.current(executed.admin)
@@ -631,10 +632,16 @@ class CloudServer(Node):
             detached=not ack,
         )
         try:
-            # Duplicate DECISION (coordinator retry after a lost ack): the
-            # transaction is already resolved and applied — re-ack without
-            # re-logging or re-applying storage effects.
-            if self._txns.get(txn_id) is None and self.wal.decision_for(txn_id) is not None:
+            state = self._txns.get(txn_id)
+            prepared = None if state is not None else self._prepared_record(txn_id)
+            # Already resolved and applied here — a duplicate (coordinator
+            # retry), or the original reaching a participant the termination
+            # protocol resolved, whose forgetting log dropped even the
+            # PREPARED record a YES vote follows: re-ack, change nothing.
+            if state is None and (
+                self.wal.decision_for(txn_id) is not None
+                or (decision is Decision.COMMIT and prepared is None)
+            ):
                 if ack:
                     self.reply(message, msg.DECISION_ACK, msg.CAT_DECISION, txn_id=txn_id)
                 return
@@ -647,18 +654,21 @@ class CloudServer(Node):
 
             if decision is Decision.COMMIT:
                 self.storage.apply(txn_id, self.env.now)
-            else:
-                self.storage.discard(txn_id)
-            self._lock_manager().release_all(txn_id)
-            self._txns.pop(txn_id, None)
+                if state is None and self.wal.forget:
+                    # Restarted in doubt: no workspace, and the COMMIT just
+                    # dropped the record the termination protocol redoes.
+                    self._redo(prepared)
+            self._release(txn_id)
 
             if ack:
                 self.reply(message, msg.DECISION_ACK, msg.CAT_DECISION, txn_id=txn_id)
         finally:
             self.metrics.spans.finish(span, self.env.now)
 
-    def _rollback_local(self, txn_id: str) -> None:
-        """Unilateral local rollback (deadlock victim before voting)."""
+    def _release(self, txn_id: str) -> None:
+        """Drop a transaction's workspace (rolling back what was not
+        applied), locks and bookkeeping: on its decision, or unilaterally
+        (deadlock victim before voting)."""
         self.storage.discard(txn_id)
         self._lock_manager().release_all(txn_id)
         self._txns.pop(txn_id, None)
@@ -687,7 +697,7 @@ class CloudServer(Node):
         """Replay the WAL: redo logged commits, resolve in-doubt transactions."""
         plan = analyze(self.wal)
         for txn_id in plan.redo_commits:
-            self._redo_from_log(txn_id)
+            self._redo(self._prepared_record(txn_id))
             self.wal.append(LogRecordType.END, txn_id, self.env.now)
         for txn_id in plan.in_doubt:
             prepared = self._prepared_record(txn_id)
@@ -698,18 +708,13 @@ class CloudServer(Node):
                     name=f"{self.name}.resolve[{txn_id}]",
                 )
 
-    def _prepared_record(self, txn_id: str):
-        for record in reversed(self.wal.records_for(txn_id)):
-            if record.record_type is LogRecordType.PREPARED:
-                return record
-        return None
+    def _prepared_record(self, txn_id: str) -> Optional[LogRecord]:
+        records = reversed(self.wal.records_for(txn_id))
+        return next((r for r in records if r.record_type is LogRecordType.PREPARED), None)
 
-    def _redo_from_log(self, txn_id: str) -> None:
+    def _redo(self, prepared: Optional[LogRecord]) -> None:
         """Reapply a committed transaction's writes from its prepared record."""
-        prepared = self._prepared_record(txn_id)
-        if prepared is None:
-            return
-        for key, value in (prepared.get("writes") or {}).items():
+        for key, value in ((prepared.get("writes") if prepared else None) or {}).items():
             self.storage.install(key, value)
 
     def _resolve_in_doubt(self, txn_id: str, coordinator: str) -> Generator[Event, Any, None]:
@@ -738,9 +743,12 @@ class CloudServer(Node):
         if self.is_down:
             return  # crashed again while waiting; the next recovery retries
         decision: Decision = reply["decision"]
+        # Read before the decision is logged: a log that forgets finished
+        # transactions drops the PREPARED record with the COMMIT.
+        prepared = self._prepared_record(txn_id)
         if not (yield from force_log(self, LogRecordType.for_decision(decision), txn_id)):
             return
         if decision is Decision.COMMIT:
-            self._redo_from_log(txn_id)
+            self._redo(prepared)
         self.wal.append(LogRecordType.END, txn_id, self.env.now)
         self.metrics.faults.in_doubt_resolved += 1

@@ -12,7 +12,7 @@ Incremental Punctual.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set
 
 from repro.policy.policy import PolicyId
 from repro.policy.proofs import ProofOfAuthorization

@@ -14,14 +14,9 @@ that 2PVC only ever commits safe transactions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.consistency import (
-    ConsistencyLevel,
-    is_consistent,
-    phi_consistent,
-    psi_consistent,
-)
+from repro.core.consistency import ConsistencyLevel, is_consistent
 from repro.policy.policy import PolicyId
 from repro.policy.proofs import ProofOfAuthorization
 

@@ -65,11 +65,13 @@ def broadcast_decision(
     variant = tm.config.commit_variant
     parent = ctx.phase_span or ctx.root_span
     record_type = LogRecordType.for_decision(decision)
+    # The coordinator answers for a COMMIT until its END; ABORT is presumed.
+    keep = decision is Decision.COMMIT
     if variant.coordinator_forces(decision):
-        if not (yield from force_log(tm, record_type, ctx.txn_id, parent)):
+        if not (yield from force_log(tm, record_type, ctx.txn_id, parent, keep=keep)):
             return
     else:
-        tm.wal.append(record_type, ctx.txn_id, tm.env.now)
+        tm.wal.append(record_type, ctx.txn_id, tm.env.now, keep=keep)
 
     expects_ack = variant.acknowledges(decision)
     participant_forces = variant.participant_forces(decision)
@@ -104,13 +106,16 @@ def broadcast_decision(
     # acknowledgement must never unwind it: swallow ack timeouts and let
     # the in-doubt participant learn the outcome through the termination
     # protocol (Section V-C).  Acks are awaited individually (they are all
-    # in flight concurrently; waiting is sequential but overlapping).
+    # in flight concurrently; waiting is sequential but overlapping).  The
+    # END follows either way, but a COMMIT some participant did not
+    # acknowledge is kept: that participant may still ask for it.
+    acknowledged = expects_ack or not participants
     for ack_event in ack_events:
         try:
             yield ack_event
         except RequestTimeout:
-            pass
-    tm.wal.append(LogRecordType.END, ctx.txn_id, tm.env.now)
+            acknowledged = False
+    tm.wal.append(LogRecordType.END, ctx.txn_id, tm.env.now, keep=keep and not acknowledged)
 
 
 def run_2pvc(

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import DeadlockError
 from repro.obs.spans import KIND_LOCK, ParentRef, Span
 from repro.sim.events import Event
 from repro.sim.kernel import Environment

@@ -11,7 +11,7 @@ and TM message handlers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.db.wal import DECISIONS, LogRecordType, WriteAheadLog

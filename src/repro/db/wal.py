@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.transactions.states import Decision
+from repro.transactions.states import Decision, Vote
 
 
 class LogRecordType(enum.Enum):
@@ -58,16 +58,11 @@ class LogRecord:
         return default
 
 
-#: Record-count threshold at which a compacting WAL truncates (see
-#: ``WriteAheadLog(compact_at=...)``); chosen so compaction cost amortizes
-#: to O(1) per write while the retained tail stays a few thousand records.
-STREAMING_COMPACT_AT = 4096
-
-
-def compact_threshold(traced: bool, rpc_max_retries: int) -> Optional[int]:
-    """A node's ``compact_at``: never when the run is traced (its WALs are
-    conformance evidence) or coordinators retry (see :class:`WriteAheadLog`)."""
-    return None if traced or rpc_max_retries else STREAMING_COMPACT_AT
+def forgets_finished(traced: bool, rpc_max_retries: int) -> bool:
+    """Whether a node's log forgets the transactions it is done with: only
+    when the run is untraced (a traced run's WALs are conformance evidence)
+    and no coordinator retries (see :class:`WriteAheadLog`)."""
+    return not (traced or rpc_max_retries)
 
 
 class WriteAheadLog:
@@ -77,46 +72,52 @@ class WriteAheadLog:
     models stable storage.  ``forced_writes`` is the paper's log-complexity
     counter.
 
-    ``compact_at`` (None = never, the default) enables checkpoint-style
-    truncation for untraced runs: whenever the retained record count reaches
-    the threshold, records of transactions this node is done with are
-    dropped — those with an END record (coordinator forgot after collecting
-    acks), an ABORT decision (presumed abort: an inquiry gets the same answer
-    with or without the record), or a COMMIT decision alongside a PREPARED
-    record (a participant).  A coordinator's COMMIT is retained until its END
-    lands, so in-doubt inquiries still resolve correctly.  A participant's
-    log *is* queried after its decision: ``CloudServer`` reads
-    :meth:`decision_for` to recognise a duplicate PREPARE or DECISION.  Such
-    a duplicate comes only from a coordinator retry, so dropping the
-    participant's records is sound only while no coordinator retries
-    (``CloudConfig.rpc_max_retries == 0``, the default) — a retry arriving
-    after compaction would find neither state nor decision and be taken for
-    a new request; :func:`compact_threshold` enables compaction only then.
-    LSNs and the ``forced_writes`` / ``unforced_writes`` complexity counters
-    are unaffected; only the record *list* is truncated.
+    Records are kept in LSN order and indexed by transaction.  With
+    ``forget`` on, the write that finishes a transaction at this node drops
+    every record of it: an END, a decision, or a PREPARED record with a NO
+    vote (which decides abort).  A write made with ``keep`` finishes
+    nothing: the coordinator's COMMIT, and its END for a COMMIT some
+    participant never acknowledged.  Forgetting is sound only while no
+    coordinator retries (:func:`forgets_finished`; docs/correctness.md).
+    LSNs and the write counters count every write either way.
     """
 
-    def __init__(self, owner: str, compact_at: Optional[int] = None) -> None:
+    def __init__(self, owner: str, forget: bool = False) -> None:
         self.owner = owner
-        self._records: List[LogRecord] = []
+        self.forget = forget
+        self._by_lsn: Dict[int, LogRecord] = {}
+        self._by_txn: Dict[str, List[LogRecord]] = {}
         self._next_lsn = 0
-        self.compact_at = compact_at
         self.forced_writes = 0
         self.unforced_writes = 0
 
     # -- writing ---------------------------------------------------------------
 
     def force(
-        self, record_type: LogRecordType, txn_id: str, now: float, **payload: Any
+        self,
+        record_type: LogRecordType,
+        txn_id: str,
+        now: float,
+        *,
+        keep: bool = False,
+        **payload: Any,
     ) -> LogRecord:
-        """Force-write a record (counted for log complexity)."""
-        return self._write(record_type, txn_id, now, True, payload)
+        """Force-write a record (counted for log complexity); ``keep``: this
+        write finishes nothing (see the class docstring)."""
+        return self._write(record_type, txn_id, now, True, payload, keep)
 
     def append(
-        self, record_type: LogRecordType, txn_id: str, now: float, **payload: Any
+        self,
+        record_type: LogRecordType,
+        txn_id: str,
+        now: float,
+        *,
+        keep: bool = False,
+        **payload: Any,
     ) -> LogRecord:
-        """Non-forced append (e.g. the coordinator's end record)."""
-        return self._write(record_type, txn_id, now, False, payload)
+        """Non-forced append (e.g. the coordinator's end record); ``keep``
+        as for :meth:`force`."""
+        return self._write(record_type, txn_id, now, False, payload, keep)
 
     def _write(
         self,
@@ -125,6 +126,7 @@ class WriteAheadLog:
         now: float,
         forced: bool,
         payload: Dict[str, Any],
+        keep: bool,
     ) -> LogRecord:
         record = LogRecord(
             lsn=self._next_lsn,
@@ -135,54 +137,35 @@ class WriteAheadLog:
             payload=tuple(sorted(payload.items())),
         )
         self._next_lsn += 1
-        self._records.append(record)
         if forced:
             self.forced_writes += 1
         else:
             self.unforced_writes += 1
-        if self.compact_at is not None and len(self._records) >= self.compact_at:
-            self._compact()
+        if self.forget and not keep and (
+            record_type is LogRecordType.END
+            or record_type in DECISIONS
+            or (record_type is LogRecordType.PREPARED and payload.get("vote") == Vote.NO.value)
+        ):
+            for dropped in self._by_txn.pop(txn_id, ()):
+                del self._by_lsn[dropped.lsn]
+        else:
+            self._by_lsn[record.lsn] = record
+            self._by_txn.setdefault(txn_id, []).append(record)
         return record
-
-    def _compact(self) -> None:
-        """Drop records of transactions this node is provably done with."""
-        ended = set()
-        aborted = set()
-        committed = set()
-        prepared = set()
-        for record in self._records:
-            record_type = record.record_type
-            if record_type is LogRecordType.END:
-                ended.add(record.txn_id)
-            elif record_type is LogRecordType.ABORT:
-                aborted.add(record.txn_id)
-            elif record_type is LogRecordType.COMMIT:
-                committed.add(record.txn_id)
-            elif record_type is LogRecordType.PREPARED:
-                prepared.add(record.txn_id)
-        forgettable = ended | aborted | (committed & prepared)
-        if forgettable:
-            self._records = [
-                record for record in self._records if record.txn_id not in forgettable
-            ]
 
     # -- reading ----------------------------------------------------------------
 
     def records(self) -> Tuple[LogRecord, ...]:
-        return tuple(self._records)
+        return tuple(self._by_lsn.values())
 
     def records_for(self, txn_id: str) -> Tuple[LogRecord, ...]:
-        return tuple(record for record in self._records if record.txn_id == txn_id)
+        return tuple(self._by_txn.get(txn_id, ()))
 
     def last_record(self, txn_id: str) -> Optional[LogRecord]:
-        for record in reversed(self._records):
-            if record.txn_id == txn_id:
-                return record
-        return None
+        records = self._by_txn.get(txn_id)
+        return records[-1] if records else None
 
     def decision_for(self, txn_id: str) -> Optional[LogRecord]:
         """The commit/abort record for a transaction, if one was logged."""
-        for record in reversed(self._records):
-            if record.txn_id == txn_id and record.record_type in DECISIONS:
-                return record
-        return None
+        records = reversed(self._by_txn.get(txn_id, ()))
+        return next((record for record in records if record.record_type in DECISIONS), None)

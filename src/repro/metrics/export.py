@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, TextIO
 
 from repro.metrics.stats import TransactionOutcome
 

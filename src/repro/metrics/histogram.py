@@ -12,7 +12,7 @@ produces the classic fixed-width bar chart::
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.metrics.stats import percentile
 

@@ -13,7 +13,7 @@ stays decoupled from the replication layer (see
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.errors import PolicyError
 from repro.policy.policy import Policy, PolicyId

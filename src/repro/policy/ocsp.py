@@ -13,7 +13,7 @@ likewise excludes status checking from message complexity).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterable, Sequence
+from typing import Any, Dict, Generator, Sequence
 
 from repro.policy.credentials import CARegistry, Credential
 from repro.sim.events import Event

@@ -13,8 +13,7 @@ Access decisions are phrased as goals over two distinguished predicates:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 from repro.errors import PolicyError
 from repro.policy.rules import Atom, RuleSet

@@ -74,15 +74,16 @@ class LocalRevocationChecker(RevocationChecker):
 
     def __init__(self, registry: CARegistry) -> None:
         self.registry = registry
+        # The registry is mutable shared state, but revocations — the only
+        # mutations affecting check() — fire the cache's invalidation hook,
+        # so identity of the registry object is a sound token.
+        self._token = ("local", id(registry))
 
     def check(self, credential: Credential, relied_at: float, now: float) -> Tuple[bool, str]:
         return self.registry.semantically_valid(credential, relied_at, now)
 
     def cache_token(self) -> Optional[object]:
-        # The registry is mutable shared state, but revocations — the only
-        # mutations affecting check() — fire the cache's invalidation hook,
-        # so identity of the registry object is a sound token.
-        return ("local", id(self.registry))
+        return self._token
 
     def revocation_boundary(self, credential: Credential) -> Optional[float]:
         authority = self.registry.get(credential.issuer)
@@ -196,7 +197,10 @@ def assess_credentials(
             semantic_ok, sem_reason = revocation.check(credential, credential.issued_at, now)
             if not semantic_ok:
                 reason = sem_reason
-        cred_id = getattr(credential, "cred_id", f"<malformed:{credential!r}>")
+        try:
+            cred_id = credential.cred_id
+        except AttributeError:  # rendered only then: a repr is not cheap
+            cred_id = f"<malformed:{credential!r}>"
         assessments.append(
             CredentialAssessment(cred_id, syntactic_ok, semantic_ok, reason)
         )

@@ -22,7 +22,7 @@ saturation effects measurable in load experiments.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.errors import SimulationError
 from repro.sim.events import Event

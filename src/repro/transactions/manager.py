@@ -29,7 +29,7 @@ from repro.core.consistency import ConsistencyLevel
 from repro.core.context import TxnContext
 from repro.core.twopvc import broadcast_decision
 from repro.db.items import ItemCatalog
-from repro.db.wal import LogRecordType, WriteAheadLog, compact_threshold
+from repro.db.wal import LogRecordType, WriteAheadLog, forgets_finished
 from repro.errors import (
     AbortReason,
     NetworkError,
@@ -64,7 +64,7 @@ class TransactionManager(Node):
         self.catalog = catalog
         self.metrics = metrics
         self.wal = WriteAheadLog(
-            name, compact_at=compact_threshold(metrics.tracer.enabled, config.rpc_max_retries)
+            name, forget=forgets_finished(metrics.tracer.enabled, config.rpc_max_retries)
         )
         #: Finished outcomes, the checker's transaction index: kept only when
         #: the run is traced (``submit``'s process resolves to each outcome).

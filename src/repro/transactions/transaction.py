@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.policy.credentials import Credential

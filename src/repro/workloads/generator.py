@@ -8,8 +8,8 @@ random read/write transactions over the cluster's items, and the worst-case
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.db.items import ItemCatalog
 from repro.errors import SimulationError

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cloud.config import CloudConfig
-from repro.core.approaches import ProofApproach, get_approach
+from repro.core.approaches import ProofApproach
 from repro.core.consistency import ConsistencyLevel
-from repro.errors import TransactionAborted
 from repro.metrics.stats import TransactionOutcome
 from repro.policy.credentials import CertificateAuthority, Credential
 from repro.policy.rules import Atom, Rule, RuleSet, Variable
-from repro.sim.process import Process
 from repro.transactions.transaction import Query, Transaction
 from repro.workloads.generator import WorkloadSpec, poisson_arrivals, uniform_transactions
 from repro.workloads.runner import OpenLoopRunner

@@ -19,7 +19,7 @@ Two kinds of successors:
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Optional
 
 from repro.policy.policy import Policy
 from repro.policy.rules import Atom, Rule, RuleSet, Variable

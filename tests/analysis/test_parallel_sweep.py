@@ -133,3 +133,34 @@ class TestRunSweep:
         first = run_sweep(points, max_workers=2)
         second = run_sweep(points, max_workers=2)
         assert [r.outcomes for r in first] == [r.outcomes for r in second]
+
+
+class TestLazyImport:
+    """The sweep engine loads on first use, not with ``repro.analysis``."""
+
+    def test_importing_the_sweep_starts_no_process_pool_machinery(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        script = (
+            "import sys, repro, repro.analysis.sweep\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=90,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_the_package_still_exports_the_engine(self):
+        import repro.analysis as analysis
+        from repro.analysis import parallel
+
+        assert analysis.run_sweep is parallel.run_sweep is run_sweep
+        assert analysis.parallel_map is parallel_map
+        for name in ("estimate_point_cost", "should_parallelize"):
+            assert getattr(analysis, name) is getattr(parallel, name)
+        with pytest.raises(AttributeError):
+            analysis.no_such_name  # noqa: B018

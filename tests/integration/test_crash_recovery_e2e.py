@@ -19,6 +19,7 @@ from repro.cloud import messages as msg
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.db.locks import LockMode
+from repro.db.wal import LogRecordType
 from repro.sim.network import FixedLatency
 from repro.transactions.transaction import Query, Transaction
 from repro.workloads.testbed import build_cluster
@@ -89,6 +90,128 @@ class TestVoteWindowCrash:
         assert len(set(values.values())) == 1, values
         report = cluster.verify()
         assert report.ok, report.violations
+
+    @pytest.mark.parametrize(
+        "down_for, decision_delay",
+        [
+            (25.0, 0.0),  # restarts after the DECISION was dropped: asks
+            (0.5, 0.0),  # restarts before the DECISION: it arrives in doubt
+            (2.5, 5.0),  # asks, resolves, then the DECISION arrives
+        ],
+    )
+    def test_an_untraced_run_resolves_the_window_to_the_same_outcome(
+        self, down_for, decision_delay
+    ):
+        """Untraced and without retries every WAL forgets what its node has
+        finished.  Whichever of the coordinator's DECISION and its answer to
+        the termination protocol reaches the restarted participant first,
+        the run must end as the traced one does: the same values and the
+        same forced writes on every node.  The coordinator must keep the
+        COMMIT the participant did not acknowledge; the participant must
+        redo its writes from the PREPARED record its COMMIT drops, and must
+        take a DECISION for a transaction it resolved and forgot for the
+        duplicate it is."""
+        traced = _vote_window(True, down_for, decision_delay)
+        untraced = _vote_window(False, down_for, decision_delay)
+
+        assert untraced.metrics.faults.in_doubt_resolved == 1
+        assert _values(untraced) == _values(traced) == {"s1": 95.0, "s2": 95.0, "s3": 95.0}
+        assert _forced(untraced) == _forced(traced)
+        # The coordinator keeps a COMMIT whose ack timed out for good: it
+        # cannot tell whether that participant will still ask for it.
+        kept = [LogRecordType.COMMIT, LogRecordType.END] if down_for > 15.0 else []
+        assert [record.record_type for record in _retained(untraced)] == kept
+
+
+class TestLatePrepare:
+    """Without per-link FIFO a PREPARE can reach a participant after the
+    ABORT the coordinator sent when the vote timed out, with no retry."""
+
+    def _run(self, trace):
+        config = CloudConfig(latency=FixedLatency(1.0), request_timeout=15.0)
+        cluster = build_cluster(n_servers=3, seed=5, config=config, trace=trace)
+        _Delay(cluster.network, msg.PREPARE_TO_COMMIT, "s2", 40.0)
+        outcome = cluster.submit(_three_server_write(cluster, "t-late"), "deferred", VIEW)
+        cluster.run()
+        assert not outcome.value.committed
+        assert _values(cluster) == {"s1": 100.0, "s2": 100.0, "s3": 100.0}
+        return cluster
+
+    def test_a_forgetting_participant_votes_no_and_keeps_nothing(self):
+        """A traced participant still holds the ABORT and stays silent.  A
+        forgetting one has dropped it, so it votes NO on the late PREPARE;
+        the NO vote finishes the transaction, and no log keeps a record."""
+        traced, untraced = self._run(trace=True), self._run(trace=False)
+        s2 = traced.server("s2").wal
+        assert [record.record_type for record in s2.records()] == [LogRecordType.ABORT]
+        assert _retained(untraced) == []
+        # The one difference a reader can see: the forced NO vote.
+        assert untraced.server("s2").wal.forced_writes == s2.forced_writes + 1
+
+
+class _Delay:
+    """A chaos hook delaying every ``kind`` message to ``dst``, on top of
+    the hook already installed (the nemesis's), if any."""
+
+    def __init__(self, network, kind, dst, delay):
+        self.inner, self.kind, self.dst, self.delay = network.chaos, kind, dst, delay
+        network.chaos = self
+
+    def on_send(self, message, now):
+        drop, extra = self.inner.on_send(message, now) if self.inner else (False, 0.0)
+        if message.kind == self.kind and message.dst == self.dst:
+            extra += self.delay
+        return drop, extra
+
+
+def _vote_window(trace, down_for, decision_delay):
+    """The in-doubt window of ``VOTE_CRASH``, restarting ``s2`` after
+    ``down_for``, on a 3-server write; returns the drained cluster."""
+    plan = FaultPlan(
+        (FaultSpec("crash", at=0.0, node="s2", on_kind=msg.VOTE_REPLY, down_for=down_for),),
+        label="vote-crash",
+    )
+    config = CloudConfig(latency=FixedLatency(1.0), request_timeout=15.0)
+    cluster = build_cluster(n_servers=3, seed=5, config=config, trace=trace)
+    nemesis = Nemesis(cluster, plan)
+    nemesis.install()
+    _Delay(cluster.network, msg.DECISION, "s2", decision_delay)
+    outcome = cluster.submit(_three_server_write(cluster, "t-doubt"), "deferred", VIEW)
+    cluster.run()
+    nemesis.recover_all()
+    cluster.run()
+    assert outcome.value.committed
+    return cluster
+
+
+def _forced(cluster):
+    return {name: cluster.server(name).wal.forced_writes for name in ("s1", "s2", "s3")}
+
+
+def _three_server_write(cluster, txn_id):
+    credential = cluster.issue_role_credential("alice")
+    return Transaction(
+        txn_id,
+        "alice",
+        queries=tuple(
+            Query.write(f"{txn_id}-q{i}", deltas={f"s{i}/x1": -5}) for i in (1, 2, 3)
+        ),
+        credentials=(credential,),
+    )
+
+
+def _values(cluster):
+    return {
+        name: cluster.server(name).storage.committed_value(f"{name}/x1")
+        for name in ("s1", "s2", "s3")
+    }
+
+
+def _retained(cluster):
+    """Every record still held by any node's WAL."""
+    logs = [cluster.server(name).wal for name in ("s1", "s2", "s3")]
+    logs += [tm.wal for tm in cluster.tms]
+    return [record for log in logs for record in log.records()]
 
 
 class TestLockLeakOnCrash:

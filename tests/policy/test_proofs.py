@@ -1,12 +1,16 @@
 """Unit tests for proof-of-authorization evaluation (eval(f, t))."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.policy.credentials import CARegistry, CertificateAuthority
+from repro.policy.credentials import CARegistry, CertificateAuthority, Credential
 from repro.policy.policy import Operation, Policy, PolicyId
 from repro.policy.proofs import (
+    CredentialAssessment,
     LocalRevocationChecker,
     PrefetchedStatuses,
+    assess_credentials,
     evaluate_proof,
 )
 from repro.policy.rules import Atom, Rule, RuleSet, Variable
@@ -135,6 +139,37 @@ class TestRevocationCheckers:
         assert checker.check(credential, 0.0, 5.0) == (True, "ok")
         ca.revoke(credential.cred_id, 1.0)
         assert checker.check(credential, 0.0, 5.0) == (False, "revoked")
+
+    def test_local_checker_token_is_built_once(self, registry):
+        checker = LocalRevocationChecker(registry)
+        assert checker.cache_token() == ("local", id(registry))
+        assert checker.cache_token() is checker.cache_token()
+
+
+class _Junk:
+    def __repr__(self):
+        return "junk"
+
+
+class _Unprintable(Credential):
+    def __repr__(self):
+        raise AssertionError("a well-formed credential was rendered")
+
+
+class TestAssessCredentials:
+    def test_a_malformed_credential_is_named_by_its_repr(self, registry):
+        checker = LocalRevocationChecker(registry)
+        assert assess_credentials([_Junk()], registry, checker, 5.0) == [
+            CredentialAssessment("<malformed:junk>", False, False, "malformed")
+        ]
+
+    def test_a_well_formed_credential_is_not_rendered(self, ca, registry):
+        issued = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
+        credential = _Unprintable(**{f.name: getattr(issued, f.name) for f in fields(issued)})
+        checker = LocalRevocationChecker(registry)
+        assert assess_credentials([credential], registry, checker, 5.0) == [
+            CredentialAssessment(issued.cred_id, True, True, "ok")
+        ]
 
 
 class TestProofRecord:

@@ -124,7 +124,8 @@ def test_forced_write_without_a_parent_records_no_span():
 
 def coordinator(config: CloudConfig = CloudConfig()):
     env = Environment()
-    metrics = Metrics(spans=True)
+    # Traced, as in world(): the tests read the TM's log as evidence.
+    metrics = Metrics(trace=True, spans=True)
     network = Network(env, metrics, latency=FixedLatency(1.0))
     tm = network.register(TransactionManager("tm", config, ItemCatalog(), metrics))
     ctx = TxnContext(

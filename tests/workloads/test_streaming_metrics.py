@@ -6,8 +6,10 @@ nothing else: with it on, the runner keeps no outcome list and evicts each
 transaction's assignment and coordinator context as it finishes.  What
 else a run keeps follows one rule per kind of state: conformance evidence
 (the TM's outcomes, whole WALs, the storage access log) is kept iff the run
-is traced; everything else (per-transaction attribution, the proof cache)
-is bounded in every run.  Three things must hold:
+is traced (an untraced WAL holds only the transactions its node is not
+done with, unless coordinators retry); everything else (per-transaction
+attribution, the proof cache) is bounded in every run.  Three things must
+hold:
 
 * **equivalence** — the streamed aggregate equals the offline
   ``aggregate()`` of the retained run column for column (the p95 column
@@ -34,7 +36,6 @@ import pytest
 from repro.analysis.scale import StaleCommitTracker
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
-from repro.db import wal as wal_mod
 from repro.metrics.stats import StreamingOutcomeAggregator, aggregate
 from repro.obs.live import LiveTelemetry
 from repro.policy.proofcache import STREAMING_PROOF_CACHE_CAPACITY
@@ -140,19 +141,15 @@ class TestEquivalence:
         assert runner.assignments
 
 
-#: A compaction threshold below the WAL volume of a 60-user run.
-WAL_THRESHOLD = 16
+def nodes(cluster):
+    return list(cluster.servers.values()) + list(cluster.tms)
 
 
-def wal_lengths(cluster):
-    """(some WAL outgrew ``WAL_THRESHOLD``, every WAL kept every record)."""
-    nodes = list(cluster.servers.values()) + list(cluster.tms)
-    return (
-        max(len(node.wal.records()) for node in nodes) > WAL_THRESHOLD,
-        all(
-            len(node.wal.records()) == node.wal.forced_writes + node.wal.unforced_writes
-            for node in nodes
-        ),
+def keeps_every_record(cluster):
+    """Every WAL holds every record it wrote, and some wrote records."""
+    return sum(len(node.wal.records()) for node in nodes(cluster)) > 0 and all(
+        len(node.wal.records()) == node.wal.forced_writes + node.wal.unforced_writes
+        for node in nodes(cluster)
     )
 
 
@@ -164,30 +161,31 @@ class TestTracedStreamingRunIsChecked:
         assert report.transactions_checked == runner.stream.count
         assert not report.violations, report.codes()
 
-    def test_a_traced_wal_is_never_compacted(self, monkeypatch):
-        monkeypatch.setattr(wal_mod, "STREAMING_COMPACT_AT", WAL_THRESHOLD)
+    def test_a_traced_wal_is_never_compacted(self):
         cluster, runner, _ = run(streaming=True, n_users=60, with_tracker=True)
-        assert wal_lengths(cluster) == (True, True)
+        assert keeps_every_record(cluster)
         report = cluster.verify()
         assert report.transactions_checked == runner.stream.count
         assert not report.violations, report.codes()
 
 
 class TestWalCompaction:
-    """An untraced run compacts its WALs only while no coordinator retries:
-    a retried PREPARE or DECISION reads the participant's log."""
+    """An untraced run's WALs forget each transaction as their node finishes
+    it, but only while no coordinator retries: a retried PREPARE or DECISION
+    reads the participant's log."""
 
-    def test_an_untraced_run_compacts(self, monkeypatch):
-        monkeypatch.setattr(wal_mod, "STREAMING_COMPACT_AT", WAL_THRESHOLD)
-        cluster, runner, _ = run(streaming=True, n_users=60, trace=False)
-        assert runner.stream.count == 60
-        assert wal_lengths(cluster)[1] is False
+    def test_an_untraced_run_compacts(self):
+        cluster, runner, outcomes = run(streaming=True, n_users=60, trace=False, collect=True)
+        assert runner.stream.count == len(outcomes) == 60
+        finished = {outcome.txn_id for outcome in outcomes}
+        retained = {record.txn_id for node in nodes(cluster) for record in node.wal.records()}
+        assert not retained & finished
+        assert sum(node.wal.forced_writes for node in nodes(cluster)) > 0
 
-    def test_an_untraced_run_with_retries_keeps_its_wal(self, monkeypatch):
-        monkeypatch.setattr(wal_mod, "STREAMING_COMPACT_AT", WAL_THRESHOLD)
+    def test_an_untraced_run_with_retries_keeps_its_wal(self):
         cluster, runner, _ = run(streaming=True, n_users=60, trace=False, retries=2)
         assert runner.stream.count == 60
-        assert wal_lengths(cluster) == (True, True)
+        assert keeps_every_record(cluster)
 
 
 class TestAggregatorUnit:
@@ -218,16 +216,15 @@ class TestConstantMemory:
         groups, interning) are excluded; tracing is off because a retained
         trace is linear by design.
 
-        The bounded stores of an untraced run (the WAL up to its compaction
-        threshold, the LRU proof cache and the flight rings up to their
-        capacities) plateau rather than stay flat; the constants are shrunk
-        below the *small* run's volume so both runs measure the plateau,
-        not the fill.
+        An untraced run's WALs hold only the transactions in flight.  The
+        other bounded stores (the LRU proof cache and the flight rings, up
+        to their capacities) plateau rather than stay flat; their capacities
+        are shrunk below the *small* run's volume so both runs measure the
+        plateau, not the fill.
         """
         import repro.cloud.server as server_mod
         import repro.obs.flight as flight_mod
 
-        monkeypatch.setattr(wal_mod, "STREAMING_COMPACT_AT", 256)
         monkeypatch.setattr(
             server_mod, "ProofCache", partial(server_mod.ProofCache, capacity=32)
         )
