@@ -71,10 +71,7 @@ class _ExecutedQuery:
 class _TxnState:
     """Volatile per-transaction state on one participant."""
 
-    txn_id: str
-    coordinator: str
     queries: List[_ExecutedQuery] = field(default_factory=list)
-    prepared: bool = False
     #: Reply payload of the first PREPARE_TO_COMMIT, replayed verbatim on a
     #: duplicate (coordinator retry after a lost reply) so the vote is not
     #: re-derived and PREPARED is not force-logged twice.
@@ -105,7 +102,7 @@ class CloudServer(Node):
         self.storage = StorageEngine(name, record_accesses=traced)
         self.constraints = ConstraintSet()
         self.policies = PolicyStore()
-        self.wal = WriteAheadLog(name, forget=forgets_finished(traced, config.rpc_max_retries))
+        self.wal = WriteAheadLog(name, forgets=forgets_finished(traced, config.rpc_max_retries))
         self.default_admin = default_admin
         #: item → administrative domain (defaults to ``default_admin``).
         self.domain_of: Dict[str, str] = dict(domain_of or {})
@@ -260,7 +257,9 @@ class CloudServer(Node):
 
         span = self._handler_span(message, "server.execute", query_id=query.query_id)
         try:
-            state = self._txns.setdefault(txn_id, _TxnState(txn_id, coordinator=message.src))
+            state = self._txns.get(txn_id)
+            if state is None:
+                state = self._txns[txn_id] = _TxnState()
             # Duplicate EXECUTE (coordinator retry after a lost reply):
             # replay the result from the workspace instead of re-applying
             # write deltas.  Reads happen under the still-held locks, so
@@ -600,6 +599,8 @@ class CloudServer(Node):
                 # Crashed before the force hit disk: no PREPARED record, no
                 # vote — presumed abort resolves the transaction.
                 return
+            if vote is Vote.NO:
+                self.wal.forget(txn_id)  # a NO vote decides abort here
             reply_payload = {
                 "txn_id": txn_id,
                 "vote": vote,
@@ -607,7 +608,6 @@ class CloudServer(Node):
                 **report,
             }
             if state is not None:
-                state.prepared = True
                 state.vote_reply = reply_payload
 
             self.reply(message, msg.VOTE_REPLY, msg.CAT_VOTE, **reply_payload)
@@ -633,15 +633,10 @@ class CloudServer(Node):
         )
         try:
             state = self._txns.get(txn_id)
-            prepared = None if state is not None else self._prepared_record(txn_id)
             # Already resolved and applied here — a duplicate (coordinator
             # retry), or the original reaching a participant the termination
-            # protocol resolved, whose forgetting log dropped even the
-            # PREPARED record a YES vote follows: re-ack, change nothing.
-            if state is None and (
-                self.wal.decision_for(txn_id) is not None
-                or (decision is Decision.COMMIT and prepared is None)
-            ):
+            # protocol resolved: re-ack, change nothing.
+            if state is None and self.wal.decision_for(txn_id) is not None:
                 if ack:
                     self.reply(message, msg.DECISION_ACK, msg.CAT_DECISION, txn_id=txn_id)
                 return
@@ -654,11 +649,8 @@ class CloudServer(Node):
 
             if decision is Decision.COMMIT:
                 self.storage.apply(txn_id, self.env.now)
-                if state is None and self.wal.forget:
-                    # Restarted in doubt: no workspace, and the COMMIT just
-                    # dropped the record the termination protocol redoes.
-                    self._redo(prepared)
             self._release(txn_id)
+            self.wal.forget(txn_id)
 
             if ack:
                 self.reply(message, msg.DECISION_ACK, msg.CAT_DECISION, txn_id=txn_id)
@@ -684,7 +676,11 @@ class CloudServer(Node):
         forever and their transactions' locks on *other* servers leaked
         until timeout.  Teardown fails those waits so the handlers unwind
         (and, being down, go silent).
+
+        The log stops forgetting for good: what it forgot so far was
+        finished, and recovery reads whatever this node writes from now on.
         """
+        self.wal.forgets = False
         for txn_id in list(self.storage.active_transactions()):
             self.storage.discard(txn_id)
         self._txns.clear()
@@ -743,12 +739,9 @@ class CloudServer(Node):
         if self.is_down:
             return  # crashed again while waiting; the next recovery retries
         decision: Decision = reply["decision"]
-        # Read before the decision is logged: a log that forgets finished
-        # transactions drops the PREPARED record with the COMMIT.
-        prepared = self._prepared_record(txn_id)
         if not (yield from force_log(self, LogRecordType.for_decision(decision), txn_id)):
             return
         if decision is Decision.COMMIT:
-            self._redo(prepared)
+            self._redo(self._prepared_record(txn_id))
         self.wal.append(LogRecordType.END, txn_id, self.env.now)
         self.metrics.faults.in_doubt_resolved += 1

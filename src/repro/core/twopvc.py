@@ -61,17 +61,22 @@ def broadcast_decision(
     then appends a non-forced end record.  A coordinator that went down
     while forcing the decision announces nothing: the decision is not
     durable, and participants resolve by presumption.
+
+    Where the coordinator is done with the transaction, its log forgets it
+    (:meth:`repro.db.wal.WriteAheadLog.forget`): an ABORT as soon as it is
+    logged, since abort is presumed; a COMMIT at its END, but only once
+    every participant acknowledged it, since one that did not may still ask.
     """
     variant = tm.config.commit_variant
     parent = ctx.phase_span or ctx.root_span
     record_type = LogRecordType.for_decision(decision)
-    # The coordinator answers for a COMMIT until its END; ABORT is presumed.
-    keep = decision is Decision.COMMIT
     if variant.coordinator_forces(decision):
-        if not (yield from force_log(tm, record_type, ctx.txn_id, parent, keep=keep)):
+        if not (yield from force_log(tm, record_type, ctx.txn_id, parent)):
             return
     else:
-        tm.wal.append(record_type, ctx.txn_id, tm.env.now, keep=keep)
+        tm.wal.append(record_type, ctx.txn_id, tm.env.now)
+    if decision is Decision.ABORT:
+        tm.wal.forget(ctx.txn_id)
 
     expects_ack = variant.acknowledges(decision)
     participant_forces = variant.participant_forces(decision)
@@ -107,15 +112,16 @@ def broadcast_decision(
     # the in-doubt participant learn the outcome through the termination
     # protocol (Section V-C).  Acks are awaited individually (they are all
     # in flight concurrently; waiting is sequential but overlapping).  The
-    # END follows either way, but a COMMIT some participant did not
-    # acknowledge is kept: that participant may still ask for it.
+    # END follows either way.
     acknowledged = expects_ack or not participants
     for ack_event in ack_events:
         try:
             yield ack_event
         except RequestTimeout:
             acknowledged = False
-    tm.wal.append(LogRecordType.END, ctx.txn_id, tm.env.now, keep=keep and not acknowledged)
+    tm.wal.append(LogRecordType.END, ctx.txn_id, tm.env.now)
+    if decision is Decision.ABORT or acknowledged:
+        tm.wal.forget(ctx.txn_id)
 
 
 def run_2pvc(

@@ -12,9 +12,9 @@ and TM message handlers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.db.wal import DECISIONS, LogRecordType, WriteAheadLog
+from repro.db.wal import LogRecordType, WriteAheadLog
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class RecoveryPlan:
 
 
 def analyze(wal: WriteAheadLog) -> RecoveryPlan:
-    """Classify every transaction appearing in the log.
+    """Classify every transaction appearing in the log, in first-write order.
 
     Follows the standard presumed-nothing 2PC recovery rules, which the
     paper inherits unchanged for 2PVC:
@@ -46,33 +46,18 @@ def analyze(wal: WriteAheadLog) -> RecoveryPlan:
     * activity but no PREPARED record → presume abort (the participant
       never promised anything, so unilateral rollback is safe).
     """
-    # Every transaction in first-seen order; a dict, so membership is O(1).
-    seen: Dict[str, None] = {}
-    prepared: Dict[str, bool] = {}
-    decision: Dict[str, LogRecordType] = {}
-    ended: Dict[str, bool] = {}
-    for record in wal.records():
-        seen.setdefault(record.txn_id)
-        if record.record_type is LogRecordType.PREPARED:
-            prepared[record.txn_id] = True
-        elif record.record_type in DECISIONS:
-            decision[record.txn_id] = record.record_type
-        elif record.record_type is LogRecordType.END:
-            ended[record.txn_id] = True
-
     redo: List[str] = []
     undo: List[str] = []
     in_doubt: List[str] = []
-    for txn_id in seen:
-        if ended.get(txn_id):
+    for txn_id in wal.transactions():
+        kinds = {record.record_type for record in wal.records_for(txn_id)}
+        if LogRecordType.END in kinds:
             continue
-        verdict = decision.get(txn_id)
-        if verdict is LogRecordType.COMMIT:
+        decision = wal.decision_for(txn_id)
+        if decision is not None and decision.record_type is LogRecordType.COMMIT:
             redo.append(txn_id)
-        elif verdict is LogRecordType.ABORT:
-            undo.append(txn_id)
-        elif prepared.get(txn_id):
+        elif decision is None and LogRecordType.PREPARED in kinds:
             in_doubt.append(txn_id)
         else:
-            undo.append(txn_id)  # presumed abort for unprepared work
+            undo.append(txn_id)  # decided abort, or presumed for unprepared work
     return RecoveryPlan(tuple(redo), tuple(undo), tuple(in_doubt))

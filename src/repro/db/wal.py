@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.transactions.states import Decision, Vote
+from repro.transactions.states import Decision
 
 
 class LogRecordType(enum.Enum):
@@ -72,19 +72,20 @@ class WriteAheadLog:
     models stable storage.  ``forced_writes`` is the paper's log-complexity
     counter.
 
-    Records are kept in LSN order and indexed by transaction.  With
-    ``forget`` on, the write that finishes a transaction at this node drops
-    every record of it: an END, a decision, or a PREPARED record with a NO
-    vote (which decides abort).  A write made with ``keep`` finishes
-    nothing: the coordinator's COMMIT, and its END for a COMMIT some
-    participant never acknowledged.  Forgetting is sound only while no
-    coordinator retries (:func:`forgets_finished`; docs/correctness.md).
-    LSNs and the write counters count every write either way.
+    Records are kept in LSN order and indexed by transaction.  Every write
+    is stored; the protocol says when its node is done with a transaction
+    and calls :meth:`forget` there.  Only a log made with ``forgets`` drops
+    anything, and a server's first crash clears the flag for good
+    (:meth:`repro.cloud.server.CloudServer.on_crash`): what it forgot was
+    finished, and from then on it keeps whatever recovery may read.
+    Forgetting is sound only while no coordinator retries
+    (:func:`forgets_finished`; docs/correctness.md).  LSNs and the write
+    counters count every write either way.
     """
 
-    def __init__(self, owner: str, forget: bool = False) -> None:
+    def __init__(self, owner: str, forgets: bool = False) -> None:
         self.owner = owner
-        self.forget = forget
+        self.forgets = forgets
         self._by_lsn: Dict[int, LogRecord] = {}
         self._by_txn: Dict[str, List[LogRecord]] = {}
         self._next_lsn = 0
@@ -94,30 +95,16 @@ class WriteAheadLog:
     # -- writing ---------------------------------------------------------------
 
     def force(
-        self,
-        record_type: LogRecordType,
-        txn_id: str,
-        now: float,
-        *,
-        keep: bool = False,
-        **payload: Any,
+        self, record_type: LogRecordType, txn_id: str, now: float, **payload: Any
     ) -> LogRecord:
-        """Force-write a record (counted for log complexity); ``keep``: this
-        write finishes nothing (see the class docstring)."""
-        return self._write(record_type, txn_id, now, True, payload, keep)
+        """Force-write a record (counted for log complexity)."""
+        return self._write(record_type, txn_id, now, True, payload)
 
     def append(
-        self,
-        record_type: LogRecordType,
-        txn_id: str,
-        now: float,
-        *,
-        keep: bool = False,
-        **payload: Any,
+        self, record_type: LogRecordType, txn_id: str, now: float, **payload: Any
     ) -> LogRecord:
-        """Non-forced append (e.g. the coordinator's end record); ``keep``
-        as for :meth:`force`."""
-        return self._write(record_type, txn_id, now, False, payload, keep)
+        """Non-forced append (e.g. the coordinator's end record)."""
+        return self._write(record_type, txn_id, now, False, payload)
 
     def _write(
         self,
@@ -126,7 +113,6 @@ class WriteAheadLog:
         now: float,
         forced: bool,
         payload: Dict[str, Any],
-        keep: bool,
     ) -> LogRecord:
         record = LogRecord(
             lsn=self._next_lsn,
@@ -141,22 +127,24 @@ class WriteAheadLog:
             self.forced_writes += 1
         else:
             self.unforced_writes += 1
-        if self.forget and not keep and (
-            record_type is LogRecordType.END
-            or record_type in DECISIONS
-            or (record_type is LogRecordType.PREPARED and payload.get("vote") == Vote.NO.value)
-        ):
-            for dropped in self._by_txn.pop(txn_id, ()):
-                del self._by_lsn[dropped.lsn]
-        else:
-            self._by_lsn[record.lsn] = record
-            self._by_txn.setdefault(txn_id, []).append(record)
+        self._by_lsn[record.lsn] = record
+        self._by_txn.setdefault(txn_id, []).append(record)
         return record
+
+    def forget(self, txn_id: str) -> None:
+        """The node is done with ``txn_id``: drop its records if this log forgets."""
+        if self.forgets:
+            for record in self._by_txn.pop(txn_id, ()):
+                del self._by_lsn[record.lsn]
 
     # -- reading ----------------------------------------------------------------
 
     def records(self) -> Tuple[LogRecord, ...]:
         return tuple(self._by_lsn.values())
+
+    def transactions(self) -> Iterator[str]:
+        """Every transaction with a record here, in first-write order."""
+        return iter(self._by_txn)
 
     def records_for(self, txn_id: str) -> Tuple[LogRecord, ...]:
         return tuple(self._by_txn.get(txn_id, ()))

@@ -26,7 +26,6 @@ def force_log(
     txn_id: str,
     parent: ParentRef = None,
     payload: Optional[Callable[[], Dict[str, Any]]] = None,
-    keep: bool = False,
 ) -> Generator[Event, Any, bool]:
     """Force one record to ``node``'s log; returns whether it became durable.
 
@@ -37,7 +36,6 @@ def force_log(
     have vouched for (a vote, a decision) did not happen.  ``payload`` builds
     the record's fields at the instant of the write, not when it starts: the
     record describes the node as it is when the record becomes durable.
-    ``keep`` is :meth:`repro.db.wal.WriteAheadLog.force`'s.
     """
     spans = node.metrics.spans
     span = (
@@ -48,7 +46,7 @@ def force_log(
     yield node.env.timeout(node.config.log_force_time)
     if node.is_down:
         return False
-    node.wal.force(record_type, txn_id, node.env.now, keep=keep, **(payload() if payload else {}))
+    node.wal.force(record_type, txn_id, node.env.now, **(payload() if payload else {}))
     spans.finish(span, node.env.now, record=record_type.value)
     return True
 

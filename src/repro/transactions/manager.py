@@ -64,7 +64,7 @@ class TransactionManager(Node):
         self.catalog = catalog
         self.metrics = metrics
         self.wal = WriteAheadLog(
-            name, forget=forgets_finished(metrics.tracer.enabled, config.rpc_max_retries)
+            name, forgets=forgets_finished(metrics.tracer.enabled, config.rpc_max_retries)
         )
         #: Finished outcomes, the checker's transaction index: kept only when
         #: the run is traced (``submit``'s process resolves to each outcome).
@@ -308,6 +308,7 @@ class TransactionManager(Node):
         participants = ctx.active_participants()
         if not participants:
             self.wal.append(LogRecordType.ABORT, ctx.txn_id, self.env.now)
+            self.wal.forget(ctx.txn_id)
             return
         try:
             yield from broadcast_decision(self, ctx, Decision.ABORT, participants)

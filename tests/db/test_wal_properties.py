@@ -1,28 +1,31 @@
 """Property tests: the indexed write-ahead log answers like the list-and-scan one.
 
-:class:`repro.db.wal.WriteAheadLog` keeps its records by LSN and by
-transaction, and with ``forget`` on drops a transaction at the write that
-finishes it at this node.  :class:`tests.db.wal_oracle.OracleWriteAheadLog`
-is the log before that: one list, scanned per read, compacted in batches.
-Over interleavings of protocol-legal per-transaction write sequences — a
-coordinator's and a participant's, each cut at any point — every
-transaction must read the same from both:
+:class:`repro.db.wal.WriteAheadLog` keeps every record it writes, by LSN
+and by transaction, and drops a transaction only when the protocol calls
+``forget`` on a log made with ``forgets``.
+:class:`tests.db.wal_oracle.OracleWriteAheadLog` is the log before the
+index: one list, scanned per read, nothing dropped.  Over interleavings of
+per-transaction write sequences — a coordinator's and a participant's, with
+``forget`` called where the protocol calls it, each cut at any point —
+every transaction must read the same from both:
 
-* a log that forgets nothing equals the oracle on ``records()``,
+* a whole log equals the oracle on ``records()``, ``transactions()``,
   ``records_for``, ``last_record``, ``decision_for``, LSNs and both write
   counters;
-* a forgetting log retains of each transaction exactly the records
-  written after the last write that finished it (an END, a decision or a
-  NO vote, none of them kept), and answers like the oracle on them;
-* on the paths every benchmark run takes — YES votes, every ack in — it
-  equals the oracle compacting at every write: the rule is the one that
-  compaction applied, evaluated at the write.
+* ``forget`` on a whole log changes nothing;
+* a forgetting log equals the oracle minus each transaction forgotten since
+  its last write, and its LSNs and counters count every write;
+* restart analysis (:func:`repro.db.recovery.analyze`) classifies every
+  log, forgetting or whole, exactly as the scan it replaced
+  (:func:`tests.db.recovery_oracle.analyze_by_scan`).
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.db.recovery import analyze
 from repro.db.wal import LogRecordType, WriteAheadLog
+from tests.db.recovery_oracle import analyze_by_scan
 from tests.db.wal_oracle import OracleWriteAheadLog
 
 BEGIN = LogRecordType.BEGIN
@@ -30,69 +33,86 @@ PREPARED = LogRecordType.PREPARED
 COMMIT = LogRecordType.COMMIT
 ABORT = LogRecordType.ABORT
 END = LogRecordType.END
+#: A ``forget`` call, where the protocol makes one.
+FORGET = "forget"
 
 #: Complete write sequences of one transaction at one node, as
-#: (record type, forced, keep).  Any prefix is a transaction in flight.
-COMMON_SCRIPTS = (
-    # coordinator: the decision (a COMMIT kept until the END), then END
-    ((COMMIT, True, True), (END, False, False)),
-    ((ABORT, False, False), (END, False, False)),
-    ((BEGIN, True, False), (COMMIT, True, True), (END, False, False)),
-    ((BEGIN, True, False), (ABORT, True, False), (END, False, False)),
-    # participant: PREPARED, then the decision (and END after recovery)
-    ((PREPARED, True, False), (COMMIT, True, False), (END, False, False)),
-    ((PREPARED, True, False), (COMMIT, False, False)),
-    ((PREPARED, True, False), (ABORT, True, False), (END, False, False)),
-    ((PREPARED, True, False), (ABORT, False, False)),
-    # participant told to abort before it prepared
-    ((ABORT, False, False),),
-)
-SCRIPTS = COMMON_SCRIPTS + (
-    # coordinator: a COMMIT some participant never acknowledged
-    ((COMMIT, True, True), (END, False, True)),
-    # participant: the coordinator's DECISION after the termination
-    # protocol resolved the transaction, and a PREPARE after the ABORT
-    ((PREPARED, True, False), (COMMIT, True, False), (END, False, False), (COMMIT, True, False)),
-    ((ABORT, True, False), (PREPARED, True, False)),
+#: (record type, forced) and ``FORGET`` steps.  Any prefix is a
+#: transaction in flight.
+SCRIPTS = (
+    # coordinator: a COMMIT every participant acknowledged, and one some
+    # participant did not (kept: that participant may still ask)
+    ((COMMIT, True), (END, False), FORGET),
+    ((COMMIT, True), (END, False)),
+    ((BEGIN, True), (COMMIT, True), (END, False), FORGET),
+    # coordinator: an ABORT, forgotten as it is logged and again at its END
+    ((ABORT, False), FORGET, (END, False), FORGET),
+    ((BEGIN, True), (ABORT, True), FORGET, (END, False), FORGET),
+    # participant: PREPARED, then the decision
+    ((PREPARED, True), (COMMIT, True), FORGET),
+    ((PREPARED, True), (COMMIT, False), FORGET),
+    ((PREPARED, True), (ABORT, True), FORGET),
+    # participant: a NO vote, then the ABORT
+    ((PREPARED, True), FORGET, (ABORT, False), FORGET),
+    # participant told to abort before it prepared, and a PREPARE that
+    # overtook that ABORT
+    ((ABORT, False), FORGET),
+    ((ABORT, False), FORGET, (PREPARED, True), FORGET),
+    # restarted participant: resolved in doubt, then the original DECISION
+    ((PREPARED, True), (COMMIT, True), (END, False), (COMMIT, True)),
 )
 
 
 @st.composite
-def histories(draw, scripts=SCRIPTS, votes=("yes", "no")):
-    """Interleaved writes of up to 8 transactions, each a script prefix."""
+def histories(draw, forgets=True):
+    """Interleaved steps of up to 8 transactions, each a script prefix, as
+    (txn id, step, vote); ``forgets=False`` leaves the forget calls out."""
     queues = []
     for index in range(draw(st.integers(min_value=1, max_value=8))):
-        script = draw(st.sampled_from(scripts))
+        script = draw(st.sampled_from(SCRIPTS))
         cut = draw(st.integers(min_value=0, max_value=len(script)))
-        vote = draw(st.sampled_from(votes))
-        queues.append([(f"t{index}", vote, *step) for step in script[:cut]])
-    writes = []
+        vote = draw(st.sampled_from(("yes", "no")))
+        steps = [step for step in script[:cut] if forgets or step != FORGET]
+        queues.append([(f"t{index}", step, vote) for step in steps])
+    history = []
     while any(queues):
         queue = draw(st.sampled_from([queue for queue in queues if queue]))
-        writes.append(queue.pop(0))
-    return writes
+        history.append(queue.pop(0))
+    return history
 
 
-def replay(writes, *logs):
-    for now, (txn_id, vote, record_type, forced, keep) in enumerate(writes):
+def replay(history, *logs):
+    """Write ``history`` to every log; only a ``WriteAheadLog`` is told to forget."""
+    now = 0
+    for txn_id, step, vote in history:
+        if step == FORGET:
+            for log in logs:
+                if isinstance(log, WriteAheadLog):
+                    log.forget(txn_id)
+            continue
+        record_type, forced = step
         payload = {"vote": vote} if record_type is PREPARED else {}
         for log in logs:
-            kept = {"keep": keep} if isinstance(log, WriteAheadLog) else {}
             write = log.force if forced else log.append
-            write(record_type, txn_id, float(now), **kept, **payload)
+            write(record_type, txn_id, float(now), **payload)
+        now += 1
 
 
-def retained(writes):
-    """LSNs a forgetting log holds: each transaction's writes after the last
-    unkept END, decision or NO vote."""
-    held = {}
-    for lsn, (txn_id, vote, record_type, _, keep) in enumerate(writes):
-        finishes = record_type in (END, COMMIT, ABORT) or (record_type is PREPARED and vote == "no")
-        if finishes and not keep:
-            held[txn_id] = []
+def retained(history):
+    """LSNs a forgetting log holds: each transaction's writes since its last forget."""
+    held, lsn = {}, 0
+    for txn_id, step, _ in history:
+        if step == FORGET:
+            held.pop(txn_id, None)
         else:
             held.setdefault(txn_id, []).append(lsn)
-    return sorted(lsn for lsns in held.values() for lsn in lsns)
+            lsn += 1
+    return {lsn for lsns in held.values() for lsn in lsns}
+
+
+def first_written(records):
+    """Transaction ids in the order of their first record."""
+    return list(dict.fromkeys(record.txn_id for record in records))
 
 
 def reads(log, txn_id):
@@ -103,49 +123,69 @@ def counters(log):
     return (log._next_lsn, log.forced_writes, log.unforced_writes)
 
 
+def txn_ids(history):
+    return sorted({txn_id for txn_id, _, _ in history} | {"never-written"})
+
+
 @settings(max_examples=300, deadline=None)
-@given(histories())
-def test_a_log_that_forgets_nothing_equals_the_oracle(writes):
+@given(histories(forgets=False))
+def test_a_log_that_forgets_nothing_equals_the_oracle(history):
     log, oracle = WriteAheadLog("s1"), OracleWriteAheadLog("s1")
-    replay(writes, log, oracle)
+    replay(history, log, oracle)
     assert log.records() == oracle.records()
-    assert [record.lsn for record in log.records()] == list(range(len(writes)))
+    assert [record.lsn for record in log.records()] == list(range(len(history)))
+    assert list(log.transactions()) == first_written(oracle.records())
     assert counters(log) == counters(oracle)
-    for txn_id in {write[0] for write in writes} | {"never-written"}:
+    for txn_id in txn_ids(history):
         assert reads(log, txn_id) == reads(oracle, txn_id)
 
 
 @settings(max_examples=300, deadline=None)
 @given(histories())
-def test_a_forgetting_log_keeps_exactly_the_transactions_not_done(writes):
-    log, oracle = WriteAheadLog("s1", forget=True), OracleWriteAheadLog("s1")
-    replay(writes, log, oracle)
-    held = set(retained(writes))
-    assert [record.lsn for record in log.records()] == sorted(held)
-    assert log.records() == tuple(r for r in oracle.records() if r.lsn in held)
+def test_forget_on_a_whole_log_is_a_no_op(history):
+    told, untold = WriteAheadLog("s1"), WriteAheadLog("s1")
+    replay(history, told)
+    replay([step for step in history if step[1] != FORGET], untold)
+    assert told.records() == untold.records()
+    assert list(told.transactions()) == list(untold.transactions())
+    assert counters(told) == counters(untold)
+    for txn_id in txn_ids(history):
+        assert reads(told, txn_id) == reads(untold, txn_id)
+
+
+@settings(max_examples=300, deadline=None)
+@given(histories())
+def test_a_forgetting_log_keeps_exactly_the_transactions_not_done(history):
+    log, oracle = WriteAheadLog("s1", forgets=True), OracleWriteAheadLog("s1")
+    replay(history, log, oracle)
+    held = retained(history)
+    expected = tuple(record for record in oracle.records() if record.lsn in held)
+    assert log.records() == expected
+    assert list(log.transactions()) == first_written(expected)
     assert counters(log) == counters(oracle)
-    for txn_id in {write[0] for write in writes} | {"never-written"}:
-        expected = [r for r in oracle.records_for(txn_id) if r.lsn in held]
-        decisions = [r for r in expected if r.record_type in (COMMIT, ABORT)]
-        assert log.records_for(txn_id) == tuple(expected)
-        assert log.last_record(txn_id) == (expected[-1] if expected else None)
+    for txn_id in txn_ids(history):
+        kept = [record for record in expected if record.txn_id == txn_id]
+        decisions = [record for record in kept if record.record_type in (COMMIT, ABORT)]
+        assert log.records_for(txn_id) == tuple(kept)
+        assert log.last_record(txn_id) == (kept[-1] if kept else None)
         assert log.decision_for(txn_id) == (decisions[-1] if decisions else None)
 
 
 @settings(max_examples=300, deadline=None)
-@given(histories(scripts=COMMON_SCRIPTS, votes=("yes",)))
-def test_on_common_paths_forgetting_is_compaction_at_every_write(writes):
-    log, compacting = WriteAheadLog("s1", forget=True), OracleWriteAheadLog("s1", compact_at=1)
-    replay(writes, log, compacting)
-    assert log.records() == compacting.records()
+@given(histories(), st.booleans(), st.booleans())
+def test_restart_analysis_equals_the_scan(history, forgets, told):
+    log = WriteAheadLog("s1", forgets=forgets)
+    replay(history if told else [step for step in history if step[1] != FORGET], log)
+    assert analyze(log) == analyze_by_scan(log)
 
 
-def test_a_kept_end_holds_the_commit_a_participant_may_still_ask_for():
-    log = WriteAheadLog("tm", forget=True)
-    log.force(COMMIT, "t1", 1.0, keep=True)
-    log.append(END, "t1", 2.0, keep=True)
-    log.force(COMMIT, "t2", 3.0, keep=True)
-    log.append(END, "t2", 4.0)
-    assert log.decision_for("t1").record_type is COMMIT
-    assert log.decision_for("t2") is None
-    assert [record.txn_id for record in log.records()] == ["t1", "t1"]
+def test_a_transaction_written_after_it_was_forgotten_is_analysed_from_then_on():
+    log = WriteAheadLog("s2", forgets=True)
+    log.force(ABORT, "t1", 1.0)
+    log.forget("t1")
+    log.force(PREPARED, "t2", 2.0, vote="yes")
+    log.force(PREPARED, "t1", 3.0, vote="no")  # a PREPARE that overtook the ABORT
+    assert list(log.transactions()) == ["t2", "t1"]
+    plan = analyze(log)
+    assert (plan.in_doubt, plan.undo_aborts) == (("t2", "t1"), ())
+    assert plan == analyze_by_scan(log)

@@ -1,10 +1,9 @@
 """Reference write-ahead log for the indexed :class:`repro.db.wal.WriteAheadLog`.
 
 The log as it was before its per-transaction index: records in one list,
-every per-transaction read a scan of it, and finished transactions dropped
-in a batch whenever the list reached ``compact_at`` records.  The property tests
-in ``tests/db/test_wal_properties.py`` hold the indexed log to it.  Nothing
-under ``src/`` imports this module.
+every per-transaction read a scan of it, nothing ever dropped.  The
+property tests in ``tests/db/test_wal_properties.py`` hold the indexed log
+to it.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -15,18 +14,12 @@ from repro.db.wal import DECISIONS, LogRecord, LogRecordType
 
 
 class OracleWriteAheadLog:
-    """The log as it was before it was indexed: one list, scanned per read.
+    """A whole log: one list, scanned per read."""
 
-    With ``compact_at`` set, whenever the retained record count reaches it,
-    the records of every transaction the node is done with are dropped: one
-    with an END, an ABORT, or a COMMIT beside a PREPARED record.
-    """
-
-    def __init__(self, owner: str, compact_at: Optional[int] = None) -> None:
+    def __init__(self, owner: str) -> None:
         self.owner = owner
         self._records: List[LogRecord] = []
         self._next_lsn = 0
-        self.compact_at = compact_at
         self.forced_writes = 0
         self.unforced_writes = 0
 
@@ -66,31 +59,7 @@ class OracleWriteAheadLog:
             self.forced_writes += 1
         else:
             self.unforced_writes += 1
-        if self.compact_at is not None and len(self._records) >= self.compact_at:
-            self._compact()
         return record
-
-    def _compact(self) -> None:
-        """Drop records of transactions this node is provably done with."""
-        ended = set()
-        aborted = set()
-        committed = set()
-        prepared = set()
-        for record in self._records:
-            record_type = record.record_type
-            if record_type is LogRecordType.END:
-                ended.add(record.txn_id)
-            elif record_type is LogRecordType.ABORT:
-                aborted.add(record.txn_id)
-            elif record_type is LogRecordType.COMMIT:
-                committed.add(record.txn_id)
-            elif record_type is LogRecordType.PREPARED:
-                prepared.add(record.txn_id)
-        forgettable = ended | aborted | (committed & prepared)
-        if forgettable:
-            self._records = [
-                record for record in self._records if record.txn_id not in forgettable
-            ]
 
     # -- reading ----------------------------------------------------------------
 

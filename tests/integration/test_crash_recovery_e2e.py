@@ -103,24 +103,54 @@ class TestVoteWindowCrash:
         self, down_for, decision_delay
     ):
         """Untraced and without retries every WAL forgets what its node has
-        finished.  Whichever of the coordinator's DECISION and its answer to
-        the termination protocol reaches the restarted participant first,
-        the run must end as the traced one does: the same values and the
-        same forced writes on every node.  The coordinator must keep the
-        COMMIT the participant did not acknowledge; the participant must
-        redo its writes from the PREPARED record its COMMIT drops, and must
-        take a DECISION for a transaction it resolved and forgot for the
-        duplicate it is."""
+        finished, until the node's first crash.  Whichever of the
+        coordinator's DECISION and its answer to the termination protocol
+        reaches the restarted participant first, the run must end as the
+        traced one does: the same values and the same forced writes on every
+        node, and the same log on the participant that crashed.  The
+        coordinator must keep the COMMIT the participant did not
+        acknowledge."""
         traced = _vote_window(True, down_for, decision_delay)
         untraced = _vote_window(False, down_for, decision_delay)
 
         assert untraced.metrics.faults.in_doubt_resolved == 1
         assert _values(untraced) == _values(traced) == {"s1": 95.0, "s2": 95.0, "s3": 95.0}
         assert _forced(untraced) == _forced(traced)
+        # s2 had forgotten nothing when it crashed (its one transaction was
+        # in flight), and keeps every record from its crash on.
+        s2 = untraced.server("s2").wal
+        assert not s2.forgets
+        assert s2.records() == traced.server("s2").wal.records()
         # The coordinator keeps a COMMIT whose ack timed out for good: it
         # cannot tell whether that participant will still ask for it.
         kept = [LogRecordType.COMMIT, LogRecordType.END] if down_for > 15.0 else []
-        assert [record.record_type for record in _retained(untraced)] == kept
+        others = _retained(untraced, ("s1", "s3"))
+        assert [record.record_type for record in others] == kept
+
+
+class TestCrashEndsForgetting:
+    def test_a_restarted_participant_keeps_every_later_record(self):
+        """A participant that forgot its finished transactions, then crashed
+        and restarted, finds nothing to recover and keeps every record it
+        writes from then on; a participant that never crashed still forgets."""
+        config = CloudConfig(latency=FixedLatency(1.0), request_timeout=15.0)
+        cluster = build_cluster(n_servers=3, seed=5, config=config, trace=False)
+        first = cluster.submit(_three_server_write(cluster, "t-before"), "deferred", VIEW)
+        cluster.run()
+        s2 = cluster.server("s2")
+        assert first.value.committed and s2.wal.records() == ()
+        s2.crash()
+        s2.recover()
+        written = s2.wal.forced_writes + s2.wal.unforced_writes
+        second = cluster.submit(_three_server_write(cluster, "t-after"), "deferred", VIEW)
+        cluster.run()
+        assert second.value.committed
+        assert _values(cluster) == {"s1": 90.0, "s2": 90.0, "s3": 90.0}
+        later = s2.wal.forced_writes + s2.wal.unforced_writes - written
+        kinds = [record.record_type for record in s2.wal.records_for("t-after")]
+        assert later == len(s2.wal.records()) == len(kinds) > 0
+        assert kinds == [LogRecordType.PREPARED, LogRecordType.COMMIT]
+        assert _retained(cluster, ("s1", "s3")) == []
 
 
 class TestLatePrepare:
@@ -207,9 +237,9 @@ def _values(cluster):
     }
 
 
-def _retained(cluster):
-    """Every record still held by any node's WAL."""
-    logs = [cluster.server(name).wal for name in ("s1", "s2", "s3")]
+def _retained(cluster, servers=("s1", "s2", "s3")):
+    """Every record still held by the WAL of any TM or of one of ``servers``."""
+    logs = [cluster.server(name).wal for name in servers]
     logs += [tm.wal for tm in cluster.tms]
     return [record for log in logs for record in log.records()]
 

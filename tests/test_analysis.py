@@ -1,5 +1,7 @@
 """Unit tests for the analysis package: sweeps, trade-offs, adaptation."""
 
+import importlib
+
 import pytest
 
 from repro.analysis.adaptive import AdaptiveSelector, EwmaEstimator, run_adaptive_batch
@@ -32,6 +34,33 @@ class TestSweep:
         )
         assert result.summary.count == 4
         assert result.summary.commit_rate == 1.0
+
+    def test_run_point_keeps_no_finished_context(self, monkeypatch):
+        """Only the outcomes leave a sweep point: ``run_point`` drops each
+        finished transaction's context as soon as the outcome is recorded,
+        retries included, so a long sweep holds only what is in flight."""
+        sweep = importlib.import_module("repro.analysis.sweep")
+        clusters = []
+
+        def capture(*args, **kwargs):
+            clusters.append(build_cluster(*args, **kwargs))
+            return clusters[-1]
+
+        monkeypatch.setattr(sweep, "build_cluster", capture)
+        result = run_point(
+            SweepPoint(
+                approach="incremental",
+                txn_length=2,
+                n_transactions=6,
+                update_interval=20.0,
+                retry_policy_aborts=True,
+                seed=3,
+                config_overrides={"replication_delay": (2.0, 8.0)},
+            )
+        )
+        (cluster,) = clusters
+        assert len(result.outcomes) >= 6
+        assert cluster.tm.finished == {} and cluster.tm.active == {}
 
     def test_unknown_override_key_raises(self):
         # A misspelt or retired key must not be silently ignored.
