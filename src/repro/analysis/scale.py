@@ -44,12 +44,15 @@ class StaleCommitTracker:
     Wire it as ``OpenLoopRunner(..., on_outcome=tracker.observe)`` — the
     hook fires in simulation time as each transaction completes, so the
     master comparison uses the master's state *at* the commit, not at the
-    end of the run.  The context is popped from the coordinator's
-    ``finished`` map after inspection to keep long runs bounded.
+    end of the run.  The tracker asks every coordinator to keep finished
+    contexts, and pops each one from its ``finished`` map after inspection
+    to keep long runs bounded.
     """
 
     def __init__(self, cluster: Cluster, max_examples: int = 1024) -> None:
         self.cluster = cluster
+        for tm in cluster.tms:
+            tm.keeps_finished = True
         self.commits = 0
         self.stale_commits = 0
         #: txn_id → list of domains whose version was behind — capped at

@@ -139,7 +139,6 @@ def run_point(point: SweepPoint) -> SweepResult:
                 process = cluster.tm.submit(current, approach, point.consistency)
                 outcome = yield process
                 outcomes.append(outcome)
-                cluster.tm.finished.pop(outcome.txn_id, None)  # only the outcome leaves
                 retryable = (
                     point.retry_policy_aborts
                     and not outcome.committed

@@ -739,6 +739,11 @@ class CloudServer(Node):
         if self.is_down:
             return  # crashed again while waiting; the next recovery retries
         decision: Decision = reply["decision"]
+        logged = self.wal.decision_for(txn_id)
+        if logged is not None and logged.record_type is LogRecordType.COMMIT:
+            # The original COMMIT got here first and was acknowledged, so a
+            # coordinator that forgets may have dropped it and presume abort.
+            decision = Decision.COMMIT
         if not (yield from force_log(self, LogRecordType.for_decision(decision), txn_id)):
             return
         if decision is Decision.COMMIT:

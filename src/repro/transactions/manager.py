@@ -70,9 +70,10 @@ class TransactionManager(Node):
         #: the run is traced (``submit``'s process resolves to each outcome).
         self.outcomes: List[TransactionOutcome] = []
         self.active: Dict[str, TxnContext] = {}
-        #: Finished contexts kept for inspection by tests and benches.
-        #: Streaming runs must drain this map as transactions finish (the
-        #: open-loop runner and the stale-commit tracker both pop it).
+        #: Finished contexts, for tests and post-hoc audits: kept, like
+        #: ``outcomes``, only when the run is traced, or for a reader that
+        #: asks and pops each one it reads (the stale-commit tracker).
+        self.keeps_finished = metrics.tracer.enabled
         self.finished: Dict[str, TxnContext] = {}
 
     # -- public API ----------------------------------------------------------
@@ -239,7 +240,8 @@ class TransactionManager(Node):
         self.metrics.txn_finished(self.name, outcome)
         if self.metrics.tracer.enabled:
             self.outcomes.append(outcome)
-        self.finished[txn.txn_id] = ctx
+        if self.keeps_finished:
+            self.finished[txn.txn_id] = ctx
         self.active.pop(txn.txn_id, None)
         return outcome
 

@@ -15,11 +15,11 @@ and completion is tracked with one in-flight counter.
 * off (default): every outcome also lands in :attr:`outcomes`, and
   :attr:`assignments` keeps every transaction's TM — convenient for tests
   and small benches;
-* on: nothing per transaction outlives it — the ``assignments`` entry and
-  the coordinator's ``finished`` context are evicted as each transaction
-  completes.  Peak memory is bounded by the number of *in-flight*
-  transactions, not the length of the run — what makes 10^5-user
-  ``bench_scale`` runs routine (see docs/scale.md).
+* on: nothing per transaction outlives it — the ``assignments`` entry is
+  evicted as each transaction completes (the coordinator keeps finished
+  contexts only when the run is traced).  Peak memory is bounded by the
+  number of *in-flight* transactions, not the length of the run — what
+  makes 10^5-user ``bench_scale`` runs routine (see docs/scale.md).
 """
 
 from __future__ import annotations
@@ -168,13 +168,9 @@ class OpenLoopRunner:
             self.on_outcome(outcome)
         if self._retain:
             return
-        # Hooks have run; evict this transaction's bookkeeping so the run
+        # Hooks have run; evict this transaction's assignment so the run
         # stays bounded by in-flight work.
-        txn_id = outcome.txn_id
-        tm_name = self.assignments.pop(txn_id, None)
-        for tm in self.cluster.tms:
-            if tm.name == tm_name:
-                tm.finished.pop(txn_id, None)
+        self.assignments.pop(outcome.txn_id, None)
 
     # -- summaries ---------------------------------------------------------------
 

@@ -92,15 +92,19 @@ class TestVoteWindowCrash:
         assert report.ok, report.violations
 
     @pytest.mark.parametrize(
-        "down_for, decision_delay",
+        "down_for, decision_delay, request_delay",
         [
-            (25.0, 0.0),  # restarts after the DECISION was dropped: asks
-            (0.5, 0.0),  # restarts before the DECISION: it arrives in doubt
-            (2.5, 5.0),  # asks, resolves, then the DECISION arrives
+            (25.0, 0.0, 0.0),  # restarts after the DECISION was dropped: asks
+            (0.5, 0.0, 0.0),  # restarts before the DECISION: it arrives in doubt
+            (2.5, 5.0, 0.0),  # asks, resolves, then the DECISION arrives
+            # The DECISION arrives in doubt and is acknowledged before the
+            # coordinator hears the question: a forgetting coordinator has
+            # dropped the COMMIT by then and answers abort.
+            (0.5, 0.0, 5.0),
         ],
     )
     def test_an_untraced_run_resolves_the_window_to_the_same_outcome(
-        self, down_for, decision_delay
+        self, down_for, decision_delay, request_delay
     ):
         """Untraced and without retries every WAL forgets what its node has
         finished, until the node's first crash.  Whichever of the
@@ -110,8 +114,8 @@ class TestVoteWindowCrash:
         node, and the same log on the participant that crashed.  The
         coordinator must keep the COMMIT the participant did not
         acknowledge."""
-        traced = _vote_window(True, down_for, decision_delay)
-        untraced = _vote_window(False, down_for, decision_delay)
+        traced = _vote_window(True, down_for, decision_delay, request_delay)
+        untraced = _vote_window(False, down_for, decision_delay, request_delay)
 
         assert untraced.metrics.faults.in_doubt_resolved == 1
         assert _values(untraced) == _values(traced) == {"s1": 95.0, "s2": 95.0, "s3": 95.0}
@@ -194,9 +198,11 @@ class _Delay:
         return drop, extra
 
 
-def _vote_window(trace, down_for, decision_delay):
+def _vote_window(trace, down_for, decision_delay, request_delay=0.0):
     """The in-doubt window of ``VOTE_CRASH``, restarting ``s2`` after
-    ``down_for``, on a 3-server write; returns the drained cluster."""
+    ``down_for``, on a 3-server write, with the DECISION to ``s2`` and the
+    DECISION_REQUEST to the coordinator held back by the given delays;
+    returns the drained cluster."""
     plan = FaultPlan(
         (FaultSpec("crash", at=0.0, node="s2", on_kind=msg.VOTE_REPLY, down_for=down_for),),
         label="vote-crash",
@@ -206,6 +212,7 @@ def _vote_window(trace, down_for, decision_delay):
     nemesis = Nemesis(cluster, plan)
     nemesis.install()
     _Delay(cluster.network, msg.DECISION, "s2", decision_delay)
+    _Delay(cluster.network, msg.DECISION_REQUEST, cluster.tm.name, request_delay)
     outcome = cluster.submit(_three_server_write(cluster, "t-doubt"), "deferred", VIEW)
     cluster.run()
     nemesis.recover_all()

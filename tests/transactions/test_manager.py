@@ -57,6 +57,22 @@ class TestOutcomes:
         ctx = small_cluster.tm.finished["t"]
         assert ctx.values["q1"] == {"s1/x1": 100.0}
 
+    @pytest.mark.parametrize("trace, asked", [(True, False), (False, False), (False, True)])
+    def test_finished_contexts_are_kept_when_traced_or_asked_for(self, trace, asked):
+        """The coordinator, not its driver, decides what outlives a
+        transaction: a finished context stays when the run is traced, or
+        when a reader asked for it."""
+        cluster = build_cluster(
+            n_servers=2, seed=5, config=CloudConfig(latency=FixedLatency(1.0)), trace=trace
+        )
+        if asked:
+            cluster.tm.keeps_finished = True
+        credential = cluster.issue_role_credential("alice")
+        txn = Transaction("t", "alice", (Query.read("q1", ["s1/x1"]),), (credential,))
+        assert cluster.run_transaction(txn, "deferred", VIEW).committed
+        assert list(cluster.tm.finished) == (["t"] if trace or asked else [])
+        assert cluster.tm.active == {}
+
     def test_alpha_omega_ordering(self, small_cluster):
         credential = small_cluster.issue_role_credential("alice")
         txn = Transaction("t", "alice", (Query.read("q1", ["s1/x1"]),), (credential,))

@@ -135,6 +135,23 @@ class TestEquivalence:
             assert tm.outcomes == []
             assert tm.finished == {}
 
+    def test_the_tracker_reads_every_context_of_an_untraced_run(self):
+        """An untraced coordinator keeps finished contexts only because the
+        tracker asks for them; the tracker finds each one and pops it."""
+        cluster, schedule = build(True, 60, False, 0)
+        runner = OpenLoopRunner(cluster, "deferred", ConsistencyLevel.VIEW)
+        tracker = StaleCommitTracker(cluster)
+        found = []
+
+        def hook(outcome):
+            found.append(any(outcome.txn_id in tm.finished for tm in cluster.tms))
+            tracker.observe(outcome)
+
+        runner.on_outcome = hook
+        runner.run_scheduled(schedule)
+        assert len(found) == 60 and all(found)
+        assert all(tm.finished == {} for tm in cluster.tms)
+
     def test_retained_run_keeps_everything(self):
         _, runner, _ = run(streaming=False, n_users=60)
         assert len(runner.outcomes) == 60  # one txn per user by default
