@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.cloud.master import MASTER_NAME
 from repro.errors import PolicyError
 from repro.metrics.stats import OutcomeAggregate, StreamingOutcomeAggregator, TransactionOutcome
 from repro.workloads.testbed import Cluster
@@ -136,7 +137,7 @@ class StreamingLocalitySplit:
         cluster: Cluster,
         assignments: Mapping[str, str],
     ) -> None:
-        self.master_region = cluster.region_of(cluster.config.master_name)
+        self.master_region = cluster.region_of(MASTER_NAME)
         self._region_of = cluster.region_of
         self._assignments = assignments
         #: TM name → region, memoized (the TM set is small and fixed).

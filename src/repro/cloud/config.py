@@ -1,16 +1,18 @@
 """Configuration knobs for the simulated cloud.
 
 One :class:`CloudConfig` instance parameterizes an entire simulation:
-network latency, local service times, how the master version is consulted
-under global consistency, the commit-logging variant, and policy-replication
-delays.  All times are in abstract simulation units; benches typically treat
-one unit as ~1 ms.
+network latency, how the master version is consulted under global
+consistency, the commit-logging variant, and policy-replication delays.
+The local service times (query execution, proof evaluation, constraint
+check, forced log write) are fixed costs, constants beside their readers
+(:mod:`repro.cloud.server`, :mod:`repro.transactions.effects`).  All times
+are in abstract simulation units; benches typically treat one unit as ~1 ms.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.sim.network import LatencyModel, UniformLatency
@@ -52,19 +54,9 @@ class CloudConfig:
     #: round trips for every master-version fetch — the placement choice
     #: the Table-I-at-scale bench measures.
     master_region: Optional[str] = None
-    #: Local time a server spends executing one query (locks held).
-    query_execution_time: float = 1.0
-    #: Local time to evaluate one proof of authorization.
-    proof_evaluation_time: float = 0.5
-    #: Local time to check integrity constraints at prepare.
-    constraint_check_time: float = 0.2
-    #: Local time for one forced log write.
-    log_force_time: float = 0.1
     #: Whether servers check revocation through the OCSP responder node
     #: (network round trip) instead of the zero-latency local oracle.
     use_online_ocsp: bool = False
-    #: Name of the OCSP responder node (when online checking is on).
-    ocsp_responder: str = "ocsp"
     #: Whether servers issue capability credentials ("access credentials")
     #: after granting a proof during query execution (Section III-A; Fig. 1).
     issue_capabilities: bool = False
@@ -72,8 +64,6 @@ class CloudConfig:
     replication_delay: Tuple[float, float] = (5.0, 50.0)
     #: Master-version retrieval mode for commit-time validation.
     master_fetch_mode: MasterFetchMode = MasterFetchMode.PER_ROUND
-    #: Name of the master version-service node.
-    master_name: str = "master"
     #: Commit-protocol logging/ack variant.
     commit_variant: CommitVariant = PRESUMED_NOTHING
     #: Per-request timeout for protocol RPCs (None = wait forever).
@@ -84,11 +74,6 @@ class CloudConfig:
     #: DECISION messages so a retry never re-applies effects or re-forces
     #: log records.  See docs/robustness.md.
     rpc_max_retries: int = 0
-    #: Concurrent compute slots per server (None = unbounded).  Bounding
-    #: this makes server saturation visible in load experiments: query
-    #: execution, proof evaluation, and constraint checking each hold one
-    #: slot while they run.
-    server_concurrency: Optional[int] = None
     #: Record causal spans (:mod:`repro.obs`) for critical-path latency
     #: attribution.  Default-on: spans are host-side observability only —
     #: they never consume simulated time or touch Table I counters — and
@@ -114,13 +99,3 @@ class CloudConfig:
     #: recent events, dumped as a self-contained incident bundle when the
     #: conformance checker finds violations (or on explicit trigger).
     flight_recorder: bool = False
-
-    def scaled(self, factor: float) -> "CloudConfig":
-        """A copy with every local service time scaled by ``factor``."""
-        return replace(
-            self,
-            query_execution_time=self.query_execution_time * factor,
-            proof_evaluation_time=self.proof_evaluation_time * factor,
-            constraint_check_time=self.constraint_check_time * factor,
-            log_force_time=self.log_force_time * factor,
-        )

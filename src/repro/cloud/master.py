@@ -30,12 +30,15 @@ from repro.sim.network import Message, Node
 #: retrieval counts as one message, matching Table I.
 MASTER_REPLY_CATEGORY = "master.reply"
 
+#: Node name of the cluster's one master version service.
+MASTER_NAME = "master"
+
 
 class MasterVersionService(Node):
     """Knows the latest policy version (and body) per administrative domain."""
 
-    def __init__(self, name: str = "master") -> None:
-        super().__init__(name)
+    def __init__(self) -> None:
+        super().__init__(MASTER_NAME)
         self._latest: Dict[PolicyId, Policy] = {}
         #: Publication timeline per admin domain: ``(sim time, version)`` in
         #: publication order.  The authoritative ``ver(P)`` history — the

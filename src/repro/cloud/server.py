@@ -27,7 +27,7 @@ from repro.errors import DeadlockError, NetworkError, PolicyError, RequestTimeou
 from repro.metrics.counters import Metrics
 from repro.obs.spans import KIND_CPU, KIND_PROOF, KIND_SERVER, ParentRef, Span
 from repro.policy.credentials import CARegistry, CertificateAuthority, Credential
-from repro.policy.ocsp import fetch_statuses
+from repro.policy.ocsp import OCSP_RESPONDER, fetch_statuses
 from repro.policy.policy import Operation, Policy, PolicyId
 from repro.policy.proofcache import ProofCache
 from repro.policy.proofs import (
@@ -39,7 +39,6 @@ from repro.policy.rules import Atom
 from repro.policy.store import PolicyStore
 from repro.sim.events import Event
 from repro.sim.network import Message, Node
-from repro.sim.resources import Resource
 from repro.transactions.effects import force_log, request_with_retry
 from repro.transactions.states import Decision, Vote
 from repro.transactions.transaction import Query
@@ -54,6 +53,13 @@ _CAPABILITY_PREDICATES = {
 #: on resolving an in-doubt transaction (it stays in doubt; a later recovery
 #: run retries from scratch).
 RECOVERY_MAX_RETRIES = 3
+
+#: Local service times (simulation units), the fixed costs of §V–VI: one
+#: query's execution (locks held), one proof of authorization's evaluation
+#: (spent on a proof-cache hit too), and the integrity check at prepare.
+QUERY_EXECUTION_TIME = 1.0
+PROOF_EVALUATION_TIME = 0.5
+CONSTRAINT_CHECK_TIME = 0.2
 
 
 @dataclass
@@ -107,7 +113,6 @@ class CloudServer(Node):
         #: item → administrative domain (defaults to ``default_admin``).
         self.domain_of: Dict[str, str] = dict(domain_of or {})
         self.locks: Optional[LockManager] = None  # created when registered
-        self._cpu: Optional[Resource] = None  # created when registered
         self._txns: Dict[str, _TxnState] = {}
         #: This server's own credential-issuing identity (capabilities).
         self.authority = CertificateAuthority(f"{name}-authority")
@@ -131,17 +136,6 @@ class CloudServer(Node):
             self.locks = LockManager(self.env, self.name, self.metrics)
         return self.locks
 
-    def _cpu_resource(self) -> Optional[Resource]:
-        """Lazily created compute-slot pool (None = unbounded)."""
-        if self.config.server_concurrency is None:
-            return None
-        if self._cpu is None:
-            assert self.env is not None, "server must be registered with a network"
-            self._cpu = Resource(
-                self.env, self.config.server_concurrency, name=f"{self.name}.cpu"
-            )
-        return self._cpu
-
     def _consume_cpu(
         self,
         duration: float,
@@ -149,12 +143,10 @@ class CloudServer(Node):
         parent: ParentRef = None,
         name: str = "cpu",
     ) -> Generator[Event, Any, None]:
-        """Spend ``duration`` of compute, holding one slot if bounded.
+        """Spend ``duration`` of compute (handlers on one server overlap).
 
-        Slots are held only for compute, never across lock waits or
-        network round trips, so capacity cannot deadlock against 2PL.
-        With a ``trace_id``/``parent`` the stretch — including any wait for
-        a compute slot — is recorded as a ``cpu`` span.
+        With a ``trace_id``/``parent`` the stretch is recorded as a ``cpu``
+        span.
         """
         spans = self.metrics.spans
         span = (
@@ -162,17 +154,8 @@ class CloudServer(Node):
             if parent is not None and spans.enabled
             else None
         )
-        cpu = self._cpu_resource()
-        if cpu is None:
-            yield self.env.timeout(duration)
-            spans.finish(span, self.env.now)
-            return
-        yield cpu.acquire()
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            cpu.release()
-            spans.finish(span, self.env.now)
+        yield self.env.timeout(duration)
+        spans.finish(span, self.env.now)
 
     # -- setup helpers -----------------------------------------------------------
 
@@ -307,7 +290,7 @@ class CloudServer(Node):
                     return
 
             yield from self._consume_cpu(
-                self.config.query_execution_time,
+                QUERY_EXECUTION_TIME,
                 trace_id=txn_id,
                 parent=span,
                 name="cpu.query",
@@ -433,12 +416,12 @@ class CloudServer(Node):
         )
         if self.config.use_online_ocsp:
             statuses = yield from fetch_statuses(
-                self, self.config.ocsp_responder, executed.credentials, self.env.now
+                self, OCSP_RESPONDER, executed.credentials, self.env.now
             )
             checker: Any = PrefetchedStatuses(statuses)
         else:
             checker = self._revocation
-        yield from self._consume_cpu(self.config.proof_evaluation_time)
+        yield from self._consume_cpu(PROOF_EVALUATION_TIME)
         if policy is None:
             policy = self.policies.current(executed.admin)
         proof = self.proof_cache.evaluate(
@@ -551,7 +534,7 @@ class CloudServer(Node):
                 # has long since moved on.
                 return
             yield from self._consume_cpu(
-                self.config.constraint_check_time,
+                CONSTRAINT_CHECK_TIME,
                 trace_id=txn_id,
                 parent=span,
                 name="cpu.constraints",

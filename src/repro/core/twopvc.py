@@ -39,7 +39,6 @@ class CommitResult:
     decision: Decision
     rounds: int
     abort_reason: Optional[AbortReason] = None
-    votes: Dict[str, Vote] = field(default_factory=dict)
     truth_by_server: Dict[str, bool] = field(default_factory=dict)
 
     @property
@@ -160,11 +159,10 @@ def run_2pvc(
             msg.CAT_VOTE,
             {server: {"validate": validate} for server in participants},
         )
-        votes = {server: reply["vote"] for server, reply in replies.items()}
         phase.rounds = 1
 
         # Algorithm 2 step 3: any NO on integrity aborts immediately.
-        if any(vote is Vote.NO for vote in votes.values()):
+        if any(reply["vote"] is Vote.NO for reply in replies.values()):
             abort_reason: Optional[AbortReason] = AbortReason.INTEGRITY_VIOLATION
         elif validate:
             abort_reason = yield from repair_versions(
@@ -176,7 +174,6 @@ def run_2pvc(
             Decision.COMMIT if abort_reason is None else Decision.ABORT,
             phase.rounds,
             abort_reason,
-            votes,
             {server: report["truth"] for server, report in reports.items()},
         )
         yield from broadcast_decision(tm, ctx, result.decision, participants)

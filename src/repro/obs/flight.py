@@ -12,11 +12,6 @@ JSONL, a metrics snapshot in OpenMetrics text (strictly valid, see
 :func:`repro.obs.openmetrics.validate_openmetrics`), and, when spans were
 recorded, a waterfall render of each implicated transaction.
 
-Rings hold plain tuples copied out of the simulation objects — never the
-pooled kernel/event objects themselves — so eviction order and content are
-bit-identical whether or not the kernel pools its timeouts (tested in
-``tests/obs/test_flight.py``).
-
 Enable with ``CloudConfig.flight_recorder``; the conformance entry points
 (:func:`repro.verify.verify_cluster`, the chaos fuzzer) trigger a dump through
 :func:`repro.verify.dump_incident` whenever a checked run has violations.  Library code never writes to disk —

@@ -26,6 +26,9 @@ STATUS = "ocsp.status"
 #: Accounting category for all status traffic.
 CATEGORY = "ocsp"
 
+#: Node name of the cluster's one responder.
+OCSP_RESPONDER = "ocsp"
+
 
 class OCSPResponder(Node):
     """A single responder answering status queries for every registered CA.
@@ -63,7 +66,7 @@ def fetch_statuses(
 
     A generator for use inside simulation processes::
 
-        statuses = yield from fetch_statuses(self, "ocsp", creds, self.env.now)
+        statuses = yield from fetch_statuses(self, OCSP_RESPONDER, creds, self.env.now)
         checker = PrefetchedStatuses(statuses)
     """
     entries = [

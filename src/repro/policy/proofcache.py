@@ -26,7 +26,7 @@ owns with the closure and the closure's rule constants.  A policy install
 (:meth:`ProofCache.invalidate_policy`) re-points every lineage its diff
 cannot affect and drops the rest; a revocation
 (:meth:`ProofCache.invalidate_credential`) drops the credential's verdict.
-A hit still costs simulated ``proof_evaluation_time`` and counts in Table I:
+A hit still costs simulated ``PROOF_EVALUATION_TIME`` and counts in Table I:
 the cache saves host CPU only (``docs/performance.md``).
 """
 

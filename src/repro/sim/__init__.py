@@ -17,14 +17,12 @@ from repro.sim.kernel import Environment
 from repro.sim.network import (
     FixedLatency,
     LatencyModel,
-    LogNormalLatency,
     Message,
     Network,
     Node,
     UniformLatency,
 )
 from repro.sim.process import Process
-from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecord, Tracer
 
@@ -34,12 +32,10 @@ __all__ = [
     "Event",
     "FixedLatency",
     "LatencyModel",
-    "LogNormalLatency",
     "Message",
     "Network",
     "Node",
     "Process",
-    "Resource",
     "RandomStreams",
     "Timeout",
     "TraceRecord",

@@ -103,9 +103,6 @@ class LatencyModel(abc.ABC):
     """Distribution of one-way message delays."""
 
     @abc.abstractmethod
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        """Draw a delay for a message from ``src`` to ``dst``."""
-
     def sample_message(
         self,
         rng: random.Random,
@@ -114,15 +111,14 @@ class LatencyModel(abc.ABC):
         payload: Mapping[str, Any],
         size_bytes: Optional[int] = None,
     ) -> float:
-        """Delay for a concrete message.
+        """Draw the delay of one message from ``src`` to ``dst``.
 
-        The default ignores the payload and delegates to :meth:`sample`;
-        size-aware models (:class:`repro.sim.topology.RegionalLatency`)
-        override this to add a message-size / bandwidth transfer term.
-        The network calls this entry point for every delivery, passing the
-        message's wire size as ``size_bytes`` when it is already known.
+        The network calls this for every delivery, passing the message's
+        wire size as ``size_bytes`` when it is already known.  Size-aware
+        models (:class:`repro.sim.topology.RegionalLatency`) add a
+        message-size / bandwidth transfer term; the others ignore the
+        payload.
         """
-        return self.sample(rng, src, dst)
 
 
 class FixedLatency(LatencyModel):
@@ -133,9 +129,6 @@ class FixedLatency(LatencyModel):
             raise SimulationError(f"negative latency {delay!r}")
         self.delay = delay
 
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        return self.delay
-
     def sample_message(
         self,
         rng: random.Random,
@@ -144,7 +137,6 @@ class FixedLatency(LatencyModel):
         payload: Mapping[str, Any],
         size_bytes: Optional[int] = None,
     ) -> float:
-        # Skips two call frames on the per-message hot path.
         return self.delay
 
 
@@ -157,9 +149,6 @@ class UniformLatency(LatencyModel):
         self.low = low
         self.high = high
 
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        return rng.uniform(self.low, self.high)
-
     def sample_message(
         self,
         rng: random.Random,
@@ -168,22 +157,7 @@ class UniformLatency(LatencyModel):
         payload: Mapping[str, Any],
         size_bytes: Optional[int] = None,
     ) -> float:
-        # Skips a call frame on the per-message hot path.
         return rng.uniform(self.low, self.high)
-
-
-class LogNormalLatency(LatencyModel):
-    """Heavy-tailed delays (WAN-like): exp(N(mu, sigma)), floored at ``minimum``."""
-
-    def __init__(self, mu: float = 0.0, sigma: float = 0.5, minimum: float = 0.01) -> None:
-        if sigma < 0 or minimum < 0:
-            raise SimulationError("sigma and minimum must be non-negative")
-        self.mu = mu
-        self.sigma = sigma
-        self.minimum = minimum
-
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        return max(self.minimum, rng.lognormvariate(self.mu, self.sigma))
 
 
 class Node:

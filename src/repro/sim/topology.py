@@ -42,6 +42,9 @@ MESSAGE_OVERHEAD_BYTES = 64
 #: Flat size charged for payload objects without an explicit hint.
 DEFAULT_OBJECT_BYTES = 128
 
+#: Bandwidth of a cross-region link (bytes/unit, ≈ 20 Mbit/s per flow).
+WAN_BANDWIDTH = 2_500.0
+
 
 @dataclass(frozen=True)
 class LinkProfile:
@@ -88,17 +91,15 @@ class RegionTopology:
     topology only needs to spell out the links that matter.
 
     Nodes that were never :meth:`place`\\ d live in ``default_region``
-    (the first region unless overridden) — the network stays usable while
-    a testbed is being wired up.
+    (the first region) — the network stays usable while a testbed is being
+    wired up.
     """
 
     def __init__(
         self,
         regions: Iterable[str],
-        profiles: Optional[Mapping[Tuple[str, str], LinkProfile]] = None,
         intra_profile: Optional[LinkProfile] = None,
         default_profile: Optional[LinkProfile] = None,
-        default_region: Optional[str] = None,
     ) -> None:
         self.regions: Tuple[str, ...] = tuple(regions)
         if not self.regions:
@@ -106,15 +107,11 @@ class RegionTopology:
         if len(set(self.regions)) != len(self.regions):
             raise SimulationError(f"duplicate regions in {self.regions!r}")
         self.intra_profile = intra_profile or LinkProfile(0.5, 0.3)
-        self.default_profile = default_profile or LinkProfile(60.0, 0.15, 2_500.0)
-        self.default_region = default_region or self.regions[0]
-        if self.default_region not in self.regions:
-            raise SimulationError(f"default region {self.default_region!r} not in topology")
+        self.default_profile = default_profile or LinkProfile(60.0, 0.15, WAN_BANDWIDTH)
+        self.default_region = self.regions[0]
         self._profiles: Dict[Tuple[str, str], LinkProfile] = {}
         self._placement: Dict[str, str] = {}
         self._links: Dict[Tuple[str, str], Tuple[Tuple[str, str], LinkProfile]] = {}
-        for (src, dst), profile in (profiles or {}).items():
-            self.set_profile(src, dst, profile)
 
     # -- matrix ------------------------------------------------------------
 
@@ -171,7 +168,6 @@ class RegionTopology:
 
 def default_wan_topology(
     regions: Tuple[str, ...] = DEFAULT_REGIONS,
-    wan_bandwidth: Optional[float] = 2_500.0,
     lan_bandwidth: Optional[float] = None,
 ) -> RegionTopology:
     """The canonical three-datacenter matrix (units ≈ ms; bytes/unit).
@@ -179,7 +175,7 @@ def default_wan_topology(
     Numbers follow public inter-region RTT tables, halved to one-way:
     us-east ↔ eu-west ≈ 40, us-east ↔ ap-south ≈ 90, eu-west ↔ ap-south ≈ 65,
     intra-region ≈ 0.5, with proportionally larger jitter on longer links.
-    WAN bandwidth defaults to 2 500 bytes/unit (≈ 20 Mbit/s effective per
+    WAN bandwidth is 2 500 bytes/unit (≈ 20 Mbit/s effective per
     flow) so KB-scale payloads (policy bodies, proof bundles) pay a
     visible serialization cost cross-region; LAN bandwidth is infinite by
     default.  For region sets beyond the canonical three, extra pairs fall
@@ -188,12 +184,12 @@ def default_wan_topology(
     topo = RegionTopology(
         regions,
         intra_profile=LinkProfile(0.5, 0.3, lan_bandwidth),
-        default_profile=LinkProfile(60.0, 0.15, wan_bandwidth),
+        default_profile=LinkProfile(60.0, 0.15, WAN_BANDWIDTH),
     )
     canonical = {
-        ("us-east", "eu-west"): LinkProfile(40.0, 0.15, wan_bandwidth),
-        ("us-east", "ap-south"): LinkProfile(90.0, 0.20, wan_bandwidth),
-        ("eu-west", "ap-south"): LinkProfile(65.0, 0.15, wan_bandwidth),
+        ("us-east", "eu-west"): LinkProfile(40.0, 0.15, WAN_BANDWIDTH),
+        ("us-east", "ap-south"): LinkProfile(90.0, 0.20, WAN_BANDWIDTH),
+        ("eu-west", "ap-south"): LinkProfile(65.0, 0.15, WAN_BANDWIDTH),
     }
     for (a, b), profile in canonical.items():
         if a in topo.regions and b in topo.regions:
@@ -257,21 +253,12 @@ class RegionalLatency(LatencyModel):
 
     Delay = link propagation (base + jitter) plus the message-size /
     bandwidth transfer term of the link (zero on a link that declares no
-    bandwidth).  The network delivers every message through
-    :meth:`sample_message`, which sizes the payload only on a link with a
-    bandwidth and only if the region counters have not; plain :meth:`sample`
-    calls — e.g. from code unaware of sizes — charge propagation only.
+    bandwidth).  :meth:`sample_message` sizes the payload only on a link
+    with a bandwidth and only if the region counters have not.
     """
 
     def __init__(self, topology: RegionTopology) -> None:
         self.topology = topology
-
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        return self.topology.link(src, dst)[1].sample_delay(rng)
-
-    def sample_sized(self, rng: random.Random, src: str, dst: str, size_bytes: int) -> float:
-        profile = self.topology.link(src, dst)[1]
-        return profile.sample_delay(rng) + profile.transfer_time(size_bytes)
 
     def sample_message(
         self,

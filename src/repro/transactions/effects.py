@@ -5,8 +5,8 @@ exchanges: force a record to the write-ahead log, and repeat a request that
 timed out.  The generators here are reached with ``yield from`` from the
 protocol code (they start no process and create no event of their own, so
 the kernel's event order is exactly that of the inlined code they replace);
-``node`` is any :class:`~repro.sim.network.Node` with ``config``, ``wal``
-and the ``metrics`` handle — a cloud server or a transaction manager.
+``node`` is any :class:`~repro.sim.network.Node` with a ``wal`` and the
+``metrics`` handle — a cloud server or a transaction manager.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from repro.obs.spans import KIND_LOG, ParentRef
 from repro.sim.events import Event
 from repro.sim.network import Message
 
+#: Simulated time of one forced log write.
+LOG_FORCE_TIME = 0.1
+
 
 def force_log(
     node: Any,
@@ -29,7 +32,7 @@ def force_log(
 ) -> Generator[Event, Any, bool]:
     """Force one record to ``node``'s log; returns whether it became durable.
 
-    The write takes ``config.log_force_time``.  A node that went down in the
+    The write takes :data:`LOG_FORCE_TIME`.  A node that went down in the
     meantime has written nothing: no record, ``False``, and the ``log.force``
     span (opened under ``parent``, if any) is left without its ``record``
     attribute.  The caller must then fall silent — whatever the record would
@@ -43,7 +46,7 @@ def force_log(
         if parent is not None
         else None
     )
-    yield node.env.timeout(node.config.log_force_time)
+    yield node.env.timeout(LOG_FORCE_TIME)
     if node.is_down:
         return False
     node.wal.force(record_type, txn_id, node.env.now, **(payload() if payload else {}))

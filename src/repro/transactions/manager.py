@@ -24,6 +24,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.cloud import messages as msg
 from repro.cloud.config import CloudConfig
+from repro.cloud.master import MASTER_NAME
 from repro.core.approaches import ProofApproach
 from repro.core.consistency import ConsistencyLevel
 from repro.core.context import TxnContext
@@ -141,7 +142,7 @@ class TransactionManager(Node):
     ) -> Generator[Event, Any, Dict[PolicyId, int]]:
         """One master-version retrieval (counted as a single Table I message)."""
         reply = yield self.rpc_event(
-            self.config.master_name,
+            MASTER_NAME,
             msg.MASTER_VERSION_QUERY,
             msg.CAT_MASTER,
             timeout=self.config.request_timeout,

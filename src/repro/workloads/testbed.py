@@ -30,7 +30,7 @@ from repro.metrics.stats import TransactionOutcome
 from repro.obs.spans import SpanRecorder
 from repro.policy.admin import PolicyAdministrator
 from repro.policy.credentials import CARegistry, CertificateAuthority, Credential
-from repro.policy.ocsp import OCSPResponder
+from repro.policy.ocsp import OCSP_RESPONDER, OCSPResponder
 from repro.policy.policy import Policy
 from repro.policy.rules import Atom, Rule, RuleSet, Variable
 from repro.sim.kernel import Environment
@@ -49,6 +49,9 @@ from repro.transactions.transaction import Transaction
 
 #: Role required by the default member policy.
 MEMBER_ROLE = "member"
+
+#: Value every item of a built testbed starts with.
+INITIAL_VALUE = 100.0
 
 
 def member_policy_rules(items: Iterable[str], role: str = MEMBER_ROLE) -> RuleSet:
@@ -346,7 +349,7 @@ def assemble_cluster(
         if topology is not None and spec.region is not None:
             topology.place(spec.name, spec.region)
 
-    master = MasterVersionService(config.master_name)
+    master = MasterVersionService()
     network.register(master)
     replicator = PolicyReplicator(
         "replicator", rng.stream("replication"), config.replication_delay
@@ -358,7 +361,7 @@ def assemble_cluster(
         master_region = config.master_region or topology.default_region
         topology.place(master.name, master_region)
         topology.place(replicator.name, master_region)
-        topology.place(config.ocsp_responder, master_region)
+        topology.place(OCSP_RESPONDER, master_region)
 
     admins: Dict[str, PolicyAdministrator] = {}
     for domain in domain_specs:
@@ -367,7 +370,7 @@ def assemble_cluster(
         bootstrap_policies(replicator, [administrator], servers.values())
         admins[domain.name] = administrator
 
-    ocsp = OCSPResponder(config.ocsp_responder, registry)
+    ocsp = OCSPResponder(OCSP_RESPONDER, registry)
     network.register(ocsp)
 
     if tm_names is not None:
@@ -415,13 +418,12 @@ def build_cluster(
     config: Optional[CloudConfig] = None,
     admin_name: str = "app",
     n_tms: int = 1,
-    initial_value: float = 100.0,
     trace: bool = True,
 ) -> Cluster:
     """Construct the canonical single-domain testbed.
 
     Servers are named ``s1..sN`` and host items ``s<i>/x<j>`` with value
-    ``initial_value``.  One administrative domain (``admin_name``) governs
+    :data:`INITIAL_VALUE`.  One administrative domain (``admin_name``) governs
     every item with the member policy (version 1), installed consistently on
     every server before time zero.
     """
@@ -431,7 +433,7 @@ def build_cluster(
     all_items: List[str] = []
     for index in range(1, n_servers + 1):
         name = f"s{index}"
-        items = {f"{name}/x{j}": initial_value for j in range(1, items_per_server + 1)}
+        items = {f"{name}/x{j}": INITIAL_VALUE for j in range(1, items_per_server + 1)}
         server_specs.append(ServerSpec(name, items, admin_name))
         all_items.extend(items)
     domain = DomainSpec(admin_name, member_policy_rules(all_items), "initial member policy")
@@ -453,7 +455,6 @@ def build_multiregion_cluster(
     seed: int = 0,
     config: Optional[CloudConfig] = None,
     master_region: Optional[str] = None,
-    initial_value: float = 100.0,
     trace: bool = True,
 ) -> Cluster:
     """Construct the planet-scale testbed: regions × shards × replica groups.
@@ -490,7 +491,7 @@ def build_multiregion_cluster(
     server_specs: List[ServerSpec] = []
     items_by_region: Dict[str, List[str]] = {region: [] for region in regions}
     for shard in shard_specs:
-        values = {item: initial_value for item in shard.items}
+        values = {item: INITIAL_VALUE for item in shard.items}
         server_specs.append(ServerSpec(shard.primary, values, shard.admin, shard.region))
         items_by_region[shard.region].extend(shard.items)
         for index, replica in enumerate(shard.replicas):

@@ -19,6 +19,7 @@ from repro.analysis.scale import (
 )
 from repro.analysis.sweep import SweepPoint
 from repro.cloud.config import CloudConfig
+from repro.cloud.master import MASTER_NAME
 from repro.core.consistency import ConsistencyLevel
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.scale import (
@@ -144,7 +145,7 @@ class TestLocalitySplit:
     def test_partition_is_total_and_region_correct(self):
         cluster, runner, _, outcomes = run_scale()
         split = locality_split(outcomes, runner.assignments, cluster)
-        assert split.master_region == cluster.region_of(cluster.config.master_name)
+        assert split.master_region == cluster.region_of(MASTER_NAME)
         assert split.local.count + split.remote.count == len(outcomes)
         for outcome in outcomes:
             tm_region = cluster.region_of(runner.assignments[outcome.txn_id])

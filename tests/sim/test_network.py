@@ -7,7 +7,6 @@ from repro.metrics.counters import Metrics
 from repro.sim.kernel import Environment
 from repro.sim.network import (
     FixedLatency,
-    LogNormalLatency,
     Message,
     Network,
     Node,
@@ -378,15 +377,7 @@ class TestLatencyModels:
         model = UniformLatency(1.0, 2.0)
         rng = random.Random(0)
         for _ in range(100):
-            assert 1.0 <= model.sample(rng, "a", "b") <= 2.0
-
-    def test_lognormal_respects_minimum(self):
-        import random
-
-        model = LogNormalLatency(mu=-10, sigma=0.1, minimum=0.5)
-        rng = random.Random(0)
-        for _ in range(100):
-            assert model.sample(rng, "a", "b") >= 0.5
+            assert 1.0 <= model.sample_message(rng, "a", "b", {}) <= 2.0
 
     def test_message_getitem_and_get(self):
         message = Message(1, "a", "b", "k", {"x": 1}, "cat")

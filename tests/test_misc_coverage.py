@@ -1,8 +1,7 @@
-"""Coverage for smaller surfaces: errors, config, cluster helpers, explain."""
+"""Coverage for smaller surfaces: errors, cluster helpers, explain."""
 
 import pytest
 
-from repro.cloud.config import CloudConfig
 from repro.cloud.messages import POLICY_INSTALL, CAT_REPLICATION
 from repro.errors import (
     AbortReason,
@@ -29,23 +28,6 @@ class TestErrors:
     def test_abort_reasons_are_distinct_values(self):
         values = [reason.value for reason in AbortReason]
         assert len(values) == len(set(values))
-
-
-class TestCloudConfig:
-    def test_scaled_multiplies_service_times(self):
-        config = CloudConfig()
-        scaled = config.scaled(2.0)
-        assert scaled.query_execution_time == config.query_execution_time * 2
-        assert scaled.proof_evaluation_time == config.proof_evaluation_time * 2
-        assert scaled.constraint_check_time == config.constraint_check_time * 2
-        assert scaled.log_force_time == config.log_force_time * 2
-        # Non-time settings unchanged.
-        assert scaled.master_name == config.master_name
-
-    def test_scaled_returns_a_copy(self):
-        config = CloudConfig()
-        config.scaled(3.0)
-        assert config.query_execution_time == 1.0
 
 
 class TestClusterHelpers:

@@ -40,28 +40,27 @@ from repro.transactions.presumed import PRESUMED_COMMIT
 from repro.transactions.states import Decision, Vote
 from repro.transactions.transaction import Query, Transaction
 
-FORCE = CloudConfig().log_force_time
+FORCE = effects.LOG_FORCE_TIME
 
 
 class Logger(Node):
-    """The least a node needs to force a record: a config and a log."""
+    """The least a node needs to force a record: a log."""
 
-    def __init__(self, name: str, config: CloudConfig) -> None:
+    def __init__(self, name: str) -> None:
         super().__init__(name)
-        self.config = config
         self.wal = WriteAheadLog(name)
 
     def handle_message(self, message):  # the peer of the retry checks: never answers
         return None
 
 
-def world(config: CloudConfig = CloudConfig()):
+def world():
     """Two registered nodes — a writer and a silent peer — and their handle."""
     env = Environment()
     metrics = Metrics(trace=True, spans=True)
     network = Network(env, metrics, latency=FixedLatency(1.0))
-    writer = network.register(Logger("writer", config))
-    network.register(Logger("peer", config))
+    writer = network.register(Logger("writer"))
+    network.register(Logger("peer"))
     return env, metrics, writer
 
 
@@ -221,7 +220,7 @@ def test_rpc_event_with_no_retry_budget_is_the_raw_waiter_event():
 
     def cost(call_name: str, retries: int):
         env, _metrics, tm, _ctx = coordinator(CloudConfig(rpc_max_retries=retries))
-        tm.network.register(Logger("peer", tm.config))
+        tm.network.register(Logger("peer"))
         before = env._seq
         event = getattr(tm, call_name)("peer", "ping", "test", timeout=TIMEOUT, n=1)
         event.defused = True

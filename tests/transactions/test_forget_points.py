@@ -22,13 +22,14 @@ from repro.db.items import ItemCatalog
 from repro.metrics.counters import Metrics
 from repro.sim.kernel import Environment
 from repro.sim.network import FixedLatency, Network, Node
+from repro.transactions.effects import LOG_FORCE_TIME
 from repro.transactions.manager import TransactionManager
 from repro.transactions.presumed import PRESUMED_ABORT, PRESUMED_NOTHING
 from repro.transactions.states import Decision
 from repro.transactions.transaction import Query, Transaction
 
 COMMIT, ABORT = Decision.COMMIT, Decision.ABORT
-FORCE = CloudConfig().log_force_time
+FORCE = LOG_FORCE_TIME
 
 
 class Participant(Node):
