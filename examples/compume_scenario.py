@@ -11,7 +11,7 @@ the revoked credential — the "unsafe authorization" of Fig. 1.
 Run:  python examples/compume_scenario.py
 """
 
-from repro.core import ConsistencyLevel
+from repro.core.consistency import ConsistencyLevel
 from repro.metrics.report import format_table
 from repro.workloads.scenarios import (
     CUSTOMERS_DB,

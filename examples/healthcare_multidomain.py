@@ -9,8 +9,8 @@ version change in billing never disturbs clinical consistency checks, and
 runs a mid-transaction credential suspension to show commit-time
 validation catching it.
 
-Also demonstrates the textual policy language (`repro.policy.parse_rules`)
-and outcome export (`repro.metrics.export`).
+Also demonstrates the textual policy language
+(`repro.policy.parser.parse_rules`) and outcome export (`repro.metrics.export`).
 
 Run:  python examples/healthcare_multidomain.py
 """

@@ -22,24 +22,3 @@ violation hunter:
 
 CLI: ``python -m repro.chaos`` (see docs/robustness.md).
 """
-
-from repro.chaos.classify import Anomaly, classify_report
-from repro.chaos.contrast import WeakApproach
-from repro.chaos.fuzz import CaseResult, FuzzCase, run_case
-from repro.chaos.nemesis import Nemesis
-from repro.chaos.plan import FaultPlan, FaultSpec, random_plan
-from repro.chaos.shrink import shrink_case
-
-__all__ = [
-    "Anomaly",
-    "CaseResult",
-    "FaultPlan",
-    "FaultSpec",
-    "FuzzCase",
-    "Nemesis",
-    "WeakApproach",
-    "classify_report",
-    "random_plan",
-    "run_case",
-    "shrink_case",
-]

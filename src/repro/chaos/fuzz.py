@@ -32,8 +32,10 @@ from repro.core.consistency import ConsistencyLevel
 from repro.sim.kernel import collector_suspended
 from repro.sim.network import FixedLatency
 from repro.transactions.states import TxnStatus
-from repro.verify import check_run, collect_run, dump_incident
+from repro.verify import dump_incident
 from repro.verify import report as rep
+from repro.verify.conformance import check_run
+from repro.verify.events import collect_run
 from repro.workloads.generator import WorkloadSpec, uniform_transactions
 from repro.workloads.testbed import build_cluster
 

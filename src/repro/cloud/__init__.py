@@ -1,16 +1,1 @@
 """Simulated cloud infrastructure: servers, replication, master service."""
-
-from repro.cloud.config import CloudConfig, MasterFetchMode
-from repro.cloud.master import MASTER_REPLY_CATEGORY, MasterVersionService
-from repro.cloud.replication import PolicyReplicator, bootstrap_policies
-from repro.cloud.server import CloudServer
-
-__all__ = [
-    "CloudConfig",
-    "CloudServer",
-    "MASTER_REPLY_CATEGORY",
-    "MasterFetchMode",
-    "MasterVersionService",
-    "PolicyReplicator",
-    "bootstrap_policies",
-]

@@ -27,7 +27,7 @@ from repro.errors import DeadlockError, NetworkError, PolicyError, RequestTimeou
 from repro.metrics.counters import Metrics
 from repro.obs.spans import KIND_CPU, KIND_PROOF, KIND_SERVER, ParentRef, Span
 from repro.policy.credentials import CARegistry, CertificateAuthority, Credential
-from repro.policy.ocsp import OCSP_RESPONDER, fetch_statuses
+from repro.policy.ocsp import fetch_statuses
 from repro.policy.policy import Operation, Policy, PolicyId
 from repro.policy.proofcache import ProofCache
 from repro.policy.proofs import (
@@ -415,9 +415,7 @@ class CloudServer(Node):
             else None
         )
         if self.config.use_online_ocsp:
-            statuses = yield from fetch_statuses(
-                self, OCSP_RESPONDER, executed.credentials, self.env.now
-            )
+            statuses = yield from fetch_statuses(self, executed.credentials, self.env.now)
             checker: Any = PrefetchedStatuses(statuses)
         else:
             checker = self._revocation

@@ -7,53 +7,3 @@
 * :mod:`repro.db.wal` — write-ahead log with forced-write accounting.
 * :mod:`repro.db.recovery` — crash-recovery log analysis.
 """
-
-from repro.db.constraints import (
-    ConstraintSet,
-    IntegrityConstraint,
-    NonNegative,
-    PredicateConstraint,
-    SumInvariant,
-    UpperBound,
-)
-from repro.db.items import ItemCatalog, ItemVersion
-from repro.db.locks import LockManager, LockMode, compatible
-from repro.db.recovery import RecoveryPlan, analyze
-from repro.db.serializability import (
-    ConflictEdge,
-    build_conflict_graph,
-    check_conflict_serializable,
-    find_cycle,
-    serial_order,
-)
-from repro.db.storage import AccessKind, AccessRecord, StorageEngine, Workspace
-from repro.db.wal import DECISIONS, LogRecord, LogRecordType, WriteAheadLog
-
-__all__ = [
-    "AccessKind",
-    "AccessRecord",
-    "ConflictEdge",
-    "ConstraintSet",
-    "build_conflict_graph",
-    "check_conflict_serializable",
-    "find_cycle",
-    "serial_order",
-    "DECISIONS",
-    "IntegrityConstraint",
-    "ItemCatalog",
-    "ItemVersion",
-    "LockManager",
-    "LockMode",
-    "LogRecord",
-    "LogRecordType",
-    "NonNegative",
-    "PredicateConstraint",
-    "RecoveryPlan",
-    "StorageEngine",
-    "SumInvariant",
-    "UpperBound",
-    "Workspace",
-    "WriteAheadLog",
-    "analyze",
-    "compatible",
-]

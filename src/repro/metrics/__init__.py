@@ -1,38 +1,1 @@
 """Measurement: counters, per-transaction stats, tables, and timelines."""
-
-from repro.metrics.counters import MessageCounters, Metrics, ProofCounters
-from repro.metrics.report import format_series, format_table
-from repro.metrics.stats import (
-    OutcomeAggregate,
-    TransactionOutcome,
-    aggregate,
-    percentile,
-)
-from repro.metrics.timeline import (
-    PROOF_EVAL,
-    ProofEvent,
-    TXN_DONE,
-    TXN_READY,
-    TXN_START,
-    TransactionTimeline,
-    extract_timeline,
-)
-
-__all__ = [
-    "MessageCounters",
-    "Metrics",
-    "OutcomeAggregate",
-    "PROOF_EVAL",
-    "ProofCounters",
-    "ProofEvent",
-    "TransactionOutcome",
-    "TransactionTimeline",
-    "TXN_DONE",
-    "TXN_READY",
-    "TXN_START",
-    "aggregate",
-    "extract_timeline",
-    "format_series",
-    "format_table",
-    "percentile",
-]

@@ -505,11 +505,10 @@ class CounterSample:
     """One labeled counter value — the canonical enumeration unit.
 
     ``family`` is the logical metric name (``messages``, ``engine_work``,
-    …); ``labels`` is a sorted tuple of ``(name, value)`` pairs.  Both
-    :func:`repro.metrics.report.format_counters_report` and the OpenMetrics
-    exposition (:mod:`repro.obs.openmetrics`) render from this one
-    enumeration, so the two outputs can never disagree on counter names or
-    values.
+    …); ``labels`` is a sorted tuple of ``(name, value)`` pairs.  The
+    OpenMetrics exposition (:mod:`repro.obs.openmetrics`) renders from this
+    one enumeration, so its counter names and values are exactly the
+    ``Metrics`` bundle's.
     """
 
     family: str

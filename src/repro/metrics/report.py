@@ -50,81 +50,3 @@ def format_series(name: str, xs: Sequence[Any], ys: Sequence[Any]) -> str:
     """Render an (x, y) series as one table — the textual form of a figure."""
     return format_table(("x", name), zip(xs, ys))
 
-
-def format_counters_report(metrics: Any) -> str:
-    """Render a run's host-side work accounting from the canonical samples.
-
-    Takes a :class:`repro.metrics.counters.Metrics` bundle and reports the
-    proof-cache hit/miss/bypass/invalidation counts, the inference engine's
-    work counters (facts scanned, rules tried, table hits, …), message and
-    proof-evaluation totals, and the trace sanitizer's tallies.  All rows
-    are derived from :func:`repro.metrics.counters.counter_samples` — the
-    same enumeration the OpenMetrics exposition renders — so the two
-    reports can never disagree.  These are wall-clock-side diagnostics —
-    none of them appear in the Table I complexity numbers, which count
-    *evaluations*, not the work one evaluation does.
-    """
-    from repro.metrics.counters import counter_samples
-
-    samples = counter_samples(metrics)
-
-    def family(name: str) -> List[Any]:
-        return [sample for sample in samples if sample.family == name]
-
-    def scalar(name: str) -> int:
-        rows = family(name)
-        return int(rows[0].value) if rows else 0
-
-    cache = {sample.label("event"): int(sample.value) for sample in family("proof_cache_events")}
-    lookups = cache.get("hit", 0) + cache.get("miss", 0)
-    hit_rate = cache.get("hit", 0) / lookups if lookups else 0.0
-    cache_rows = [
-        ("hits", cache.get("hit", 0)),
-        ("misses", cache.get("miss", 0)),
-        ("bypasses", cache.get("bypass", 0)),
-        ("invalidations", cache.get("invalidation", 0)),
-        ("hit rate", f"{hit_rate:.1%}"),
-    ]
-    engine_rows = [
-        (sample.label("counter"), int(sample.value)) for sample in family("engine_work")
-    ]
-    parts = [
-        format_table(("counter", "value"), cache_rows, title="proof cache"),
-        "",
-        format_table(("counter", "value"), engine_rows, title="inference engine"),
-    ]
-    message_rows = [
-        (sample.label("category"), int(sample.value)) for sample in family("messages")
-    ]
-    proof_rows = [
-        (sample.label("server"), int(sample.value)) for sample in family("proof_evaluations")
-    ]
-    if message_rows:
-        parts.extend(["", format_table(("category", "count"), message_rows, title="messages")])
-    if proof_rows:
-        parts.extend(
-            ["", format_table(("server", "count"), proof_rows, title="proof evaluations")]
-        )
-    if scalar("verification_runs"):
-        verify_rows: List[Any] = [
-            ("runs", scalar("verification_runs")),
-            ("events checked", scalar("verification_events_checked")),
-            ("transactions checked", scalar("verification_transactions_checked")),
-            (
-                "violations",
-                int(sum(sample.value for sample in family("verification_violations"))),
-            ),
-        ]
-        verify_rows.extend(
-            (f"violations[{sample.label('code')}]", int(sample.value))
-            for sample in family("verification_violations")
-        )
-        parts.extend(
-            ["", format_table(("counter", "value"), verify_rows, title="trace sanitizer")]
-        )
-    fault_rows = [
-        (sample.label("event"), int(sample.value)) for sample in family("fault_events")
-    ]
-    if fault_rows:
-        parts.extend(["", format_table(("event", "count"), fault_rows, title="faults")])
-    return "\n".join(parts)

@@ -26,87 +26,3 @@ On top of the raw spans sit:
 ``python -m repro.obs`` drives all of it from the command line; see
 docs/observability.md for the model and the overhead budget.
 """
-
-from typing import Any
-
-from repro.obs.critical import (
-    CATEGORIES,
-    Attribution,
-    GridCell,
-    aggregate_grid,
-    attribute_latency,
-    phase_columns,
-)
-from repro.obs.export import spans_from_jsonl, spans_to_jsonl
-from repro.obs.render import folded_stacks, render_flame, render_waterfall
-from repro.obs.sketch import QuantileSketch, SketchFamily
-from repro.obs.spans import (
-    ALL_KINDS,
-    NULL_RECORDER,
-    Span,
-    SpanRecorder,
-    SpanTree,
-    annotate,
-    check_all_trees,
-    context_of,
-)
-
-#: Lazily imported attributes (PEP 562).  ``crosscheck`` and
-#: ``openmetrics`` sit above :mod:`repro.metrics`, which transitively
-#: imports :mod:`repro.sim.network` — and *that* module imports
-#: ``repro.obs.spans``.  Importing them eagerly here would close an import
-#: cycle through this package ``__init__``.
-_LAZY = {
-    "crosscheck_spans": ("repro.obs.crosscheck", "crosscheck_spans"),
-    "render_openmetrics": ("repro.obs.openmetrics", "render_openmetrics"),
-    "validate_openmetrics": ("repro.obs.openmetrics", "validate_openmetrics"),
-    # flight dumps render OpenMetrics snapshots; live's CLI builds clusters.
-    "FlightRecorder": ("repro.obs.flight", "FlightRecorder"),
-    "IncidentBundle": ("repro.obs.flight", "IncidentBundle"),
-    "LiveTelemetry": ("repro.obs.live", "LiveTelemetry"),
-    "WindowRing": ("repro.obs.live", "WindowRing"),
-    "WindowStats": ("repro.obs.live", "WindowStats"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-__all__ = [
-    "ALL_KINDS",
-    "Attribution",
-    "CATEGORIES",
-    "FlightRecorder",
-    "GridCell",
-    "IncidentBundle",
-    "LiveTelemetry",
-    "NULL_RECORDER",
-    "QuantileSketch",
-    "SketchFamily",
-    "Span",
-    "SpanRecorder",
-    "SpanTree",
-    "WindowRing",
-    "WindowStats",
-    "aggregate_grid",
-    "annotate",
-    "attribute_latency",
-    "check_all_trees",
-    "context_of",
-    "crosscheck_spans",
-    "folded_stacks",
-    "phase_columns",
-    "render_flame",
-    "render_openmetrics",
-    "render_waterfall",
-    "spans_from_jsonl",
-    "spans_to_jsonl",
-    "validate_openmetrics",
-]

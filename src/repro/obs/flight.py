@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.obs.openmetrics import render_openmetrics
 from repro.obs.render import render_waterfall
 from repro.sim.tracing import NET_SEND
 
@@ -238,10 +239,6 @@ class FlightRecorder:
         snapshot: Optional[str] = None
         waterfalls: Dict[str, str] = {}
         if metrics is not None:
-            # Local import: repro.obs.openmetrics sits above repro.metrics;
-            # importing it eagerly would cycle through this package init.
-            from repro.obs.openmetrics import render_openmetrics
-
             recorder = metrics.spans
             snapshot = render_openmetrics(metrics, recorder=recorder)
             if recorder.enabled:

@@ -10,80 +10,3 @@
 * :mod:`repro.policy.proofcache` — version-aware memoization of ``eval(f, t)``.
 * :mod:`repro.policy.analyze` — static policy analysis + diff impact analysis.
 """
-
-from repro.policy.admin import PolicyAdministrator
-from repro.policy.analyze import (
-    AnalysisReport,
-    analyze_rules,
-    analyze_text,
-    changed_predicates,
-    dependency_closure,
-    diff_impact,
-)
-from repro.policy.credentials import (
-    CARegistry,
-    CertificateAuthority,
-    Credential,
-    NEVER,
-    RevocationRecord,
-)
-from repro.policy.ocsp import OCSPResponder, fetch_statuses
-from repro.policy.parser import (
-    parse_atom,
-    parse_rules,
-    render_atom,
-    render_rule,
-    render_rules,
-)
-from repro.policy.policy import GUARD_PREDICATES, Operation, Policy, PolicyId, ver
-from repro.policy.proofcache import ProofCache
-from repro.policy.proofs import (
-    CredentialAssessment,
-    LocalRevocationChecker,
-    PrefetchedStatuses,
-    ProofOfAuthorization,
-    RevocationChecker,
-    evaluate_proof,
-)
-from repro.policy.rules import Atom, FactBase, ProofNode, Rule, RuleSet, Variable, unify
-
-__all__ = [
-    "AnalysisReport",
-    "Atom",
-    "CARegistry",
-    "CertificateAuthority",
-    "Credential",
-    "CredentialAssessment",
-    "FactBase",
-    "GUARD_PREDICATES",
-    "LocalRevocationChecker",
-    "NEVER",
-    "OCSPResponder",
-    "Operation",
-    "Policy",
-    "PolicyAdministrator",
-    "PolicyId",
-    "PrefetchedStatuses",
-    "ProofCache",
-    "ProofNode",
-    "ProofOfAuthorization",
-    "RevocationChecker",
-    "RevocationRecord",
-    "Rule",
-    "RuleSet",
-    "Variable",
-    "analyze_rules",
-    "analyze_text",
-    "changed_predicates",
-    "dependency_closure",
-    "diff_impact",
-    "evaluate_proof",
-    "fetch_statuses",
-    "parse_atom",
-    "parse_rules",
-    "render_atom",
-    "render_rule",
-    "render_rules",
-    "unify",
-    "ver",
-]

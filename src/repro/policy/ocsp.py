@@ -31,15 +31,16 @@ OCSP_RESPONDER = "ocsp"
 
 
 class OCSPResponder(Node):
-    """A single responder answering status queries for every registered CA.
+    """The cluster's one responder (node :data:`OCSP_RESPONDER`), answering
+    status queries for every registered CA.
 
     Running one responder (rather than one per CA) keeps topology simple;
     the registry routes each lookup to the issuing authority, so trust
     boundaries are preserved.
     """
 
-    def __init__(self, name: str, registry: CARegistry) -> None:
-        super().__init__(name)
+    def __init__(self, registry: CARegistry) -> None:
+        super().__init__(OCSP_RESPONDER)
         self.registry = registry
 
     def handle_message(self, message: Message) -> None:
@@ -58,7 +59,6 @@ class OCSPResponder(Node):
 
 def fetch_statuses(
     node: Node,
-    responder_name: str,
     credentials: Sequence[Credential],
     now: float,
 ) -> Generator[Event, Any, Dict[str, bool]]:
@@ -66,12 +66,12 @@ def fetch_statuses(
 
     A generator for use inside simulation processes::
 
-        statuses = yield from fetch_statuses(self, OCSP_RESPONDER, creds, self.env.now)
+        statuses = yield from fetch_statuses(self, creds, self.env.now)
         checker = PrefetchedStatuses(statuses)
     """
     entries = [
         (credential.cred_id, credential.issuer, credential.issued_at, now)
         for credential in credentials
     ]
-    reply = yield node.request(responder_name, CHECK, CATEGORY, credentials=entries)
+    reply = yield node.request(OCSP_RESPONDER, CHECK, CATEGORY, credentials=entries)
     return dict(reply["statuses"])

@@ -258,7 +258,7 @@ class EngineCounters:
 
     Incremented by :meth:`RuleSet.prove` when passed in; surfaced through
     :class:`repro.metrics.counters.Metrics.engine` and rendered by
-    :func:`repro.metrics.report.format_counters_report`.  Purely
+    :func:`repro.obs.openmetrics.render_openmetrics`.  Purely
     observational — the counters never influence the search.
     """
 

@@ -11,34 +11,3 @@ This package is a self-contained SimPy-style kernel plus a simulated network:
 * :class:`~repro.sim.rng.RandomStreams` — reproducible named RNG streams.
 * :class:`~repro.sim.tracing.Tracer` — structured trace recording.
 """
-
-from repro.sim.events import AllOf, Event, Timeout
-from repro.sim.kernel import Environment
-from repro.sim.network import (
-    FixedLatency,
-    LatencyModel,
-    Message,
-    Network,
-    Node,
-    UniformLatency,
-)
-from repro.sim.process import Process
-from repro.sim.rng import RandomStreams
-from repro.sim.tracing import TraceRecord, Tracer
-
-__all__ = [
-    "AllOf",
-    "Environment",
-    "Event",
-    "FixedLatency",
-    "LatencyModel",
-    "Message",
-    "Network",
-    "Node",
-    "Process",
-    "RandomStreams",
-    "Timeout",
-    "TraceRecord",
-    "Tracer",
-    "UniformLatency",
-]

@@ -1,53 +1,6 @@
 """Transactions, the transaction manager, and commit protocols.
 
-Heavier members (:class:`TransactionManager`, :func:`run_two_phase_commit`)
-are exposed lazily to avoid import cycles between this package and
-:mod:`repro.core` (the manager consumes the protocol generators, which in
-turn import the lightweight transaction model from here).
+The manager (:mod:`repro.transactions.manager`) consumes the protocol
+generators of :mod:`repro.core`, which in turn import the lightweight
+transaction model (:mod:`repro.transactions.transaction`) from here.
 """
-
-from repro.transactions.presumed import (
-    CommitVariant,
-    PRESUMED_ABORT,
-    PRESUMED_COMMIT,
-    PRESUMED_NOTHING,
-    VARIANTS,
-)
-from repro.transactions.states import Decision, TxnStatus, Vote
-from repro.transactions.transaction import (
-    EffectKind,
-    Query,
-    QueryEffect,
-    Transaction,
-    next_txn_id,
-)
-
-__all__ = [
-    "CommitVariant",
-    "Decision",
-    "EffectKind",
-    "PRESUMED_ABORT",
-    "PRESUMED_COMMIT",
-    "PRESUMED_NOTHING",
-    "Query",
-    "QueryEffect",
-    "Transaction",
-    "TransactionManager",
-    "TxnStatus",
-    "VARIANTS",
-    "Vote",
-    "next_txn_id",
-    "run_two_phase_commit",
-]
-
-
-def __getattr__(name: str):
-    if name == "TransactionManager":
-        from repro.transactions.manager import TransactionManager
-
-        return TransactionManager
-    if name == "run_two_phase_commit":
-        from repro.transactions.twopc import run_two_phase_commit
-
-        return run_two_phase_commit
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

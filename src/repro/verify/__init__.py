@@ -19,22 +19,9 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.verify.conformance import CHECKS, check_run
-from repro.verify.events import RunRecord, TxnMeta, VerifyEvent, collect_run
-from repro.verify.report import VerificationReport, Violation
-
-__all__ = [
-    "CHECKS",
-    "RunRecord",
-    "TxnMeta",
-    "VerificationReport",
-    "VerifyEvent",
-    "Violation",
-    "check_run",
-    "collect_run",
-    "dump_incident",
-    "verify_cluster",
-]
+from repro.verify.conformance import check_run
+from repro.verify.events import collect_run
+from repro.verify.report import VerificationReport
 
 
 def dump_incident(cluster: Any, report: VerificationReport, reason: str) -> None:

@@ -16,8 +16,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.report import format_table
-from repro.verify import check_run, collect_run
-from repro.verify.conformance import CHECKS
+from repro.verify.conformance import CHECKS, check_run
+from repro.verify.events import collect_run
 from repro.verify.report import ALL_CODES
 
 

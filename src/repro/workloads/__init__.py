@@ -1,37 +1,1 @@
 """Workloads: testbed construction, generators, update injectors, scenarios."""
-
-from repro.workloads.runner import OpenLoopRunner
-from repro.workloads.scale import (
-    PolicyStorm,
-    PolicyStormProcess,
-    ScaleWorkloadSpec,
-    ScheduledTransaction,
-    ZipfianSampler,
-    generate_scale_workload,
-    mint_user_credentials,
-    storm_schedule,
-)
-from repro.workloads.testbed import (
-    Cluster,
-    MEMBER_ROLE,
-    build_cluster,
-    build_multiregion_cluster,
-    member_policy_rules,
-)
-
-__all__ = [
-    "Cluster",
-    "OpenLoopRunner",
-    "MEMBER_ROLE",
-    "PolicyStorm",
-    "PolicyStormProcess",
-    "ScaleWorkloadSpec",
-    "ScheduledTransaction",
-    "ZipfianSampler",
-    "build_cluster",
-    "build_multiregion_cluster",
-    "generate_scale_workload",
-    "member_policy_rules",
-    "mint_user_credentials",
-    "storm_schedule",
-]

@@ -33,7 +33,7 @@ from repro.errors import SimulationError
 from repro.policy.credentials import Credential
 from repro.sim.events import Event
 from repro.transactions.transaction import Query, Transaction
-from repro.workloads.testbed import Cluster
+from repro.workloads.testbed import MEMBER_ROLE, Cluster
 from repro.workloads.updates import benign_successor, restricting_successor
 
 
@@ -318,8 +318,6 @@ class PolicyStormProcess:
         return self.cluster.env.process(self._run(), name="policy-storms")
 
     def _run(self) -> Generator[Event, None, None]:
-        from repro.workloads.testbed import MEMBER_ROLE  # local import: avoid cycle
-
         for storm in self.storms:
             delay = storm.at - self.cluster.env.now
             if delay > 0:

@@ -32,7 +32,7 @@ from repro.workloads.testbed import (
     assemble_cluster,
     build_cluster,
 )
-from repro.workloads.updates import PolicyUpdateProcess
+from repro.workloads.updates import PolicyUpdateProcess, revoke_at
 
 #: Node/domain names used by the scenario.
 CUSTOMERS_DB = "customers-db"
@@ -116,8 +116,6 @@ class BobScenario:
         policy (e.g. customers-db quickly, inventory-db never during the
         transaction).
         """
-        from repro.workloads.updates import revoke_at  # local import: avoid cycle
-
         revoke_at(
             self.cluster,
             self.region_credential.issuer,

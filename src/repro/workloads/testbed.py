@@ -219,7 +219,7 @@ class Cluster:
         Results are untouched: ``metrics``, ``servers``, ``tms``, WALs,
         storage and access logs, ``tracer``, ``obs`` and
         ``master.version_log`` read exactly as before, so :meth:`verify`
-        and ``repro.verify.collect_run`` work on a closed cluster.  Only
+        and ``repro.verify.events.collect_run`` work on a closed cluster.  Only
         simulating is over: :meth:`run`, :meth:`submit` and
         :meth:`run_transaction` raise :class:`SimulationError`.
         Idempotent.  Helpers that build a cluster and return only results
@@ -370,7 +370,7 @@ def assemble_cluster(
         bootstrap_policies(replicator, [administrator], servers.values())
         admins[domain.name] = administrator
 
-    ocsp = OCSPResponder(OCSP_RESPONDER, registry)
+    ocsp = OCSPResponder(registry)
     network.register(ocsp)
 
     if tm_names is not None:
@@ -454,7 +454,6 @@ def build_multiregion_cluster(
     replication_factor: int = 2,
     seed: int = 0,
     config: Optional[CloudConfig] = None,
-    master_region: Optional[str] = None,
     trace: bool = True,
 ) -> Cluster:
     """Construct the planet-scale testbed: regions × shards × replica groups.
@@ -470,9 +469,10 @@ def build_multiregion_cluster(
       (one policy domain per region, so policy storms are regional).
 
     The master version service, the replicator, and the OCSP responder
-    are pinned to ``master_region`` (first region by default), which is
-    what makes commits from other regions pay WAN round trips on every
-    master-version fetch.  The resulting :class:`Cluster` carries its
+    are pinned to the region ``config.master_region`` names (the first
+    region when it is ``None``), which is what makes commits from other
+    regions pay WAN round trips on every master-version fetch.  The
+    resulting :class:`Cluster` carries its
     :class:`~repro.sim.topology.RegionTopology` and
     :class:`~repro.cloud.sharding.ShardMap`; everything else — metrics,
     tracing, spans, ``Cluster.verify()`` — works exactly as on
@@ -481,7 +481,7 @@ def build_multiregion_cluster(
     regions = tuple(regions)
     base = config or CloudConfig()
     topology = base.topology or default_wan_topology(regions)
-    pinned = master_region or base.master_region or topology.default_region
+    pinned = base.master_region or topology.default_region
     # Copy rather than mutate: the caller's config object stays untouched.
     config = replace(base, topology=topology, master_region=pinned)
 

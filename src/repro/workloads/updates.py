@@ -24,7 +24,7 @@ from typing import Generator, List, Optional
 from repro.policy.policy import Policy
 from repro.policy.rules import Atom, Rule, RuleSet, Variable
 from repro.sim.events import Event
-from repro.workloads.testbed import Cluster
+from repro.workloads.testbed import MEMBER_ROLE, Cluster
 
 
 def benign_successor(policy: Policy) -> RuleSet:
@@ -105,8 +105,6 @@ class PolicyUpdateProcess:
         self.published.append(policy)
 
     def _run(self) -> Generator[Event, None, None]:
-        from repro.workloads.testbed import MEMBER_ROLE  # local import: avoid cycle
-
         published = 0
         while self.count is None or published < self.count:
             delay = self.interval

@@ -153,14 +153,3 @@ class TestLazyImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
-
-    def test_the_package_still_exports_the_engine(self):
-        import repro.analysis as analysis
-        from repro.analysis import parallel
-
-        assert analysis.run_sweep is parallel.run_sweep is run_sweep
-        assert analysis.parallel_map is parallel_map
-        for name in ("estimate_point_cost", "should_parallelize"):
-            assert getattr(analysis, name) is getattr(parallel, name)
-        with pytest.raises(AttributeError):
-            analysis.no_such_name  # noqa: B018

@@ -12,14 +12,14 @@ from repro.sim.network import Node
 def world(env, network):
     ca = CertificateAuthority("ca")
     registry = CARegistry([ca])
-    responder = network.register(OCSPResponder("ocsp", registry))
+    responder = network.register(OCSPResponder(registry))
     client = network.register(Node("client"))
     return ca, registry, responder, client
 
 
 def check(env, client, credentials, now=5.0):
     def body():
-        statuses = yield from fetch_statuses(client, "ocsp", credentials, now)
+        statuses = yield from fetch_statuses(client, credentials, now)
         return statuses
 
     return env.run(until=env.process(body()))

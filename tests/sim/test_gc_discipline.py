@@ -22,12 +22,12 @@ a knot.
 from __future__ import annotations
 
 import gc
-import importlib
 import random
 import sys
 
 import pytest
 
+import repro.analysis.sweep as sweep_module
 from repro.analysis.sweep import SweepPoint, run_point
 from repro.chaos import fuzz
 from repro.chaos.fuzz import CONSISTENCY_LEVELS, PAPER_APPROACHES, FuzzCase, run_case
@@ -37,7 +37,7 @@ from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment, collector_suspended
-from repro.verify import collect_run
+from repro.verify.events import collect_run
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.scale import (
     ScaleWorkloadSpec,
@@ -144,8 +144,6 @@ def kept_clusters(monkeypatch):
 
         return build_and_keep
 
-    # ``repro.analysis`` exports a function named ``sweep`` that hides the module.
-    sweep_module = importlib.import_module("repro.analysis.sweep")
     monkeypatch.setattr(fuzz, "build_cluster", keeping(fuzz.build_cluster))
     monkeypatch.setattr(sweep_module, "build_cluster", keeping(sweep_module.build_cluster))
     return kept
@@ -518,7 +516,6 @@ class TestClosedClusterStaysReadable:
         """What ``run.py --smoke`` does: ``Cluster.verify()`` on the clusters
         ``run_case`` and ``run_point`` built, after those returned.  Like the
         smoke run, the churn point is traced, so its evidence is kept."""
-        sweep_module = importlib.import_module("repro.analysis.sweep")
         build = sweep_module.build_cluster
         monkeypatch.setattr(
             sweep_module,

@@ -8,12 +8,7 @@ from repro.cloud.messages import CAT_DECISION, CAT_OCSP, CAT_VOTE
 from repro.db.items import ItemCatalog
 from repro.errors import SimulationError
 from repro.metrics.counters import MessageCounters, Metrics
-from repro.metrics.report import (
-    format_cell,
-    format_counters_report,
-    format_series,
-    format_table,
-)
+from repro.metrics.report import format_cell, format_series, format_table
 from repro.metrics.stats import TransactionOutcome, aggregate, percentile
 from repro.sim.network import Message
 from repro.workloads.generator import (
@@ -160,18 +155,6 @@ class TestReportFormatting:
     def test_series_rendering(self):
         rendered = format_series("latency", [1, 2], [10.0, 20.0])
         assert "latency" in rendered and "20" in rendered
-
-    def test_counters_report_surfaces_cache_and_engine(self):
-        metrics = Metrics()
-        metrics.proof_cache.on_hit("s1")
-        metrics.proof_cache.on_miss("s1")
-        metrics.engine.proofs = 3
-        metrics.engine.table_hits = 2
-        rendered = format_counters_report(metrics)
-        assert "proof cache" in rendered
-        assert "inference engine" in rendered
-        assert "hit rate" in rendered and "50.0%" in rendered
-        assert "table_hits" in rendered and "facts_scanned" in rendered
 
 
 class TestGenerators:

@@ -16,47 +16,10 @@ class TestPublicApi:
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
 
-    def test_subpackage_all_resolvable(self):
-        import repro.analysis
-        import repro.cloud
-        import repro.core
-        import repro.db
-        import repro.metrics
-        import repro.policy
-        import repro.sim
-        import repro.transactions
-        import repro.workloads
-
-        for module in (
-            repro.analysis,
-            repro.cloud,
-            repro.core,
-            repro.db,
-            repro.metrics,
-            repro.policy,
-            repro.sim,
-            repro.transactions,
-            repro.workloads,
-        ):
-            for name in module.__all__:
-                assert getattr(module, name, None) is not None, (module.__name__, name)
-
     def test_version_is_exposed(self):
         import repro
 
         assert repro.__version__
-
-    def test_lazy_transactions_exports(self):
-        from repro.transactions import TransactionManager, run_two_phase_commit
-
-        assert TransactionManager.__name__ == "TransactionManager"
-        assert callable(run_two_phase_commit)
-
-    def test_lazy_attribute_error(self):
-        import repro.transactions
-
-        with pytest.raises(AttributeError):
-            repro.transactions.nonexistent_thing
 
     def test_protocol_categories_cover_protocol_kinds(self):
         from repro.cloud import messages as msg
@@ -114,9 +77,9 @@ class TestExamples:
 
 class TestDeterminism:
     def test_same_seed_same_outcome_metrics(self):
-        from repro.core import ConsistencyLevel
-        from repro.transactions import Query, Transaction
-        from repro.workloads import build_cluster
+        from repro.core.consistency import ConsistencyLevel
+        from repro.transactions.transaction import Query, Transaction
+        from repro.workloads.testbed import build_cluster
 
         def run():
             cluster = build_cluster(n_servers=3, seed=123)

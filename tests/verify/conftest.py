@@ -14,8 +14,8 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from repro.core.consistency import ConsistencyLevel
-from repro.verify import check_run, collect_run
-from repro.verify.events import RunRecord
+from repro.verify.conformance import check_run
+from repro.verify.events import RunRecord, collect_run
 
 APPROACHES = ("deferred", "punctual", "incremental", "continuous")
 LEVELS = {"view": ConsistencyLevel.VIEW, "global": ConsistencyLevel.GLOBAL}

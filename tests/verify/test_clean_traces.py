@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.verify import check_run
-from repro.verify.conformance import CHECKS
+from repro.verify.conformance import CHECKS, check_run
 
 from .conftest import APPROACHES
 

@@ -15,8 +15,8 @@ from typing import List, Optional
 import pytest
 
 from repro.cloud import messages as msg
-from repro.verify import check_run
 from repro.verify import report as rep
+from repro.verify.conformance import check_run
 from repro.verify.events import CAT_STORAGE, SOURCE_STORAGE, RunRecord, VerifyEvent
 
 # -- selection helpers ---------------------------------------------------------
