@@ -38,16 +38,10 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.chaos.classify import UNCLASSIFIED
-from repro.chaos.fuzz import (
-    CONSISTENCY_LEVELS,
-    PAPER_APPROACHES,
-    CaseResult,
-    FuzzCase,
-    run_case,
-    sweep,
-)
+from repro.chaos.fuzz import CaseResult, FuzzCase, run_case, sweep
 from repro.chaos.plan import FaultPlan, FaultSpec, random_plan
 from repro.chaos.shrink import shrink_case
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.sim.rng import RandomStreams
 
 

@@ -64,10 +64,7 @@ class PolicyReplicator(Node):
                 delay = delay_override[server_name]
             else:
                 delay = self.rng.uniform(low, high)
-            self.env.process(
-                self._deliver_later(policy, server_name, delay),
-                name=f"{self.name}.deliver[{policy.admin} v{policy.version} -> {server_name}]",
-            )
+            self.env.process(self._deliver_later(policy, server_name, delay))
 
     def deliver_now(self, policy: Policy, server_name: str) -> None:
         """Immediate delivery (bootstrap: install initial policies everywhere)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.cloud import messages as msg
 from repro.cloud.config import CloudConfig
@@ -62,7 +62,7 @@ PROOF_EVALUATION_TIME = 0.5
 CONSTRAINT_CHECK_TIME = 0.2
 
 
-@dataclass
+@dataclass(slots=True)
 class _ExecutedQuery:
     """A query this server executed for some in-flight transaction."""
 
@@ -73,7 +73,7 @@ class _ExecutedQuery:
     latest_proof: Optional[ProofOfAuthorization] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxnState:
     """Volatile per-transaction state on one participant."""
 
@@ -82,6 +82,14 @@ class _TxnState:
     #: duplicate (coordinator retry after a lost reply) so the vote is not
     #: re-derived and PREPARED is not force-logged twice.
     vote_reply: Optional[Dict[str, Any]] = None
+
+    def missing(self, expected: Iterable[str]) -> Tuple[str, ...]:
+        """The ``expected`` query ids this participant has no record of.
+
+        A helper, so the set it builds is gone before the caller waits.
+        """
+        known = {executed.query.query_id for executed in self.queries}
+        return tuple(query_id for query_id in expected if query_id not in known)
 
 
 class CloudServer(Node):
@@ -263,12 +271,7 @@ class CloudServer(Node):
             # the transaction.  Anything missing means a crash wiped the
             # workspace (earlier writes included) and a retry silently
             # recreated partial state — refuse rather than resume.
-            known = {executed.query.query_id for executed in state.queries}
-            missing = [
-                query_id
-                for query_id in message.get("expected_queries", ())
-                if query_id not in known
-            ]
+            missing = state.missing(message.get("expected_queries", ()))
             if missing:
                 self._deny(
                     message, "state-lost", f"prior queries lost in a crash: {', '.join(missing)}"
@@ -680,10 +683,7 @@ class CloudServer(Node):
             prepared = self._prepared_record(txn_id)
             coordinator = prepared.get("coordinator") if prepared else None
             if coordinator:
-                self.env.process(
-                    self._resolve_in_doubt(txn_id, coordinator),
-                    name=f"{self.name}.resolve[{txn_id}]",
-                )
+                self.env.process(self._resolve_in_doubt(txn_id, coordinator))
 
     def _prepared_record(self, txn_id: str) -> Optional[LogRecord]:
         records = reversed(self.wal.records_for(txn_id))

@@ -21,7 +21,7 @@ from repro.transactions.states import Decision, TxnStatus
 from repro.transactions.transaction import Query, Transaction
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnContext:
     """Mutable coordinator-side state for one transaction."""
 
@@ -31,8 +31,7 @@ class TxnContext:
     coordinator: str
 
     status: TxnStatus = TxnStatus.ACTIVE
-    #: Participants in first-contact order.
-    participants: List[str] = field(default_factory=list)
+    #: Queries per participant; key order is first-contact order.
     queries_by_server: Dict[str, List[Query]] = field(default_factory=dict)
     executed_queries: int = 0
 
@@ -82,13 +81,11 @@ class TxnContext:
         return tuple(self.txn.credentials) + tuple(self.extra_credentials)
 
     def note_participant(self, server: str, query: Query) -> None:
-        if server not in self.participants:
-            self.participants.append(server)
         self.queries_by_server.setdefault(server, []).append(query)
 
     def active_participants(self) -> List[str]:
         """Participants that executed at least one query, in first-contact order."""
-        return [server for server in self.participants if self.queries_by_server.get(server)]
+        return list(self.queries_by_server)
 
     def record_proof(self, proof: ProofOfAuthorization) -> None:
         """Append to the view and update the per-query latest proof."""

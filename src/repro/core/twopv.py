@@ -79,7 +79,7 @@ class CoordinatorPhase:
         self.ctx.phase_span = self.previous
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidationResult:
     """Outcome of a 2PV run: CONTINUE or ABORT, plus accounting."""
 

@@ -32,7 +32,7 @@ from repro.transactions.effects import force_log
 from repro.transactions.states import Decision, Vote
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitResult:
     """Outcome of a 2PVC (or degraded 2PC) run."""
 

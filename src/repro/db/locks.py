@@ -47,7 +47,7 @@ def compatible(held: LockMode, requested: LockMode) -> bool:
     return held is LockMode.SHARED and requested is LockMode.SHARED
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _WaitEntry:
     txn_id: str
     key: str
@@ -60,7 +60,7 @@ class _WaitEntry:
     queued_at: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _LockState:
     #: Position of the key in the lock table (creation order).
     order: int

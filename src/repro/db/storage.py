@@ -26,7 +26,7 @@ class AccessKind(enum.Enum):
     APPLY = "apply"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessRecord:
     """One logged access, ordered by a per-engine sequence number.
 
@@ -41,7 +41,7 @@ class AccessRecord:
     kind: AccessKind
 
 
-@dataclass
+@dataclass(slots=True)
 class Workspace:
     """Uncommitted effects of one transaction on one server."""
 

@@ -40,7 +40,7 @@ class LogRecordType(enum.Enum):
 DECISIONS = (LogRecordType.COMMIT, LogRecordType.ABORT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One WAL entry."""
 

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Optional, Sequence
 from repro.errors import AbortReason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionOutcome:
     """Everything the benches need to know about one finished transaction."""
 

@@ -58,7 +58,7 @@ SpanContext = Tuple[str, int]
 SAMPLE_MODULUS = 1_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed unit of work, causally linked to its parent.
 

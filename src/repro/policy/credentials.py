@@ -34,7 +34,7 @@ def _canonical(issuer: str, subject: str, atom: Atom, issued_at: float, expires_
     return f"{issuer}|{subject}|{atom.predicate}({args})|{issued_at:.9f}|{expires_at!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credential:
     """A certified statement: ``issuer`` vouches that ``atom`` holds.
 
@@ -65,7 +65,7 @@ class Credential:
         return replace(self, **changes)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevocationRecord:
     """A revocation entry kept by the issuing CA."""
 

@@ -33,7 +33,7 @@ GUARD_PREDICATES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyId:
     """Identifies a policy: the administrative domain that dictates it.
 
@@ -49,7 +49,7 @@ class PolicyId:
         return f"PolicyId({self.admin})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Policy:
     """One version of an administrative domain's authorization policy."""
 

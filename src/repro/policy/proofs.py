@@ -115,7 +115,7 @@ class PrefetchedStatuses(RevocationChecker):
         return ("prefetched", frozenset(self.statuses.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CredentialAssessment:
     """Outcome of validity checking for one presented credential."""
 
@@ -129,7 +129,7 @@ class CredentialAssessment:
         return self.syntactic_ok and self.semantic_ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofOfAuthorization:
     """The paper's ``f_si = <q_i, s_i, P_si(m(q_i)), t_i, C>`` plus verdict.
 

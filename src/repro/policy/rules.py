@@ -81,7 +81,7 @@ from repro.errors import PolicyError
 MAX_DEPTH = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     """A logic variable (distinct from string constants)."""
 
@@ -95,7 +95,7 @@ Term = Union[str, int, Variable]
 Substitution = Dict[Variable, Term]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """A predicate applied to terms, e.g. ``may_read(bob, customers)``."""
 
@@ -167,7 +167,7 @@ def unify(left: Atom, right: Atom, subst: Substitution) -> Optional[Substitution
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """A Horn rule ``head :- body``.  An empty body makes the rule a fact."""
 
@@ -200,7 +200,7 @@ class Rule:
         return f"{self.head} :- {', '.join(map(repr, self.body))}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofNode:
     """One step of a derivation: an established ground atom and its support.
 

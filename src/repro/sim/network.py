@@ -367,7 +367,7 @@ class Network:
             return
         result = node.handle_message(message)
         if result is not None:
-            self.env.process(result, name=f"{node.name}.handle[{message.kind}]")
+            self.env.process(result)
 
     # -- request/reply -------------------------------------------------------
 

@@ -35,7 +35,9 @@ class Process(Event):
             raise SimulationError(f"process body must be a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
+        #: Read only when a failure crosses this process; unnamed, it is
+        #: reported by its generator's qualified name.
+        self.name = name
         # Starts the body at (now, seq): after everything already due now.
         env.defer(0.0, self._resume)
 
@@ -53,7 +55,9 @@ class Process(Event):
         notes = getattr(exc, "__notes__", None)
         if notes is None:
             exc.__notes__ = notes = []  # type: ignore[attr-defined]
-        notes.append(f"passed through process {self.name!r}{where}")
+        body = self._generator
+        name = self.name or getattr(body, "__qualname__", getattr(body, "__name__", "process"))
+        notes.append(f"passed through process {name!r}{where}")
 
     # -- stepping ----------------------------------------------------------
 

@@ -86,10 +86,7 @@ class TransactionManager(Node):
         consistency: ConsistencyLevel = ConsistencyLevel.VIEW,
     ) -> Process:
         """Launch a transaction; returns the process (resolves to outcome)."""
-        return self.env.process(
-            self._run(txn, approach, consistency),
-            name=f"{self.name}.txn[{txn.txn_id}]",
-        )
+        return self.env.process(self._run(txn, approach, consistency))
 
     # -- message handling (recovery service) -------------------------------------
 
@@ -133,8 +130,7 @@ class TransactionManager(Node):
         return self.env.process(
             request_with_retry(
                 self, retries, RequestTimeout, dst, kind, category, timeout, span, **payload
-            ),
-            name=f"{self.name}.rpc[{kind}->{dst}]",
+            )
         )
 
     def fetch_master_versions(

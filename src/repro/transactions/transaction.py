@@ -28,7 +28,7 @@ class EffectKind(enum.Enum):
     DELTA = "delta"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryEffect:
     """A write effect on one item: overwrite (SET) or increment (DELTA)."""
 
@@ -42,7 +42,7 @@ class QueryEffect:
         return current + self.amount
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     """One read or update request, the unit distributed to servers.
 
@@ -87,7 +87,7 @@ class Query:
         return Query(query_id, Operation.WRITE, items, tuple(effects))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """An ACID transaction submitted by a user along with their credentials."""
 

@@ -103,7 +103,7 @@ class ScaleWorkloadSpec:
             raise SimulationError("locality must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduledTransaction:
     """One generated transaction with its arrival time and placement."""
 

@@ -98,7 +98,7 @@ class PolicyUpdateProcess:
 
     def start(self) -> "Process":  # noqa: F821 - repro.sim.process.Process
         """Launch the update process in the cluster's environment."""
-        return self.cluster.env.process(self._run(), name=f"updates[{self.admin_name}]")
+        return self.cluster.env.process(self._run())
 
     def _publish(self, rules: RuleSet, label: str) -> None:
         policy = self.cluster.publish(self.admin_name, rules, description=label)
@@ -145,4 +145,4 @@ def revoke_at(
             raise KeyError(f"unknown issuer {issuer!r}")
         authority.revoke(cred_id, cluster.env.now, reason)
 
-    cluster.env.process(_do(), name=f"revoke[{cred_id}]")
+    cluster.env.process(_do())

@@ -23,7 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import fuzz
-from repro.chaos.fuzz import CONSISTENCY_LEVELS, PAPER_APPROACHES, FuzzCase, _trace_digest, run_case
+from repro.chaos.fuzz import FuzzCase, _trace_digest, run_case
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from tests.obs.test_recorder_parity import N_TRANSACTIONS, PERF_PLAN
 
 

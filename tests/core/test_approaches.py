@@ -6,8 +6,8 @@ from repro.cloud.config import CloudConfig
 from repro.core.approaches import APPROACHES, get_approach
 from repro.core.consistency import ConsistencyLevel
 from repro.errors import AbortReason
-from repro.metrics.timeline import PROOF_EVAL
 from repro.sim.network import FixedLatency
+from repro.sim.tracing import PROOF_EVAL
 from repro.transactions.transaction import Query, Transaction
 from repro.workloads.testbed import build_cluster
 from repro.workloads.updates import benign_successor, restricting_successor

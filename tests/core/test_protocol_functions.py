@@ -141,7 +141,7 @@ class TestContextHelpers:
         q1, q2 = Query.read("a", ["x"]), Query.read("b", ["y"])
         ctx.note_participant("s1", q1)
         ctx.note_participant("s1", q2)
-        assert ctx.participants == ["s1"]
+        assert ctx.active_participants() == ["s1"]
         assert ctx.queries_by_server["s1"] == [q1, q2]
 
     def test_final_proofs_orders_by_submission(self):

@@ -17,10 +17,11 @@ import pytest
 
 from repro.analysis.scale import StaleCommitTracker
 from repro.analysis.sweep import SweepPoint, run_point
-from repro.chaos.fuzz import CONSISTENCY_LEVELS, PAPER_APPROACHES, FuzzCase, run_case
+from repro.chaos.fuzz import FuzzCase, run_case
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.cloud import messages as msg
 from repro.cloud.config import CloudConfig
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
 from repro.policy.proofcache import ProofCache
 from repro.policy.proofs import evaluate_proof

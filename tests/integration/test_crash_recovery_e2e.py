@@ -12,11 +12,12 @@ check that every approach recovers to a verify-clean history.
 
 import pytest
 
-from repro.chaos.fuzz import PAPER_APPROACHES, FuzzCase, run_case
+from repro.chaos.fuzz import FuzzCase, run_case
 from repro.chaos.nemesis import Nemesis
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.cloud import messages as msg
 from repro.cloud.config import CloudConfig
+from repro.core.approaches import PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
 from repro.db.locks import LockMode
 from repro.db.wal import LogRecordType

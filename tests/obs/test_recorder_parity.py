@@ -41,10 +41,11 @@ from typing import Any, Dict
 import pytest
 
 from repro.chaos import fuzz
-from repro.chaos.fuzz import CONSISTENCY_LEVELS, PAPER_APPROACHES, FuzzCase
+from repro.chaos.fuzz import FuzzCase
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.cloud import messages as msg
 from repro.cloud.config import CloudConfig
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
 from repro.metrics.counters import counter_samples
 from repro.obs.openmetrics import render_openmetrics

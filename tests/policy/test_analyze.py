@@ -27,9 +27,8 @@ from repro.policy.analyze import (
     diff_impact,
     intree_policies,
     main,
-    parse_clauses,
 )
-from repro.policy.parser import parse_rules
+from repro.policy.parser import parse_clauses, parse_rules
 from repro.policy.policy import Policy, PolicyId
 from repro.policy.rules import Atom, Rule, RuleSet, Variable
 from repro.workloads.testbed import MEMBER_ROLE, member_policy_rules

@@ -30,10 +30,11 @@ import pytest
 import repro.analysis.sweep as sweep_module
 from repro.analysis.sweep import SweepPoint, run_point
 from repro.chaos import fuzz
-from repro.chaos.fuzz import CONSISTENCY_LEVELS, PAPER_APPROACHES, FuzzCase, run_case
+from repro.chaos.fuzz import FuzzCase, run_case
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.cloud import messages as msg
 from repro.cloud.config import CloudConfig
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.core.consistency import ConsistencyLevel
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment, collector_suspended

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.cloud.config import CloudConfig
+from repro.db.locks import LockMode
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment
+from repro.sim.network import FixedLatency
 from repro.sim.process import Process
+from repro.transactions.transaction import Query, Transaction
+from repro.workloads.testbed import build_cluster
 
 
 class TestBasics:
@@ -210,7 +215,7 @@ class TestStoredExceptionsFormNoCycle:
         notes = third.exception.__notes__
         assert [note.split(" at ")[0] for note in notes] == [
             "passed through process 'relay'",
-            "passed through process 'outer'",
+            f"passed through process {outer.__qualname__!r}",  # unnamed: its generator's
         ]
         assert all(__file__ in note for note in notes)
         assert notes[0].endswith("in middle") and notes[1].endswith("in outer")
@@ -266,3 +271,23 @@ class TestStoredExceptionsFormNoCycle:
         assert traceback_functions(second.exception) == ["translator"]
         assert second.exception.__cause__ is first.exception
         assert traceback_functions(first.exception) == ["crasher"]
+
+
+class TestUnnamedProcesses:
+    """Nothing names the processes a run spawns per message or per
+    transaction; a failure that crosses one still says which it was."""
+
+    def test_a_failure_crossing_a_network_spawned_handler_names_its_generator(self):
+        cluster = build_cluster(n_servers=1, config=CloudConfig(latency=FixedLatency(1.0)))
+        locks = cluster.server("s1")._lock_manager()
+        locks.acquire("holder", "s1/x1", LockMode.EXCLUSIVE)
+        credential = cluster.issue_role_credential("alice")
+        txn = Transaction("t1", "alice", (Query.read("q1", ["s1/x1"]),), (credential,))
+        cluster.submit(txn, "deferred")
+        cluster.run(until=10.0)
+        (wait,) = locks._waits_by_txn["t1"]  # the EXECUTE handler queued behind "holder"
+        wait.event.fail(RuntimeError("injected"))
+        with pytest.raises(RuntimeError, match="injected") as failure:
+            cluster.run()
+        notes = [note.split(" at ")[0] for note in failure.value.__notes__]
+        assert notes == ["passed through process 'CloudServer._handle_execute'"]

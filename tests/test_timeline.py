@@ -2,16 +2,8 @@
 
 import pytest
 
-from repro.metrics.timeline import (
-    PROOF_EVAL,
-    ProofEvent,
-    TXN_DONE,
-    TXN_READY,
-    TXN_START,
-    TransactionTimeline,
-    extract_timeline,
-)
-from repro.sim.tracing import Tracer
+from repro.metrics.timeline import ProofEvent, TransactionTimeline, extract_timeline
+from repro.sim.tracing import PROOF_EVAL, TXN_DONE, TXN_READY, TXN_START, Tracer
 
 
 def traced_run(txn_id="t1"):

@@ -16,7 +16,8 @@ import inspect
 import pytest
 
 from repro.chaos import fuzz
-from repro.chaos.fuzz import CONSISTENCY_LEVELS, PAPER_APPROACHES, FuzzCase, run_case
+from repro.chaos.fuzz import FuzzCase, run_case
+from repro.core.approaches import CONSISTENCY_LEVELS, PAPER_APPROACHES
 from repro.verify import conformance
 from repro.verify import report as rep
 from tests.obs.test_recorder_parity import N_TRANSACTIONS, PERF_PLAN
