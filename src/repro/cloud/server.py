@@ -30,11 +30,7 @@ from repro.policy.credentials import CARegistry, CertificateAuthority, Credentia
 from repro.policy.ocsp import fetch_statuses
 from repro.policy.policy import Operation, Policy, PolicyId
 from repro.policy.proofcache import ProofCache
-from repro.policy.proofs import (
-    LocalRevocationChecker,
-    PrefetchedStatuses,
-    ProofOfAuthorization,
-)
+from repro.policy.proofs import LocalRevocationChecker, PrefetchedStatuses, ProofOfAuthorization
 from repro.policy.rules import Atom
 from repro.policy.store import PolicyStore
 from repro.sim.events import Event
@@ -83,13 +79,16 @@ class _TxnState:
     #: re-derived and PREPARED is not force-logged twice.
     vote_reply: Optional[Dict[str, Any]] = None
 
-    def missing(self, expected: Iterable[str]) -> Tuple[str, ...]:
-        """The ``expected`` query ids this participant has no record of.
+    def executed(self, query_id: str) -> Optional[_ExecutedQuery]:
+        """This participant's record of ``query_id``, if it executed it."""
+        for executed in self.queries:
+            if executed.query.query_id == query_id:
+                return executed
+        return None
 
-        A helper, so the set it builds is gone before the caller waits.
-        """
-        known = {executed.query.query_id for executed in self.queries}
-        return tuple(query_id for query_id in expected if query_id not in known)
+    def missing(self, expected: Iterable[str]) -> Tuple[str, ...]:
+        """The ``expected`` query ids this participant has no record of."""
+        return tuple(query_id for query_id in expected if self.executed(query_id) is None)
 
 
 class CloudServer(Node):
@@ -120,6 +119,8 @@ class CloudServer(Node):
         self.default_admin = default_admin
         #: item → administrative domain (defaults to ``default_admin``).
         self.domain_of: Dict[str, str] = dict(domain_of or {})
+        #: One ``PolicyId`` per domain, shared by every query of that domain.
+        self._policy_ids: Dict[str, PolicyId] = {}
         self.locks: Optional[LockManager] = None  # created when registered
         self._txns: Dict[str, _TxnState] = {}
         #: This server's own credential-issuing identity (capabilities).
@@ -181,7 +182,10 @@ class CloudServer(Node):
             raise PolicyError(
                 f"query {query.query_id!r} spans administrative domains {sorted(domains)}"
             )
-        return PolicyId(domains.pop())
+        domain = domains.pop()
+        if domain not in self._policy_ids:
+            self._policy_ids[domain] = PolicyId(domain)
+        return self._policy_ids[domain]
 
     def issue_capability(
         self,
@@ -255,17 +259,9 @@ class CloudServer(Node):
             # replay the result from the workspace instead of re-applying
             # write deltas.  Reads happen under the still-held locks, so
             # the access log stays lock-covered.
-            duplicate = next(
-                (
-                    executed
-                    for executed in state.queries
-                    if executed.query.query_id == query.query_id
-                ),
-                None,
-            )
+            duplicate = state.executed(query.query_id)
             if duplicate is not None:
-                values = {item: self.storage.read(txn_id, item) for item in query.items}
-                self._reply_result(message, duplicate, values, [])
+                self._reply_result(message, duplicate, self._read_items(txn_id, query), [])
                 return
             # Coordinator's view of what this server already executed for
             # the transaction.  Anything missing means a crash wiped the
@@ -278,9 +274,7 @@ class CloudServer(Node):
                 )
                 return
             locks = self._lock_manager()
-            mode = (
-                LockMode.EXCLUSIVE if query.operation is Operation.WRITE else LockMode.SHARED
-            )
+            mode = LockMode.EXCLUSIVE if query.operation is Operation.WRITE else LockMode.SHARED
             for item in query.items:
                 try:
                     yield locks.acquire(txn_id, item, mode, span=span)
@@ -293,10 +287,7 @@ class CloudServer(Node):
                     return
 
             yield from self._consume_cpu(
-                QUERY_EXECUTION_TIME,
-                trace_id=txn_id,
-                parent=span,
-                name="cpu.query",
+                QUERY_EXECUTION_TIME, trace_id=txn_id, parent=span, name="cpu.query"
             )
 
             # A crash while this handler consumed CPU leaves it running on a
@@ -310,11 +301,10 @@ class CloudServer(Node):
                 self._deny(message, "aborted", "transaction aborted during execution")
                 return
 
-            values: Dict[str, Any] = {}
             if query.operation is Operation.READ:
-                for item in query.items:
-                    values[item] = self.storage.read(txn_id, item)
+                values = self._read_items(txn_id, query)
             else:
+                values = {}
                 for effect in query.effects:
                     current = self.storage.read(txn_id, effect.key)
                     updated = effect.apply(current)
@@ -327,9 +317,7 @@ class CloudServer(Node):
 
             proof: Optional[ProofOfAuthorization] = None
             if evaluate:
-                proof = yield from self._evaluate(
-                    txn_id, executed, phase="execution", parent=span
-                )
+                proof = yield from self._evaluate(txn_id, executed, phase="execution", parent=span)
                 if self.is_down:
                     return
 
@@ -343,6 +331,11 @@ class CloudServer(Node):
             self._reply_result(message, executed, values, capabilities)
         finally:
             self.metrics.spans.finish(span, self.env.now)
+
+    def _read_items(self, txn_id: str, query: Query) -> Dict[str, Any]:
+        """``query``'s items as ``txn_id`` sees them (a handler keeps no cells)."""
+        read = self.storage.read
+        return {item: read(txn_id, item) for item in query.items}
 
     def _reply_result(
         self,
@@ -472,16 +465,9 @@ class CloudServer(Node):
                 txn_id, executed, phase="commit", policy=snapshot[executed.admin], parent=parent
             )
             proofs.append(proof)
+        versions = {admin: policy.version for admin, policy in snapshot.items()}
         truth = all(proof.granted for proof in proofs)
-        versions: Dict[PolicyId, int] = {
-            admin: policy.version for admin, policy in snapshot.items()
-        }
-        return {
-            "truth": truth,
-            "versions": versions,
-            "policies": dict(snapshot),
-            "proofs": proofs,
-        }
+        return {"truth": truth, "versions": versions, "policies": dict(snapshot), "proofs": proofs}
 
     # -- 2PV handlers ---------------------------------------------------------------------
 

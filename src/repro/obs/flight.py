@@ -147,6 +147,8 @@ class FlightRecorder:
         self.capacity = capacity
         #: node -> ring of ``FlightEvent`` field tuples (built on inspection).
         self._rings: Dict[str, Deque[Tuple[Any, ...]]] = {}
+        #: One send detail per ``(kind, dst)``, shared by every row that has it.
+        self._send_details: Dict[Tuple[str, str], Tuple[Tuple[str, Any], ...]] = {}
         self._seq = 0
         self.recorded = 0
         self.dumps = 0
@@ -174,12 +176,12 @@ class FlightRecorder:
 
     def on_message(self, message: Any, now: float) -> None:
         """A message sent at ``now``: recorded on the source node's ring."""
+        key = (message.kind, message.dst)
+        detail = self._send_details.get(key)
+        if detail is None:
+            detail = self._send_details[key] = (("kind", key[0]), ("dst", key[1]))
         self.record(
-            message.src,
-            now,
-            NET_SEND,
-            txn_id=message.payload.get("txn_id"),
-            detail=(("kind", message.kind), ("dst", message.dst)),
+            message.src, now, NET_SEND, txn_id=message.payload.get("txn_id"), detail=detail
         )
 
     # -- inspection ------------------------------------------------------------

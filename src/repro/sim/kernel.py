@@ -276,9 +276,10 @@ class Environment:
                 continue  # nobody waits on it (or it was processed long ago)
             event.callbacks = []
             for callback in callbacks:
-                waiter = getattr(callback, "__self__", None)
-                if isinstance(waiter, Event):
-                    stranded.append(waiter)
+                if not isinstance(callback, Event):  # a process is its own callback
+                    callback = getattr(callback, "__self__", None)
+                if isinstance(callback, Event):
+                    stranded.append(callback)
 
     def peek(self) -> float:
         """Timestamp of the next queued event, or ``inf`` if the queue is empty.

@@ -8,8 +8,11 @@ the generator returns (success, with the ``return`` value) or raises
 (failure).
 
 A process waits on exactly one event at a time and nothing preempts it, so
-the one event that resumes it is the one it last yielded; every wait shares
-the single bound-method callback ``self._resume``.
+the one event that resumes it is the one it last yielded.  A process is its
+own callback (``__call__`` is :meth:`Process._resume`): a wait puts the
+process itself on its target's callback list, so no wait allocates a bound
+method.  The kernel drops that list when the target fires, so the process ->
+target -> process link lasts exactly as long as the wait.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class Process(Event):
         #: reported by its generator's qualified name.
         self.name = name
         # Starts the body at (now, seq): after everything already due now.
-        env.defer(0.0, self._resume)
+        env.defer(0.0, self)
 
     @property
     def is_alive(self) -> bool:
@@ -118,5 +121,7 @@ class Process(Event):
             if target.processed:
                 event = target  # already done: step again immediately
                 continue
-            target.add_callback(self._resume)
+            target.add_callback(self)
             return
+
+    __call__ = _resume

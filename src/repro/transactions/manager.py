@@ -147,7 +147,7 @@ class TransactionManager(Node):
             admins=admins,
         )
         versions: Dict[PolicyId, int] = dict(reply["versions"])
-        ctx.master_versions.update(versions)
+        ctx.record_master_versions(versions)
         for policy in reply["policies"].values():
             ctx.learn_policy(policy)
         return versions
@@ -157,35 +157,18 @@ class TransactionManager(Node):
     def _run(
         self, txn: Transaction, approach: ProofApproach, consistency: ConsistencyLevel
     ) -> Generator[Event, Any, TransactionOutcome]:
-        ctx = TxnContext(
-            txn=txn,
-            consistency=consistency,
-            approach_name=approach.name,
-            coordinator=self.name,
-            started_at=self.env.now,
-        )
+        ctx = TxnContext(txn, consistency, approach.name, self.name, started_at=self.env.now)
         self.active[txn.txn_id] = ctx
-        spans = self.metrics.spans
-        self.metrics.txn_started(
-            self.name, txn.txn_id, approach.name, consistency.value, self.env.now
-        )
+        metrics = self.metrics
+        spans = metrics.spans
+        metrics.txn_started(self.name, txn.txn_id, approach.name, consistency.value, self.env.now)
         if spans.enabled:
             ctx.root_span = spans.start(
-                txn.txn_id,
-                "txn",
-                KIND_TXN,
-                self.name,
-                self.env.now,
-                approach=approach.name,
-                consistency=consistency.value,
+                txn.txn_id, "txn", KIND_TXN, self.name, self.env.now,
+                approach=approach.name, consistency=consistency.value,
             )
             ctx.phase_span = spans.start(
-                txn.txn_id,
-                PHASE_EXECUTE,
-                KIND_PHASE,
-                self.name,
-                self.env.now,
-                parent=ctx.root_span,
+                txn.txn_id, PHASE_EXECUTE, KIND_PHASE, self.name, self.env.now, parent=ctx.root_span
             )
 
         decision = Decision.ABORT
@@ -193,12 +176,19 @@ class TransactionManager(Node):
             for query in txn.queries:
                 server = self._route(query)
                 yield from approach.before_query(self, ctx, query, server)
-                reply = yield from self._execute_query(
-                    ctx, query, server, approach.evaluate_during_execution
-                )
+                try:  # waited for in this frame, not a sub-generator's
+                    reply = yield self._send_query(
+                        ctx, query, server, approach.evaluate_during_execution
+                    )
+                except RequestTimeout:
+                    raise TransactionAborted(
+                        AbortReason.PARTICIPANT_UNREACHABLE, f"query {query.query_id} to {server}"
+                    ) from None
+                self._take_reply(ctx, query, server, reply)
                 yield from approach.on_query_result(self, ctx, query, server, reply)
+                del reply  # not kept across the next wait
             ctx.ready_at = self.env.now  # ω(T): ready to commit
-            self.metrics.txn_ready(txn.txn_id, self.env.now)
+            metrics.txn_ready(txn.txn_id, self.env.now)
             spans.finish(ctx.phase_span, self.env.now)
             ctx.phase_span = None
             ctx.status = TxnStatus.VALIDATING
@@ -207,35 +197,25 @@ class TransactionManager(Node):
             ctx.commit_rounds = result.rounds
             ctx.abort_reason = result.abort_reason
             decision = result.decision
-        except TransactionAborted as aborted:
-            ctx.abort_reason = aborted.reason
+        except (TransactionAborted, NetworkError) as error:  # RequestTimeout is a NetworkError
+            ctx.abort_reason = getattr(error, "reason", AbortReason.PARTICIPANT_UNREACHABLE)
             if ctx.ready_at is None:
                 ctx.ready_at = self.env.now
-            yield from self._abort_everywhere(ctx)
-        except (RequestTimeout, NetworkError) as error:
-            ctx.abort_reason = AbortReason.PARTICIPANT_UNREACHABLE
-            if ctx.ready_at is None:
-                ctx.ready_at = self.env.now
-            ctx.status = TxnStatus.ABORTED
             yield from self._abort_everywhere(ctx)
 
         ctx.decision = decision
-        ctx.status = (
-            TxnStatus.COMMITTED if decision is Decision.COMMIT else TxnStatus.ABORTED
-        )
+        ctx.status = TxnStatus.COMMITTED if decision is Decision.COMMIT else TxnStatus.ABORTED
         ctx.finished_at = self.env.now
         # Abort paths can leave the execute phase open; close it before the root.
         spans.finish(ctx.phase_span, self.env.now)
         ctx.phase_span = None
         spans.finish(
-            ctx.root_span,
-            self.env.now,
-            committed=(decision is Decision.COMMIT),
+            ctx.root_span, self.env.now, committed=(decision is Decision.COMMIT),
             abort_reason=ctx.abort_reason.value if ctx.abort_reason else None,
         )
         outcome = self._build_outcome(ctx)
-        self.metrics.txn_finished(self.name, outcome)
-        if self.metrics.tracer.enabled:
+        metrics.txn_finished(self.name, outcome)
+        if metrics.tracer.enabled:
             self.outcomes.append(outcome)
         if self.keeps_finished:
             self.finished[txn.txn_id] = ctx
@@ -251,9 +231,8 @@ class TransactionManager(Node):
             )
         return servers.pop()
 
-    def _execute_query(
-        self, ctx: TxnContext, query: Query, server: str, evaluate: bool
-    ) -> Generator[Event, Any, Message]:
+    def _send_query(self, ctx: TxnContext, query: Query, server: str, evaluate: bool) -> Event:
+        """Ask ``server`` to execute ``query``: the event its reply arrives on."""
         # Queries this server has already executed for the transaction: the
         # server cross-checks the list so a participant that crashed and
         # lost its workspace cannot silently resume with partial state.
@@ -262,24 +241,22 @@ class TransactionManager(Node):
         # request timeout also reaches servers that never replied (they may
         # hold locks or queued waits for this transaction).
         ctx.note_participant(server, query)
-        try:
-            reply = yield self.rpc_event(
-                server,
-                msg.EXECUTE_QUERY,
-                msg.CAT_QUERY,
-                timeout=self.config.request_timeout,
-                span=ctx.phase_span or ctx.root_span,
-                txn_id=ctx.txn_id,
-                query=query,
-                user=ctx.txn.user,
-                credentials=ctx.all_credentials(),
-                evaluate_proof=evaluate,
-                expected_queries=prior,
-            )
-        except RequestTimeout:
-            raise TransactionAborted(
-                AbortReason.PARTICIPANT_UNREACHABLE, f"query {query.query_id} to {server}"
-            ) from None
+        return self.rpc_event(
+            server,
+            msg.EXECUTE_QUERY,
+            msg.CAT_QUERY,
+            timeout=self.config.request_timeout,
+            span=ctx.phase_span or ctx.root_span,
+            txn_id=ctx.txn_id,
+            query=query,
+            user=ctx.txn.user,
+            credentials=ctx.all_credentials(),
+            evaluate_proof=evaluate,
+            expected_queries=prior,
+        )
+
+    def _take_reply(self, ctx: TxnContext, query: Query, server: str, reply: Message) -> None:
+        """Fold a query's reply into ``ctx``; a denial aborts the transaction."""
         if reply.kind == msg.QUERY_DENIED:
             if reply["reason"] == "deadlock":
                 reason = AbortReason.DEADLOCK
@@ -292,15 +269,14 @@ class TransactionManager(Node):
             raise TransactionAborted(reason, reply.get("detail", ""))
 
         ctx.executed_queries += 1
-        ctx.values[query.query_id] = dict(reply["values"])
+        ctx.record_values(query.query_id, reply["values"])
         ctx.record_version(reply["admin"], server, reply["version"])
         ctx.learn_policy(reply["policy"])
         proof = reply["proof"]
         if proof is not None:
             ctx.record_proof(proof)
         for capability in reply.get("capabilities", ()):
-            ctx.extra_credentials.append(capability)
-        return reply
+            ctx.add_capability(capability)
 
     def _abort_everywhere(self, ctx: TxnContext) -> Generator[Event, Any, None]:
         """Roll back at every participant contacted so far."""

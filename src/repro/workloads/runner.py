@@ -124,7 +124,9 @@ class OpenLoopRunner:
         state = {"pending": 0, "submitted_all": False}
         done = env.event()
 
+        # One callback for every transaction, not a bound method per submit.
         def _finished_one(event: Event) -> None:
+            self._collect(event)
             state["pending"] -= 1
             if state["submitted_all"] and state["pending"] == 0 and not done.triggered:
                 done.succeed()
@@ -142,10 +144,8 @@ class OpenLoopRunner:
                 else:
                     tm = self.cluster.tms[index % len(self.cluster.tms)]
                 self.assignments[txn.txn_id] = tm.name
-                process = tm.submit(txn, self.approach, self.consistency)
-                process.add_callback(self._collect)
+                tm.submit(txn, self.approach, self.consistency).add_callback(_finished_one)
                 state["pending"] += 1
-                process.add_callback(_finished_one)
                 index += 1
 
         submit_proc = env.process(submitter(), name="open-loop-submitter")

@@ -90,6 +90,15 @@ class TestServerWiring:
         query = Query.read("q", ["s1/x1"])
         assert server.admin_for(query) == PolicyId("app")
 
+    def test_admin_for_returns_one_policy_id_per_domain(self):
+        cluster = build_cluster(n_servers=1, seed=1)
+        server = cluster.server("s1")
+        server.domain_of["s1/x3"] = "other"
+        first = server.admin_for(Query.read("q1", ["s1/x1"]))
+        assert server.admin_for(Query.write("q2", {"s1/x2": 5})) is first
+        other = server.admin_for(Query.read("q3", ["s1/x3"]))
+        assert other == PolicyId("other") and server.admin_for(Query.read("q4", ["s1/x3"])) is other
+
     def test_admin_for_mixed_domains_rejected(self):
         cluster = build_cluster(n_servers=1, seed=1)
         server = cluster.server("s1")

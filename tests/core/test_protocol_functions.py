@@ -64,7 +64,7 @@ class TestComputeTargets:
 
     def test_global_takes_master_versions(self):
         ctx = make_ctx(ConsistencyLevel.GLOBAL)
-        ctx.master_versions[APP] = 9
+        ctx.record_master_versions({APP: 9})
         reports = {"s1": report(versions={APP: 2})}
         assert compute_targets(ctx, reports) == {APP: 9}
 
@@ -133,7 +133,7 @@ class TestContextHelpers:
             approach_name="test",
             coordinator="tm",
         )
-        ctx.extra_credentials.append(extra)
+        ctx.add_capability(extra)
         assert ctx.all_credentials() == (base, extra)
 
     def test_note_participant_deduplicates(self):

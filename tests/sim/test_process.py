@@ -1,5 +1,7 @@
 """Unit tests for generator-based processes."""
 
+import gc
+
 import pytest
 
 from repro.cloud.config import CloudConfig
@@ -291,3 +293,74 @@ class TestUnnamedProcesses:
             cluster.run()
         notes = [note.split(" at ")[0] for note in failure.value.__notes__]
         assert notes == ["passed through process 'CloudServer._handle_execute'"]
+
+
+class TestAProcessIsItsOwnCallback:
+    """A wait registers the process itself, not a bound method of it."""
+
+    def test_a_waiting_process_sits_in_its_targets_callbacks(self, env):
+        target = env.event()
+
+        def body():
+            return (yield target)
+
+        process = env.process(body())
+        (start,) = [entry[2] for entry in env._queue]
+        assert start.callbacks == [process] and start.callbacks[0] is process
+        env.run()
+        assert len(target.callbacks) == 1 and target.callbacks[0] is process
+        target.succeed("v")
+        env.run()
+        assert process.value == "v" and target.callbacks is None
+
+    def test_close_unhooks_waiters_on_a_queued_timeout_transitively(self):
+        """A process stranded on a queued timeout, a process waiting on that
+        one and a third waiting on the second: ``close()`` unhooks all three,
+        so the world they hold dies by reference count."""
+        import weakref
+
+        def waiter(target):
+            yield target
+
+        def world():
+            env = Environment()
+            timer = env.timeout(5.0)
+            first = env.process(waiter(timer))
+            second = env.process(waiter(first))
+            third = env.process(waiter(second))
+            env.run(until=1.0)
+            assert timer.callbacks == [first] and first.callbacks == [second]
+            assert second.callbacks == [third]
+            env.close()
+            assert timer.callbacks == first.callbacks == second.callbacks == []
+            return [weakref.ref(process._generator) for process in (first, second, third)]
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert [generator() for generator in world()] == [None, None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_a_failure_crossing_such_a_process_keeps_its_note(self, env):
+        failing = env.event()
+
+        def relay():
+            yield failing
+
+        def outer(target):
+            yield target
+
+        first = env.process(relay())
+        second = env.process(outer(first))
+        second.defused = True
+        env.run()
+        assert failing.callbacks == [first] and first.callbacks == [second]
+        failing.fail(ValueError("boom"))
+        env.run()
+        notes = [note.split(" at ")[0] for note in second.exception.__notes__]
+        assert notes == [
+            f"passed through process {relay.__qualname__!r}",
+            f"passed through process {outer.__qualname__!r}",
+        ]

@@ -279,7 +279,7 @@ class ScriptedCoordinator:
     def fetch_master_versions(self, ctx):
         version = self.master_script[min(self.fetches, len(self.master_script) - 1)]
         self.fetches += 1
-        ctx.master_versions[APP] = version
+        ctx.record_master_versions({APP: version})
         ctx.learn_policy(POLICIES[version])
         return {APP: version}
         yield  # pragma: no cover - makes this function a generator
