@@ -115,7 +115,7 @@ class CloudServer(Node):
         self.storage = StorageEngine(name, record_accesses=traced)
         self.constraints = ConstraintSet()
         self.policies = PolicyStore()
-        self.wal = WriteAheadLog(name, forgets=forgets_finished(traced, config.rpc_max_retries))
+        self.wal = WriteAheadLog(forgets=forgets_finished(traced, config.rpc_max_retries))
         self.default_admin = default_admin
         #: item → administrative domain (defaults to ``default_admin``).
         self.domain_of: Dict[str, str] = dict(domain_of or {})

@@ -83,8 +83,7 @@ class WriteAheadLog:
     counters count every write either way.
     """
 
-    def __init__(self, owner: str, forgets: bool = False) -> None:
-        self.owner = owner
+    def __init__(self, forgets: bool = False) -> None:
         self.forgets = forgets
         self._by_lsn: Dict[int, LogRecord] = {}
         self._by_txn: Dict[str, List[LogRecord]] = {}

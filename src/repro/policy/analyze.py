@@ -2,8 +2,8 @@
 
 The conformance checker (:mod:`repro.verify`) establishes that an execution
 is consistent with the policies the servers held — but it cannot see that a
-*policy itself* is broken.  An unsafe rule, an unstratified negation, or a
-rule shadowed by a more general one silently yields wrong or vacuous
+*policy itself* is broken.  An unsafe rule, an arity slip, or a rule
+shadowed by a more general one silently yields wrong or vacuous
 verdicts that every trace-level check happily accepts, because the trace
 really is "consistent with" the broken policy.  This module closes that gap
 with a pre-execution instrument: a static analyzer over the Datalog layer,
@@ -13,12 +13,8 @@ level rather than observing it at runtime.
 Rule codes
 ----------
 
-``POL001``  range restriction / safety: every head variable and every
-            variable of a negated body literal must be bound by a positive
-            body atom; facts must be ground.
-``POL002``  unstratified negation: a cycle through negation in the
-            predicate dependency graph (negation-as-failure is ill-defined
-            on such programs).
+``POL001``  range restriction / safety: every head variable must be
+            bound by a body atom; facts must be ground.
 ``POL003``  dead rule: a non-fact rule whose head predicate is neither a
             query root (``may_read``/``may_write`` by default) nor
             reachable from one — it can never contribute to any access
@@ -27,12 +23,12 @@ Rule codes
             the same program (θ-subsumption), including exact duplicates.
 ``POL005``  signature drift: a predicate used with inconsistent arities,
             or an argument position mixing numeric and symbolic constants.
-``POL006``  unbounded recursion: a cycle of positive dependencies; the
-            engine's depth bound and cycle guard turn it into silent
-            search truncation rather than nontermination.
-``POL007``  negation used at all: the runtime engine has no
-            negation-as-failure, so a policy using ``not`` can be analyzed
-            but not loaded by :func:`repro.policy.parser.parse_rules`.
+``POL006``  unbounded recursion: a dependency cycle; the engine's depth
+            bound and cycle guard turn it into silent search truncation
+            rather than nontermination.
+
+Retired codes leave gaps in the numbering rather than being reused, so an
+existing suppression keeps its meaning.
 
 Findings carry a precise source span (line and column from the tokenizer)
 when the input is policy *text*; rule sets analyzed in memory get clause
@@ -78,13 +74,11 @@ DEFAULT_ROOTS: Tuple[str, ...] = tuple(sorted(GUARD_PREDICATES.values()))
 
 #: rule code -> (summary, severity).
 RULES: Dict[str, Tuple[str, str]] = {
-    "POL001": ("unsafe rule: unbound head or negated-body variable", "error"),
-    "POL002": ("unstratified negation (cycle through a negated literal)", "error"),
+    "POL001": ("unsafe rule: unbound head variable or non-ground fact", "error"),
     "POL003": ("dead rule: head unreachable from any query root", "warning"),
     "POL004": ("rule subsumed by a more general rule (redundant/shadowed)", "warning"),
     "POL005": ("signature drift: inconsistent arity or constant types", "error"),
-    "POL006": ("unbounded recursion (positive dependency cycle)", "warning"),
-    "POL007": ("negation is analysis-only: the runtime engine has no NAF", "warning"),
+    "POL006": ("unbounded recursion (dependency cycle)", "warning"),
 }
 
 _SUPPRESS_RE = re.compile(r"#\s*analyze:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
@@ -126,9 +120,8 @@ class Finding:
 def clauses_from_rules(rules: RuleSet) -> List[Clause]:
     """Analyzer clauses for an in-memory rule set (spans are clause indexes).
 
-    Runtime rules never contain negation, so every body literal is
-    positive.  ``line`` is set to the 1-based rule position so findings
-    still point somewhere useful.
+    ``line`` is set to the 1-based rule position so findings still point
+    somewhere useful.
     """
     clauses: List[Clause] = []
     for index, rule in enumerate(rules):
@@ -143,42 +136,29 @@ def clauses_from_rules(rules: RuleSet) -> List[Clause]:
 class PredicateGraph:
     """Dependency graph of a policy: ``head -> body predicate`` edges.
 
-    Edges are signed: an edge through a negated literal is *negative*.
-    The graph answers the three questions the analyzer and the proof
-    cache's impact analysis need: downward reachability (which predicates
-    a proof of ``p`` may consult), strongly connected components (cycles,
-    for POL002/POL006), and which predicates are intensionally defined.
+    The graph answers the questions the analyzer and the policy-diff
+    impact analysis need: downward reachability (which predicates a proof
+    of ``p`` may consult), upward reachability (whose proofs may consult
+    ``p``), and strongly connected components (cycles, for POL006).
     """
 
     def __init__(self, clauses: Sequence[Clause]) -> None:
-        self.clauses = tuple(clauses)
-        #: head predicate -> set of positive body predicates.
-        self.pos_edges: Dict[str, Set[str]] = {}
-        #: head predicate -> set of negated body predicates.
-        self.neg_edges: Dict[str, Set[str]] = {}
-        #: predicates appearing as a clause head (intensional + facts).
-        self.defined: Set[str] = set()
+        #: head predicate -> set of body predicates.
+        self.edges: Dict[str, Set[str]] = {}
         #: every predicate mentioned anywhere.
         self.predicates: Set[str] = set()
         for clause in clauses:
             head = clause.head.predicate
-            self.defined.add(head)
             self.predicates.add(head)
             for literal in clause.body:
                 target = literal.atom.predicate
                 self.predicates.add(target)
-                bucket = self.neg_edges if literal.negated else self.pos_edges
-                bucket.setdefault(head, set()).add(target)
+                self.edges.setdefault(head, set()).add(target)
 
-    def successors(self, predicate: str, *, positive_only: bool = False) -> Set[str]:
-        out = set(self.pos_edges.get(predicate, ()))
-        if not positive_only:
-            out |= self.neg_edges.get(predicate, set())
-        return out
+    def successors(self, predicate: str) -> Set[str]:
+        return self.edges.get(predicate, set())
 
-    def reachable_from(
-        self, roots: Iterable[str], *, positive_only: bool = False
-    ) -> Set[str]:
+    def reachable_from(self, roots: Iterable[str]) -> Set[str]:
         """Downward closure: predicates a proof of any root may consult."""
         seen: Set[str] = set()
         stack = list(roots)
@@ -187,7 +167,7 @@ class PredicateGraph:
             if predicate in seen:
                 continue
             seen.add(predicate)
-            stack.extend(self.successors(predicate, positive_only=positive_only))
+            stack.extend(self.successors(predicate))
         return seen
 
     def dependents_of(self, changed: Iterable[str]) -> Set[str]:
@@ -195,8 +175,8 @@ class PredicateGraph:
         targets = set(changed)
         # Invert the edge relation once, then walk upward.
         inverse: Dict[str, Set[str]] = {}
-        for head in sorted(set(self.pos_edges) | set(self.neg_edges)):
-            for target in self.successors(head):
+        for head in sorted(self.edges):
+            for target in self.edges[head]:
                 inverse.setdefault(target, set()).add(head)
         seen: Set[str] = set(targets)
         stack = list(targets)
@@ -208,7 +188,7 @@ class PredicateGraph:
                     stack.append(dependent)
         return seen
 
-    def sccs(self, *, positive_only: bool = False) -> List[Set[str]]:
+    def sccs(self) -> List[Set[str]]:
         """Strongly connected components (iterative Tarjan, sorted nodes)."""
         index_of: Dict[str, int] = {}
         lowlink: Dict[str, int] = {}
@@ -218,9 +198,7 @@ class PredicateGraph:
         counter = [0]
 
         def strongconnect(root: str) -> None:
-            work: List[Tuple[str, List[str]]] = [
-                (root, sorted(self.successors(root, positive_only=positive_only)))
-            ]
+            work: List[Tuple[str, List[str]]] = [(root, sorted(self.successors(root)))]
             index_of[root] = lowlink[root] = counter[0]
             counter[0] += 1
             stack.append(root)
@@ -234,9 +212,7 @@ class PredicateGraph:
                         counter[0] += 1
                         stack.append(nxt)
                         on_stack.add(nxt)
-                        work.append(
-                            (nxt, sorted(self.successors(nxt, positive_only=positive_only)))
-                        )
+                        work.append((nxt, sorted(self.successors(nxt))))
                     elif nxt in on_stack:
                         lowlink[node] = min(lowlink[node], index_of[nxt])
                 else:
@@ -259,20 +235,15 @@ class PredicateGraph:
                 strongconnect(predicate)
         return components
 
-    def _has_edge(self, source: str, target: str, *, positive_only: bool) -> bool:
-        if target in self.pos_edges.get(source, ()):
-            return True
-        return not positive_only and target in self.neg_edges.get(source, ())
-
-    def cyclic_predicates(self, *, positive_only: bool = False) -> Set[str]:
+    def cyclic_predicates(self) -> Set[str]:
         """Predicates on some dependency cycle (incl. self-loops)."""
         cyclic: Set[str] = set()
-        for component in self.sccs(positive_only=positive_only):
+        for component in self.sccs():
             if len(component) > 1:
                 cyclic |= component
             else:
                 (only,) = component
-                if self._has_edge(only, only, positive_only=positive_only):
+                if only in self.successors(only):
                     cyclic.add(only)
         return cyclic
 
@@ -285,12 +256,11 @@ def _atom_variables(atom: Atom) -> Set[Variable]:
 
 
 def _check_safety(clause: Clause) -> List[Tuple[str, str, int, int]]:
-    """POL001: range restriction for heads and negated literals."""
+    """POL001: range restriction for heads."""
     out: List[Tuple[str, str, int, int]] = []
-    positive_vars: Set[Variable] = set()
+    body_vars: Set[Variable] = set()
     for literal in clause.body:
-        if not literal.negated:
-            positive_vars |= _atom_variables(literal.atom)
+        body_vars |= _atom_variables(literal.atom)
     head_vars = _atom_variables(clause.head)
     if clause.is_fact:
         for variable in sorted(head_vars, key=lambda v: v.name):
@@ -304,32 +274,16 @@ def _check_safety(clause: Clause) -> List[Tuple[str, str, int, int]]:
                 )
             )
         return out
-    for variable in sorted(head_vars - positive_vars, key=lambda v: v.name):
+    for variable in sorted(head_vars - body_vars, key=lambda v: v.name):
         out.append(
             (
                 "POL001",
                 f"head variable {variable.name} of {clause.head!r} is not bound "
-                "by any positive body atom",
+                "by any body atom",
                 clause.line,
                 clause.col,
             )
         )
-    for literal in clause.body:
-        if not literal.negated:
-            continue
-        for variable in sorted(
-            _atom_variables(literal.atom) - positive_vars, key=lambda v: v.name
-        ):
-            out.append(
-                (
-                    "POL001",
-                    f"variable {variable.name} of negated literal "
-                    f"not {literal.atom!r} is not bound by any positive body "
-                    "atom (the negation would flounder)",
-                    literal.line or clause.line,
-                    literal.col or clause.col,
-                )
-            )
     return out
 
 
@@ -361,7 +315,7 @@ def _subsumes(general: Clause, specific: Clause) -> bool:
 
     True when some substitution θ over ``general``'s variables maps its
     head onto ``specific``'s head and every body literal of ``general``·θ
-    onto some body literal of ``specific`` (sign-matching).  ``specific``'s
+    onto some body literal of ``specific``.  ``specific``'s
     variables are frozen — they act as constants during matching.
     """
 
@@ -370,8 +324,6 @@ def _subsumes(general: Clause, specific: Clause) -> bool:
             return True
         literal = general.body[index]
         for candidate in specific.body:
-            if candidate.negated != literal.negated:
-                continue
             trail = dict(binding)
             if _match_atom(literal.atom, candidate.atom, trail) and match_body(
                 index + 1, trail
@@ -422,12 +374,10 @@ class Analysis:
 
     def run(self) -> List[Finding]:
         self._check_pol001()
-        self._check_pol002()
         self._check_pol003()
         self._check_pol004()
         self._check_pol005()
         self._check_pol006()
-        self._check_pol007()
         self.findings.sort(key=lambda f: (f.line, f.col, f.code, f.message))
         return self.findings
 
@@ -435,28 +385,6 @@ class Analysis:
         for clause in self.clauses:
             for code, message, line, col in _check_safety(clause):
                 self._emit(code, message, line, col, clause)
-
-    def _check_pol002(self) -> None:
-        scc_of: Dict[str, int] = {}
-        for number, component in enumerate(self.graph.sccs()):
-            for predicate in component:
-                scc_of[predicate] = number
-        for clause in self.clauses:
-            head = clause.head.predicate
-            for literal in clause.body:
-                if not literal.negated:
-                    continue
-                target = literal.atom.predicate
-                if scc_of.get(head) == scc_of.get(target) and scc_of.get(head) is not None:
-                    self._emit(
-                        "POL002",
-                        f"negated literal not {literal.atom!r} closes a cycle "
-                        f"through negation ({head} and {target} are mutually "
-                        "recursive); the program is not stratifiable",
-                        literal.line or clause.line,
-                        literal.col or clause.col,
-                        clause,
-                    )
 
     def _check_pol003(self) -> None:
         live = self.graph.reachable_from(self.roots)
@@ -548,9 +476,9 @@ class Analysis:
                         )
 
     def _check_pol006(self) -> None:
-        cyclic = self.graph.cyclic_predicates(positive_only=True)
+        cyclic = self.graph.cyclic_predicates()
         scc_of: Dict[str, int] = {}
-        for number, component in enumerate(self.graph.sccs(positive_only=True)):
+        for number, component in enumerate(self.graph.sccs()):
             for predicate in component:
                 scc_of[predicate] = number
         for clause in self.clauses:
@@ -560,7 +488,7 @@ class Analysis:
             for literal in clause.body:
                 target = literal.atom.predicate
                 same_cycle = scc_of.get(target) == scc_of.get(head) or target == head
-                if not literal.negated and target in cyclic and same_cycle:
+                if target in cyclic and same_cycle:
                     self._emit(
                         "POL006",
                         f"{head!r} is recursive through {target!r}; the engine "
@@ -571,19 +499,6 @@ class Analysis:
                         clause,
                     )
                     break
-
-    def _check_pol007(self) -> None:
-        for clause in self.clauses:
-            for literal in clause.body:
-                if literal.negated:
-                    self._emit(
-                        "POL007",
-                        f"not {literal.atom!r}: negation is an analysis-level "
-                        "extension; the runtime engine cannot load this policy",
-                        literal.line or clause.line,
-                        literal.col or clause.col,
-                        clause,
-                    )
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,17 @@ Syntax:
   contain letters, digits, ``_``, ``-`` and ``/``; anything else (spaces,
   dots, colons, ...) can be single-quoted (``'hello world'``).
 * a clause is ``head.`` (a fact) or ``head :- body1, body2, ... .``
-* a body literal may be negated, ``not banned(U)``; only the static
-  analyzer (:mod:`repro.policy.analyze`) reads such clauses — the runtime
-  engine has no negation-as-failure, so :func:`parse_rules` refuses them.
 * ``#`` and ``%`` start comments running to end of line.
 
+Body literals are positive atoms: the paper's policies are inference
+rules satisfied from credentials, and the engine has no negation.
+
 There is one grammar and one parser: :func:`parse_clauses` returns
-:class:`Clause` values with source spans (what the analyzer checks);
-:func:`parse_rules` builds a :class:`~repro.policy.rules.RuleSet` from
-them, and :func:`render_rules` is its inverse (parse ∘ render = identity,
-which the property tests check).
+:class:`Clause` values with source spans and applies no safety check (the
+analyzer reports unsafe clauses); :func:`parse_rules` builds a
+:class:`~repro.policy.rules.RuleSet` from them, and :func:`render_rules`
+is its inverse (parse ∘ render = identity, which the property tests
+check).
 """
 
 from __future__ import annotations
@@ -85,15 +86,14 @@ def tokenize(text: str) -> Iterator[Token]:
 
 @dataclass(frozen=True)
 class Literal:
-    """One body literal: an atom, possibly negated, with its source span."""
+    """One body literal: an atom with its source span."""
 
     atom: Atom
-    negated: bool = False
     line: int = 0
     col: int = 0
 
     def __repr__(self) -> str:
-        return f"not {self.atom!r}" if self.negated else repr(self.atom)
+        return repr(self.atom)
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ class Clause:
     """A parsed clause ``head :- body`` (body may be empty: a fact).
 
     Unlike :class:`repro.policy.rules.Rule`, construction never rejects
-    unsafe clauses — detecting them is the analyzer's job — and body
-    literals may be negated.
+    unsafe clauses — detecting them is the analyzer's job.
     """
 
     head: Atom
@@ -118,9 +117,7 @@ class Clause:
     def render(self) -> str:
         if not self.body:
             return f"{render_atom(self.head)}."
-        body = ", ".join(
-            ("not " if lit.negated else "") + render_atom(lit.atom) for lit in self.body
-        )
+        body = ", ".join(render_atom(lit.atom) for lit in self.body)
         return f"{render_atom(self.head)} :- {body}."
 
 
@@ -174,21 +171,8 @@ class _Parser:
         return Clause(head, tuple(body), line=line, col=col, index=index)
 
     def parse_literal(self) -> Literal:
-        token = self._peek()
-        negated = False
-        if (
-            token is not None
-            and token.kind == "NAME"
-            and token.text == "not"
-            and self._index + 1 < len(self._tokens)
-            and self._tokens[self._index + 1].kind == "NAME"
-        ):
-            # ``not foo(...)`` — negation-as-failure marker.  ``not(...)``
-            # still parses as an atom whose predicate is ``not``.
-            self._next("NAME")
-            negated = True
         atom, line, col = self.parse_atom()
-        return Literal(atom, negated=negated, line=line, col=col)
+        return Literal(atom, line=line, col=col)
 
     def parse_atom(self) -> Tuple[Atom, int, int]:
         name = self._next("NAME")
@@ -231,24 +215,18 @@ def _is_variable_name(text: str) -> bool:
 
 
 def parse_clauses(text: str) -> List[Clause]:
-    """Parse policy text into clauses with source spans (negation allowed)."""
+    """Parse policy text into clauses with source spans (unsafe ones allowed)."""
     return _Parser(text).parse_program()
 
 
-def _to_rule(clause: Clause) -> Rule:
-    for literal in clause.body:
-        if literal.negated:
-            raise PolicyError(
-                f"policy error at line {literal.line}: negation ('not "
-                f"{render_atom(literal.atom)}') is analysis-only; the runtime "
-                "engine has no negation-as-failure (POL007)"
-            )
-    return Rule(clause.head, tuple(literal.atom for literal in clause.body))
-
-
 def parse_rules(text: str) -> RuleSet:
-    """Parse a rule program into a :class:`RuleSet` (no negated literals)."""
-    return RuleSet([_to_rule(clause) for clause in parse_clauses(text)])
+    """Parse a rule program into a :class:`RuleSet` (unsafe heads refused)."""
+    return RuleSet(
+        [
+            Rule(clause.head, tuple(literal.atom for literal in clause.body))
+            for clause in parse_clauses(text)
+        ]
+    )
 
 
 def parse_atom(text: str) -> Atom:

@@ -144,7 +144,7 @@ class Timeout(Event):
     frames plus a ``schedule`` call.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:  # noqa: F821
         if delay < 0:
@@ -156,7 +156,6 @@ class Timeout(Event):
         self._triggered = True
         self._processed = False
         self.defused = False
-        self.delay = delay
         seq = env._seq
         env._seq = seq + 1
         heappush(env._queue, (env._now + delay, seq, self))

@@ -65,7 +65,7 @@ class TransactionManager(Node):
         self.catalog = catalog
         self.metrics = metrics
         self.wal = WriteAheadLog(
-            name, forgets=forgets_finished(metrics.tracer.enabled, config.rpc_max_retries)
+            forgets=forgets_finished(metrics.tracer.enabled, config.rpc_max_retries)
         )
         #: Finished outcomes, the checker's transaction index: kept only when
         #: the run is traced (``submit``'s process resolves to each outcome).
@@ -176,14 +176,9 @@ class TransactionManager(Node):
             for query in txn.queries:
                 server = self._route(query)
                 yield from approach.before_query(self, ctx, query, server)
-                try:  # waited for in this frame, not a sub-generator's
-                    reply = yield self._send_query(
-                        ctx, query, server, approach.evaluate_during_execution
-                    )
-                except RequestTimeout:
-                    raise TransactionAborted(
-                        AbortReason.PARTICIPANT_UNREACHABLE, f"query {query.query_id} to {server}"
-                    ) from None
+                reply = yield self._send_query(  # waited for in this frame, not a sub-generator's
+                    ctx, query, server, approach.evaluate_during_execution
+                )
                 self._take_reply(ctx, query, server, reply)
                 yield from approach.on_query_result(self, ctx, query, server, reply)
                 del reply  # not kept across the next wait

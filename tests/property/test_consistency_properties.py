@@ -84,7 +84,7 @@ record_types = st.sampled_from(
 
 @st.composite
 def wal_histories(draw):
-    wal = WriteAheadLog("s")
+    wal = WriteAheadLog()
     count = draw(st.integers(min_value=0, max_value=20))
     for index in range(count):
         txn = f"t{draw(st.integers(min_value=1, max_value=4))}"

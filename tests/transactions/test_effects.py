@@ -48,7 +48,7 @@ class Logger(Node):
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
-        self.wal = WriteAheadLog(name)
+        self.wal = WriteAheadLog()
 
     def handle_message(self, message):  # the peer of the retry checks: never answers
         return None
@@ -253,7 +253,7 @@ class ScriptedCoordinator:
         self.env = Environment()
         self.config = CloudConfig()
         self.metrics = Metrics()
-        self.wal = WriteAheadLog("tm")
+        self.wal = WriteAheadLog()
         self.held = dict(held)
         self.master_script = list(master_script)
         #: Participants that never install an update (the round cap's case).

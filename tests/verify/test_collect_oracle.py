@@ -32,7 +32,7 @@ from tests.verify.collect_oracle import reference_events
 def node(name: str, accesses: List[AccessRecord] = ()) -> Any:
     return SimpleNamespace(
         name=name,
-        wal=WriteAheadLog(name),
+        wal=WriteAheadLog(),
         storage=SimpleNamespace(access_log=list(accesses)),
         outcomes=[],
     )
